@@ -44,10 +44,13 @@ def default_sigma() -> np.ndarray:
 
 
 def check_spd(mat: np.ndarray, what: str) -> np.ndarray:
-    """Validate symmetry and positive-definiteness; returns the matrix."""
+    """Validate finiteness, symmetry and positive-definiteness; returns the
+    matrix."""
     mat = np.asarray(mat, dtype=float)
     if mat.shape != (3, 3):
         raise CovarianceError(f"{what}: covariance must be 3x3, got {mat.shape}")
+    if not np.isfinite(mat).all():
+        raise CovarianceError(f"{what}: covariance has non-finite entries")
     if not np.allclose(mat, mat.T, atol=1e-12):
         raise CovarianceError(f"{what}: covariance not symmetric")
     try:
@@ -73,9 +76,12 @@ class PriorGraph:
         for vid, x, y in vertices:
             if vid in self.index:
                 raise InputError(f"duplicate vertex id {vid!r}")
+            x, y = float(x), float(y)
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise InputError(f"vertex {vid!r} has non-finite position ({x}, {y})")
             self.index[vid] = len(self.ids)
             self.ids.append(vid)
-            pos.append((float(x), float(y)))
+            pos.append((x, y))
         self.positions = np.asarray(pos, dtype=float).reshape(len(self.ids), 2)
 
         if start not in self.index:
@@ -107,8 +113,10 @@ class PriorGraph:
         if length is None:
             length = float(np.linalg.norm(self.position(u) - self.position(v)))
         length = float(length)
-        if not length > 0:
-            raise InputError(f"edge ({u!r}, {v!r}) has non-positive length {length}")
+        if not (length > 0 and math.isfinite(length)):
+            raise InputError(
+                f"edge ({u!r}, {v!r}) length must be finite and positive, got {length}"
+            )
         if cov is None:
             cov = default_sigma()
         elif np.ndim(cov) == 1:
@@ -225,6 +233,11 @@ def load_prior_graph(document, covariance_entries="variance") -> PriorGraph:
         start = doc["start"]
     except (KeyError, TypeError) as exc:
         raise InputError(f"prior-graph document missing key: {exc}") from None
+    for key, raw in (("vertices", raw_vertices), ("edges", raw_edges)):
+        if not isinstance(raw, list):
+            raise InputError(
+                f"prior-graph {key!r} must be a list, got {type(raw).__name__}"
+            )
 
     vertices = []
     for item in raw_vertices:

@@ -6,10 +6,13 @@ and j contributes w * b b^T, where b is the signed incidence vector of the
 pair and w collapses the factor's 3x3 covariance to a scalar information
 weight.  Anchoring removes one row/column so the determinant is nonzero.
 
-The factor object below maintains a lower-triangular Cholesky factor and
-the log-determinant, supports O(n^2) rank-1 updates via the matrix
-determinant lemma, and evaluates quadratic forms b^T L^{-1} b with one
-triangular solve.
+The Laplacian is assembled by scatter-adding the four nonzero entries of
+each factor's w * b b^T.  The factor object below maintains a
+lower-triangular Cholesky factor and the log-determinant, supports O(n^2)
+rank-1 updates (a product-form update whose triangular solve also yields
+the log-det increment via the matrix determinant lemma), and evaluates
+quadratic forms b^T L^{-1} b with one LAPACK triangular solve per batch of
+columns.  Callers with many candidates pass the columns in chunks.
 """
 
 from __future__ import annotations
@@ -18,11 +21,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from .errors import RankDeficientError
-from .kernels import chol_update, solve_lower
-
-# Chunk size for batched candidate evaluation: bounds the dense RHS
-# workspace to roughly 300 MB of float64.
-_BATCH_ELEMENTS = 4.0e7
+from .kernels import chol_update
 
 
 def information_weight(cov: np.ndarray) -> float:
@@ -50,11 +49,23 @@ def incidence_column(n: int, i: int, j: int, anchor: int = 0) -> np.ndarray:
 
 def build_reduced_laplacian(n: int, factors, anchor: int = 0) -> np.ndarray:
     """Dense reduced Laplacian from (i, j, weight) factors over n non-anchor
-    poses.  Duplicate pairs accumulate."""
+    poses.  Duplicate pairs accumulate.
+
+    Entries are added factor by factor, in input order, so each sum is the
+    one that adding w * outer(b, b) per factor would give.
+    """
     lap = np.zeros((n, n))
-    for i, j, w in factors:
-        b = incidence_column(n, i, j, anchor)
-        lap += w * np.outer(b, b)
+    fac = np.asarray(list(factors), dtype=float).reshape(-1, 3)
+    ends = fac[:, :2].astype(np.int64)
+    w = fac[:, 2]
+    ri, rj = (ends - (ends > anchor)).T  # reduced index of each endpoint
+    ki, kj = (ends != anchor).T
+    # per factor, in order: (i, i, w), (j, j, w), (i, j, -w), (j, i, -w)
+    rows = np.stack([ri, rj, ri, rj], axis=1)
+    cols = np.stack([ri, rj, rj, ri], axis=1)
+    vals = np.stack([w, w, -w, -w], axis=1)
+    mask = np.stack([ki, kj, ki & kj, ki & kj], axis=1)
+    np.add.at(lap, (rows[mask], cols[mask]), vals[mask])
     return lap
 
 
@@ -119,30 +130,19 @@ class LaplacianFactor:
 
     def quad_form(self, b: np.ndarray) -> float:
         """b^T L^{-1} b via one forward triangular solve."""
-        y = np.empty(self.n)
-        solve_lower(self.chol, np.ascontiguousarray(b, dtype=float), y)
+        y = solve_triangular(self.chol, b, lower=True, check_finite=False)
         return float(y @ y)
 
     def quad_form_batch(self, cols: np.ndarray) -> np.ndarray:
         """Quadratic forms for many incidence columns at once.
 
-        ``cols`` is (n, m); returns length-m array of b^T L^{-1} b.  Solves
-        are chunked so the dense workspace stays bounded.
+        ``cols`` is (n, k); returns the length-k array of b^T L^{-1} b.
+        The solve holds a second (n, k) array, so callers bound k.
         """
-        n, m = cols.shape
-        out = np.empty(m)
-        step = max(1, int(_BATCH_ELEMENTS / max(n, 1)))
-        for lo in range(0, m, step):
-            hi = min(lo + step, m)
-            y = solve_triangular(
-                self.chol, cols[:, lo:hi], lower=True, check_finite=False
-            )
-            out[lo:hi] = np.einsum("ij,ij->j", y, y)
-        return out
+        y = solve_triangular(self.chol, cols, lower=True, check_finite=False)
+        return np.einsum("ij,ij->j", y, y)
 
     def rank_one_update(self, weight: float, b: np.ndarray) -> None:
         """Add weight * b b^T in place; log-det via the determinant lemma."""
-        q = self.quad_form(b)
         x = np.sqrt(weight) * np.asarray(b, dtype=float)
-        chol_update(self.chol, np.ascontiguousarray(x))
-        self.log_det += float(np.log1p(weight * q))
+        self.log_det += float(np.log1p(chol_update(self.chol, x)))

@@ -23,7 +23,11 @@ Both rely on d(plan) <= 2 d_tsp, which is audited on every plan.
 
 All score bookkeeping is in the log domain; determinants come from the
 Cholesky factor via the matrix determinant lemma, with from-scratch dense
-recomputation reserved for oracles and audits.
+recomputation reserved for oracles and audits.  Candidates are stored as
+(i, j) index pairs.  Their incidence columns are built one bounded chunk
+at a time to evaluate the quadratic forms b^T L^{-1} b, so memory does
+not grow with poses x candidates.  One function holds the prune test,
+shared by the greedy, ``prune_mask`` and ``omega_max``.
 """
 
 from __future__ import annotations
@@ -36,11 +40,16 @@ from .errors import InputError, MismatchError, SizeLimitError
 from .laplacian import (
     LaplacianFactor,
     build_reduced_laplacian,
+    incidence_column,
     information_weight,
 )
 from .tsp import Walk
 
 _LOG_TOL = 0.0  # select only while log(delta) is strictly positive
+
+# Incidence entries materialized per chunk of candidates: 4e6 float64 is
+# 32 MB, and the triangular solve holds a second array of the same size.
+_CHUNK_ELEMENTS = 4_000_000
 
 
 class AbstractedPoseGraph:
@@ -123,22 +132,16 @@ class CandidateSet:
             self.i[mask], self.j[mask], self.omega[mask], self.gamma[mask], self.n
         )
 
-    def incidence_matrix(self) -> np.ndarray:
-        """Dense (n, m) matrix of signed incidence columns (anchor dropped)."""
-        m = len(self.i)
-        cols = np.zeros((self.n, m))
-        rows = np.arange(m)
-        cols[self.i - 1, rows] = 1.0
-        pos = self.j > 0
-        cols[self.j[pos] - 1, rows[pos]] = -1.0
+    def incidence_matrix(self, idx) -> np.ndarray:
+        """Dense (n, len(idx)) signed incidence columns of the candidates at
+        ``idx`` (anchor dropped)."""
+        i, j = self.i[idx], self.j[idx]
+        cols = np.zeros((self.n, len(i)), order="F")
+        rows = np.arange(len(i))
+        cols[i - 1, rows] = 1.0
+        pos = j > 0
+        cols[j[pos] - 1, rows[pos]] = -1.0
         return cols
-
-    def incidence_column(self, k: int) -> np.ndarray:
-        b = np.zeros(self.n)
-        b[self.i[k] - 1] = 1.0
-        if self.j[k] > 0:
-            b[self.j[k] - 1] = -1.0
-        return b
 
 
 def candidate_gamma(graph, u, v) -> float:
@@ -173,6 +176,22 @@ def enumerate_candidates(apg: AbstractedPoseGraph, closure) -> CandidateSet:
 # -- incremental gain and pruning ---------------------------------------
 
 
+def quad_forms(factor: LaplacianFactor, cands: CandidateSet, idx=None) -> np.ndarray:
+    """b^T L^{-1} b for the candidates at ``idx`` (default: all).
+
+    Incidence columns are built and solved one chunk at a time, so at most
+    ``_CHUNK_ELEMENTS`` of them exist at once.
+    """
+    if idx is None:
+        idx = np.arange(len(cands))
+    out = np.empty(len(idx))
+    step = max(1, _CHUNK_ELEMENTS // max(factor.n, 1))
+    for lo in range(0, len(idx), step):
+        part = idx[lo : lo + step]
+        out[lo : lo + len(part)] = factor.quad_form_batch(cands.incidence_matrix(part))
+    return out
+
+
 def log_gain_numerator(factor: LaplacianFactor, gamma, quad) -> np.ndarray:
     """log of (1 + gamma * b^T L^{-1} b)^(1/n), vectorized."""
     return np.log1p(np.asarray(gamma) * np.asarray(quad)) / factor.n
@@ -181,18 +200,23 @@ def log_gain_numerator(factor: LaplacianFactor, gamma, quad) -> np.ndarray:
 def selection_delta(cand: LoopEdgeCandidate, factor: LaplacianFactor,
                     current_distance: float) -> float:
     """Multiplicative score gain of adding one candidate to the plan."""
-    q = factor.quad_form(_column(factor.n, cand))
+    q = factor.quad_form(incidence_column(factor.n, cand.i, cand.j))
     num = np.log1p(cand.gamma * q) / factor.n
     den = np.log1p(2.0 * cand.omega / current_distance)
     return float(np.exp(num - den))
 
 
-def _column(n, cand):
-    b = np.zeros(n)
-    b[cand.i - 1] = 1.0
-    if cand.j > 0:
-        b[cand.j - 1] = -1.0
-    return b
+def prune_test(d_tsp: float, omega, lognum):
+    """The two pruning filters, from candidate detours and gain numerators.
+
+    Returns (cap, within_cap, keep): the detour cap omega_max, the mask
+    omega <= cap, and that mask narrowed by the per-candidate test
+    lognum > log(1 + omega/d_tsp).
+    """
+    cap = d_tsp * np.expm1(np.max(lognum))
+    within_cap = omega <= cap
+    keep = within_cap & (lognum > np.log1p(omega / d_tsp))
+    return cap, within_cap, keep
 
 
 def omega_max(factor: LaplacianFactor, d_tsp: float, cands: CandidateSet,
@@ -201,9 +225,9 @@ def omega_max(factor: LaplacianFactor, d_tsp: float, cands: CandidateSet,
     if len(cands) == 0:
         raise InputError("omega_max needs at least one candidate")
     if quad is None:
-        quad = factor.quad_form_batch(cands.incidence_matrix())
+        quad = quad_forms(factor, cands)
     lognum = log_gain_numerator(factor, cands.gamma, quad)
-    return float(d_tsp * np.expm1(np.max(lognum)))
+    return float(prune_test(d_tsp, cands.omega, lognum)[0])
 
 
 def prune_mask(factor: LaplacianFactor, d_tsp: float, cands: CandidateSet,
@@ -220,10 +244,9 @@ def prune_mask(factor: LaplacianFactor, d_tsp: float, cands: CandidateSet,
     if len(cands) == 0:
         return np.zeros(0, dtype=bool)
     if quad is None:
-        quad = factor.quad_form_batch(cands.incidence_matrix())
+        quad = quad_forms(factor, cands)
     lognum = log_gain_numerator(factor, cands.gamma, quad)
-    cap = d_tsp * np.expm1(np.max(lognum))
-    return (cands.omega <= cap) & (lognum > np.log1p(cands.omega / d_tsp))
+    return prune_test(d_tsp, cands.omega, lognum)[2]
 
 
 def prune_candidates(factor: LaplacianFactor, d_tsp: float,
@@ -384,19 +407,16 @@ def greedy_select(apg: AbstractedPoseGraph, cands: CandidateSet, walk: Walk,
     if m == 0:
         plan = insert_loop_edges(apg, walk, selected, closure, log_j)
         return GreedyResult(selected, plan, trace, log_j)
-    cols = cands.incidence_matrix()
     alive = np.ones(m, dtype=bool)
     first = True
     while alive.any():
         idx = np.flatnonzero(alive)
-        quad = factor.quad_form_batch(cols[:, idx])
-        lognum = np.log1p(cands.gamma[idx] * quad) / apg.n
+        quad = quad_forms(factor, cands, idx)
+        lognum = log_gain_numerator(factor, cands.gamma[idx], quad)
         if pruning:
-            cap = d_tsp * np.expm1(np.max(lognum))
-            keep_omega = cands.omega[idx] <= cap
-            keep = keep_omega & (lognum > np.log1p(cands.omega[idx] / d_tsp))
+            _, within_cap, keep = prune_test(d_tsp, cands.omega[idx], lognum)
             if first:
-                trace.after_omega_max = int(keep_omega.sum())
+                trace.after_omega_max = int(within_cap.sum())
                 trace.after_prop1 = int(keep.sum())
             alive[idx[~keep]] = False
             idx = idx[keep]
@@ -411,7 +431,7 @@ def greedy_select(apg: AbstractedPoseGraph, cands: CandidateSet, walk: Walk,
             break
         k = int(idx[best])
         cand = cands.candidate(k)
-        factor.rank_one_update(cand.gamma, cols[:, k])
+        factor.rank_one_update(cand.gamma, incidence_column(apg.n, cand.i, cand.j))
         d_cur += 2.0 * cand.omega
         log_j += float(log_delta[best])
         selected.append(cand)
@@ -437,7 +457,7 @@ def brute_force_select(apg: AbstractedPoseGraph, cands: CandidateSet,
     base = build_reduced_laplacian(n, apg.weighted_edges)
     rank1 = np.empty((m, n * n))
     for k in range(m):
-        b = cands.incidence_column(k)
+        b = incidence_column(n, int(cands.i[k]), int(cands.j[k]))
         rank1[k] = (cands.gamma[k] * np.outer(b, b)).ravel()
     total = 1 << m
     codes = np.arange(total, dtype=np.int64)

@@ -135,6 +135,17 @@ def test_invalid_json_exit(tmp_path, capsys):
     assert "bad.json" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key,value", [("vertices", 5), ("edges", 3)])
+def test_plan_non_list_key_exits_with_error(tmp_path, path3, capsys, key, value):
+    doc = dict(path3.to_dict(), **{key: value})
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(doc))
+    assert main(["plan", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert repr(key) in err
+
+
 def test_compare_too_few_seeds(graph_file, world_file, capsys):
     code = main(["compare", graph_file, world_file, "--seeds", "1"])
     assert code == 2

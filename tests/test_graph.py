@@ -60,6 +60,50 @@ def test_load_errors_name_offender():
         load_prior_graph(neg)
 
 
+def test_non_list_vertices_or_edges_rejected():
+    base = {
+        "vertices": [{"id": 0, "x": 0, "y": 0}, {"id": 1, "x": 1, "y": 0}],
+        "edges": [{"u": 0, "v": 1}],
+        "start": 0,
+    }
+    with pytest.raises(InputError, match="'vertices' must be a list"):
+        load_prior_graph(dict(base, vertices=5))
+    with pytest.raises(InputError, match="'edges' must be a list"):
+        load_prior_graph(dict(base, edges=3))
+
+
+def test_nan_vertex_position_rejected_with_given_length():
+    doc = {
+        "vertices": [{"id": 0, "x": 0, "y": 0}, {"id": "p", "x": float("nan"), "y": 0}],
+        "edges": [{"u": 0, "v": "p", "length": 1.0}],
+        "start": 0,
+    }
+    with pytest.raises(InputError, match="vertex 'p' has non-finite position"):
+        load_prior_graph(doc)
+
+
+def test_infinite_edge_length_rejected():
+    text = ('{"vertices": [{"id": 0, "x": 0, "y": 0}, {"id": 1, "x": 1, "y": 0}],'
+            ' "edges": [{"u": 0, "v": 1, "length": Infinity}], "start": 0}')
+    with pytest.raises(InputError, match=r"edge \(0, 1\) length must be finite") as err:
+        load_prior_graph(text)
+    assert not isinstance(err.value, DisconnectedError)
+
+
+def test_nan_covariance_entry_rejected_as_non_finite():
+    doc = {
+        "vertices": [{"id": 0, "x": 0, "y": 0}, {"id": 1, "x": 1, "y": 0}],
+        "edges": [{"u": 0, "v": 1, "sigma": [0.1, float("nan"), 0.001]}],
+        "start": 0,
+    }
+    with pytest.raises(CovarianceError, match=r"edge \(0, 1\): covariance has non-finite"):
+        load_prior_graph(doc)
+    cov = np.eye(3)
+    cov[0, 1] = cov[1, 0] = np.inf
+    with pytest.raises(CovarianceError, match="non-finite"):
+        check_spd(cov, "test")
+
+
 def test_default_covariance_weight():
     # diag(0.1, 0.1, 0.001) stored as-is; its information weight is
     # (1/(0.1*0.1*0.001))^(1/3) = 100000^(1/3)

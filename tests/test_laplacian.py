@@ -180,3 +180,39 @@ def test_build_reduced_laplacian_dense_agrees(rng):
     dense = build_reduced_laplacian(n - 1, factors)
     fact = reduced_laplacian(n, factors)
     assert np.allclose(dense, fact.matrix(), rtol=1e-12)
+
+
+@pytest.mark.parametrize("anchor", [0, 3])
+def test_build_reduced_laplacian_equals_outer_product_sum(rng, anchor):
+    # Scatter-add must reproduce the per-factor w * outer(b, b) sum bit for
+    # bit, including duplicate pairs and pairs that touch the anchor.
+    poses = 9
+    n = poses - 1
+    factors = []
+    for _ in range(40):
+        i, j = rng.choice(poses, size=2, replace=False)
+        factors.append((int(i), int(j), float(rng.uniform(0.01, 50.0))))
+    factors += factors[:10]
+    factors += [(anchor, 5, 0.3), (7, anchor, 2.5), (anchor, 5, 1.1)]
+    expected = np.zeros((n, n))
+    for i, j, w in factors:
+        b = incidence_column(n, i, j, anchor)
+        expected += w * np.outer(b, b)
+    np.testing.assert_array_equal(
+        build_reduced_laplacian(n, factors, anchor), expected)
+    assert not build_reduced_laplacian(n, [], anchor).any()
+
+
+def test_rank_one_update_drift_against_fresh_factor(rng):
+    poses = 120
+    factors = [(k + 1, k, float(rng.uniform(0.2, 5.0))) for k in range(poses - 1)]
+    f = LaplacianFactor.from_factors(poses - 1, factors)
+    for _ in range(60):
+        i, j = sorted(rng.choice(poses, size=2, replace=False), reverse=True)
+        gamma = float(rng.uniform(0.1, 50.0))
+        f.rank_one_update(gamma, incidence_column(poses - 1, int(i), int(j)))
+        factors.append((int(i), int(j), gamma))
+    fresh = LaplacianFactor.from_factors(poses - 1, factors)
+    rel = np.linalg.norm(f.chol - fresh.chol) / np.linalg.norm(fresh.chol)
+    assert rel < 1e-12
+    assert f.log_det == pytest.approx(fresh.log_det, rel=1e-12)

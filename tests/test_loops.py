@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from slamplan import loops
 from slamplan.errors import MismatchError, SizeLimitError
 from slamplan.graph import load_prior_graph, metric_closure
+from slamplan.laplacian import incidence_column
 from slamplan.loops import (
     LoopEdgeCandidate,
     abstract_pose_graph,
@@ -14,6 +16,7 @@ from slamplan.loops import (
     omega_max,
     prune_candidates,
     prune_mask,
+    quad_forms,
     score_from_scratch,
     selection_delta,
 )
@@ -244,8 +247,8 @@ def test_delta_factorization(rng):
         subset = [cands.candidate(k) for k in subset_idx]
         z = cands.candidate(z_idx)
         factor = apg.factor.copy()
-        for k, c in zip(subset_idx, subset):
-            factor.rank_one_update(c.gamma, cands.incidence_column(int(k)))
+        for c in subset:
+            factor.rank_one_update(c.gamma, incidence_column(apg.n, c.i, c.j))
         d_cur = walk.length + 2.0 * sum(c.omega for c in subset)
         delta = selection_delta(z, factor, d_cur)
         log_with = score_from_scratch(apg, subset + [z], walk.length)
@@ -342,6 +345,35 @@ def test_greedy_trace_monotone_chain(rng):
         t = res.trace
         assert t.initial_candidates >= t.after_omega_max >= t.after_prop1 >= 0
         assert t.initial_candidates == len(cands)
+
+
+def test_greedy_first_prune_is_prune_mask_and_omega_max(rng):
+    # The greedy's first filtering pass, prune_mask and omega_max must be
+    # one test: same survivors, same detour cap.
+    checked = 0
+    while checked < 40:
+        g, mc, walk, apg, cands = random_instance(rng, 5, 12)
+        if len(cands) < 2:
+            continue
+        trace = greedy_select(apg, cands, walk, mc).trace
+        mask = prune_mask(apg.factor, walk.length, cands)
+        cap = omega_max(apg.factor, walk.length, cands)
+        assert trace.after_prop1 == int(mask.sum())
+        assert trace.after_omega_max == int((cands.omega <= cap).sum())
+        checked += 1
+
+
+def test_quad_forms_chunked_match_one_batch(rng, monkeypatch):
+    g, mc, walk, apg, cands = random_instance(rng, 9, 10)
+    assert len(cands) > 7
+    whole = apg.factor.quad_form_batch(cands.incidence_matrix(np.arange(len(cands))))
+    monkeypatch.setattr(loops, "_CHUNK_ELEMENTS", 3 * apg.n)  # 3 columns per chunk
+    np.testing.assert_allclose(quad_forms(apg.factor, cands), whole, rtol=1e-13)
+    idx = np.arange(1, len(cands), 2)
+    np.testing.assert_allclose(quad_forms(apg.factor, cands, idx), whole[idx],
+                               rtol=1e-13)
+    single = [apg.factor.quad_form(incidence_column(apg.n, c.i, c.j)) for c in cands]
+    np.testing.assert_allclose(whole, single, rtol=1e-12)
 
 
 def test_greedy_matches_brute_force(rng):
