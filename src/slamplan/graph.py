@@ -29,7 +29,10 @@ def sigma_matrix(diag, covariance_entries: str = "variance") -> np.ndarray:
     ``covariance_entries`` selects whether the entries are variances or
     standard deviations.
     """
-    d = np.asarray(diag, dtype=float)
+    try:
+        d = np.asarray(diag, dtype=float)
+    except (TypeError, ValueError):
+        raise InputError(f"sigma entries must be numbers, got {diag!r}") from None
     if d.shape != (3,):
         raise InputError(f"sigma must have 3 entries, got {d.tolist()}")
     if covariance_entries == "variance":
@@ -76,7 +79,12 @@ class PriorGraph:
         for vid, x, y in vertices:
             if vid in self.index:
                 raise InputError(f"duplicate vertex id {vid!r}")
-            x, y = float(x), float(y)
+            try:
+                x, y = float(x), float(y)
+            except (TypeError, ValueError):
+                raise InputError(
+                    f"vertex {vid!r} position must be numeric, got ({x!r}, {y!r})"
+                ) from None
             if not (math.isfinite(x) and math.isfinite(y)):
                 raise InputError(f"vertex {vid!r} has non-finite position ({x}, {y})")
             self.index[vid] = len(self.ids)
@@ -110,18 +118,25 @@ class PriorGraph:
         key = frozenset((u, v))
         if key in self._edge_cov:
             raise InputError(f"duplicate edge ({u!r}, {v!r})")
+        what = f"edge ({u!r}, {v!r})"
         if length is None:
             length = float(np.linalg.norm(self.position(u) - self.position(v)))
-        length = float(length)
+        try:
+            length = float(length)
+        except (TypeError, ValueError):
+            raise InputError(f"{what} length must be a number, got {length!r}") from None
         if not (length > 0 and math.isfinite(length)):
-            raise InputError(
-                f"edge ({u!r}, {v!r}) length must be finite and positive, got {length}"
-            )
+            raise InputError(f"{what} length must be finite and positive, got {length}")
         if cov is None:
             cov = default_sigma()
-        elif np.ndim(cov) == 1:
-            cov = sigma_matrix(cov, covariance_entries)
-        cov = check_spd(np.asarray(cov, dtype=float), f"edge ({u!r}, {v!r})")
+        else:
+            try:
+                cov = np.asarray(cov, dtype=float)
+            except (TypeError, ValueError):
+                raise InputError(f"{what} sigma must hold numbers, got {cov!r}") from None
+            if cov.ndim == 1:
+                cov = sigma_matrix(cov, covariance_entries)
+        cov = check_spd(cov, what)
         self.adjacency[u][v] = length
         self.adjacency[v][u] = length
         self._edge_cov[key] = cov
@@ -319,7 +334,3 @@ class MetricClosure:
 
 def metric_closure(graph: PriorGraph) -> MetricClosure:
     return MetricClosure(graph)
-
-
-def euclidean(p, q) -> float:
-    return math.hypot(p[0] - q[0], p[1] - q[1])

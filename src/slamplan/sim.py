@@ -116,11 +116,18 @@ def load_world(document, covariance_entries: str = "variance") -> WorldModel:
     if default is not None:
         base = sigma_matrix(default, covariance_entries)
         degeneracy = {v: base for v in graph.ids}
-    by_key = {str(v): v for v in graph.ids}
+    by_key = {}  # JSON object keys are strings, so ids 1 and "1" share one
+    for v in graph.ids:
+        by_key.setdefault(str(v), []).append(v)
     for key, diag in (document.get("region_degeneracy") or {}).items():
         if key not in by_key:
             raise InputError(f"degeneracy entry for unknown vertex {key!r}")
-        degeneracy[by_key[key]] = sigma_matrix(diag, covariance_entries)
+        if len(by_key[key]) > 1:
+            first, second = by_key[key][:2]
+            raise InputError(
+                f"degeneracy entry {key!r} matches both vertex ids {first!r} and {second!r}"
+            )
+        degeneracy[by_key[key][0]] = sigma_matrix(diag, covariance_entries)
     loop_sigma = document.get("loop_closure_sigma")
     loop_cov = None if loop_sigma is None else sigma_matrix(loop_sigma, covariance_entries)
     return WorldModel(graph, degeneracy, loop_cov)

@@ -1,19 +1,18 @@
 """Open-loop coverage tours over the metric closure of a prior graph.
 
 A coverage route must start at a given vertex, visit every requested
-vertex, and may stop anywhere.  Following the classic reduction, the
-open-loop problem is a closed tour on the complete closure graph with
-every cost into the start zeroed: the return leg is free, so the closed
-cost equals the open cost and the vertex before the return is the true
-endpoint.
+vertex, and may stop anywhere.  The open tour is solved as a path with
+both ends pinned: the heuristic appends a free terminal vertex, at zero
+cost from and to every vertex, and pins it last, so the vertex before it
+is the true endpoint and the path length equals the open tour's length.
+A tour forced to end at a given vertex pins that vertex last instead.
 
 The heuristic solver seeds with nearest-neighbor construction from several
-distinct second vertices and polishes with 2-opt reversals and or-opt
-segment relocations.  Reversal deltas are evaluated on the symmetric
-closure block, which is exact here because only the start column is
-zeroed and the start is pinned at the front, never inside a reversed
-segment.  An exact Held-Karp dynamic program covers small instances and
-serves as the reference oracle.
+distinct second vertices and polishes with best-improvement 2-opt
+reversals and or-opt segment relocations.  Each pass evaluates every move
+at once on one copy of the closure block taken in tour order, kept current
+across reversals.  An exact Held-Karp dynamic program covers small
+instances and serves as the reference oracle.
 """
 
 from __future__ import annotations
@@ -45,12 +44,11 @@ class Walk:
 
 
 class TourCosts:
-    """Complete-graph costs for the open-loop reduction.
+    """Closure distances among the vertices a tour must visit.
 
-    ``cost`` is the closure distance with the start column zeroed (index 0
-    is the start), so any closed tour's cost equals the corresponding open
-    tour's cost.  ``sym`` keeps the unzeroed symmetric block for local
-    search and length accounting.
+    ``sym`` is the closure block over ``ids``, with the start at index 0.
+    The solvers add the free terminal vertex of an open tour themselves,
+    so ``sym`` serves both local search and length accounting.
     """
 
     def __init__(self, closure, include=None, start=None):
@@ -61,8 +59,6 @@ class TourCosts:
         self.ids = [self.start] + [v for v in g.ids if v in chosen and v != self.start]
         idx = [g.index[v] for v in self.ids]
         self.sym = np.ascontiguousarray(closure.dist_matrix[np.ix_(idx, idx)])
-        self.cost = self.sym.copy()
-        self.cost[:, 0] = 0.0
 
     def __len__(self):
         return len(self.ids)
@@ -70,17 +66,12 @@ class TourCosts:
     def to_ids(self, order) -> list:
         return [self.ids[k] for k in order]
 
-    def closed_cost(self, order) -> float:
-        """Cost of order as a cycle under the zeroed-column matrix."""
-        arr = np.asarray(order)
-        return float(self.cost[arr, np.roll(arr, -1)].sum())
-
 
 def build_tour_costs(closure, start=None, include=None) -> TourCosts:
     return TourCosts(closure, include=include, start=start)
 
 
-# -- heuristic local search (index space, symmetric matrix) --------------
+# -- heuristic local search (index space) ---------------------------------
 
 
 def _nn_seed(dist: np.ndarray, second: int | None, skip) -> list:
@@ -101,58 +92,53 @@ def _nn_seed(dist: np.ndarray, second: int | None, skip) -> list:
     return order
 
 
-def _two_opt_pass(dist: np.ndarray, order: np.ndarray) -> bool:
-    """One best-improvement reversal of order[i..j]; endpoints pinned."""
-    m = len(order)
-    if m < 4:
-        return False
-    pre = order[:-2]
-    cur = order[1:-1]
-    nxt = order[2:]
-    delta = (
-        dist[np.ix_(pre, cur)]
-        + dist[np.ix_(nxt, cur)].T
-        - dist[pre, cur][:, None]
-        - dist[cur, nxt][None, :]
-    )
-    k = len(cur)
-    delta[np.tril_indices(k)] = np.inf
+def _two_opt_pass(P: np.ndarray, order: np.ndarray, mask: np.ndarray) -> bool:
+    """One best-improvement reversal of order[i..j]; endpoints pinned.
+
+    ``P`` is the cost block in tour order, ``P[a, b] = dist[order[a],
+    order[b]]``; an accepted reversal is applied to ``order`` and to the
+    rows and columns of ``P``.  ``mask`` is the (m-2, m-2) 0/inf lower
+    triangle that rules out empty and backwards segments.
+    """
+    sup = np.diagonal(P, 1)  # sup[r] = P[r, r + 1], the current legs
+    delta = P[:-2, 1:-1] + P[2:, 1:-1].T
+    delta -= sup[:-1, None]
+    delta -= sup[None, 1:]
+    delta += mask
     flat = int(np.argmin(delta))
-    a, b = divmod(flat, k)
+    a, b = divmod(flat, delta.shape[1])
     if delta[a, b] >= -_TOL:
         return False
     i, j = a + 1, b + 1
     order[i : j + 1] = order[i : j + 1][::-1]
+    P[i : j + 1] = P[i : j + 1][::-1]
+    P[:, i : j + 1] = P[:, i : j + 1][:, ::-1]
     return True
 
 
-def _or_opt_pass(dist: np.ndarray, order: np.ndarray) -> bool:
-    """One best-improvement forward relocation of a 1-3 vertex segment."""
+def _or_opt_pass(P: np.ndarray, order: np.ndarray, mask: np.ndarray) -> bool:
+    """One best-improvement forward relocation of a 1-3 vertex segment.
+
+    Reads the tour-ordered block ``P`` and the mask of ``_two_opt_pass``;
+    an accepted move is applied to ``order`` only, so ``P`` goes stale.
+    """
     m = len(order)
+    sup = np.diagonal(P, 1)
     best = (-_TOL, None)
     for seg in (1, 2, 3):
         if m - 2 < seg + 1:
             continue
-        starts = np.arange(1, m - seg)  # segment occupies [i, i+seg-1]
-        slots = np.arange(1, m - 1)  # insert between order[j] and order[j+1]
-        before = order[starts - 1]
-        first = order[starts]
-        last = order[starts + seg - 1]
-        after = order[starts + seg]
-        tj = order[slots]
-        tj1 = order[slots + 1]
-        gain = dist[before, first] + dist[last, after] - dist[before, after]
-        ins = (
-            dist[np.ix_(tj, first)].T
-            + dist[np.ix_(last, tj1)]
-            - dist[tj, tj1][None, :]
-        )
+        # segment occupies positions [s, s+seg-1] for s in 1..m-seg-1;
+        # slot t inserts it between positions t and t+1 for t in 1..m-2
+        gain = sup[: m - seg - 1] + sup[seg:] - np.diagonal(P, seg + 1)
+        ins = P[1:-1, 1 : m - seg].T + P[seg:-1, 2:]
+        ins -= sup[None, 1:]
         delta = ins - gain[:, None]
-        delta[slots[None, :] < (starts + seg)[:, None]] = np.inf
+        delta += mask[seg - 1 :]  # inf where slot t < s + seg
         flat = int(np.argmin(delta))
-        a, b = divmod(flat, len(slots))
+        a, b = divmod(flat, m - 2)
         if delta[a, b] < best[0]:
-            best = (delta[a, b], (int(starts[a]), seg, int(slots[b])))
+            best = (delta[a, b], (a + 1, seg, b + 1))
     if best[1] is None:
         return False
     i, seg, j = best[1]
@@ -164,11 +150,21 @@ def _or_opt_pass(dist: np.ndarray, order: np.ndarray) -> bool:
 
 
 def _improve(dist: np.ndarray, order: list) -> np.ndarray:
+    """2-opt to a local optimum, then one or-opt move, until neither helps.
+
+    Both passes read the closure block gathered in tour order once per
+    2-opt round, never assuming it is bitwise symmetric.
+    """
     arr = np.asarray(order, dtype=np.int64)
+    k = len(arr) - 2
+    if k < 2:
+        return arr  # no reversal or relocation fits between pinned ends
+    mask = np.where(np.tri(k, dtype=bool), np.inf, 0.0)
     while True:
-        while _two_opt_pass(dist, arr):
+        P = dist[np.ix_(arr, arr)]
+        while _two_opt_pass(P, arr, mask):
             pass
-        if not _or_opt_pass(dist, arr):
+        if not _or_opt_pass(P, arr, mask):
             return arr
 
 
@@ -293,8 +289,3 @@ def expand_to_walk(closure, order) -> Walk:
         vertices.extend(closure.path(a, b)[1:])
         total += closure.dist(a, b)
     return Walk(vertices, total)
-
-
-def walk_length(graph, vertices) -> float:
-    """Length of a walk measured edge by edge on the prior graph."""
-    return sum(graph.edge_length(a, b) for a, b in zip(vertices[:-1], vertices[1:]))

@@ -146,6 +146,16 @@ def test_plan_non_list_key_exits_with_error(tmp_path, path3, capsys, key, value)
     assert repr(key) in err
 
 
+def test_plan_non_numeric_position_exits_with_error(tmp_path, path3, capsys):
+    doc = path3.to_dict()
+    doc["vertices"][1]["x"] = "abc"
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(doc))
+    assert main(["plan", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: vertex 'b' position must be numeric")
+
+
 def test_compare_too_few_seeds(graph_file, world_file, capsys):
     code = main(["compare", graph_file, world_file, "--seeds", "1"])
     assert code == 2

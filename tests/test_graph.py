@@ -104,6 +104,23 @@ def test_nan_covariance_entry_rejected_as_non_finite():
         check_spd(cov, "test")
 
 
+@pytest.mark.parametrize("vertex,edge,match", [
+    ({"id": "p", "x": "abc", "y": 0}, {}, r"vertex 'p' position must be numeric"),
+    ({"id": "p", "x": 1, "y": None}, {}, r"vertex 'p' position must be numeric"),
+    ({}, {"length": "far"}, r"edge \(0, 'p'\) length must be a number, got 'far'"),
+    ({}, {"sigma": ["a", 1, 1]}, r"edge \(0, 'p'\) sigma must hold numbers"),
+    ({}, {"sigma": [[1, 0, 0], [0, 1]]}, r"edge \(0, 'p'\) sigma must hold numbers"),
+], ids=["x-text", "y-null", "length-text", "sigma-text", "sigma-ragged"])
+def test_non_numeric_entries_rejected_naming_offender(vertex, edge, match):
+    doc = {
+        "vertices": [{"id": 0, "x": 0, "y": 0}, dict({"id": "p", "x": 1, "y": 0}, **vertex)],
+        "edges": [dict({"u": 0, "v": "p"}, **edge)],
+        "start": 0,
+    }
+    with pytest.raises(InputError, match=match):
+        load_prior_graph(doc)
+
+
 def test_default_covariance_weight():
     # diag(0.1, 0.1, 0.001) stored as-is; its information weight is
     # (1/(0.1*0.1*0.001))^(1/3) = 100000^(1/3)
@@ -125,6 +142,8 @@ def test_sigma_matrix_stddev_mode():
     assert np.allclose(np.diag(std), [0.01, 0.01, 1e-6])
     with pytest.raises(InputError):
         sigma_matrix([0.1, 0.1, 0.001], "nonsense")
+    with pytest.raises(InputError, match="sigma entries must be numbers"):
+        sigma_matrix(["a", 0.1, 0.001])
 
 
 def test_check_spd_rejects_bad_matrices():

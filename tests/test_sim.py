@@ -66,6 +66,19 @@ def test_load_world_document(tmp_path):
         load_world({})
 
 
+def test_load_world_rejects_ambiguous_degeneracy_key():
+    # JSON object keys are strings, so "1" could mean vertex 1 or "1".
+    doc = {
+        "vertices": [{"id": 1, "x": 0, "y": 0}, {"id": "1", "x": 1, "y": 0}],
+        "edges": [{"u": 1, "v": "1"}],
+        "start": 1,
+    }
+    with pytest.raises(InputError, match=r"vertex ids 1 and '1'"):
+        load_world({"graph": doc, "region_degeneracy": {"1": [0.2, 0.2, 0.002]}})
+    w = load_world({"graph": doc})
+    assert set(w.true_graph.ids) == {1, "1"}
+
+
 def test_world_defaults():
     g = path3_graph()
     w = WorldModel(g)

@@ -3,6 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
+from slamplan import tsp
+from slamplan.bench import GridGraphSpec, gen_grid_graph
 from slamplan.errors import SizeLimitError
 from slamplan.graph import load_prior_graph, metric_closure
 from slamplan.tsp import (
@@ -25,8 +27,8 @@ def costs_for(graph, include=None, start=None):
 def test_triangle_cost_matrix(triangle):
     costs = costs_for(triangle)
     assert costs.ids[0] == "a"
-    expect = np.array([[0, 1, 1], [0, 0, 1], [0, 1, 0]], dtype=float)
-    assert np.allclose(costs.cost, expect)
+    expect = np.array([[0, 1, 1], [1, 0, 1], [1, 1, 0]], dtype=float)
+    assert np.allclose(costs.sym, expect)
     assert np.allclose(costs.sym, costs.sym.T)
 
 
@@ -34,26 +36,12 @@ def test_single_vertex_costs_and_tour():
     doc = {"vertices": [{"id": "a", "x": 0, "y": 0}], "edges": [], "start": "a"}
     g = load_prior_graph(doc)
     costs = costs_for(g)
-    assert costs.cost.shape == (1, 1) and costs.cost[0, 0] == 0.0
+    assert costs.sym.shape == (1, 1) and costs.sym[0, 0] == 0.0
     tour = solve_open_tsp(costs)
     assert tour.order == ["a"]
     assert tour.length == 0.0
     exact = solve_open_tsp_exact(costs)
     assert exact.order == ["a"] and exact.length == 0.0
-
-
-def test_closed_cost_equals_open_cost(rng):
-    # Zeroing the start column makes the closing leg free, so cycle cost
-    # under .cost equals the open path cost under .sym.
-    for _ in range(25):
-        n = int(rng.integers(2, 9))
-        g = random_connected_graph(rng, n, unit_lengths=False)
-        costs = costs_for(g)
-        perm = [0] + list(rng.permutation(np.arange(1, n)))
-        open_cost = sum(
-            costs.sym[a, b] for a, b in zip(perm[:-1], perm[1:])
-        )
-        assert costs.closed_cost(perm) == pytest.approx(open_cost, abs=1e-9)
 
 
 def test_path_order_and_cost(path3):
@@ -203,5 +191,122 @@ def test_plan_coverage_tour(path3):
 def test_build_tour_costs_alias(path3):
     mc = metric_closure(path3)
     costs = build_tour_costs(mc, start="b")
-    assert costs.ids[0] == "b"
-    assert np.all(costs.cost[:, 0] == 0.0)
+    assert costs.ids == ["b", "a", "c"]
+    idx = [mc.graph.index[v] for v in costs.ids]
+    assert np.array_equal(costs.sym, mc.dist_matrix[np.ix_(idx, idx)])
+
+
+# -- reference local search: every move gathered from ``dist`` afresh -----
+
+
+def _ref_two_opt_pass(dist, order):
+    m = len(order)
+    if m < 4:
+        return False
+    pre = order[:-2]
+    cur = order[1:-1]
+    nxt = order[2:]
+    delta = (
+        dist[np.ix_(pre, cur)]
+        + dist[np.ix_(nxt, cur)].T
+        - dist[pre, cur][:, None]
+        - dist[cur, nxt][None, :]
+    )
+    k = len(cur)
+    delta[np.tril_indices(k)] = np.inf
+    flat = int(np.argmin(delta))
+    a, b = divmod(flat, k)
+    if delta[a, b] >= -tsp._TOL:
+        return False
+    i, j = a + 1, b + 1
+    order[i : j + 1] = order[i : j + 1][::-1]
+    return True
+
+
+def _ref_or_opt_pass(dist, order):
+    m = len(order)
+    best = (-tsp._TOL, None)
+    for seg in (1, 2, 3):
+        if m - 2 < seg + 1:
+            continue
+        starts = np.arange(1, m - seg)
+        slots = np.arange(1, m - 1)
+        before = order[starts - 1]
+        first = order[starts]
+        last = order[starts + seg - 1]
+        after = order[starts + seg]
+        tj = order[slots]
+        tj1 = order[slots + 1]
+        gain = dist[before, first] + dist[last, after] - dist[before, after]
+        ins = (
+            dist[np.ix_(tj, first)].T
+            + dist[np.ix_(last, tj1)]
+            - dist[tj, tj1][None, :]
+        )
+        delta = ins - gain[:, None]
+        delta[slots[None, :] < (starts + seg)[:, None]] = np.inf
+        flat = int(np.argmin(delta))
+        a, b = divmod(flat, len(slots))
+        if delta[a, b] < best[0]:
+            best = (delta[a, b], (int(starts[a]), seg, int(slots[b])))
+    if best[1] is None:
+        return False
+    i, seg, j = best[1]
+    piece = order[i : i + seg].copy()
+    rest = np.concatenate([order[:i], order[i + seg :]])
+    at = j + 1 - seg
+    order[:] = np.concatenate([rest[:at], piece, rest[at:]])
+    return True
+
+
+def _ref_improve(dist, order):
+    arr = np.asarray(order, dtype=np.int64)
+    while True:
+        while _ref_two_opt_pass(dist, arr):
+            pass
+        if not _ref_or_opt_pass(dist, arr):
+            return arr
+
+
+def _assert_same_as_reference(monkeypatch, sym, end, restarts):
+    if end is None:
+        solve = lambda: tsp._solve_open_indices(sym, restarts)  # noqa: E731
+    else:
+        solve = lambda: tsp._solve_fixed_end_indices(sym, end, restarts)  # noqa: E731
+    got = solve()
+    with monkeypatch.context() as patch:
+        patch.setattr(tsp, "_improve", _ref_improve)
+        want = solve()
+    assert got[0] == want[0]
+    assert got[1] == want[1]  # bitwise: same deltas, same moves, same sums
+
+
+def test_local_search_matches_reference_on_random_blocks(rng, monkeypatch):
+    # Sub-blocks of random closures, including sizes where no move fits
+    # (fewer than 4 pinned positions) and the two-vertex fixed-end case.
+    closures = [
+        metric_closure(random_connected_graph(
+            rng, 60, extra_edge_prob=p, unit_lengths=unit)).dist_matrix
+        for p in (0.02, 0.05, 0.1, 0.3) for unit in (False, True)
+    ]
+    sizes = [1, 2, 2, 3, 3] + [int(s) for s in rng.integers(3, 61, size=200)]
+    for size in sizes:
+        dist = closures[int(rng.integers(len(closures)))]
+        pick = rng.permutation(60)[:size]
+        sym = np.ascontiguousarray(dist[np.ix_(pick, pick)])
+        if rng.integers(2):
+            # Dijkstra rows may differ in the last bits, so the search must
+            # never read P[a, b] where the reference reads dist[b, a]
+            sym *= 1.0 + 1e-12 * rng.random(sym.shape)
+        restarts = int(rng.integers(1, 4))
+        _assert_same_as_reference(monkeypatch, sym, None, restarts)
+        if size >= 2:
+            end = int(rng.integers(1, size))
+            _assert_same_as_reference(monkeypatch, sym, end, restarts)
+
+
+def test_local_search_matches_reference_on_grid20(monkeypatch):
+    g = gen_grid_graph(GridGraphSpec(width=20.0, height=20.0, seed=1))
+    sym = metric_closure(g).dist_matrix
+    _assert_same_as_reference(monkeypatch, sym, None, 2)
+    _assert_same_as_reference(monkeypatch, sym, len(sym) - 1, 1)
