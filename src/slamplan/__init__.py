@@ -41,8 +41,8 @@ from .sim import (
     SimPoseGraph,
     WorldModel,
     ape_rmse,
-    fim,
     load_world,
+    log_dopt_fim,
     optimize_pose_graph,
     simulate_execution,
 )
@@ -89,12 +89,12 @@ __all__ = [
     "compute_plan",
     "enumerate_candidates",
     "expand_to_walk",
-    "fim",
     "greedy_select",
     "information_weight",
     "insert_loop_edges",
     "load_prior_graph",
     "load_world",
+    "log_dopt_fim",
     "metric_closure",
     "omega_max",
     "optimize_pose_graph",

@@ -18,28 +18,21 @@ from scipy.sparse.csgraph import dijkstra
 
 from .errors import CovarianceError, DisconnectedError, InputError
 
-# Measurement covariance assigned to edges that do not specify one,
-# interpreted per ``covariance_entries`` ("variance" by default).
+# Measurement covariance (diagonal variances) assigned to edges that do not
+# specify one.
 DEFAULT_SIGMA_DIAG = (0.1, 0.1, 0.001)
 
 
-def sigma_matrix(diag, covariance_entries: str = "variance") -> np.ndarray:
-    """Build a diagonal 3x3 covariance from per-axis entries.
-
-    ``covariance_entries`` selects whether the entries are variances or
-    standard deviations.
-    """
+def sigma_matrix(diag, what: str = "sigma") -> np.ndarray:
+    """Build a diagonal 3x3 covariance from per-axis variances; ``what``
+    names the entry in error messages."""
     try:
         d = np.asarray(diag, dtype=float)
     except (TypeError, ValueError):
-        raise InputError(f"sigma entries must be numbers, got {diag!r}") from None
+        raise InputError(f"{what} entries must be numbers, got {diag!r}") from None
     if d.shape != (3,):
-        raise InputError(f"sigma must have 3 entries, got {d.tolist()}")
-    if covariance_entries == "variance":
-        return np.diag(d)
-    if covariance_entries == "stddev":
-        return np.diag(d * d)
-    raise InputError(f"unknown covariance_entries mode {covariance_entries!r}")
+        raise InputError(f"{what} must have 3 entries, got {d.tolist()}")
+    return np.diag(d)
 
 
 def default_sigma() -> np.ndarray:
@@ -71,7 +64,7 @@ class PriorGraph:
     ``revision`` so cached shortest-path closures can be invalidated.
     """
 
-    def __init__(self, vertices, edges, start, covariance_entries="variance"):
+    def __init__(self, vertices, edges, start):
         # vertices: iterable of (id, x, y); edges: (u, v, length|None, cov|None)
         self.ids = []
         self.index = {}
@@ -101,7 +94,7 @@ class PriorGraph:
         self.edges = []
         for edge in edges:
             u, v, length, cov = edge
-            self._add_edge_checked(u, v, length, cov, covariance_entries)
+            self._add_edge_checked(u, v, length, cov)
 
         self.region_cov = {vid: default_sigma() for vid in self.ids}
         self.revision = 0
@@ -109,7 +102,7 @@ class PriorGraph:
 
     # -- construction helpers -------------------------------------------
 
-    def _add_edge_checked(self, u, v, length, cov, covariance_entries="variance"):
+    def _add_edge_checked(self, u, v, length, cov):
         for vid in (u, v):
             if vid not in self.index:
                 raise InputError(f"edge ({u!r}, {v!r}) references unknown vertex {vid!r}")
@@ -135,7 +128,7 @@ class PriorGraph:
             except (TypeError, ValueError):
                 raise InputError(f"{what} sigma must hold numbers, got {cov!r}") from None
             if cov.ndim == 1:
-                cov = sigma_matrix(cov, covariance_entries)
+                cov = sigma_matrix(cov, f"{what} sigma")
         cov = check_spd(cov, what)
         self.adjacency[u][v] = length
         self.adjacency[v][u] = length
@@ -235,7 +228,7 @@ class PriorGraph:
         }
 
 
-def load_prior_graph(document, covariance_entries="variance") -> PriorGraph:
+def load_prior_graph(document) -> PriorGraph:
     """Parse a prior-graph document (JSON text, path, or parsed dict).
 
     Missing edge lengths default to the Euclidean distance between endpoint
@@ -266,7 +259,7 @@ def load_prior_graph(document, covariance_entries="variance") -> PriorGraph:
             edges.append((item["u"], item["v"], item.get("length"), item.get("sigma")))
         except (AttributeError, KeyError, TypeError):
             raise InputError(f"malformed edge entry {item!r}") from None
-    return PriorGraph(vertices, edges, start, covariance_entries)
+    return PriorGraph(vertices, edges, start)
 
 
 def _as_dict(document) -> dict:

@@ -33,6 +33,7 @@ shared by the greedy, ``prune_mask`` and ``omega_max``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -63,7 +64,12 @@ class AbstractedPoseGraph:
         self.weighted_edges = weighted_edges  # [(i, j, gamma)], i > j
         self.edges = {(i, j) for i, j, _ in weighted_edges}
         self.n = len(pose_to_vertex) - 1
-        self.factor = LaplacianFactor.from_factors(self.n, weighted_edges)
+
+    @cached_property
+    def factor(self) -> LaplacianFactor:
+        """Cholesky factor of the walk's reduced Laplacian, built on first
+        use: the mission scores abstracted walks without it."""
+        return LaplacianFactor.from_factors(self.n, self.weighted_edges)
 
     @property
     def pose_count(self):

@@ -25,38 +25,32 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError, MismatchError
+from .errors import InputError
 from .graph import PriorGraph, metric_closure
-from .laplacian import build_reduced_laplacian, information_weight
+from .laplacian import build_reduced_laplacian
+from .loops import abstract_pose_graph
 from .planner import STRATEGIES, compute_plan
-from .se2 import between, wrap_angle
 from .sim import (
     MissionMetrics,
+    RouteRunner,
     SimPoseGraph,
     WorldModel,
     ape_rmse,
-    dead_reckon,
     log_dopt_fim,
     optimize_pose_graph,
 )
-from .tsp import TourCosts, solve_fixed_end_tsp, solve_open_tsp
+from .tsp import TourCosts, Walk, solve_fixed_end_tsp, solve_open_tsp
 
 _SCORE_TIE = 1e-9
+_DEGENERACY_WINDOW = 5  # pose-graph edges averaged per covered region
 
 
 @dataclass
 class MissionConfig:
     strategy: str = "slam_aware"
-    degeneracy_window: int = 5  # pose-graph edges averaged per region
     replanning: bool = True
     subpath_optimization: bool = True
     pruning: bool = True
-    restarts: int = 8
-    vicinity_radius: float = 0.5  # arrival slack for off-graph execution; exact here
-    covariance_entries: str = "variance"
-    optimizer_max_iters: int = 100
-    optimizer_tol: float = 1e-10
-    fim_half: bool = True
 
 
 @dataclass
@@ -68,66 +62,6 @@ class MissionLog:
     pose_graph: SimPoseGraph = None
     prior: PriorGraph = None
     optimizer_info: dict = field(default_factory=dict)
-
-
-class _RouteRunner:
-    """Edge-by-edge execution in the world with incremental measurements."""
-
-    def __init__(self, world: WorldModel, start, seed):
-        self.world = world
-        self.rng = np.random.default_rng(seed)
-        g = world.true_graph
-        if start not in g.index:
-            raise MismatchError(f"start vertex {start!r} absent from world")
-        p = g.position(start)
-        self.route = [start]
-        self.poses = [np.array([p[0], p[1], 0.0])]
-        self.odometry = []
-        self.loops = []
-        self.first_at = {start: 0}
-        self.distance = 0.0
-
-    def _sample(self, cov):
-        from .sim import NOISE_FLOOR_TRACE
-
-        if np.trace(cov) <= NOISE_FLOOR_TRACE:
-            return np.zeros(3)
-        return np.linalg.cholesky(cov) @ self.rng.standard_normal(3)
-
-    def move(self, v):
-        u = self.route[-1]
-        g = self.world.true_graph
-        if not g.has_edge(u, v):
-            raise MismatchError(f"no world edge ({u!r}, {v!r}) to traverse")
-        pu, pv = g.position(u), g.position(v)
-        heading = float(np.arctan2(pv[1] - pu[1], pv[0] - pu[0]))
-        if len(self.poses) == 1:
-            self.poses[0][2] = heading  # anchor turns toward its first motion
-        pose = np.array([pv[0], pv[1], heading])
-        k = len(self.poses)
-        cov = 0.5 * (self.world.degeneracy(u) + self.world.degeneracy(v))
-        z = between(self.poses[-1], pose) + self._sample(cov)
-        z[2] = wrap_angle(z[2])
-        self.odometry.append((k - 1, k, z, cov))
-        self.poses.append(pose)
-        if v in self.first_at:
-            lcov = self.world.loop_closure_covariance
-            i = self.first_at[v]
-            zl = between(self.poses[i], pose) + self._sample(lcov)
-            zl[2] = wrap_angle(zl[2])
-            self.loops.append((i, k, zl, lcov))
-        else:
-            self.first_at[v] = k
-        self.route.append(v)
-        self.distance += g.edge_length(u, v)
-
-    def pose_graph(self) -> SimPoseGraph:
-        pg = SimPoseGraph(
-            np.array(self.poses), list(self.route), list(self.odometry),
-            list(self.loops)
-        )
-        pg.estimates = dead_reckon(pg)
-        return pg
 
 
 class Mission:
@@ -142,7 +76,7 @@ class Mission:
         self.world = world
         self.prior = prior.copy()
         self.seed = seed
-        self.runner = _RouteRunner(world, self.prior.start, seed)
+        self.runner = RouteRunner(world, self.prior.start, seed)
         self.current = self.prior.start
         self.visited = {self.current}
         self.performed = []  # (anchor, target, gamma) of executed loop actions
@@ -195,7 +129,7 @@ class Mission:
         covs = np.stack([c for _, _, _, c in edges])
         target = self.prior.position(vertex)
         d2 = np.sum((mids - target) ** 2, axis=1)
-        take = np.argsort(d2, kind="stable")[: self.config.degeneracy_window]
+        take = np.argsort(d2, kind="stable")[:_DEGENERACY_WINDOW]
         changed = self._set_region(vertex, covs[take].mean(axis=0))
         overall = covs.mean(axis=0)
         for v in self.prior.ids:
@@ -279,35 +213,24 @@ class Mission:
 
     def _combined_log_dopt(self, extra_seq, extra_factors):
         """log D-opt of the abstracted Laplacian over executed + projected
-        coverage, including performed and pending loop factors."""
+        coverage, including performed and pending loop factors.
+
+        ``apg.factor`` would cover the walk factors alone, so the Laplacian
+        with the loop factors is assembled here and its log-det taken by LU
+        (slogdet).
+        """
         seq = self.runner.route + list(extra_seq[1:])
-        pose_of = {}
-        for v in seq:
-            if v not in pose_of:
-                pose_of[v] = len(pose_of)
-        n = len(pose_of) - 1
-        if n == 0:
+        apg = abstract_pose_graph(Walk(seq, 0.0), self.prior)
+        if apg.n == 0:
             return 0.0
-        seen = set()
-        factors = []
-        for u, v in zip(seq[:-1], seq[1:]):
-            i, j = pose_of[u], pose_of[v]
-            if i < j:
-                i, j = j, i
-            if (i, j) in seen:
-                continue
-            seen.add((i, j))
-            factors.append((i, j, information_weight(self.prior.edge_cov(u, v))))
-        for anchor, target, gamma in list(self.performed) + list(extra_factors):
-            i, j = pose_of[anchor], pose_of[target]
-            if i < j:
-                i, j = j, i
-            factors.append((i, j, gamma))
-        lap = build_reduced_laplacian(n, factors)
-        sign, logdet = np.linalg.slogdet(lap)
+        factors = list(apg.weighted_edges)
+        for anchor, target, gamma in self.performed + list(extra_factors):
+            i, j = apg.vertex_to_pose[anchor], apg.vertex_to_pose[target]
+            factors.append((max(i, j), min(i, j), gamma))
+        sign, logdet = np.linalg.slogdet(build_reduced_laplacian(apg.n, factors))
         if sign <= 0:
             return -np.inf
-        return float(logdet / n)
+        return float(logdet / apg.n)
 
     def _remaining_score(self, steps, closure, plan=None):
         """Remaining-quality-per-meter score used to pick between plans."""
@@ -335,7 +258,6 @@ class Mission:
             self.prior,
             strategy=self.config.strategy,
             pruning=self.config.pruning,
-            restarts=self.config.restarts,
             closure=closure,
             include=set(unvisited),
             start=self.current,
@@ -380,9 +302,9 @@ class Mission:
             closure.dist(a, b) for a, b in zip(old_order[:-1], old_order[1:])
         )
         if end is None:
-            tour = solve_open_tsp(costs, self.config.restarts)
+            tour = solve_open_tsp(costs)
         else:
-            tour = solve_fixed_end_tsp(costs, end, self.config.restarts)
+            tour = solve_fixed_end_tsp(costs, end)
         if tour.length < old_len - _SCORE_TIE:
             rebuilt = deque(("visit", v) for v in tour.order[1:])
             drop = len(prefix) + (0 if loop_step is None else 1)
@@ -403,7 +325,6 @@ class Mission:
             self.prior,
             strategy=self.config.strategy,
             pruning=self.config.pruning,
-            restarts=self.config.restarts,
             closure=closure,
         )
         self.log.plans.append(outcome.plan)
@@ -443,9 +364,7 @@ class Mission:
 
     def finish(self):
         pg = self.runner.pose_graph()
-        info = optimize_pose_graph(
-            pg, self.config.optimizer_max_iters, self.config.optimizer_tol
-        )
+        info = optimize_pose_graph(pg)
         self.log.pose_graph = pg
         self.log.prior = self.prior
         self.log.optimizer_info = info
@@ -455,7 +374,7 @@ class Mission:
             pose_count=pg.pose_count,
             mean_degree=pg.mean_degree(),
             dopt_predicted=float(np.exp(self._combined_log_dopt([self.current], []))),
-            dopt_fim=float(np.exp(log_dopt_fim(pg, self.config.fim_half))),
+            dopt_fim=float(np.exp(log_dopt_fim(pg))),
             assumption_ok=all(p.assumption_ok for p in self.log.plans),
         )
         return self.log, metrics

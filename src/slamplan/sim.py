@@ -12,8 +12,7 @@ step-halving damping on the anchored graph.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -26,6 +25,7 @@ from .errors import (
 )
 from .graph import (
     PriorGraph,
+    _as_dict,
     check_spd,
     default_sigma,
     load_prior_graph,
@@ -81,45 +81,31 @@ class WorldModel:
                 out.append((u, v, length))
         return out
 
-    def to_dict(self) -> dict:
-        return {
-            "graph": self.true_graph.to_dict(),
-            "region_degeneracy": {
-                str(v): np.diag(m).tolist() for v, m in self.region_degeneracy.items()
-            },
-            "loop_closure_sigma": np.diag(self.loop_closure_covariance).tolist(),
-        }
 
-
-def load_world(document, covariance_entries: str = "variance") -> WorldModel:
-    """Parse a world document: prior-graph schema under ``graph`` plus
-    optional degeneracy and loop-closure noise entries (diagonal form)."""
-    if not isinstance(document, dict):
-        text = str(document)
-        if not text.lstrip().startswith("{"):
-            try:
-                with open(text, "r", encoding="utf-8") as fh:
-                    text = fh.read()
-            except OSError as exc:
-                raise InputError(f"cannot read {text}: {exc}") from None
-        try:
-            document = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"invalid JSON: {exc}") from None
+def load_world(document) -> WorldModel:
+    """Parse a world document (JSON text, path, or parsed dict): prior-graph
+    schema under ``graph`` plus optional degeneracy and loop-closure noise
+    entries (diagonal variances)."""
+    document = _as_dict(document)
     try:
         graph_doc = document["graph"]
     except (KeyError, TypeError):
         raise InputError("world document missing key 'graph'") from None
-    graph = load_prior_graph(graph_doc, covariance_entries)
+    graph = load_prior_graph(graph_doc)
     default = document.get("default_degeneracy")
     degeneracy = {}
     if default is not None:
-        base = sigma_matrix(default, covariance_entries)
+        base = sigma_matrix(default, "default_degeneracy")
         degeneracy = {v: base for v in graph.ids}
+    entries = document.get("region_degeneracy")
+    if not isinstance(entries, (dict, type(None))):
+        raise InputError(
+            f"world 'region_degeneracy' must be an object, got {type(entries).__name__}"
+        )
     by_key = {}  # JSON object keys are strings, so ids 1 and "1" share one
     for v in graph.ids:
         by_key.setdefault(str(v), []).append(v)
-    for key, diag in (document.get("region_degeneracy") or {}).items():
+    for key, diag in (entries or {}).items():
         if key not in by_key:
             raise InputError(f"degeneracy entry for unknown vertex {key!r}")
         if len(by_key[key]) > 1:
@@ -127,9 +113,10 @@ def load_world(document, covariance_entries: str = "variance") -> WorldModel:
             raise InputError(
                 f"degeneracy entry {key!r} matches both vertex ids {first!r} and {second!r}"
             )
-        degeneracy[by_key[key][0]] = sigma_matrix(diag, covariance_entries)
+        vid = by_key[key][0]
+        degeneracy[vid] = sigma_matrix(diag, f"vertex {vid!r} degeneracy")
     loop_sigma = document.get("loop_closure_sigma")
-    loop_cov = None if loop_sigma is None else sigma_matrix(loop_sigma, covariance_entries)
+    loop_cov = None if loop_sigma is None else sigma_matrix(loop_sigma, "loop_closure_sigma")
     return WorldModel(graph, degeneracy, loop_cov)
 
 
@@ -172,67 +159,85 @@ class MissionMetrics:
     assumption_ok: bool = True
 
     def to_dict(self) -> dict:
-        return {
-            "ape_rmse": self.ape_rmse,
-            "total_distance": self.total_distance,
-            "pose_count": self.pose_count,
-            "mean_degree": self.mean_degree,
-            "dopt_predicted": self.dopt_predicted,
-            "dopt_fim": self.dopt_fim,
-            "assumption_ok": self.assumption_ok,
-        }
+        return asdict(self)
 
 
-def _sample(rng, cov: np.ndarray) -> np.ndarray:
-    if np.trace(cov) <= NOISE_FLOOR_TRACE:
-        return np.zeros(3)
-    return np.linalg.cholesky(cov) @ rng.standard_normal(3)
+class RouteRunner:
+    """Edge-by-edge execution in the world with incremental measurements.
 
+    The one measurement generator: ``simulate_walk`` and the mission loop
+    both drive it with ``move``.  Each step samples its odometry, then its
+    loop closure if any, from one seeded stream.
+    """
 
-def _true_poses(world: WorldModel, route) -> np.ndarray:
-    # Heading is the direction of arrival; the first pose turns toward its
-    # first motion so a pure chain has constant heading on straight runs.
-    g = world.true_graph
-    pos = np.array([g.position(v) for v in route])
-    poses = np.zeros((len(route), 3))
-    poses[:, :2] = pos
-    if len(route) > 1:
-        head = np.arctan2(np.diff(pos[:, 1]), np.diff(pos[:, 0]))
-        poses[1:, 2] = head
-        poses[0, 2] = head[0]
-    return poses
+    def __init__(self, world: WorldModel, start, seed):
+        self.world = world
+        self.rng = np.random.default_rng(seed)
+        g = world.true_graph
+        if start not in g.index:
+            raise MismatchError(f"start vertex {start!r} absent from world")
+        p = g.position(start)
+        self.route = [start]
+        self.poses = [np.array([p[0], p[1], 0.0])]
+        self.odometry = []
+        self.loops = []
+        self.first_at = {start: 0}
+        self.distance = 0.0
+
+    def _sample(self, cov):
+        if np.trace(cov) <= NOISE_FLOOR_TRACE:
+            return np.zeros(3)
+        return np.linalg.cholesky(cov) @ self.rng.standard_normal(3)
+
+    def move(self, v):
+        u = self.route[-1]
+        g = self.world.true_graph
+        if not g.has_edge(u, v):
+            raise MismatchError(f"no world edge ({u!r}, {v!r}) to traverse")
+        pu, pv = g.position(u), g.position(v)
+        heading = float(np.arctan2(pv[1] - pu[1], pv[0] - pu[0]))
+        if len(self.poses) == 1:
+            self.poses[0][2] = heading  # anchor turns toward its first motion
+        pose = np.array([pv[0], pv[1], heading])
+        k = len(self.poses)
+        cov = 0.5 * (self.world.degeneracy(u) + self.world.degeneracy(v))
+        z = between(self.poses[-1], pose) + self._sample(cov)
+        z[2] = wrap_angle(z[2])
+        self.odometry.append((k - 1, k, z, cov))
+        self.poses.append(pose)
+        if v in self.first_at:
+            lcov = self.world.loop_closure_covariance
+            i = self.first_at[v]
+            zl = between(self.poses[i], pose) + self._sample(lcov)
+            zl[2] = wrap_angle(zl[2])
+            self.loops.append((i, k, zl, lcov))
+        else:
+            self.first_at[v] = k
+        self.route.append(v)
+        self.distance += g.edge_length(u, v)
+
+    def pose_graph(self) -> SimPoseGraph:
+        pg = SimPoseGraph(
+            np.array(self.poses), list(self.route), list(self.odometry),
+            list(self.loops)
+        )
+        pg.estimates = dead_reckon(pg)
+        return pg
 
 
 def simulate_walk(route, world: WorldModel, seed) -> SimPoseGraph:
-    """Execute a vertex route step by step; the workhorse behind
-    simulate_execution and the mission loop."""
+    """Execute a vertex route step by step with a fresh ``RouteRunner``."""
+    route = list(route)
+    if not route:
+        raise InputError("route is empty")
     g = world.true_graph
     for k, (u, v) in enumerate(zip(route[:-1], route[1:])):
         if not g.has_edge(u, v):
             raise MismatchError(f"route step {k}: world has no edge ({u!r}, {v!r})")
-    rng = np.random.default_rng(seed)
-    poses = _true_poses(world, route)
-    odometry = []
-    loops = []
-    first_at = {}
-    for k, v in enumerate(route):
-        if k > 0:
-            u = route[k - 1]
-            cov = 0.5 * (world.degeneracy(u) + world.degeneracy(v))
-            z = between(poses[k - 1], poses[k]) + _sample(rng, cov)
-            z[2] = wrap_angle(z[2])
-            odometry.append((k - 1, k, z, cov))
-        if v in first_at:
-            cov = world.loop_closure_covariance
-            i = first_at[v]
-            z = between(poses[i], poses[k]) + _sample(rng, cov)
-            z[2] = wrap_angle(z[2])
-            loops.append((i, k, z, cov))
-        else:
-            first_at[v] = k
-    pg = SimPoseGraph(poses, list(route), odometry, loops)
-    pg.estimates = dead_reckon(pg)
-    return pg
+    runner = RouteRunner(world, route[0], seed)
+    for v in route[1:]:
+        runner.move(v)
+    return runner.pose_graph()
 
 
 def simulate_execution(plan, world: WorldModel, seed) -> SimPoseGraph:
@@ -339,34 +344,19 @@ def optimize_pose_graph(pg: SimPoseGraph, max_iters: int = 100,
 # -- information and error metrics --------------------------------------
 
 
-def fim(pg: SimPoseGraph, half: bool = True):
-    """Gauss-Newton Hessian at the current estimates, anchor removed.
+def log_dopt_fim(pg: SimPoseGraph) -> float:
+    """log D-opt of the Gauss-Newton information at the current estimates.
 
-    Returns (H, dopt) with dopt = det(H)^(1/dim).  ``half`` keeps the 1/2
-    in front of the sum; dropping it rescales values, never rankings.
+    The information is 1/2 of the summed J^T W J with the anchor removed;
+    returns (1/dim) log det of it, 0 for a single pose.
     """
     if pg.estimates is None:
         raise InputError("optimize or dead-reckon before evaluating the FIM")
     dim = 3 * (pg.pose_count - 1)
     if dim == 0:
-        return np.zeros((0, 0)), 1.0
-    h, _ = _assemble(pg.estimates, list(pg.all_edges()), dim)
-    if half:
-        h = 0.5 * h
-    sign, logdet = np.linalg.slogdet(h)
-    if sign <= 0:
-        raise RankDeficientError("information matrix is rank-deficient")
-    return h, float(np.exp(logdet / dim))
-
-
-def log_dopt_fim(pg: SimPoseGraph, half: bool = True) -> float:
-    dim = 3 * (pg.pose_count - 1)
-    if dim == 0:
         return 0.0
     h, _ = _assemble(pg.estimates, list(pg.all_edges()), dim)
-    if half:
-        h = 0.5 * h
-    sign, logdet = np.linalg.slogdet(h)
+    sign, logdet = np.linalg.slogdet(0.5 * h)
     if sign <= 0:
         raise RankDeficientError("information matrix is rank-deficient")
     return float(logdet / dim)

@@ -156,6 +156,20 @@ def test_plan_non_numeric_position_exits_with_error(tmp_path, path3, capsys):
     assert err.startswith("error: vertex 'b' position must be numeric")
 
 
+@pytest.mark.parametrize("world, match", [
+    ({"region_degeneracy": [1]}, "'region_degeneracy' must be an object"),
+    ({"region_degeneracy": {"b": ["x", 1, 1]}}, "vertex 'b' degeneracy entries"),
+], ids=["non-object", "non-numeric"])
+def test_simulate_bad_world_exits_with_error(tmp_path, path3, graph_file, capsys,
+                                             world, match):
+    path = tmp_path / "world.json"
+    path.write_text(json.dumps(dict(world, graph=path3.to_dict())))
+    assert main(["simulate", graph_file, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert match in err
+
+
 def test_compare_too_few_seeds(graph_file, world_file, capsys):
     code = main(["compare", graph_file, world_file, "--seeds", "1"])
     assert code == 2

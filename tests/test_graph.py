@@ -133,15 +133,7 @@ def test_default_covariance_weight():
     cov = g.edge_cov(0, 1)
     assert np.allclose(np.diag(cov), DEFAULT_SIGMA_DIAG)
     assert information_weight(cov) == pytest.approx(46.4159, abs=1e-3)
-
-
-def test_sigma_matrix_stddev_mode():
-    var = sigma_matrix([0.1, 0.1, 0.001], "variance")
-    std = sigma_matrix([0.1, 0.1, 0.001], "stddev")
-    assert np.allclose(np.diag(var), [0.1, 0.1, 0.001])
-    assert np.allclose(np.diag(std), [0.01, 0.01, 1e-6])
-    with pytest.raises(InputError):
-        sigma_matrix([0.1, 0.1, 0.001], "nonsense")
+    assert np.array_equal(sigma_matrix([0.1, 0.1, 0.001]), cov)
     with pytest.raises(InputError, match="sigma entries must be numbers"):
         sigma_matrix(["a", 0.1, 0.001])
 

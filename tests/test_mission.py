@@ -1,4 +1,5 @@
 from collections import Counter, deque
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from slamplan.errors import InputError
 from slamplan.graph import load_prior_graph, metric_closure
 from slamplan.loops import LoopAction, Plan
 from slamplan.mission import Mission, MissionConfig, run_mission
-from slamplan.sim import WorldModel
+from slamplan.sim import WorldModel, load_world, optimize_pose_graph, simulate_walk
 from slamplan.tsp import Walk
 
 
@@ -336,3 +337,28 @@ def test_metrics_fields_consistent():
     assert m.ape_rmse >= 0.0
     assert m.dopt_predicted > 0.0 and m.dopt_fim > 0.0
     assert log.optimizer_info["converged"]
+
+
+@pytest.mark.parametrize("replanning", [True, False], ids=["replan", "no-replan"])
+@pytest.mark.parametrize("strategy", ["tsp_only", "slam_aware"])
+@pytest.mark.parametrize("env", ["env1", "env2"])
+def test_mission_pose_graph_replays_through_simulate_walk(env, strategy, replanning):
+    # the mission measures with the same generator as simulate_walk, so
+    # replaying its executed route with its seed gives the same bits
+    envs = Path(__file__).resolve().parents[1] / "src" / "slamplan" / "envs"
+    prior = load_prior_graph(str(envs / f"{env}.json"))
+    world = load_world(str(envs / f"{env}_world.json"))
+    cfg = MissionConfig(strategy=strategy, replanning=replanning)
+    log, _ = run_mission(prior, world, cfg, seed=5)
+    pg = log.pose_graph
+    replay = simulate_walk(pg.vertex_of_pose, world, seed=5)
+    optimize_pose_graph(replay)
+    assert pg.loops
+    assert replay.vertex_of_pose == pg.vertex_of_pose
+    assert np.array_equal(replay.poses_true, pg.poses_true)
+    assert np.array_equal(replay.estimates, pg.estimates)
+    for got, want in ((replay.odometry, pg.odometry), (replay.loops, pg.loops)):
+        assert [(i, j) for i, j, _, _ in got] == [(i, j) for i, j, _, _ in want]
+        for (_, _, z1, c1), (_, _, z2, c2) in zip(got, want):
+            assert np.array_equal(z1, z2)
+            assert np.array_equal(c1, c2)

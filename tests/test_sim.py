@@ -12,7 +12,6 @@ from slamplan.sim import (
     WorldModel,
     ape_rmse,
     dead_reckon,
-    fim,
     load_world,
     log_dopt_fim,
     optimize_pose_graph,
@@ -79,6 +78,22 @@ def test_load_world_rejects_ambiguous_degeneracy_key():
     assert set(w.true_graph.ids) == {1, "1"}
 
 
+@pytest.mark.parametrize("key, value, match", [
+    ("region_degeneracy", [1], r"'region_degeneracy' must be an object, got list"),
+    ("region_degeneracy", "x", r"'region_degeneracy' must be an object, got str"),
+    ("region_degeneracy", {"b": ["x", 0.1, 0.001]},
+     r"vertex 'b' degeneracy entries must be numbers"),
+    ("region_degeneracy", {"b": [0.1, 0.1]}, r"vertex 'b' degeneracy must have 3 entries"),
+    ("default_degeneracy", [0.1, "wide", 0.001], r"default_degeneracy entries must be numbers"),
+    ("loop_closure_sigma", "tight", r"loop_closure_sigma entries must be numbers"),
+], ids=["region-list", "region-text", "region-entry-text", "region-entry-short",
+        "default-text", "loop-text"])
+def test_load_world_bad_entry_names_offender(key, value, match):
+    doc = {"graph": path3_graph().to_dict(), key: value}
+    with pytest.raises(InputError, match=match):
+        load_world(doc)
+
+
 def test_world_defaults():
     g = path3_graph()
     w = WorldModel(g)
@@ -92,6 +107,14 @@ def test_walk_needs_world_edges():
     w = WorldModel(g)
     with pytest.raises(MismatchError):
         simulate_walk(["a", "c"], w, seed=0)
+
+
+def test_walk_rejects_empty_route_and_unknown_start():
+    w = WorldModel(path3_graph())
+    with pytest.raises(InputError, match="route is empty"):
+        simulate_walk([], w, seed=0)
+    with pytest.raises(MismatchError, match="start vertex 'zz'"):
+        simulate_walk(["zz"], w, seed=0)
 
 
 def test_true_poses_arrival_heading():
@@ -200,14 +223,15 @@ def test_fim_single_edge_half_jtj():
     pg = simulate_walk(["a", "b"], w, seed=0)
     pg.odometry = [(0, 1, np.array([0.0, 0.0, 0.0]), np.eye(3))]
     pg.estimates = np.zeros((2, 3))
-    h, dopt = fim(pg)
     from slamplan.se2 import edge_jacobians
 
     _, b = edge_jacobians(np.zeros(3), np.zeros(3), np.zeros(3))
-    assert np.allclose(h, 0.5 * b.T @ b, atol=1e-12)
-    assert dopt == pytest.approx(np.linalg.det(h) ** (1 / 3))
-    h_full, _ = fim(pg, half=False)
-    assert np.allclose(h_full, 2.0 * h)
+    expect = np.log(np.linalg.det(0.5 * b.T @ b)) / 3
+    assert log_dopt_fim(pg) == pytest.approx(expect, abs=1e-12)
+    pg.estimates = None
+    with pytest.raises(InputError):
+        log_dopt_fim(pg)
+    assert log_dopt_fim(simulate_walk(["a"], w, seed=0)) == 0.0
 
 
 def test_fim_monotone_under_edge_duplication():
