@@ -5,6 +5,13 @@ per convex region (with a planar position in meters) and one edge per
 traversable connection.  Each edge carries a length and a 3x3 SPD
 measurement covariance in (m^2, m^2, rad^2); each region carries a
 degeneracy matrix of the same shape, updated online during a mission.
+
+Covariances live in two stacked arrays, (V,3,3) per vertex index and
+(E,3,3) per edge row, written in batches through one validation path.  A
+graph keeps two counters: ``topology_revision`` moves only when an edge is
+added, and ``revision`` moves on every mutation.  Shortest-path closures
+depend on topology alone, so they follow the first; covariance writes
+move only the second.
 """
 
 from __future__ import annotations
@@ -42,26 +49,65 @@ def default_sigma() -> np.ndarray:
 def check_spd(mat: np.ndarray, what: str) -> np.ndarray:
     """Validate finiteness, symmetry and positive-definiteness; returns the
     matrix."""
-    mat = np.asarray(mat, dtype=float)
-    if mat.shape != (3, 3):
-        raise CovarianceError(f"{what}: covariance must be 3x3, got {mat.shape}")
-    if not np.isfinite(mat).all():
-        raise CovarianceError(f"{what}: covariance has non-finite entries")
-    if not np.allclose(mat, mat.T, atol=1e-12):
-        raise CovarianceError(f"{what}: covariance not symmetric")
+    return check_spd_batch(np.asarray(mat, dtype=float)[None], lambda k: what)[0]
+
+
+def check_spd_batch(mats, what) -> np.ndarray:
+    """Validate a (k,3,3) stack of covariances at once; returns it as floats.
+
+    Each matrix must be finite, symmetric within 1e-12 and positive-definite.
+    The error names the first failing matrix, ``what(k)`` for row k, and
+    gives the first check it fails, in that order.
+    """
+    mats = np.asarray(mats, dtype=float)
+    if mats.shape[1:] != (3, 3):
+        raise CovarianceError(f"{what(0)}: covariance must be 3x3, got {mats.shape[1:]}")
+    finite = np.isfinite(mats).all(axis=(1, 2))
+    symmetric = np.isclose(mats, mats.transpose(0, 2, 1), atol=1e-12).all(axis=(1, 2))
+    definite = finite & symmetric
     try:
-        np.linalg.cholesky(mat)
+        np.linalg.cholesky(mats[definite])
     except np.linalg.LinAlgError:
-        raise CovarianceError(f"{what}: covariance not positive-definite") from None
-    return mat
+        # The batched factorization does not say which matrix failed.
+        for k in np.flatnonzero(definite):
+            try:
+                np.linalg.cholesky(mats[k])
+            except np.linalg.LinAlgError:
+                definite[k] = False
+    if definite.all():
+        return mats
+    k = int(np.argmin(definite))
+    if not finite[k]:
+        reason = "has non-finite entries"
+    elif not symmetric[k]:
+        reason = "not symmetric"
+    else:
+        reason = "not positive-definite"
+    raise CovarianceError(f"{what(k)}: covariance {reason}")
+
+
+class _ByVertex:
+    """Read-only ``vertex id -> region matrix`` view of ``region_covs``."""
+
+    __slots__ = ("_graph",)
+
+    def __init__(self, graph):
+        self._graph = graph
+
+    def __getitem__(self, vid) -> np.ndarray:
+        return self._graph.region_covs[self._graph.index[vid]]
 
 
 class PriorGraph:
     """Undirected topo-metric graph with positions, lengths and covariances.
 
     Vertices are identified by user ids (ints or strings); all numeric work
-    uses dense indices in insertion order.  Mutating methods bump
-    ``revision`` so cached shortest-path closures can be invalidated.
+    uses dense indices in insertion order.  ``region_covs`` is the (V,3,3)
+    array of region matrices by vertex index; ``edge_covs`` the (E,3,3)
+    array of edge covariances in ``edges`` order, whose endpoint indices are
+    the rows of the (E,2) ``edge_ends``.  ``add_edge`` bumps both
+    ``topology_revision`` and ``revision``; covariance writes bump
+    ``revision`` only, so cached shortest-path closures survive them.
     """
 
     def __init__(self, vertices, edges, start):
@@ -90,26 +136,30 @@ class PriorGraph:
         self.start = start
 
         self.adjacency = {vid: {} for vid in self.ids}  # id -> {neighbor: length}
-        self._edge_cov = {}  # frozenset({u,v}) -> 3x3
+        self._edge_row = {}  # frozenset({u,v}) -> row of edges / edge_covs
         self.edges = []
-        for edge in edges:
-            u, v, length, cov = edge
-            self._add_edge_checked(u, v, length, cov)
-
-        self.region_cov = {vid: default_sigma() for vid in self.ids}
+        covs = [self._add_edge_checked(u, v, length, cov) for u, v, length, cov in edges]
+        self.edge_covs = np.array(covs, dtype=float).reshape(-1, 3, 3)
+        self.edge_ends = np.array(
+            [(self.index[u], self.index[v]) for u, v, _ in self.edges], dtype=np.intp
+        ).reshape(-1, 2)
+        self.region_covs = np.tile(default_sigma(), (len(self.ids), 1, 1))
+        self.topology_revision = 0
         self.revision = 0
         self._check_connected()
 
     # -- construction helpers -------------------------------------------
 
-    def _add_edge_checked(self, u, v, length, cov):
+    def _add_edge_checked(self, u, v, length, cov) -> np.ndarray:
+        """Validate one edge and record its topology; returns its covariance
+        for the caller to store."""
         for vid in (u, v):
             if vid not in self.index:
                 raise InputError(f"edge ({u!r}, {v!r}) references unknown vertex {vid!r}")
         if u == v:
             raise InputError(f"self-loop at vertex {u!r}")
         key = frozenset((u, v))
-        if key in self._edge_cov:
+        if key in self._edge_row:
             raise InputError(f"duplicate edge ({u!r}, {v!r})")
         what = f"edge ({u!r}, {v!r})"
         if length is None:
@@ -132,8 +182,9 @@ class PriorGraph:
         cov = check_spd(cov, what)
         self.adjacency[u][v] = length
         self.adjacency[v][u] = length
-        self._edge_cov[key] = cov
+        self._edge_row[key] = len(self.edges)
         self.edges.append((u, v, length))
+        return cov
 
     def _check_connected(self):
         seen = {self.start}
@@ -169,30 +220,59 @@ class PriorGraph:
         except KeyError:
             raise InputError(f"no edge ({u!r}, {v!r})") from None
 
+    def _row(self, u, v) -> int:
+        try:
+            return self._edge_row[frozenset((u, v))]
+        except KeyError:
+            raise InputError(f"no edge ({u!r}, {v!r})") from None
+
     def edge_cov(self, u, v) -> np.ndarray:
-        return self._edge_cov[frozenset((u, v))]
+        return self.edge_covs[self._row(u, v)]
+
+    @property
+    def region_cov(self) -> "_ByVertex":
+        """Region matrices by vertex id: ``g.region_cov[vid]`` is a row of
+        ``region_covs``."""
+        return _ByVertex(self)
 
     def neighbors(self, u):
         return self.adjacency[u].keys()
 
-    # -- online updates (bump revision) ---------------------------------
+    # -- online updates --------------------------------------------------
 
     def add_edge(self, u, v, length=None, cov=None):
-        self._add_edge_checked(u, v, length, cov)
+        cov = self._add_edge_checked(u, v, length, cov)
+        self.edge_covs = np.concatenate([self.edge_covs, cov[None]])
+        self.edge_ends = np.vstack([self.edge_ends, (self.index[u], self.index[v])])
+        self.topology_revision += 1
         self.revision += 1
 
+    def set_region_covs(self, idx, mats):
+        """Write the (k,3,3) ``mats`` to the vertex indices ``idx``: all of
+        them after one batched validation, or none."""
+        idx = np.asarray(idx, dtype=np.intp)
+        mats = check_spd_batch(mats, lambda k: f"region {self.ids[idx[k]]!r}")
+        if len(idx):
+            self.region_covs[idx] = mats
+            self.revision += 1
+
+    def set_edge_covs(self, rows, mats):
+        """Write the (k,3,3) ``mats`` to the edge rows ``rows``: all of them
+        after one batched validation, or none."""
+        rows = np.asarray(rows, dtype=np.intp)
+        mats = check_spd_batch(
+            mats, lambda k: "edge ({!r}, {!r})".format(*self.edges[rows[k]][:2]))
+        if len(rows):
+            self.edge_covs[rows] = mats
+            self.revision += 1
+
     def set_edge_cov(self, u, v, cov):
-        key = frozenset((u, v))
-        if key not in self._edge_cov:
-            raise InputError(f"no edge ({u!r}, {v!r})")
-        self._edge_cov[key] = check_spd(cov, f"edge ({u!r}, {v!r})")
-        self.revision += 1
+        self.set_edge_covs([self._row(u, v)], np.asarray(cov, dtype=float)[None])
 
     def set_region_cov(self, vid, cov):
         if vid not in self.index:
             raise InputError(f"unknown vertex {vid!r}")
-        self.region_cov[vid] = check_spd(cov, f"region {vid!r}")
-        self.revision += 1
+        self.set_region_covs([self.index[vid]], np.asarray(cov, dtype=float)[None])
 
     def copy(self) -> "PriorGraph":
         g = PriorGraph.__new__(PriorGraph)
@@ -201,9 +281,12 @@ class PriorGraph:
         g.positions = self.positions.copy()
         g.start = self.start
         g.adjacency = {v: dict(nbrs) for v, nbrs in self.adjacency.items()}
-        g._edge_cov = {k: m.copy() for k, m in self._edge_cov.items()}
+        g._edge_row = dict(self._edge_row)
         g.edges = list(self.edges)
-        g.region_cov = {v: m.copy() for v, m in self.region_cov.items()}
+        g.edge_covs = self.edge_covs.copy()
+        g.edge_ends = self.edge_ends.copy()
+        g.region_covs = self.region_covs.copy()
+        g.topology_revision = self.topology_revision
         g.revision = self.revision
         return g
 
@@ -220,9 +303,9 @@ class PriorGraph:
                     "u": u,
                     "v": v,
                     "length": length,
-                    "sigma": np.diag(self.edge_cov(u, v)).tolist(),
+                    "sigma": np.diag(cov).tolist(),
                 }
-                for u, v, length in self.edges
+                for (u, v, length), cov in zip(self.edges, self.edge_covs)
             ],
             "start": self.start,
         }
@@ -281,8 +364,9 @@ def _as_dict(document) -> dict:
 class MetricClosure:
     """All-pairs shortest-path distances with path reconstruction.
 
-    Bound to one revision of a prior graph; ``fresh()`` reports whether the
-    graph has changed since this closure was computed.
+    Bound to one topology of a prior graph: ``fresh()`` reports whether an
+    edge has been added since this closure was computed.  Covariance writes
+    leave it fresh, since they change no length.
     """
 
     def __init__(self, graph: PriorGraph):
@@ -301,10 +385,10 @@ class MetricClosure:
         self.graph = graph
         self.dist_matrix = dist
         self._pred = pred
-        self.revision = graph.revision
+        self.topology_revision = graph.topology_revision
 
     def fresh(self) -> bool:
-        return self.revision == self.graph.revision
+        return self.topology_revision == self.graph.topology_revision
 
     def dist(self, u, v) -> float:
         g = self.graph

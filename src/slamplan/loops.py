@@ -58,7 +58,6 @@ class AbstractedPoseGraph:
 
     def __init__(self, graph, pose_to_vertex, vertex_to_pose, weighted_edges):
         self.graph = graph
-        self.revision = graph.revision
         self.pose_to_vertex = pose_to_vertex
         self.vertex_to_pose = vertex_to_pose
         self.weighted_edges = weighted_edges  # [(i, j, gamma)], i > j
@@ -173,7 +172,7 @@ def enumerate_candidates(apg: AbstractedPoseGraph, closure) -> CandidateSet:
     g = apg.graph
     vidx = np.array([g.index[v] for v in apg.pose_to_vertex], dtype=np.int64)
     omega = closure.dist_matrix[vidx[iu], vidx[ju]]
-    mats = np.stack([g.region_cov[v] for v in apg.pose_to_vertex])
+    mats = g.region_covs[vidx]
     means = 0.5 * (mats[iu] + mats[ju])
     gamma = np.linalg.det(means) ** (-1.0 / 3.0)
     return CandidateSet(iu, ju, omega, gamma, apg.n)

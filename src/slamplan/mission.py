@@ -6,13 +6,18 @@ goals are skipped), loop-close steps detour to the target vertex and
 back.  As regions are covered the prior graph is updated online: region
 degeneracy matrices are re-estimated from nearby pose-graph edge
 covariances, hidden world connectivity is revealed once both endpoints
-have been seen, and edge covariances track their endpoint regions.
+have been seen, and edge covariances track their endpoint regions.  The
+covariance updates are array operations over the prior's stacked (V,3,3)
+and (E,3,3) covariances that write, in one validated batch each, only the
+rows whose value is not already current.
 
-After every loop-closing action the planner is re-run over the remaining
-vertices and the better of {existing remainder, fresh plan} is kept,
-scored by remaining quality per meter.  Between loop closures, a cheaper
-fix-up re-solves the segment up to the next loop anchor as a small TSP
-whenever the graph has changed.
+The shortest-path closure is cached per topology, so it is rebuilt only
+after connectivity is revealed.  After every loop-closing action the
+planner is re-run over the remaining vertices and the better of {existing
+remainder, fresh plan} is kept, scored by remaining quality per meter.
+Between loop closures, a cheaper fix-up re-solves the segment up to the
+next loop anchor as a small TSP whenever the graph's revision has moved,
+which any covariance write or revealed edge does.
 
 Updates become visible at step boundaries: one goto follows one frozen
 shortest path even if coverage during it reveals new edges.
@@ -43,6 +48,16 @@ from .tsp import TourCosts, Walk, solve_fixed_end_tsp, solve_open_tsp
 
 _SCORE_TIE = 1e-9
 _DEGENERACY_WINDOW = 5  # pose-graph edges averaged per covered region
+
+
+def _write_changed(stored, setter, rows, new) -> bool:
+    """Write ``new`` to the ``rows`` of a covariance array whose stored value
+    is not already close to it (atol 1e-15); returns whether any were."""
+    rows = np.asarray(rows, dtype=np.intp)
+    stale = ~np.isclose(stored[rows], new, atol=1e-15).all(axis=(1, 2))
+    if stale.any():
+        setter(rows[stale], new[stale])
+    return bool(stale.any())
 
 
 @dataclass
@@ -115,39 +130,33 @@ class Mission:
 
         The covered vertex averages its nearest edges; vertices not yet
         visited fall back to the average over all edges.  Edge covariances
-        then track their endpoint regions.  No-ops (value already current)
-        emit no event and leave the revision untouched.
+        then track their endpoint regions.  Each of the three steps is one
+        batched write of the rows whose value is not already current; when
+        none is, no event is emitted and the revision stays untouched.
         """
         edges = self.runner.odometry + self.runner.loops
         if not edges:
             return
-        route = self.runner.route
-        mids = np.array([
-            0.5 * (self.prior.position(route[i]) + self.prior.position(route[j]))
-            for i, j, _, _ in edges
-        ])
+        prior = self.prior
+        at = prior.positions[[prior.index[v] for v in self.runner.route]]
+        ends = np.array([(i, j) for i, j, _, _ in edges])
+        mids = 0.5 * (at[ends[:, 0]] + at[ends[:, 1]])
         covs = np.stack([c for _, _, _, c in edges])
-        target = self.prior.position(vertex)
-        d2 = np.sum((mids - target) ** 2, axis=1)
+        vi = prior.index[vertex]
+        d2 = np.sum((mids - prior.positions[vi]) ** 2, axis=1)
         take = np.argsort(d2, kind="stable")[:_DEGENERACY_WINDOW]
-        changed = self._set_region(vertex, covs[take].mean(axis=0))
-        overall = covs.mean(axis=0)
-        for v in self.prior.ids:
-            if v not in self.visited:
-                changed |= self._set_region(v, overall)
-        for u, v, _ in self.prior.edges:
-            mean = 0.5 * (self.prior.region_cov[u] + self.prior.region_cov[v])
-            if not np.allclose(self.prior.edge_cov(u, v), mean, atol=1e-15):
-                self.prior.set_edge_cov(u, v, mean)
-                changed = True
+        changed = _write_changed(prior.region_covs, prior.set_region_covs,
+                                 [vi], covs[take].mean(axis=0)[None])
+        unvisited = [prior.index[v] for v in prior.ids if v not in self.visited]
+        changed |= _write_changed(
+            prior.region_covs, prior.set_region_covs, unvisited,
+            np.broadcast_to(covs.mean(axis=0), (len(unvisited), 3, 3)))
+        regions = prior.region_covs
+        means = 0.5 * (regions[prior.edge_ends[:, 0]] + regions[prior.edge_ends[:, 1]])
+        changed |= _write_changed(prior.edge_covs, prior.set_edge_covs,
+                                  np.arange(len(means)), means)
         if changed:
             self._emit("degeneracy_update", vertex=vertex)
-
-    def _set_region(self, vertex, mat) -> bool:
-        if np.allclose(self.prior.region_cov[vertex], mat, atol=1e-15):
-            return False
-        self.prior.set_region_cov(vertex, mat)
-        return True
 
     def connectivity_update(self):
         """Reveal hidden world edges whose endpoints are both visited."""

@@ -48,7 +48,7 @@ def compute_plan(
     """Plan coverage of ``include`` (default: all vertices) from ``start``.
 
     ``closure`` may be supplied to reuse a cached all-pairs table; it must
-    match the graph's current revision.
+    match the graph's current topology.
     """
     if strategy not in STRATEGIES:
         raise InputError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")

@@ -147,6 +147,44 @@ def test_check_spd_rejects_bad_matrices():
     assert out.shape == (3, 3)
 
 
+def _bad_cov(kind):
+    mat = np.diag([0.3, 0.3, 0.003])
+    if kind == "non-finite":
+        mat[2, 2] = np.nan
+    elif kind == "asymmetric":
+        mat[0, 1] = 0.1
+    else:
+        mat[1, 1] = -0.3
+    return mat
+
+
+@pytest.mark.parametrize("kind,reason", [
+    ("non-finite", "has non-finite entries"),
+    ("asymmetric", "not symmetric"),
+    ("indefinite", "not positive-definite"),
+])
+def test_batched_write_names_bad_row_and_writes_nothing(triangle, kind, reason):
+    good = np.diag([0.2, 0.2, 0.002])
+    batch = np.stack([good, _bad_cov(kind), good])
+    for setter, stored, name in (
+        (triangle.set_region_covs, "region_covs", "region 'b'"),
+        (triangle.set_edge_covs, "edge_covs", r"edge \('b', 'c'\)"),
+    ):
+        before = getattr(triangle, stored).copy()
+        rev = triangle.revision
+        with pytest.raises(CovarianceError, match=rf"^{name}: covariance {reason}$"):
+            setter([0, 1, 2], batch)
+        assert np.array_equal(getattr(triangle, stored), before)
+        assert triangle.revision == rev
+    # the first bad row is named, with the first check it fails
+    with pytest.raises(CovarianceError, match=r"^region 'a': covariance not symmetric$"):
+        triangle.set_region_covs([0, 2], np.stack([_bad_cov("asymmetric"),
+                                                   _bad_cov("non-finite")]))
+    triangle.set_edge_covs([2, 0], np.stack([good, 2.0 * good]))
+    assert np.array_equal(triangle.edge_cov("a", "c"), good)
+    assert np.array_equal(triangle.edge_cov("a", "b"), 2.0 * good)
+
+
 def test_disconnected_graph_rejected():
     doc = {
         "vertices": [
@@ -211,14 +249,23 @@ def test_closure_reconstruction_property(rng):
 
 
 def test_revision_tracks_mutations(path3):
+    # covariance writes move ``revision`` only; the closure depends on the
+    # topology, which only ``add_edge`` changes
     mc = metric_closure(path3)
     assert mc.fresh()
-    rev = path3.revision
+    rev, topo = path3.revision, path3.topology_revision
     path3.set_region_cov("a", np.diag([1.0, 1.0, 0.01]))
     assert path3.revision > rev
-    assert not mc.fresh()
+    rev = path3.revision
+    path3.set_edge_cov("a", "b", np.diag([0.2, 0.2, 0.002]))
+    assert path3.revision > rev
+    assert path3.topology_revision == topo
+    assert mc.fresh()
+    rev = path3.revision
     path3.add_edge("a", "c", length=2.0)
     assert path3.has_edge("a", "c")
+    assert path3.revision > rev and path3.topology_revision > topo
+    assert not mc.fresh()
     mc2 = metric_closure(path3)
     assert mc2.dist("a", "c") == pytest.approx(2.0)
 

@@ -168,6 +168,10 @@ def test_candidates_reject_stale_closure():
     mc = metric_closure(g)
     apg = abstract_pose_graph(Walk(["a", "b", "c"], 2.0), g)
     g.set_region_cov("a", np.diag([2.0, 2.0, 0.02]))
+    g.set_edge_cov("a", "b", np.diag([2.0, 2.0, 0.02]))
+    assert mc.fresh()
+    enumerate_candidates(apg, mc)
+    g.add_edge("a", "c", length=2.0)
     with pytest.raises(MismatchError):
         enumerate_candidates(apg, mc)
 

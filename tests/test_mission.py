@@ -4,8 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from slamplan.errors import InputError
-from slamplan.graph import load_prior_graph, metric_closure
+from slamplan.errors import DisconnectedError, InputError
+from slamplan.graph import PriorGraph, load_prior_graph, metric_closure
 from slamplan.loops import LoopAction, Plan
 from slamplan.mission import Mission, MissionConfig, run_mission
 from slamplan.sim import WorldModel, load_world, optimize_pose_graph, simulate_walk
@@ -362,3 +362,115 @@ def test_mission_pose_graph_replays_through_simulate_walk(env, strategy, replann
         for (_, _, z1, c1), (_, _, z2, c2) in zip(got, want):
             assert np.array_equal(z1, z2)
             assert np.array_equal(c1, c2)
+
+
+class _Recorded(Mission):
+    """Mission that notes, per arrival, whether the prior's revision moved."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.revision_moved = []
+
+    def _arrive(self, v):
+        before = self.prior.revision
+        super()._arrive(v)
+        self.revision_moved.append(self.prior.revision != before)
+
+
+class _PerItemReference(_Recorded):
+    """The per-region, per-edge degeneracy update that the batched one
+    replaced: one ``np.allclose`` and one validated write per item."""
+
+    def degeneracy_update(self, vertex):
+        edges = self.runner.odometry + self.runner.loops
+        if not edges:
+            return
+        route = self.runner.route
+        mids = np.array([
+            0.5 * (self.prior.position(route[i]) + self.prior.position(route[j]))
+            for i, j, _, _ in edges
+        ])
+        covs = np.stack([c for _, _, _, c in edges])
+        target = self.prior.position(vertex)
+        d2 = np.sum((mids - target) ** 2, axis=1)
+        take = np.argsort(d2, kind="stable")[:5]
+        changed = self._set_region(vertex, covs[take].mean(axis=0))
+        overall = covs.mean(axis=0)
+        for v in self.prior.ids:
+            if v not in self.visited:
+                changed |= self._set_region(v, overall)
+        for u, v, _ in self.prior.edges:
+            mean = 0.5 * (self.prior.region_cov[u] + self.prior.region_cov[v])
+            if not np.allclose(self.prior.edge_cov(u, v), mean, atol=1e-15):
+                self.prior.set_edge_cov(u, v, mean)
+                changed = True
+        if changed:
+            self._emit("degeneracy_update", vertex=vertex)
+
+    def _set_region(self, vertex, mat) -> bool:
+        if np.allclose(self.prior.region_cov[vertex], mat, atol=1e-15):
+            return False
+        self.prior.set_region_cov(vertex, mat)
+        return True
+
+
+def _lognormal_grid_world(seed):
+    """8x8 grid world with a log-normal degeneracy per region and axis, and
+    a prior that hides a few non-bridge edges of it."""
+    from slamplan.bench import GridGraphSpec, gen_grid_graph
+
+    rng = np.random.default_rng(seed)
+    true = gen_grid_graph(GridGraphSpec(width=8.0, height=8.0, seed=seed))
+    deg = {v: np.diag([0.1, 0.1, 0.001] * np.exp(rng.normal(0.0, 0.5, size=3)))
+           for v in true.ids}
+    vertices = [(v, *true.position(v)) for v in true.ids]
+    kept = list(true.edges)
+    for hide in [true.edges[k] for k in rng.permutation(len(kept))]:
+        if len(kept) == len(true.edges) - 4:
+            break
+        trial = [e for e in kept if e != hide]
+        try:
+            PriorGraph(vertices, [(u, v, x, None) for u, v, x in trial], true.start)
+        except DisconnectedError:
+            continue
+        kept = trial
+    prior = PriorGraph(vertices, [(u, v, x, None) for u, v, x in kept], true.start)
+    return prior, WorldModel(true, deg)
+
+
+def _lockstep_instance(name):
+    if name.startswith("grid8-"):
+        return _lognormal_grid_world(int(name.split("-")[1]))
+    envs = Path(__file__).resolve().parents[1] / "src" / "slamplan" / "envs"
+    return (load_prior_graph(str(envs / f"{name}.json")),
+            load_world(str(envs / f"{name}_world.json")))
+
+
+@pytest.mark.parametrize("name", ["env1", "env2", "grid8-3", "grid8-4"])
+def test_batched_degeneracy_update_matches_per_item_reference(monkeypatch, name):
+    import slamplan.mission as mission_mod
+
+    prior, world = _lockstep_instance(name)
+    rebuilt_at = []  # the prior's topology revision at each closure rebuild
+    build = mission_mod.metric_closure
+    monkeypatch.setattr(mission_mod, "metric_closure",
+                        lambda g: rebuilt_at.append(g.topology_revision) or build(g))
+    runs = []
+    for cls in (_PerItemReference, _Recorded):
+        rebuilt_at.clear()
+        mission = cls(prior, world, MissionConfig(), seed=2)
+        log, _ = mission.run()
+        runs.append((mission, log, list(rebuilt_at)))
+    (ref, ref_log, _), (got, log, rebuilds) = runs
+    assert np.array_equal(got.prior.region_covs, ref.prior.region_covs)
+    assert np.array_equal(got.prior.edge_covs, ref.prior.edge_covs)
+    assert np.array_equal(got.prior.edge_ends, ref.prior.edge_ends)
+    assert log.events == ref_log.events
+    assert [p.to_dict() for p in log.plans] == [p.to_dict() for p in ref_log.plans]
+    assert got.revision_moved == ref.revision_moved
+    assert any(e["event"] == "degeneracy_update" for e in log.events)
+    # one closure per topology: built at the start, then only after a
+    # reveal; reveals on one frozen goto path share the next rebuild
+    reveals = sum(e["event"] == "connectivity_update" for e in log.events)
+    assert rebuilds[0] == 0 and rebuilds == sorted(set(rebuilds))
+    assert len(rebuilds) <= 1 + reveals
