@@ -18,9 +18,17 @@ def wrap_angle(a):
     )
 
 
-def rot(theta: float) -> np.ndarray:
+def _mat2(m00, m01, m10, m11) -> np.ndarray:
+    """2x2 matrices [[m00, m01], [m10, m11]], stacked over the entries' shape."""
+    out = np.empty(np.shape(m00) + (2, 2))
+    out[..., 0, 0], out[..., 0, 1], out[..., 1, 0], out[..., 1, 1] = m00, m01, m10, m11
+    return out
+
+
+def rot(theta) -> np.ndarray:
+    """Rotation matrix of theta; (2,2) for a scalar, (K,2,2) for a (K,) stack."""
     c, s = np.cos(theta), np.sin(theta)
-    return np.array([[c, -s], [s, c]])
+    return _mat2(c, -s, s, c)
 
 
 def compose(a, b) -> np.ndarray:
@@ -44,33 +52,49 @@ def between(a, b) -> np.ndarray:
     return np.array([xy[0], xy[1], wrap_angle(b[2] - a[2])])
 
 
+def _stacked(*poses):
+    """(K,3) float stacks of the given poses, and whether one pair was given."""
+    single = np.ndim(poses[0]) == 1
+    return [np.atleast_2d(np.asarray(p, dtype=float)) for p in poses], single
+
+
+def _t(m: np.ndarray) -> np.ndarray:
+    """Transpose each matrix of a (K,n,n) stack (a view, as ``.T`` is)."""
+    return m.transpose(0, 2, 1)
+
+
 def edge_residual(xi, xj, z) -> np.ndarray:
     """Residual of measurement z on the pair (xi, xj), angle wrapped.
 
     e = t2v(Z^-1 * (Xi^-1 * Xj)): the prediction error is rotated into the
-    measurement frame so the covariance applies in its own axes.
+    measurement frame so the covariance applies in its own axes.  Takes
+    one pair as (3,) poses or K pairs as (K,3) stacks, and returns (3,) or
+    (K,3); each rotation is a ``matmul`` of a 2x2 matrix, so a stack gives
+    the bits of its single-pair calls.
     """
-    pred = between(xi, xj)
-    z = np.asarray(z, dtype=float)
-    e_xy = rot(z[2]).T @ (pred[:2] - z[:2])
-    return np.array([e_xy[0], e_xy[1], wrap_angle(pred[2] - z[2])])
+    (xi, xj, z), single = _stacked(xi, xj, z)
+    pred_xy = _t(rot(xi[:, 2])) @ (xj[:, :2] - xi[:, :2])[..., None]
+    e_xy = _t(rot(z[:, 2])) @ (pred_xy - z[:, :2, None])
+    e_th = wrap_angle(wrap_angle(xj[:, 2] - xi[:, 2]) - z[:, 2])
+    e = np.concatenate([e_xy[..., 0], e_th[:, None]], axis=1)
+    return e[0] if single else e
 
 
 def edge_jacobians(xi, xj, z) -> tuple[np.ndarray, np.ndarray]:
-    """Analytic Jacobians of the residual w.r.t. xi and xj (3x3 each)."""
-    xi = np.asarray(xi, dtype=float)
-    xj = np.asarray(xj, dtype=float)
-    ri = rot(xi[2])
-    rz = rot(z[2])
-    rzt_rit = rz.T @ ri.T
-    dt = xj[:2] - xi[:2]
-    s, c = np.sin(xi[2]), np.cos(xi[2])
-    drit = np.array([[-s, c], [-c, -s]])  # d(Ri^T)/dtheta
-    a = np.zeros((3, 3))
-    a[:2, :2] = -rzt_rit
-    a[:2, 2] = rz.T @ (drit @ dt)
-    a[2, 2] = -1.0
-    b = np.zeros((3, 3))
-    b[:2, :2] = rzt_rit
-    b[2, 2] = 1.0
-    return a, b
+    """Analytic Jacobians of the residual w.r.t. xi and xj: 3x3 each for
+    one pair, (K,3,3) each for (K,3) stacks."""
+    (xi, xj, z), single = _stacked(xi, xj, z)
+    k = len(xi)
+    rzt = _t(rot(z[:, 2]))
+    rzt_rit = rzt @ _t(rot(xi[:, 2]))
+    dt = (xj[:, :2] - xi[:, :2])[..., None]
+    s, c = np.sin(xi[:, 2]), np.cos(xi[:, 2])
+    drit = _mat2(-s, c, -c, -s)  # d(Ri^T)/dtheta
+    a = np.zeros((k, 3, 3))
+    a[:, :2, :2] = -rzt_rit
+    a[:, :2, 2] = (rzt @ (drit @ dt))[..., 0]
+    a[:, 2, 2] = -1.0
+    b = np.zeros((k, 3, 3))
+    b[:, :2, :2] = rzt_rit
+    b[:, 2, 2] = 1.0
+    return (a[0], b[0]) if single else (a, b)

@@ -32,6 +32,7 @@ from .graph import (
     sigma_matrix,
 )
 from .se2 import (
+    _t,
     between,
     compose,
     edge_jacobians,
@@ -257,32 +258,57 @@ def dead_reckon(pg: SimPoseGraph) -> np.ndarray:
 # -- Gauss-Newton optimization ------------------------------------------
 
 
+def _stack_edges(pg: SimPoseGraph):
+    """The measurements of ``pg`` in edge order, odometry then loops:
+    (K,2) pose indices, (K,3) z and (K,3,3) covariances."""
+    edges = list(pg.all_edges())
+    ends = np.array([(i, j) for i, j, _, _ in edges], dtype=np.intp).reshape(-1, 2)
+    z = np.array([z for _, _, z, _ in edges], dtype=float).reshape(-1, 3)
+    cov = np.array([cov for _, _, _, cov in edges], dtype=float).reshape(-1, 3, 3)
+    return ends, z, cov
+
+
 def _objective(est, edges) -> float:
+    """Sum of e^T cov^-1 e over the stacked ``edges``, added in edge order
+    from 0.0 as a per-edge loop would (``np.sum`` pairs, and Python 3.12's
+    ``sum`` compensates; either changes the last bits)."""
+    ends, z, cov = edges
+    e = edge_residual(est[ends[:, 0]], est[ends[:, 1]], z)[..., None]
+    q = (_t(e) @ np.linalg.solve(cov, e)).ravel()
     total = 0.0
-    for i, j, z, cov in edges:
-        e = edge_residual(est[i], est[j], z)
-        total += float(e @ np.linalg.solve(cov, e))
+    for v in q.tolist():
+        total += v
     return total
 
 
 def _assemble(est, edges, dim):
+    """Gauss-Newton ``H`` and gradient with the anchor pose removed.
+
+    Every edge adds the blocks ii, jj, ij and ji of ``H`` and the rows i
+    and j of the gradient, skipping those of the anchor; ``np.add.at``
+    adds them in edge order, so each entry is summed as a per-edge loop
+    would sum it.
+    """
+    ends, z, cov = edges
+    xi, xj = est[ends[:, 0]], est[ends[:, 1]]
+    e = edge_residual(xi, xj, z)[..., None]
+    a, b = edge_jacobians(xi, xj, z)
+    w = np.linalg.inv(cov)
+    wa, wb, we = w @ a, w @ b, w @ e
+    at, bt = _t(a), _t(b)
+    offs = np.arange(3)
+    i, j = ends[:, 0], ends[:, 1]
+    blocks = np.stack([at @ wa, bt @ wb, at @ wb, bt @ wa], 1)  # (K,4,3,3)
+    rows, cols = np.stack([i, j, i, j], 1), np.stack([i, j, j, i], 1)
+    keep = (rows > 0) & (cols > 0)
+    r = np.broadcast_to(3 * (rows[..., None, None] - 1) + offs[:, None], blocks.shape)
+    c = np.broadcast_to(3 * (cols[..., None, None] - 1) + offs, blocks.shape)
     h = np.zeros((dim, dim))
+    np.add.at(h, (r[keep], c[keep]), blocks[keep])
+    g = np.stack([at @ we, bt @ we], 1)[..., 0]  # (K,2,3), rows i then j
+    free = ends > 0
     grad = np.zeros(dim)
-    for i, j, z, cov in edges:
-        e = edge_residual(est[i], est[j], z)
-        a, b = edge_jacobians(est[i], est[j], z)
-        w = np.linalg.inv(cov)
-        wa, wb = w @ a, w @ b
-        ii, jj = 3 * (i - 1), 3 * (j - 1)
-        if i > 0:
-            h[ii : ii + 3, ii : ii + 3] += a.T @ wa
-            grad[ii : ii + 3] += a.T @ (w @ e)
-        if j > 0:
-            h[jj : jj + 3, jj : jj + 3] += b.T @ wb
-            grad[jj : jj + 3] += b.T @ (w @ e)
-        if i > 0 and j > 0:
-            h[ii : ii + 3, jj : jj + 3] += a.T @ wb
-            h[jj : jj + 3, ii : ii + 3] += b.T @ wa
+    np.add.at(grad, (3 * (ends[..., None] - 1) + offs)[free], g[free])
     return h, grad
 
 
@@ -296,9 +322,9 @@ def optimize_pose_graph(pg: SimPoseGraph, max_iters: int = 100,
     if pg.estimates is None:
         pg.estimates = dead_reckon(pg)
     est = pg.estimates.copy()
-    edges = list(pg.all_edges())
+    edges = _stack_edges(pg)
     dim = 3 * (pg.pose_count - 1)
-    if dim == 0 or not edges:
+    if dim == 0 or not pg.edge_count:
         pg.estimates = est
         return {"iterations": 0, "converged": True, "objective": 0.0,
                 "grad_norm": 0.0}
@@ -355,7 +381,7 @@ def log_dopt_fim(pg: SimPoseGraph) -> float:
     dim = 3 * (pg.pose_count - 1)
     if dim == 0:
         return 0.0
-    h, _ = _assemble(pg.estimates, list(pg.all_edges()), dim)
+    h, _ = _assemble(pg.estimates, _stack_edges(pg), dim)
     sign, logdet = np.linalg.slogdet(0.5 * h)
     if sign <= 0:
         raise RankDeficientError("information matrix is rank-deficient")

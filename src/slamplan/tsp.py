@@ -153,12 +153,23 @@ def _improve(dist: np.ndarray, order: list) -> np.ndarray:
     """2-opt to a local optimum, then one or-opt move, until neither helps.
 
     Both passes read the closure block gathered in tour order once per
-    2-opt round, never assuming it is bitwise symmetric.
+    2-opt round, never assuming it is bitwise symmetric.  The search ends
+    because every accepted move shortens the tour: an or-opt delta is
+    exact, and a 2-opt delta scores the new legs in the reversed segment's
+    old direction, which is off by at most k * max|d - d^T| for k movable
+    positions.  A block where that could exceed the tolerance raises an
+    ``InputError``; closure blocks are symmetric but for the last bits.
     """
     arr = np.asarray(order, dtype=np.int64)
     k = len(arr) - 2
     if k < 2:
         return arr  # no reversal or relocation fits between pinned ends
+    skew = float(np.abs(dist - dist.T).max())
+    if k * skew > _TOL:
+        raise InputError(
+            f"tour costs are asymmetric: max |d[a, b] - d[b, a]| = {skew:.3g} "
+            f"over {k} movable positions exceeds the local-search tolerance {_TOL:g}"
+        )
     mask = np.where(np.tri(k, dtype=bool), np.inf, 0.0)
     while True:
         P = dist[np.ix_(arr, arr)]

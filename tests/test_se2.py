@@ -87,3 +87,44 @@ def test_jacobians_match_finite_differences(rng):
             num_b[:, k] = diff / (2 * h)
         assert np.allclose(a, num_a, atol=1e-6)
         assert np.allclose(b, num_b, atol=1e-6)
+
+
+def _reference_rot(theta):
+    c, s = np.cos(theta), np.sin(theta)
+    return np.array([[c, -s], [s, c]])
+
+
+def _reference_edge_terms(xi, xj, z):
+    """Residual and Jacobians of one edge as written before stacks."""
+    pred_xy = _reference_rot(xi[2]).T @ (xj[:2] - xi[:2])
+    pred_th = wrap_angle(xj[2] - xi[2])
+    e_xy = _reference_rot(z[2]).T @ (pred_xy - z[:2])
+    e = np.array([e_xy[0], e_xy[1], wrap_angle(pred_th - z[2])])
+    ri, rz = _reference_rot(xi[2]), _reference_rot(z[2])
+    rzt_rit = rz.T @ ri.T
+    s, c = np.sin(xi[2]), np.cos(xi[2])
+    drit = np.array([[-s, c], [-c, -s]])
+    a = np.zeros((3, 3))
+    a[:2, :2] = -rzt_rit
+    a[:2, 2] = rz.T @ (drit @ (xj[:2] - xi[:2]))
+    a[2, 2] = -1.0
+    b = np.zeros((3, 3))
+    b[:2, :2] = rzt_rit
+    b[2, 2] = 1.0
+    return e, a, b
+
+
+def test_stacked_edge_terms_match_per_edge_formulas(rng):
+    k = 2000
+    xi = np.column_stack([rng.uniform(-50, 50, (k, 2)), rng.uniform(-4, 4, k)])
+    xj = xi + np.column_stack([rng.normal(0, 2, (k, 2)), rng.normal(0, 1, k)])
+    z = np.column_stack([rng.normal(0, 2, (k, 2)), rng.uniform(-3.2, 3.2, k)])
+    e = edge_residual(xi, xj, z)
+    a, b = edge_jacobians(xi, xj, z)
+    assert e.shape == (k, 3) and a.shape == b.shape == (k, 3, 3)
+    for n in range(k):
+        want = _reference_edge_terms(xi[n], xj[n], z[n])
+        # bitwise, so the batched optimizer keeps the per-edge bits
+        for got, ref in zip((e[n], a[n], b[n]), want):
+            np.testing.assert_array_equal(got, ref)
+        np.testing.assert_array_equal(edge_residual(xi[n], xj[n], z[n]), want[0])

@@ -1,12 +1,17 @@
+import copy
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from slamplan.errors import InputError, MismatchError
-from slamplan.graph import load_prior_graph, metric_closure
+import slamplan.sim as sim_mod
+from slamplan.bench import GridGraphSpec, gen_grid_graph
+from slamplan.errors import InputError, MismatchError, RankDeficientError
+from slamplan.graph import DEFAULT_SIGMA_DIAG, load_prior_graph, metric_closure
+from slamplan.mission import MissionConfig, run_mission
 from slamplan.planner import plan_exploration
-from slamplan.se2 import compose
+from slamplan.se2 import compose, edge_jacobians, edge_residual
 from slamplan.sim import (
     DEFAULT_LOOP_SIGMA,
     WorldModel,
@@ -208,9 +213,9 @@ def test_optimizer_descends_with_loop():
     g = path3_graph()
     w = WorldModel(g)
     pg = simulate_walk(["a", "b", "c", "b", "a"], w, seed=31)
-    from slamplan.sim import _objective
+    from slamplan.sim import _objective, _stack_edges
 
-    before = _objective(dead_reckon(pg), list(pg.all_edges()))
+    before = _objective(dead_reckon(pg), _stack_edges(pg))
     info = optimize_pose_graph(pg)
     assert info["objective"] <= before + 1e-12
     assert info["converged"]
@@ -232,6 +237,18 @@ def test_fim_single_edge_half_jtj():
     with pytest.raises(InputError):
         log_dopt_fim(pg)
     assert log_dopt_fim(simulate_walk(["a"], w, seed=0)) == 0.0
+
+
+def test_edgeless_pose_graph_keeps_its_outcome():
+    # a route whose steps carry no measurement: nothing to optimize, and an
+    # information matrix of zeros
+    pg = simulate_walk(["a", "b", "c"], WorldModel(path3_graph()), seed=0)
+    pg.odometry = []
+    info = optimize_pose_graph(pg)
+    assert info == {"iterations": 0, "converged": True, "objective": 0.0,
+                    "grad_norm": 0.0}
+    with pytest.raises(RankDeficientError, match="rank-deficient"):
+        log_dopt_fim(pg)
 
 
 def test_fim_monotone_under_edge_duplication():
@@ -296,3 +313,98 @@ def test_ape_examples():
     assert ape_rmse(est, two) == pytest.approx(np.sqrt(2.0))
     with pytest.raises(MismatchError):
         ape_rmse(np.zeros((3, 3)), np.zeros((4, 3)))
+
+
+# -- lockstep oracle: the per-edge Gauss-Newton loops -----------------------
+
+
+def _reference_objective(est, edges) -> float:
+    total = 0.0
+    for i, j, z, cov in edges:
+        e = edge_residual(est[i], est[j], z)
+        total += float(e @ np.linalg.solve(cov, e))
+    return total
+
+
+def _reference_assemble(est, edges, dim):
+    h = np.zeros((dim, dim))
+    grad = np.zeros(dim)
+    for i, j, z, cov in edges:
+        e = edge_residual(est[i], est[j], z)
+        a, b = edge_jacobians(est[i], est[j], z)
+        w = np.linalg.inv(cov)
+        wa, wb = w @ a, w @ b
+        ii, jj = 3 * (i - 1), 3 * (j - 1)
+        if i > 0:
+            h[ii : ii + 3, ii : ii + 3] += a.T @ wa
+            grad[ii : ii + 3] += a.T @ (w @ e)
+        if j > 0:
+            h[jj : jj + 3, jj : jj + 3] += b.T @ wb
+            grad[jj : jj + 3] += b.T @ (w @ e)
+        if i > 0 and j > 0:
+            h[ii : ii + 3, jj : jj + 3] += a.T @ wb
+            h[jj : jj + 3, ii : ii + 3] += b.T @ wa
+    return h, grad
+
+
+def _mission_pose_graph(name):
+    """Optimized pose graph of one mission: ``env-strategy`` on a bundled
+    environment, or ``grid-seed`` on a 6x6 grid world with log-normal
+    degeneracy; ``-full`` turns every covariance by a random rotation so
+    that none is diagonal."""
+    kind, arg = name.split("-")[:2]
+    if kind == "grid":
+        seed = int(arg)
+        g = gen_grid_graph(GridGraphSpec(width=6.0, height=6.0, seed=seed))
+        rng = np.random.default_rng(seed)
+        world = WorldModel(g, {v: np.diag(DEFAULT_SIGMA_DIAG
+                                          * np.exp(rng.normal(0.0, 0.5, 3)))
+                               for v in g.ids})
+        log, _ = run_mission(g, world, MissionConfig(), seed=seed)
+    else:
+        envs = Path(__file__).resolve().parents[1] / "src" / "slamplan" / "envs"
+        prior = load_prior_graph(str(envs / f"{kind}.json"))
+        world = load_world(str(envs / f"{kind}_world.json"))
+        log, _ = run_mission(prior, world, MissionConfig(strategy=arg), seed=4)
+    pg = log.pose_graph
+    if name.endswith("-full"):
+        rng = np.random.default_rng(7)
+        turned = []
+        for i, j, z, cov in pg.loops:
+            q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+            turned.append((i, j, z, q @ cov @ q.T))
+        pg.loops = turned
+    return pg
+
+
+_ORACLE_GRAPHS = ["env1-tsp_only", "env1-slam_aware", "env2-tsp_only",
+                  "env2-slam_aware", "grid-1", "grid-2", "grid-2-full"]
+
+
+@pytest.mark.parametrize("name", _ORACLE_GRAPHS)
+def test_batched_gauss_newton_matches_per_edge_loops(monkeypatch, name):
+    pg = _mission_pose_graph(name)
+    assert pg.loops
+    dim = 3 * (pg.pose_count - 1)
+    edges = list(pg.all_edges())
+    stacked = sim_mod._stack_edges(pg)
+    for est in (dead_reckon(pg), pg.estimates):
+        assert (sim_mod._objective(est, stacked)
+                == _reference_objective(est, edges))
+        h, grad = sim_mod._assemble(est, stacked, dim)
+        ref_h, ref_grad = _reference_assemble(est, edges, dim)
+        np.testing.assert_array_equal(h, ref_h)
+        np.testing.assert_array_equal(grad, ref_grad)
+    runs = []
+    for patched in (False, True):
+        run = copy.deepcopy(pg)
+        run.estimates = None
+        if patched:
+            monkeypatch.setattr(sim_mod, "_stack_edges", lambda p: list(p.all_edges()))
+            monkeypatch.setattr(sim_mod, "_objective", _reference_objective)
+            monkeypatch.setattr(sim_mod, "_assemble", _reference_assemble)
+        runs.append((optimize_pose_graph(run), run.estimates, log_dopt_fim(run)))
+    (info, est, fim), (ref_info, ref_est, ref_fim) = runs
+    assert info == ref_info and info["iterations"] > 0
+    np.testing.assert_array_equal(est, ref_est)
+    assert fim == ref_fim

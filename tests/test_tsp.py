@@ -1,11 +1,12 @@
 import itertools
+import signal
 
 import numpy as np
 import pytest
 
 from slamplan import tsp
 from slamplan.bench import GridGraphSpec, gen_grid_graph
-from slamplan.errors import SizeLimitError
+from slamplan.errors import InputError, SizeLimitError
 from slamplan.graph import load_prior_graph, metric_closure
 from slamplan.tsp import (
     TourCosts,
@@ -310,3 +311,26 @@ def test_local_search_matches_reference_on_grid20(monkeypatch):
     sym = metric_closure(g).dist_matrix
     _assert_same_as_reference(monkeypatch, sym, None, 2)
     _assert_same_as_reference(monkeypatch, sym, len(sym) - 1, 1)
+
+
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs a POSIX interval timer")
+def test_asymmetric_block_is_rejected_within_a_second(rng):
+    # A 2-opt delta scores the reversed segment in its old direction, so on
+    # clearly asymmetric costs the search used to cycle forever.
+    def expire(signum, frame):
+        raise TimeoutError("local search still running after 1 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        for _ in range(5):
+            dist = metric_closure(random_connected_graph(
+                rng, 30, extra_edge_prob=0.1, unit_lengths=False)).dist_matrix
+            skewed = dist + rng.uniform(0.0, 0.5, dist.shape)
+            with pytest.raises(InputError, match="tour costs are asymmetric"):
+                tsp._solve_open_indices(skewed, 8)
+            with pytest.raises(InputError, match="tour costs are asymmetric"):
+                tsp._solve_fixed_end_indices(skewed, 29, 8)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
