@@ -92,13 +92,14 @@ def _nn_seed(dist: np.ndarray, second: int | None, skip) -> list:
     return order
 
 
-def _two_opt_pass(P: np.ndarray, order: np.ndarray, mask: np.ndarray) -> bool:
-    """One best-improvement reversal of order[i..j]; endpoints pinned.
+def _best_reversal(P: np.ndarray, mask: np.ndarray):
+    """Positions (i, j) of the best-scoring reversal of order[i..j], or None.
 
     ``P`` is the cost block in tour order, ``P[a, b] = dist[order[a],
-    order[b]]``; an accepted reversal is applied to ``order`` and to the
-    rows and columns of ``P``.  ``mask`` is the (m-2, m-2) 0/inf lower
-    triangle that rules out empty and backwards segments.
+    order[b]]``; endpoints stay pinned.  ``mask`` is the (m-2, m-2) 0/inf
+    lower triangle that rules out empty and backwards segments.  A move is
+    scored on its two new legs alone, as if the reversed segment cost the
+    same in both directions.
     """
     sup = np.diagonal(P, 1)  # sup[r] = P[r, r + 1], the current legs
     delta = P[:-2, 1:-1] + P[2:, 1:-1].T
@@ -108,19 +109,15 @@ def _two_opt_pass(P: np.ndarray, order: np.ndarray, mask: np.ndarray) -> bool:
     flat = int(np.argmin(delta))
     a, b = divmod(flat, delta.shape[1])
     if delta[a, b] >= -_TOL:
-        return False
-    i, j = a + 1, b + 1
-    order[i : j + 1] = order[i : j + 1][::-1]
-    P[i : j + 1] = P[i : j + 1][::-1]
-    P[:, i : j + 1] = P[:, i : j + 1][:, ::-1]
-    return True
+        return None
+    return a + 1, b + 1
 
 
-def _or_opt_pass(P: np.ndarray, order: np.ndarray, mask: np.ndarray) -> bool:
-    """One best-improvement forward relocation of a 1-3 vertex segment.
+def _best_relocation(P: np.ndarray, order: np.ndarray, mask: np.ndarray):
+    """The tour after the best forward relocation of a 1-3 vertex segment.
 
-    Reads the tour-ordered block ``P`` and the mask of ``_two_opt_pass``;
-    an accepted move is applied to ``order`` only, so ``P`` goes stale.
+    Reads the tour-ordered block ``P`` and the mask of ``_best_reversal``;
+    returns None when no relocation scores below the tolerance.
     """
     m = len(order)
     sup = np.diagonal(P, 1)
@@ -140,43 +137,50 @@ def _or_opt_pass(P: np.ndarray, order: np.ndarray, mask: np.ndarray) -> bool:
         if delta[a, b] < best[0]:
             best = (delta[a, b], (a + 1, seg, b + 1))
     if best[1] is None:
-        return False
+        return None
     i, seg, j = best[1]
-    piece = order[i : i + seg].copy()
+    piece = order[i : i + seg]
     rest = np.concatenate([order[:i], order[i + seg :]])
     at = j + 1 - seg  # insertion index after the segment was removed
-    order[:] = np.concatenate([rest[:at], piece, rest[at:]])
-    return True
+    return np.concatenate([rest[:at], piece, rest[at:]])
 
 
 def _improve(dist: np.ndarray, order: list) -> np.ndarray:
     """2-opt to a local optimum, then one or-opt move, until neither helps.
 
-    Both passes read the closure block gathered in tour order once per
-    2-opt round, never assuming it is bitwise symmetric.  The search ends
-    because every accepted move shortens the tour: an or-opt delta is
-    exact, and a 2-opt delta scores the new legs in the reversed segment's
-    old direction, which is off by at most k * max|d - d^T| for k movable
-    positions.  A block where that could exceed the tolerance raises an
-    ``InputError``; closure blocks are symmetric but for the last bits.
+    Both searches read the closure block gathered in tour order once per
+    2-opt round, never assuming it is bitwise symmetric.  A move is taken
+    only if the tour's summed length strictly falls, so no tour repeats and
+    the search ends for any costs at any scale.  On closure blocks, whose
+    asymmetry is only rounding, every move that scores below the tolerance
+    passes that test; on clearly asymmetric costs a reversal may not, and
+    then the 2-opt round ends there.
     """
     arr = np.asarray(order, dtype=np.int64)
     k = len(arr) - 2
     if k < 2:
         return arr  # no reversal or relocation fits between pinned ends
-    skew = float(np.abs(dist - dist.T).max())
-    if k * skew > _TOL:
-        raise InputError(
-            f"tour costs are asymmetric: max |d[a, b] - d[b, a]| = {skew:.3g} "
-            f"over {k} movable positions exceeds the local-search tolerance {_TOL:g}"
-        )
     mask = np.where(np.tri(k, dtype=bool), np.inf, 0.0)
+    length = _route_length(dist, arr)
     while True:
         P = dist[np.ix_(arr, arr)]
-        while _two_opt_pass(P, arr, mask):
-            pass
-        if not _or_opt_pass(P, arr, mask):
+        while (move := _best_reversal(P, mask)) is not None:
+            i, j = move
+            cand = arr.copy()
+            cand[i : j + 1] = cand[i : j + 1][::-1]
+            cand_length = _route_length(dist, cand)
+            if not cand_length < length:
+                break
+            arr, length = cand, cand_length
+            P[i : j + 1] = P[i : j + 1][::-1]
+            P[:, i : j + 1] = P[:, i : j + 1][:, ::-1]
+        cand = _best_relocation(P, arr, mask)
+        if cand is None:
             return arr
+        cand_length = _route_length(dist, cand)
+        if not cand_length < length:
+            return arr
+        arr, length = cand, cand_length
 
 
 def _route_length(dist: np.ndarray, order) -> float:
