@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import io
 import csv
+import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -29,6 +30,16 @@ from .tsp import TourCosts, expand_to_walk, solve_open_tsp
 
 _MAX_ATTEMPTS = 100
 
+# Range of each grid spec value that has one: (test, wording for errors).
+_FRACTION = (lambda x: 0 <= x < 1, "in [0, 1)")
+_SPEC_RANGES = {
+    "cell": (lambda x: x > 0, "positive"),
+    "vertex_removal": _FRACTION,
+    "edge_removal": _FRACTION,
+    "position_noise_sigma": (lambda x: x >= 0, "non-negative"),
+    "seed": (lambda x: isinstance(x, int) and x >= 0, "a non-negative integer"),
+}
+
 
 @dataclass
 class GridGraphSpec:
@@ -44,10 +55,21 @@ class GridGraphSpec:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "GridGraphSpec":
-        known = {f for f in cls.__dataclass_fields__}
-        extra = set(doc) - known
+        """Build a spec from a parsed JSON object; each value must be a
+        finite number in its key's range, or an ``InputError`` names it."""
+        if not isinstance(doc, dict):
+            raise InputError(f"grid spec must be a JSON object, got {type(doc).__name__}")
+        extra = set(doc) - set(cls.__dataclass_fields__)
         if extra:
             raise InputError(f"unknown grid spec keys: {sorted(extra)}")
+        for key, value in doc.items():
+            finite = (isinstance(value, int) and not isinstance(value, bool)
+                      or isinstance(value, float) and math.isfinite(value))
+            if not finite:
+                raise InputError(f"grid spec {key!r} must be a finite number, got {value!r}")
+            rule = _SPEC_RANGES.get(key)
+            if rule and not rule[0](value):
+                raise InputError(f"grid spec {key!r} must be {rule[1]}, got {value!r}")
         return cls(**doc)
 
 

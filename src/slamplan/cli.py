@@ -87,7 +87,7 @@ def _cmd_gen_graph(args) -> int:
 
 def _cmd_bench_prune(args) -> int:
     doc = _read_json(args.input)
-    if "vertices" in doc:
+    if isinstance(doc, dict) and "vertices" in doc:
         graph = load_prior_graph(doc)
     else:
         graph = gen_grid_graph(GridGraphSpec.from_dict(doc))

@@ -8,10 +8,9 @@ degeneracy matrix of the same shape, updated online during a mission.
 
 Covariances live in two stacked arrays, (V,3,3) per vertex index and
 (E,3,3) per edge row, written in batches through one validation path.  A
-graph keeps two counters: ``topology_revision`` moves only when an edge is
-added, and ``revision`` moves on every mutation.  Shortest-path closures
-depend on topology alone, so they follow the first; covariance writes
-move only the second.
+graph keeps one counter, ``topology_revision``, which moves only when an
+edge is added.  Shortest-path closures depend on topology alone, so they
+follow it; covariance writes leave it as it is.
 """
 
 from __future__ import annotations
@@ -105,9 +104,9 @@ class PriorGraph:
     uses dense indices in insertion order.  ``region_covs`` is the (V,3,3)
     array of region matrices by vertex index; ``edge_covs`` the (E,3,3)
     array of edge covariances in ``edges`` order, whose endpoint indices are
-    the rows of the (E,2) ``edge_ends``.  ``add_edge`` bumps both
-    ``topology_revision`` and ``revision``; covariance writes bump
-    ``revision`` only, so cached shortest-path closures survive them.
+    the rows of the (E,2) ``edge_ends``.  Only ``add_edge`` bumps
+    ``topology_revision``, so cached shortest-path closures survive
+    covariance writes.
     """
 
     def __init__(self, vertices, edges, start):
@@ -145,7 +144,6 @@ class PriorGraph:
         ).reshape(-1, 2)
         self.region_covs = np.tile(default_sigma(), (len(self.ids), 1, 1))
         self.topology_revision = 0
-        self.revision = 0
         self._check_connected()
 
     # -- construction helpers -------------------------------------------
@@ -245,16 +243,13 @@ class PriorGraph:
         self.edge_covs = np.concatenate([self.edge_covs, cov[None]])
         self.edge_ends = np.vstack([self.edge_ends, (self.index[u], self.index[v])])
         self.topology_revision += 1
-        self.revision += 1
 
     def set_region_covs(self, idx, mats):
         """Write the (k,3,3) ``mats`` to the vertex indices ``idx``: all of
         them after one batched validation, or none."""
         idx = np.asarray(idx, dtype=np.intp)
         mats = check_spd_batch(mats, lambda k: f"region {self.ids[idx[k]]!r}")
-        if len(idx):
-            self.region_covs[idx] = mats
-            self.revision += 1
+        self.region_covs[idx] = mats
 
     def set_edge_covs(self, rows, mats):
         """Write the (k,3,3) ``mats`` to the edge rows ``rows``: all of them
@@ -262,9 +257,7 @@ class PriorGraph:
         rows = np.asarray(rows, dtype=np.intp)
         mats = check_spd_batch(
             mats, lambda k: "edge ({!r}, {!r})".format(*self.edges[rows[k]][:2]))
-        if len(rows):
-            self.edge_covs[rows] = mats
-            self.revision += 1
+        self.edge_covs[rows] = mats
 
     def set_edge_cov(self, u, v, cov):
         self.set_edge_covs([self._row(u, v)], np.asarray(cov, dtype=float)[None])
@@ -287,7 +280,6 @@ class PriorGraph:
         g.edge_ends = self.edge_ends.copy()
         g.region_covs = self.region_covs.copy()
         g.topology_revision = self.topology_revision
-        g.revision = self.revision
         return g
 
     # -- serialization --------------------------------------------------

@@ -16,8 +16,9 @@ after connectivity is revealed.  After every loop-closing action the
 planner is re-run over the remaining vertices and the better of {existing
 remainder, fresh plan} is kept, scored by remaining quality per meter.
 Between loop closures, a cheaper fix-up re-solves the segment up to the
-next loop anchor as a small TSP whenever the graph's revision has moved,
-which any covariance write or revealed edge does.
+next loop anchor as a small TSP whenever an edge has been revealed since
+the last fix-up or plan load: the TSP reads closure distances alone, which
+covariance writes leave unchanged.
 
 Updates become visible at step boundaries: one goto follows one frozen
 shortest path even if coverage during it reveals new edges.
@@ -52,7 +53,8 @@ _DEGENERACY_WINDOW = 5  # pose-graph edges averaged per covered region
 
 def _write_changed(stored, setter, rows, new) -> bool:
     """Write ``new`` to the ``rows`` of a covariance array whose stored value
-    is not already close to it (atol 1e-15); returns whether any were."""
+    is not already close to it; returns whether any were.  Close is
+    ``np.isclose``: every entry within 1e-15 + 1e-5 * |new|."""
     rows = np.asarray(rows, dtype=np.intp)
     stale = ~np.isclose(stored[rows], new, atol=1e-15).all(axis=(1, 2))
     if stale.any():
@@ -98,7 +100,7 @@ class Mission:
         self.steps = deque()
         self.log = MissionLog(seed=seed, strategy=self.config.strategy)
         self._closure = None
-        self._subpath_revision = self.prior.revision
+        self._subpath_topology = None  # topology at the last fix-up or plan load
 
     # -- bookkeeping ----------------------------------------------------
 
@@ -114,6 +116,7 @@ class Mission:
 
     def _load_program(self, plan):
         self.steps = deque()
+        self._subpath_topology = self.prior.topology_revision
         by_pos = {}
         for a in plan.actions:
             by_pos.setdefault(a.position, []).append(a)
@@ -132,7 +135,7 @@ class Mission:
         visited fall back to the average over all edges.  Edge covariances
         then track their endpoint regions.  Each of the three steps is one
         batched write of the rows whose value is not already current; when
-        none is, no event is emitted and the revision stays untouched.
+        none is, nothing is written and no event is emitted.
         """
         edges = self.runner.odometry + self.runner.loops
         if not edges:
@@ -276,7 +279,6 @@ class Mission:
         if fresh > existing + _SCORE_TIE:
             self._load_program(outcome.plan)
             self.log.plans.append(outcome.plan)
-            self._subpath_revision = self.prior.revision
             self._emit("replan_accepted", score=fresh, previous=existing)
             return outcome.plan
         self._emit("replan_rejected", score=fresh, previous=existing)
@@ -339,13 +341,12 @@ class Mission:
         self.log.plans.append(outcome.plan)
         self._load_program(outcome.plan)
         self._emit("visit", vertex=self.current)
-        self._subpath_revision = self.prior.revision
         while self.steps:
             if (
                 self.config.subpath_optimization
-                and self.prior.revision != self._subpath_revision
+                and self.prior.topology_revision != self._subpath_topology
             ):
-                self._subpath_revision = self.prior.revision
+                self._subpath_topology = self.prior.topology_revision
                 self.optimize_subpath()
             kind, arg = self.steps.popleft()
             if kind == "visit":

@@ -188,13 +188,25 @@ def _route_length(dist: np.ndarray, order) -> float:
     return float(dist[order[:-1], order[1:]].sum())
 
 
+def _seed_seconds(sym: np.ndarray, restarts, skip) -> list:
+    """Second vertices of the nearest-neighbor seeds: the ``restarts``
+    vertices nearest the start, other than the indices in ``skip``."""
+    if not isinstance(restarts, (int, np.integer)) or isinstance(restarts, bool) \
+            or restarts < 1:
+        raise InputError(f"restarts must be a positive integer, got {restarts!r}")
+    legs = sym[0].copy()
+    legs[list(skip)] = np.inf
+    nearest = np.argsort(legs, kind="stable")[: min(restarts, len(legs) - len(skip))]
+    return [int(s) for s in nearest]
+
+
 def _solve_open_indices(sym: np.ndarray, restarts: int) -> tuple[list, float]:
     n = sym.shape[0]
+    seconds = _seed_seconds(sym, restarts, skip=(0,))
     if n == 1:
         return [0], 0.0
     aug = np.zeros((n + 1, n + 1))
     aug[:n, :n] = sym  # index n: free terminal of the open tour
-    seconds = [int(s) for s in np.argsort(sym[0, 1:], kind="stable")[:restarts] + 1]
     best_order, best_len = None, np.inf
     for second in seconds:
         seed = _nn_seed(sym, second, ()) + [n]
@@ -209,12 +221,9 @@ def _solve_fixed_end_indices(sym: np.ndarray, end: int, restarts: int) -> tuple[
     n = sym.shape[0]
     if not 0 < end < n:
         raise InputError(f"end index {end} out of range")
+    seconds = _seed_seconds(sym, restarts, skip=(0, end))
     if n == 2:
         return [0, 1], float(sym[0, 1])
-    masked = np.full(n, np.inf)
-    masked[1:] = sym[0, 1:]
-    masked[end] = np.inf
-    seconds = [int(s) for s in np.argsort(masked, kind="stable")[: min(restarts, n - 2)]]
     best_order, best_len = None, np.inf
     for second in seconds:
         seed = _nn_seed(sym, second, (end,)) + [end]

@@ -174,3 +174,38 @@ def test_compare_too_few_seeds(graph_file, world_file, capsys):
     code = main(["compare", graph_file, world_file, "--seeds", "1"])
     assert code == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("restarts", ["0", "-2"])
+def test_plan_non_positive_restarts_exits_with_error(graph_file, capsys, restarts):
+    assert main(["plan", graph_file, "--restarts", restarts]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: restarts must be a positive integer")
+    assert restarts in err
+
+
+@pytest.mark.parametrize("command", ["gen-graph", "bench-prune"])
+@pytest.mark.parametrize("doc, match", [
+    ({"cell": 0}, "'cell' must be positive, got 0"),
+    ({"width": "a"}, "'width' must be a finite number, got 'a'"),
+    ({"height": True}, "'height' must be a finite number, got True"),
+    ({"vertex_removal": 2.0}, "'vertex_removal' must be in [0, 1), got 2.0"),
+    ({"edge_removal": 1}, "'edge_removal' must be in [0, 1), got 1"),
+    ({"seed": -1}, "'seed' must be a non-negative integer, got -1"),
+    ({"seed": 1.5}, "'seed' must be a non-negative integer, got 1.5"),
+    ({"position_noise_sigma": -1}, "'position_noise_sigma' must be non-negative"),
+    ({"width": None}, "'width' must be a finite number, got None"),
+    ({"width": float("inf")}, "'width' must be a finite number, got inf"),
+    ([1, 2], "grid spec must be a JSON object, got list"),
+    (5, "grid spec must be a JSON object, got int"),
+], ids=["zero-cell", "text-width", "bool-height", "removal-above-one",
+        "removal-one", "negative-seed", "float-seed", "negative-sigma",
+        "null-width", "infinite-width", "list", "number"])
+def test_bad_grid_spec_exits_with_error(tmp_path, capsys, command, doc, match):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(doc))
+    assert main([command, str(spec)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert match in err
+

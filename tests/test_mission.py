@@ -365,16 +365,26 @@ def test_mission_pose_graph_replays_through_simulate_walk(env, strategy, replann
 
 
 class _Recorded(Mission):
-    """Mission that notes, per arrival, whether the prior's revision moved."""
+    """Mission that notes, per arrival, how many covariance rows
+    ``set_region_covs`` and ``set_edge_covs`` wrote."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self.revision_moved = []
+        self.rows_written = []
+        self._rows = 0
+        for name in ("set_region_covs", "set_edge_covs"):
+            setattr(self.prior, name, self._counted(getattr(self.prior, name)))
+
+    def _counted(self, setter):
+        def write(idx, mats):
+            setter(idx, mats)
+            self._rows += len(idx)
+        return write
 
     def _arrive(self, v):
-        before = self.prior.revision
+        before = self._rows
         super()._arrive(v)
-        self.revision_moved.append(self.prior.revision != before)
+        self.rows_written.append(self._rows - before)
 
 
 class _PerItemReference(_Recorded):
@@ -467,10 +477,87 @@ def test_batched_degeneracy_update_matches_per_item_reference(monkeypatch, name)
     assert np.array_equal(got.prior.edge_ends, ref.prior.edge_ends)
     assert log.events == ref_log.events
     assert [p.to_dict() for p in log.plans] == [p.to_dict() for p in ref_log.plans]
-    assert got.revision_moved == ref.revision_moved
+    assert got.rows_written == ref.rows_written
+    assert any(got.rows_written)
     assert any(e["event"] == "degeneracy_update" for e in log.events)
     # one closure per topology: built at the start, then only after a
     # reveal; reveals on one frozen goto path share the next rebuild
     reveals = sum(e["event"] == "connectivity_update" for e in log.events)
     assert rebuilds[0] == 0 and rebuilds == sorted(set(rebuilds))
     assert len(rebuilds) <= 1 + reveals
+
+
+class _Pops(deque):
+    """Step queue that logs each step the run loop takes off it."""
+
+    def __init__(self, steps, trace):
+        super().__init__(steps)
+        self.trace = trace
+
+    def popleft(self):
+        self.trace.append("step")
+        return super().popleft()
+
+
+class _Traced(_Recorded):
+    """Mission that logs, in order, the steps it takes, its covariance
+    writes, the edges it reveals, the plans it loads and its fix-ups."""
+
+    def __init__(self, *args, **kwargs):
+        self.trace = []
+        super().__init__(*args, **kwargs)
+
+    steps = property(
+        lambda self: self._steps,
+        lambda self, steps: setattr(self, "_steps", _Pops(steps, self.trace)))
+
+    def _load_program(self, plan):
+        self.trace.append("load")
+        super()._load_program(plan)
+
+    def degeneracy_update(self, vertex):
+        before = self._rows
+        super().degeneracy_update(vertex)
+        if self._rows != before:
+            self.trace.append("write")
+
+    def connectivity_update(self):
+        added = super().connectivity_update()
+        if added:
+            self.trace.append("reveal")
+        return added
+
+    def optimize_subpath(self):
+        self.trace.append("fixup")
+        return super().optimize_subpath()
+
+
+@pytest.mark.parametrize("name", ["env1", "env2", "grid8-3", "grid8-4"])
+def test_subpath_fixup_runs_once_per_revealed_topology(monkeypatch, name):
+    import slamplan.mission as mission_mod
+
+    prior, world = _lockstep_instance(name)
+    rebuilds = []
+    build = mission_mod.metric_closure
+    monkeypatch.setattr(mission_mod, "metric_closure",
+                        lambda g: rebuilds.append(g.topology_revision) or build(g))
+    mission = _Traced(prior, world, MissionConfig(), seed=2)
+    mission.run()
+    trace = mission.trace
+    revealed = False  # an edge was revealed since the last fix-up or plan load
+    for entry in trace:
+        if entry == "reveal":
+            revealed = True
+        elif entry == "load":
+            revealed = False
+        elif entry == "fixup":
+            # covariance writes alone never start a fix-up, and one fix-up
+            # answers all the reveals before it
+            assert revealed
+            revealed = False
+        elif entry == "step":
+            # a reveal is fixed up at the next step boundary
+            assert not revealed
+    fixups = trace.count("fixup")
+    assert trace.count("write") > fixups
+    assert fixups <= len(rebuilds) - 1

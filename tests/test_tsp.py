@@ -6,7 +6,7 @@ import pytest
 
 from slamplan import tsp
 from slamplan.bench import GridGraphSpec, gen_grid_graph
-from slamplan.errors import SizeLimitError
+from slamplan.errors import InputError, SizeLimitError
 from slamplan.graph import load_prior_graph, metric_closure
 from slamplan.tsp import (
     TourCosts,
@@ -351,3 +351,12 @@ def test_large_unit_grid_plans_like_unit_grid(cell):
     tour = plan_coverage_tour(closure, 2)
     assert sorted(tour.order) == sorted(closure.graph.ids)
     assert tour.length == pytest.approx(cell * base.length, rel=1e-9)
+
+
+@pytest.mark.parametrize("restarts", [0, -2, True, 2.0])
+def test_solvers_reject_restarts_that_are_not_positive_integers(triangle, restarts):
+    costs = costs_for(triangle)
+    with pytest.raises(InputError, match="restarts must be a positive integer"):
+        solve_open_tsp(costs, restarts)
+    with pytest.raises(InputError, match="restarts must be a positive integer"):
+        solve_fixed_end_tsp(costs, "c", restarts)
