@@ -19,14 +19,13 @@ from .errors import (
 )
 from .graph import MetricClosure, PriorGraph, load_prior_graph, metric_closure
 from .kernels import BACKEND
-from .laplacian import LaplacianFactor, information_weight, reduced_laplacian
+from .laplacian import LaplacianFactor, information_weights, reduced_laplacian
 from .loops import (
     AbstractedPoseGraph,
     LoopEdgeCandidate,
     Plan,
     abstract_pose_graph,
     brute_force_select,
-    candidate_gamma,
     enumerate_candidates,
     greedy_select,
     insert_loop_edges,
@@ -49,7 +48,6 @@ from .sim import (
 from .tsp import (
     TourCosts,
     Walk,
-    build_tour_costs,
     expand_to_walk,
     solve_fixed_end_tsp,
     solve_open_tsp,
@@ -84,13 +82,11 @@ __all__ = [
     "abstract_pose_graph",
     "ape_rmse",
     "brute_force_select",
-    "build_tour_costs",
-    "candidate_gamma",
     "compute_plan",
     "enumerate_candidates",
     "expand_to_walk",
     "greedy_select",
-    "information_weight",
+    "information_weights",
     "insert_loop_edges",
     "load_prior_graph",
     "load_world",

@@ -7,8 +7,10 @@ measurement covariance in (m^2, m^2, rad^2); each region carries a
 degeneracy matrix of the same shape, updated online during a mission.
 
 Covariances live in two stacked arrays, (V,3,3) per vertex index and
-(E,3,3) per edge row, written in batches through one validation path.  A
-graph keeps one counter, ``topology_revision``, which moves only when an
+(E,3,3) per edge row, read by index and written in batches through one
+validation path.  ``pair_covs`` holds the one rule for the covariance of
+a factor between two regions: the mean of their two matrices.  A graph
+keeps one counter, ``topology_revision``, which moves only when an
 edge is added.  Shortest-path closures depend on topology alone, so they
 follow it; covariance writes leave it as it is.
 """
@@ -85,16 +87,15 @@ def check_spd_batch(mats, what) -> np.ndarray:
     raise CovarianceError(f"{what(k)}: covariance {reason}")
 
 
-class _ByVertex:
-    """Read-only ``vertex id -> region matrix`` view of ``region_covs``."""
-
-    __slots__ = ("_graph",)
-
-    def __init__(self, graph):
-        self._graph = graph
-
-    def __getitem__(self, vid) -> np.ndarray:
-        return self._graph.region_covs[self._graph.index[vid]]
+def _batch(rows, mats, what):
+    """Index and matrix arrays of one batched covariance write; their counts
+    must match."""
+    rows = np.asarray(rows, dtype=np.intp).reshape(-1)
+    mats = np.asarray(mats, dtype=float)
+    count = len(mats) if mats.ndim else 1
+    if count != len(rows):
+        raise InputError(f"covariance write: {len(rows)} {what} but {count} matrices")
+    return rows, mats
 
 
 class PriorGraph:
@@ -218,20 +219,22 @@ class PriorGraph:
         except KeyError:
             raise InputError(f"no edge ({u!r}, {v!r})") from None
 
-    def _row(self, u, v) -> int:
+    def edge_row(self, u, v) -> int:
+        """Row of the edge (u, v) in ``edges``, ``edge_covs`` and
+        ``edge_ends``."""
         try:
             return self._edge_row[frozenset((u, v))]
         except KeyError:
             raise InputError(f"no edge ({u!r}, {v!r})") from None
 
     def edge_cov(self, u, v) -> np.ndarray:
-        return self.edge_covs[self._row(u, v)]
+        return self.edge_covs[self.edge_row(u, v)]
 
-    @property
-    def region_cov(self) -> "_ByVertex":
-        """Region matrices by vertex id: ``g.region_cov[vid]`` is a row of
-        ``region_covs``."""
-        return _ByVertex(self)
+    def pair_covs(self, a, b) -> np.ndarray:
+        """Covariances of factors between the regions at vertex indices
+        ``a`` and ``b`` (arrays or ints): the mean of each pair's two region
+        matrices."""
+        return 0.5 * (self.region_covs[a] + self.region_covs[b])
 
     def neighbors(self, u):
         return self.adjacency[u].keys()
@@ -247,20 +250,21 @@ class PriorGraph:
     def set_region_covs(self, idx, mats):
         """Write the (k,3,3) ``mats`` to the vertex indices ``idx``: all of
         them after one batched validation, or none."""
-        idx = np.asarray(idx, dtype=np.intp)
-        mats = check_spd_batch(mats, lambda k: f"region {self.ids[idx[k]]!r}")
-        self.region_covs[idx] = mats
+        idx, mats = _batch(idx, mats, "vertex indices")
+        if len(idx):
+            self.region_covs[idx] = check_spd_batch(
+                mats, lambda k: f"region {self.ids[idx[k]]!r}")
 
     def set_edge_covs(self, rows, mats):
         """Write the (k,3,3) ``mats`` to the edge rows ``rows``: all of them
         after one batched validation, or none."""
-        rows = np.asarray(rows, dtype=np.intp)
-        mats = check_spd_batch(
-            mats, lambda k: "edge ({!r}, {!r})".format(*self.edges[rows[k]][:2]))
-        self.edge_covs[rows] = mats
+        rows, mats = _batch(rows, mats, "edge rows")
+        if len(rows):
+            self.edge_covs[rows] = check_spd_batch(
+                mats, lambda k: "edge ({!r}, {!r})".format(*self.edges[rows[k]][:2]))
 
     def set_edge_cov(self, u, v, cov):
-        self.set_edge_covs([self._row(u, v)], np.asarray(cov, dtype=float)[None])
+        self.set_edge_covs([self.edge_row(u, v)], np.asarray(cov, dtype=float)[None])
 
     def set_region_cov(self, vid, cov):
         if vid not in self.index:

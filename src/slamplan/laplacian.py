@@ -4,7 +4,8 @@ The estimation quality of a pose graph is summarized by the determinant of
 its weighted reduced Laplacian: each relative-pose factor between poses i
 and j contributes w * b b^T, where b is the signed incidence vector of the
 pair and w collapses the factor's 3x3 covariance to a scalar information
-weight.  Anchoring removes one row/column so the determinant is nonzero.
+weight, exp(-log det / 3) of the covariance.  Anchoring removes one
+row/column so the determinant is nonzero.
 
 The Laplacian is assembled by scatter-adding the four nonzero entries of
 each factor's w * b b^T.  The factor object below maintains a
@@ -13,6 +14,8 @@ rank-1 updates (a product-form update whose triangular solve also yields
 the log-det increment via the matrix determinant lemma), and evaluates
 quadratic forms b^T L^{-1} b with one LAPACK triangular solve per batch of
 columns.  Callers with many candidates pass the columns in chunks.
+``log_det_from_scratch`` is the dense, no-reuse log-det that oracles and
+the mission's plan comparison share.
 """
 
 from __future__ import annotations
@@ -20,18 +23,17 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .errors import RankDeficientError
+from .errors import InputError, RankDeficientError
 from .kernels import chol_update
 
 
-def information_weight(cov: np.ndarray) -> float:
-    """Scalar weight of a relative-pose factor: det of the inverse
-    covariance, taken to the 1/3 power for a 3x3 block."""
-    cov = np.asarray(cov, dtype=float)
-    sign, logdet = np.linalg.slogdet(cov)
-    if sign <= 0:
+def information_weights(covs) -> np.ndarray:
+    """Scalar weights of a (k,3,3) stack of factor covariances: the det of
+    each inverse covariance to the 1/3 power, as exp(-log det / 3)."""
+    sign, logdet = np.linalg.slogdet(np.asarray(covs, dtype=float))
+    if np.any(sign <= 0):
         raise RankDeficientError("factor covariance is singular")
-    return float(np.exp(-logdet / cov.shape[0]))
+    return np.exp(-logdet / 3)
 
 
 def incidence_column(n: int, i: int, j: int, anchor: int = 0) -> np.ndarray:
@@ -76,8 +78,17 @@ def reduced_laplacian(poses: int, edges, anchor: int = 0) -> "LaplacianFactor":
     pose's row and column are removed before factorization.
     """
     if not 0 <= anchor < poses:
-        raise ValueError(f"anchor {anchor} out of range for {poses} poses")
+        raise InputError(f"anchor {anchor} out of range for {poses} poses")
     return LaplacianFactor(build_reduced_laplacian(poses - 1, edges, anchor))
+
+
+def log_det_from_scratch(n: int, factors) -> float:
+    """log det of the reduced Laplacian of (i, j, weight) ``factors`` over
+    n non-anchor poses, assembled densely and taken by LU (slogdet)."""
+    sign, logdet = np.linalg.slogdet(build_reduced_laplacian(n, factors))
+    if sign <= 0:
+        raise RankDeficientError("reduced Laplacian is not positive-definite")
+    return float(logdet)
 
 
 class LaplacianFactor:
@@ -106,10 +117,6 @@ class LaplacianFactor:
         if np.min(diag) <= 1e-12:
             raise RankDeficientError("reduced Laplacian is numerically singular")
         self.log_det = 2.0 * float(np.sum(np.log(diag)))
-
-    @classmethod
-    def from_factors(cls, n: int, factors) -> "LaplacianFactor":
-        return cls(build_reduced_laplacian(n, factors))
 
     def copy(self) -> "LaplacianFactor":
         dup = LaplacianFactor.__new__(LaplacianFactor)

@@ -21,13 +21,17 @@ a distance cap omega_max (no candidate farther than it can ever gain) and
 a per-candidate test comparing the numerator term against 1 + omega/d_tsp.
 Both rely on d(plan) <= 2 d_tsp, which is audited on every plan.
 
-All score bookkeeping is in the log domain; determinants come from the
-Cholesky factor via the matrix determinant lemma, with from-scratch dense
-recomputation reserved for oracles and audits.  Candidates are stored as
-(i, j) index pairs.  Their incidence columns are built one bounded chunk
-at a time to evaluate the quadratic forms b^T L^{-1} b, so memory does
-not grow with poses x candidates.  One function holds the prune test,
-shared by the greedy, ``prune_mask`` and ``omega_max``.
+Every factor weight, walk edge or candidate, is ``information_weights``
+of a covariance: a walk edge's prior covariance, or for a candidate the
+``PriorGraph.pair_covs`` mean of its two regions' matrices.  All score
+bookkeeping is in the log domain; determinants come from the Cholesky
+factor via the matrix determinant lemma, with from-scratch dense
+recomputation (``log_det_from_scratch``) reserved for oracles and audits.
+Candidates are stored as (i, j) index pairs.  Their incidence columns are
+built one bounded chunk at a time to evaluate the quadratic forms
+b^T L^{-1} b, so memory does not grow with poses x candidates.  One
+function holds the prune test, shared by the greedy, ``prune_mask`` and
+``omega_max``.
 """
 
 from __future__ import annotations
@@ -42,7 +46,8 @@ from .laplacian import (
     LaplacianFactor,
     build_reduced_laplacian,
     incidence_column,
-    information_weight,
+    information_weights,
+    log_det_from_scratch,
 )
 from .tsp import Walk
 
@@ -68,7 +73,7 @@ class AbstractedPoseGraph:
     def factor(self) -> LaplacianFactor:
         """Cholesky factor of the walk's reduced Laplacian, built on first
         use: the mission scores abstracted walks without it."""
-        return LaplacianFactor.from_factors(self.n, self.weighted_edges)
+        return LaplacianFactor(build_reduced_laplacian(self.n, self.weighted_edges))
 
     @property
     def pose_count(self):
@@ -78,8 +83,8 @@ class AbstractedPoseGraph:
 def abstract_pose_graph(walk: Walk, graph) -> AbstractedPoseGraph:
     """Collapse a walk to distinct poses and distinct traversed edges.
 
-    Edge factors take their weight from the prior edge's covariance;
-    repeated traversals contribute a single factor.
+    Edge factors take their weight from the prior edge's covariance, all
+    in one batch; repeated traversals contribute a single factor.
     """
     pose_to_vertex = []
     vertex_to_pose = {}
@@ -87,16 +92,12 @@ def abstract_pose_graph(walk: Walk, graph) -> AbstractedPoseGraph:
         if v not in vertex_to_pose:
             vertex_to_pose[v] = len(pose_to_vertex)
             pose_to_vertex.append(v)
-    seen = set()
-    weighted = []
+    pairs = {}  # (i, j) -> edge row, in order of first traversal
     for u, v in zip(walk.vertices[:-1], walk.vertices[1:]):
         i, j = vertex_to_pose[u], vertex_to_pose[v]
-        if i < j:
-            i, j = j, i
-        if (i, j) in seen:
-            continue
-        seen.add((i, j))
-        weighted.append((i, j, information_weight(graph.edge_cov(u, v))))
+        pairs.setdefault((max(i, j), min(i, j)), graph.edge_row(u, v))
+    gamma = information_weights(graph.edge_covs[list(pairs.values())])
+    weighted = [(i, j, float(w)) for (i, j), w in zip(pairs, gamma)]
     return AbstractedPoseGraph(graph, pose_to_vertex, vertex_to_pose, weighted)
 
 
@@ -149,12 +150,6 @@ class CandidateSet:
         return cols
 
 
-def candidate_gamma(graph, u, v) -> float:
-    """Weight of a prospective loop factor between two regions: scalar
-    information of the mean of their degeneracy matrices."""
-    return information_weight(0.5 * (graph.region_cov[u] + graph.region_cov[v]))
-
-
 def enumerate_candidates(apg: AbstractedPoseGraph, closure) -> CandidateSet:
     """All pose pairs i > j without a direct factor, sorted by (i, j)."""
     if closure.graph is not apg.graph or not closure.fresh():
@@ -171,11 +166,9 @@ def enumerate_candidates(apg: AbstractedPoseGraph, closure) -> CandidateSet:
         iu, ju = iu[keep], ju[keep]
     g = apg.graph
     vidx = np.array([g.index[v] for v in apg.pose_to_vertex], dtype=np.int64)
-    omega = closure.dist_matrix[vidx[iu], vidx[ju]]
-    mats = g.region_covs[vidx]
-    means = 0.5 * (mats[iu] + mats[ju])
-    gamma = np.linalg.det(means) ** (-1.0 / 3.0)
-    return CandidateSet(iu, ju, omega, gamma, apg.n)
+    a, b = vidx[iu], vidx[ju]
+    gamma = information_weights(g.pair_covs(a, b))
+    return CandidateSet(iu, ju, closure.dist_matrix[a, b], gamma, apg.n)
 
 
 # -- incremental gain and pruning ---------------------------------------
@@ -357,12 +350,12 @@ def insert_loop_edges(apg: AbstractedPoseGraph, walk: Walk, selected,
 
 
 def score_from_scratch(apg: AbstractedPoseGraph, selected, d_tsp: float) -> float:
-    """log score via dense reassembly; the oracle path, no factor reuse."""
+    """log score via dense reassembly; the oracle path, no factor reuse.
+    A one-pose walk has no factor and no length: 0, as in ``greedy_select``."""
+    if apg.n == 0:
+        return 0.0
     extra = [(c.i, c.j, c.gamma) for c in selected]
-    lap = build_reduced_laplacian(apg.n, apg.weighted_edges + extra)
-    sign, logdet = np.linalg.slogdet(lap)
-    if sign <= 0:
-        raise InputError("score undefined: reduced Laplacian not positive-definite")
+    logdet = log_det_from_scratch(apg.n, apg.weighted_edges + extra)
     dist = d_tsp + 2.0 * sum(c.omega for c in selected)
     return logdet / apg.n - float(np.log(dist))
 

@@ -6,7 +6,9 @@ goals are skipped), loop-close steps detour to the target vertex and
 back.  As regions are covered the prior graph is updated online: region
 degeneracy matrices are re-estimated from nearby pose-graph edge
 covariances, hidden world connectivity is revealed once both endpoints
-have been seen, and edge covariances track their endpoint regions.  The
+have been seen, and edge covariances track their endpoint regions.  A
+revealed or tracked edge takes ``PriorGraph.pair_covs`` of its endpoints,
+the one endpoint-mean rule the planner's candidates use too.  The
 covariance updates are array operations over the prior's stacked (V,3,3)
 and (E,3,3) covariances that write, in one validated batch each, only the
 rows whose value is not already current.
@@ -14,7 +16,9 @@ rows whose value is not already current.
 The shortest-path closure is cached per topology, so it is rebuilt only
 after connectivity is revealed.  After every loop-closing action the
 planner is re-run over the remaining vertices and the better of {existing
-remainder, fresh plan} is kept, scored by remaining quality per meter.
+remainder, fresh plan} is kept, scored by remaining quality per meter:
+both are scored as a vertex sequence, a length and loop factors, and the
+log-det is ``log_det_from_scratch``, the planner's oracle path.
 Between loop closures, a cheaper fix-up re-solves the segment up to the
 next loop anchor as a small TSP whenever an edge has been revealed since
 the last fix-up or plan load: the TSP reads closure distances alone, which
@@ -33,7 +37,7 @@ import numpy as np
 
 from .errors import InputError
 from .graph import PriorGraph, metric_closure
-from .laplacian import build_reduced_laplacian
+from .laplacian import log_det_from_scratch
 from .loops import abstract_pose_graph
 from .planner import STRATEGIES, compute_plan
 from .sim import (
@@ -154,8 +158,7 @@ class Mission:
         changed |= _write_changed(
             prior.region_covs, prior.set_region_covs, unvisited,
             np.broadcast_to(covs.mean(axis=0), (len(unvisited), 3, 3)))
-        regions = prior.region_covs
-        means = 0.5 * (regions[prior.edge_ends[:, 0]] + regions[prior.edge_ends[:, 1]])
+        means = prior.pair_covs(prior.edge_ends[:, 0], prior.edge_ends[:, 1])
         changed |= _write_changed(prior.edge_covs, prior.set_edge_covs,
                                   np.arange(len(means)), means)
         if changed:
@@ -163,11 +166,12 @@ class Mission:
 
     def connectivity_update(self):
         """Reveal hidden world edges whose endpoints are both visited."""
+        prior = self.prior
         added = []
-        for u, v, length in self.world.hidden_edges(self.prior):
+        for u, v, length in self.world.hidden_edges(prior):
             if u in self.visited and v in self.visited:
-                cov = 0.5 * (self.prior.region_cov[u] + self.prior.region_cov[v])
-                self.prior.add_edge(u, v, length=length, cov=cov)
+                cov = prior.pair_covs(prior.index[u], prior.index[v])
+                prior.add_edge(u, v, length=length, cov=cov)
                 added.append([u, v])
         if added:
             self._emit("connectivity_update", edges=added)
@@ -227,9 +231,10 @@ class Mission:
         """log D-opt of the abstracted Laplacian over executed + projected
         coverage, including performed and pending loop factors.
 
-        ``apg.factor`` would cover the walk factors alone, so the Laplacian
-        with the loop factors is assembled here and its log-det taken by LU
-        (slogdet).
+        ``apg.factor`` would cover the walk factors alone, so the log-det
+        comes from ``log_det_from_scratch`` over walk and loop factors.  An
+        abstracted walk is connected and its weights are positive, so the
+        Laplacian is positive-definite.
         """
         seq = self.runner.route + list(extra_seq[1:])
         apg = abstract_pose_graph(Walk(seq, 0.0), self.prior)
@@ -239,19 +244,12 @@ class Mission:
         for anchor, target, gamma in self.performed + list(extra_factors):
             i, j = apg.vertex_to_pose[anchor], apg.vertex_to_pose[target]
             factors.append((max(i, j), min(i, j), gamma))
-        sign, logdet = np.linalg.slogdet(build_reduced_laplacian(apg.n, factors))
-        if sign <= 0:
-            return -np.inf
-        return float(logdet / apg.n)
+        return log_det_from_scratch(apg.n, factors) / apg.n
 
-    def _remaining_score(self, steps, closure, plan=None):
-        """Remaining-quality-per-meter score used to pick between plans."""
-        if plan is None:
-            seq, length, factors = self._project_remaining(steps, closure)
-        else:
-            seq = plan.walk.vertices
-            length = plan.walk.length
-            factors = [(a.anchor, a.target, a.gamma) for a in plan.actions]
+    def _remaining_score(self, seq, length, factors):
+        """Remaining-quality-per-meter score used to pick between plans:
+        ``seq`` and ``length`` are the remaining walk from the current
+        vertex, ``factors`` its (anchor, target, gamma) loop factors."""
         log_dopt = self._combined_log_dopt(seq, factors)
         total = self.runner.distance + length
         if total <= 0.0:
@@ -274,13 +272,16 @@ class Mission:
             include=set(unvisited),
             start=self.current,
         )
-        existing = self._remaining_score(list(self.steps), closure)
-        fresh = self._remaining_score(None, closure, plan=outcome.plan)
+        plan = outcome.plan
+        existing = self._remaining_score(*self._project_remaining(self.steps, closure))
+        fresh = self._remaining_score(
+            plan.walk.vertices, plan.walk.length,
+            [(a.anchor, a.target, a.gamma) for a in plan.actions])
         if fresh > existing + _SCORE_TIE:
-            self._load_program(outcome.plan)
-            self.log.plans.append(outcome.plan)
+            self._load_program(plan)
+            self.log.plans.append(plan)
             self._emit("replan_accepted", score=fresh, previous=existing)
-            return outcome.plan
+            return plan
         self._emit("replan_rejected", score=fresh, previous=existing)
         return None
 

@@ -67,10 +67,6 @@ class TourCosts:
         return [self.ids[k] for k in order]
 
 
-def build_tour_costs(closure, start=None, include=None) -> TourCosts:
-    return TourCosts(closure, include=include, start=start)
-
-
 # -- heuristic local search (index space) ---------------------------------
 
 
@@ -298,11 +294,6 @@ def solve_open_tsp_exact(costs: TourCosts, end=None) -> Tour:
     end_idx = None if end is None else costs.ids.index(end)
     order, length = _held_karp(costs.sym, end_idx)
     return Tour(costs.to_ids(order), length)
-
-
-def plan_coverage_tour(closure, restarts: int = 8) -> Tour:
-    """Heuristic open tour over every vertex of the prior graph."""
-    return solve_open_tsp(TourCosts(closure), restarts)
 
 
 def expand_to_walk(closure, order) -> Walk:

@@ -128,7 +128,7 @@ def test_criterion_02_rank_one_logdet_identity(capsys):
             i = int(rng.integers(1, poses))
             j = int(rng.integers(0, i))
             factors.append((i, j, float(rng.uniform(0.2, 5.0))))
-        factor = LaplacianFactor.from_factors(n, factors)
+        factor = LaplacianFactor(build_reduced_laplacian(n, factors))
         i = int(rng.integers(1, poses))
         j = int(rng.integers(0, i))
         gamma = float(np.exp(rng.uniform(np.log(0.05), np.log(50.0))))

@@ -13,7 +13,7 @@ from slamplan.graph import (
     metric_closure,
     sigma_matrix,
 )
-from slamplan.laplacian import information_weight
+from slamplan.laplacian import information_weights
 
 from conftest import random_connected_graph
 
@@ -132,7 +132,7 @@ def test_default_covariance_weight():
     g = load_prior_graph(doc)
     cov = g.edge_cov(0, 1)
     assert np.allclose(np.diag(cov), DEFAULT_SIGMA_DIAG)
-    assert information_weight(cov) == pytest.approx(46.4159, abs=1e-3)
+    assert information_weights(cov[None])[0] == pytest.approx(46.4159, abs=1e-3)
     assert np.array_equal(sigma_matrix([0.1, 0.1, 0.001]), cov)
     with pytest.raises(InputError, match="sigma entries must be numbers"):
         sigma_matrix(["a", 0.1, 0.001])
@@ -181,6 +181,44 @@ def test_batched_write_names_bad_row_and_writes_nothing(triangle, kind, reason):
     triangle.set_edge_covs([2, 0], np.stack([good, 2.0 * good]))
     assert np.array_equal(triangle.edge_cov("a", "c"), good)
     assert np.array_equal(triangle.edge_cov("a", "b"), 2.0 * good)
+
+
+@pytest.mark.parametrize("setter", ["set_region_covs", "set_edge_covs"])
+def test_empty_batched_write_writes_nothing(triangle, setter):
+    before = (triangle.region_covs.copy(), triangle.edge_covs.copy())
+    getattr(triangle, setter)([], [])
+    getattr(triangle, setter)(np.zeros(0, dtype=int), np.zeros((0, 3, 3)))
+    assert np.array_equal(triangle.region_covs, before[0])
+    assert np.array_equal(triangle.edge_covs, before[1])
+
+
+@pytest.mark.parametrize("setter,what", [
+    ("set_region_covs", "vertex indices"), ("set_edge_covs", "edge rows")])
+@pytest.mark.parametrize("rows,count", [([0, 1], 1), ([0], 2), ([], 1)],
+                         ids=["one-for-two", "two-for-one", "one-for-none"])
+def test_batched_write_count_mismatch_names_both_counts(triangle, setter, what,
+                                                         rows, count):
+    # one matrix for two rows must not broadcast, two for one must not
+    # reach numpy's assignment error
+    before = (triangle.region_covs.copy(), triangle.edge_covs.copy())
+    mats = np.tile(np.diag([0.2, 0.2, 0.002]), (count, 1, 1))
+    with pytest.raises(InputError, match=rf"^covariance write: {len(rows)} {what} "
+                                         rf"but {count} matrices$"):
+        getattr(triangle, setter)(rows, mats)
+    assert np.array_equal(triangle.region_covs, before[0])
+    assert np.array_equal(triangle.edge_covs, before[1])
+
+
+def test_pair_covs_is_the_mean_of_two_region_matrices(triangle):
+    triangle.set_region_covs([0, 1, 2], np.stack(
+        [np.diag([1.0, 1.0, 0.01]), np.diag([0.1, 0.1, 0.001]), np.eye(3)]))
+    got = triangle.pair_covs(np.array([0, 1]), np.array([1, 2]))
+    assert got.shape == (2, 3, 3)
+    assert np.allclose(np.diag(got[0]), [0.55, 0.55, 0.0055])
+    for k, (a, b) in enumerate([(0, 1), (1, 2)]):
+        expect = 0.5 * (triangle.region_covs[a] + triangle.region_covs[b])
+        assert np.array_equal(got[k], expect)
+        assert np.array_equal(triangle.pair_covs(a, b), expect)
 
 
 def test_disconnected_graph_rejected():

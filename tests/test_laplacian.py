@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from slamplan.errors import RankDeficientError
+from slamplan.errors import InputError, RankDeficientError
 from slamplan.laplacian import (
     LaplacianFactor,
     build_reduced_laplacian,
     incidence_column,
-    information_weight,
+    information_weights,
+    log_det_from_scratch,
     reduced_laplacian,
 )
 
@@ -162,12 +163,46 @@ def test_empty_factor_degenerate_sizes():
 
 
 def test_information_weight_examples():
-    assert information_weight(np.diag([0.1, 0.1, 0.001])) == pytest.approx(
-        1e5 ** (1.0 / 3.0)
-    )
+    # the default edge covariance, and the endpoint mean of it with a region
+    # ten times as uncertain, in one stack
     mean = 0.5 * (np.diag([1.0, 1.0, 0.01]) + np.diag([0.1, 0.1, 0.001]))
-    assert np.allclose(np.diag(mean), [0.55, 0.55, 0.0055])
-    assert information_weight(mean) == pytest.approx(8.44, abs=0.01)
+    w = information_weights(np.stack([np.diag([0.1, 0.1, 0.001]), mean]))
+    assert w.shape == (2,)
+    assert w[0] == pytest.approx(1e5 ** (1.0 / 3.0))
+    assert w[1] == pytest.approx(8.44, abs=0.01)
+    assert information_weights(np.zeros((0, 3, 3))).shape == (0,)
+    singular = np.stack([np.eye(3), np.diag([1.0, 1.0, 0.0])])
+    with pytest.raises(RankDeficientError, match="singular"):
+        information_weights(singular)
+    with pytest.raises(RankDeficientError, match="singular"):
+        information_weights(-np.eye(3)[None])
+
+
+@pytest.mark.parametrize("k", [1, 2, 7, 64])
+def test_information_weights_match_per_matrix_slogdet(rng, k):
+    # batched and one-at-a-time exp(-slogdet/3) agree bit for bit
+    a = rng.standard_normal((k, 3, 3)) * rng.uniform(0.01, 3.0, size=(k, 1, 1))
+    covs = a @ a.transpose(0, 2, 1) + 1e-3 * np.eye(3)
+    batched = information_weights(covs)
+    for cov, w in zip(covs, batched):
+        assert w == np.exp(-np.linalg.slogdet(cov)[1] / 3)
+
+
+def test_reduced_laplacian_rejects_anchor_out_of_range():
+    for anchor in (-1, 3):
+        with pytest.raises(InputError, match=f"anchor {anchor} out of range"):
+            reduced_laplacian(3, [(0, 1, 1.0), (1, 2, 1.0)], anchor)
+
+
+def test_log_det_from_scratch_matches_factor(rng):
+    n = 7
+    g = random_connected_graph(rng, n, extra_edge_prob=0.5)
+    factors = [(g.index[u], g.index[v], float(rng.uniform(0.5, 2.0)))
+               for u, v, _ in g.edges]
+    assert log_det_from_scratch(n - 1, factors) == pytest.approx(
+        reduced_laplacian(n, factors).log_det, rel=1e-12)
+    with pytest.raises(RankDeficientError, match="not positive-definite"):
+        log_det_from_scratch(3, [(0, 1, 1.0), (2, 3, 1.0)])
 
 
 def test_build_reduced_laplacian_dense_agrees(rng):
@@ -206,13 +241,13 @@ def test_build_reduced_laplacian_equals_outer_product_sum(rng, anchor):
 def test_rank_one_update_drift_against_fresh_factor(rng):
     poses = 120
     factors = [(k + 1, k, float(rng.uniform(0.2, 5.0))) for k in range(poses - 1)]
-    f = LaplacianFactor.from_factors(poses - 1, factors)
+    f = LaplacianFactor(build_reduced_laplacian(poses - 1, factors))
     for _ in range(60):
         i, j = sorted(rng.choice(poses, size=2, replace=False), reverse=True)
         gamma = float(rng.uniform(0.1, 50.0))
         f.rank_one_update(gamma, incidence_column(poses - 1, int(i), int(j)))
         factors.append((int(i), int(j), gamma))
-    fresh = LaplacianFactor.from_factors(poses - 1, factors)
+    fresh = LaplacianFactor(build_reduced_laplacian(poses - 1, factors))
     rel = np.linalg.norm(f.chol - fresh.chol) / np.linalg.norm(fresh.chol)
     assert rel < 1e-12
     assert f.log_det == pytest.approx(fresh.log_det, rel=1e-12)

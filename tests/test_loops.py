@@ -4,12 +4,11 @@ import pytest
 from slamplan import loops
 from slamplan.errors import MismatchError, SizeLimitError
 from slamplan.graph import load_prior_graph, metric_closure
-from slamplan.laplacian import incidence_column
+from slamplan.laplacian import incidence_column, information_weights
 from slamplan.loops import (
     LoopEdgeCandidate,
     abstract_pose_graph,
     brute_force_select,
-    candidate_gamma,
     enumerate_candidates,
     greedy_select,
     insert_loop_edges,
@@ -177,16 +176,26 @@ def test_candidates_reject_stale_closure():
 
 
 def test_candidate_gamma_values():
+    # a candidate's gamma is the information weight of the endpoint mean of
+    # its two regions' matrices
     doc = {
-        "vertices": [{"id": 0, "x": 0, "y": 0}, {"id": 1, "x": 1, "y": 0}],
-        "edges": [{"u": 0, "v": 1}],
+        "vertices": [{"id": k, "x": k, "y": 0} for k in range(3)],
+        "edges": [{"u": 0, "v": 1}, {"u": 1, "v": 2}],
         "start": 0,
     }
     g = load_prior_graph(doc)
+
+    def gamma():
+        mc = metric_closure(g)
+        cands = enumerate_candidates(abstract_pose_graph(Walk([0, 1, 2], 2.0), g), mc)
+        assert (cands.i.tolist(), cands.j.tolist()) == ([2], [0])
+        assert cands.gamma[0] == information_weights(g.pair_covs([2], [0]))[0]
+        return cands.gamma[0]
+
     # both regions at the default diag(0.1, 0.1, 0.001)
-    assert candidate_gamma(g, 0, 1) == pytest.approx(46.4159, abs=1e-3)
-    g.set_region_cov(0, np.diag([1.0, 1.0, 0.01]))
-    assert candidate_gamma(g, 0, 1) == pytest.approx(8.44, abs=0.01)
+    assert gamma() == pytest.approx(46.4159, abs=1e-3)
+    g.set_region_cov(2, np.diag([1.0, 1.0, 0.01]))
+    assert gamma() == pytest.approx(8.44, abs=0.01)
 
 
 # -- gain and pruning ----------------------------------------------------
@@ -435,6 +444,12 @@ def test_insert_no_selection_returns_walk():
     assert plan.walk.length == pytest.approx(2.0)
     assert plan.actions == []
     assert plan.assumption_ok
+    # a one-pose walk scores 1, from scratch as in the greedy
+    one = Walk(["a"], 0.0)
+    apg = abstract_pose_graph(one, g)
+    assert insert_loop_edges(apg, one, [], mc).objective == 1.0
+    res = greedy_select(apg, enumerate_candidates(apg, mc), one, mc)
+    assert res.plan.objective == 1.0
 
 
 def test_insert_detour_on_path():

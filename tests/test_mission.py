@@ -149,7 +149,7 @@ def test_degeneracy_average_of_all_edges_when_few():
         0.5 * (deg["c"] + deg["d"]),
     ]
     expect = np.mean(edge_covs, axis=0)
-    assert np.allclose(mission.prior.region_cov["d"], expect, atol=1e-12)
+    assert np.allclose(mission.prior.region_covs[mission.prior.index["d"]], expect, atol=1e-12)
     assert any(e["event"] == "degeneracy_update" for e in log.events)
 
 
@@ -163,7 +163,7 @@ def test_degeneracy_window_takes_nearest_five():
     # the five edge midpoints nearest the last vertex are edges 3-4 .. 7-8
     edge_cov = lambda i: 0.5 * (deg[i] + deg[i + 1])
     expect = np.mean([edge_cov(i) for i in range(3, 8)], axis=0)
-    assert np.allclose(mission.prior.region_cov[n - 1], expect, atol=1e-12)
+    assert np.allclose(mission.prior.region_covs[n - 1], expect, atol=1e-12)
 
 
 def test_degeneracy_fallback_for_unvisited():
@@ -176,13 +176,12 @@ def test_degeneracy_fallback_for_unvisited():
     mission.visited.add("b")
     mission.degeneracy_update("b")
     only_edge = 0.5 * (deg["a"] + deg["b"])
-    assert np.allclose(mission.prior.region_cov["b"], only_edge)
-    for v in ("c", "d"):
-        assert np.allclose(mission.prior.region_cov[v], only_edge)
+    regions = mission.prior.region_covs
+    assert np.allclose(regions[1], only_edge)
+    for k in (2, 3):
+        assert np.allclose(regions[k], only_edge)
     # edge covariances track endpoint regions
-    expect_ab = 0.5 * (
-        mission.prior.region_cov["a"] + mission.prior.region_cov["b"]
-    )
+    expect_ab = 0.5 * (regions[0] + regions[1])
     assert np.allclose(mission.prior.edge_cov("a", "b"), expect_ab)
 
 
@@ -229,6 +228,15 @@ def test_connectivity_reveal_shortens_paths():
     after = metric_closure(mission.prior).dist("a", "c")
     assert after == pytest.approx(1.2)
     assert after < before
+    # a revealed edge's covariance is the endpoint mean of its regions
+    mission = Mission(prior, world, MissionConfig(), seed=0)
+    mission.prior.set_region_covs([0, 2], np.stack([diagm(0.3), diagm(0.9)]))
+    mission.visited.update(["b", "c"])
+    assert mission.connectivity_update() == [["a", "c"]]
+    index = mission.prior.index
+    expect = mission.prior.pair_covs(index["a"], index["c"])
+    assert np.array_equal(mission.prior.edge_cov("a", "c"), expect)
+    assert np.allclose(expect, diagm(0.6))
 
 
 def test_replan_with_everything_visited():
@@ -410,7 +418,8 @@ class _PerItemReference(_Recorded):
             if v not in self.visited:
                 changed |= self._set_region(v, overall)
         for u, v, _ in self.prior.edges:
-            mean = 0.5 * (self.prior.region_cov[u] + self.prior.region_cov[v])
+            regions, index = self.prior.region_covs, self.prior.index
+            mean = 0.5 * (regions[index[u]] + regions[index[v]])
             if not np.allclose(self.prior.edge_cov(u, v), mean, atol=1e-15):
                 self.prior.set_edge_cov(u, v, mean)
                 changed = True
@@ -418,7 +427,8 @@ class _PerItemReference(_Recorded):
             self._emit("degeneracy_update", vertex=vertex)
 
     def _set_region(self, vertex, mat) -> bool:
-        if np.allclose(self.prior.region_cov[vertex], mat, atol=1e-15):
+        if np.allclose(self.prior.region_covs[self.prior.index[vertex]], mat,
+                       atol=1e-15):
             return False
         self.prior.set_region_cov(vertex, mat)
         return True

@@ -10,9 +10,7 @@ from slamplan.errors import InputError, SizeLimitError
 from slamplan.graph import load_prior_graph, metric_closure
 from slamplan.tsp import (
     TourCosts,
-    build_tour_costs,
     expand_to_walk,
-    plan_coverage_tour,
     solve_fixed_end_tsp,
     solve_open_tsp,
     solve_open_tsp_exact,
@@ -31,6 +29,12 @@ def test_triangle_cost_matrix(triangle):
     expect = np.array([[0, 1, 1], [1, 0, 1], [1, 1, 0]], dtype=float)
     assert np.allclose(costs.sym, expect)
     assert np.allclose(costs.sym, costs.sym.T)
+    # another start comes first; the block follows the ids
+    mc = metric_closure(triangle)
+    costs = TourCosts(mc, start="b")
+    assert costs.ids == ["b", "a", "c"]
+    idx = [triangle.index[v] for v in costs.ids]
+    assert np.array_equal(costs.sym, mc.dist_matrix[np.ix_(idx, idx)])
 
 
 def test_single_vertex_costs_and_tour():
@@ -185,16 +189,8 @@ def test_expand_walk_validity(rng):
 
 
 def test_plan_coverage_tour(path3):
-    tour = plan_coverage_tour(metric_closure(path3))
+    tour = solve_open_tsp(costs_for(path3))
     assert tour.order == ["a", "b", "c"]
-
-
-def test_build_tour_costs_alias(path3):
-    mc = metric_closure(path3)
-    costs = build_tour_costs(mc, start="b")
-    assert costs.ids == ["b", "a", "c"]
-    idx = [mc.graph.index[v] for v in costs.ids]
-    assert np.array_equal(costs.sym, mc.dist_matrix[np.ix_(idx, idx)])
 
 
 # -- reference local search: every move gathered from ``dist`` afresh -----
@@ -346,9 +342,9 @@ def test_large_unit_grid_plans_like_unit_grid(cell):
         return gen_grid_graph(GridGraphSpec(
             width=20 * c, height=20 * c, cell=c, position_noise_sigma=0.2 * c, seed=1))
 
-    base = plan_coverage_tour(metric_closure(grid(1.0)), 2)
+    base = solve_open_tsp(costs_for(grid(1.0)), 2)
     closure = metric_closure(grid(cell))
-    tour = plan_coverage_tour(closure, 2)
+    tour = solve_open_tsp(TourCosts(closure), 2)
     assert sorted(tour.order) == sorted(closure.graph.ids)
     assert tour.length == pytest.approx(cell * base.length, rel=1e-9)
 
