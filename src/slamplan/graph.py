@@ -87,14 +87,18 @@ def check_spd_batch(mats, what) -> np.ndarray:
     raise CovarianceError(f"{what(k)}: covariance {reason}")
 
 
-def _batch(rows, mats, what):
+def _batch(rows, mats, what, size):
     """Index and matrix arrays of one batched covariance write; their counts
-    must match."""
+    must match and every index must lie in [0, size)."""
     rows = np.asarray(rows, dtype=np.intp).reshape(-1)
     mats = np.asarray(mats, dtype=float)
     count = len(mats) if mats.ndim else 1
     if count != len(rows):
         raise InputError(f"covariance write: {len(rows)} {what} but {count} matrices")
+    outside = (rows < 0) | (rows >= size)
+    if outside.any():
+        raise InputError(f"covariance write: {what} hold {rows[outside][0]}, "
+                         f"outside [0, {size})")
     return rows, mats
 
 
@@ -250,7 +254,7 @@ class PriorGraph:
     def set_region_covs(self, idx, mats):
         """Write the (k,3,3) ``mats`` to the vertex indices ``idx``: all of
         them after one batched validation, or none."""
-        idx, mats = _batch(idx, mats, "vertex indices")
+        idx, mats = _batch(idx, mats, "vertex indices", len(self.ids))
         if len(idx):
             self.region_covs[idx] = check_spd_batch(
                 mats, lambda k: f"region {self.ids[idx[k]]!r}")
@@ -258,7 +262,7 @@ class PriorGraph:
     def set_edge_covs(self, rows, mats):
         """Write the (k,3,3) ``mats`` to the edge rows ``rows``: all of them
         after one batched validation, or none."""
-        rows, mats = _batch(rows, mats, "edge rows")
+        rows, mats = _batch(rows, mats, "edge rows", len(self.edges))
         if len(rows):
             self.edge_covs[rows] = check_spd_batch(
                 mats, lambda k: "edge ({!r}, {!r})".format(*self.edges[rows[k]][:2]))

@@ -209,6 +209,20 @@ def test_batched_write_count_mismatch_names_both_counts(triangle, setter, what,
     assert np.array_equal(triangle.edge_covs, before[1])
 
 
+@pytest.mark.parametrize("setter,what", [
+    ("set_region_covs", "vertex indices"), ("set_edge_covs", "edge rows")])
+@pytest.mark.parametrize("bad", [-1, 3, -4])
+def test_batched_write_rejects_index_out_of_range(triangle, setter, what, bad):
+    # a negative index must not wrap to a row counted from the end
+    before = (triangle.region_covs.copy(), triangle.edge_covs.copy())
+    mats = np.tile(np.diag([0.2, 0.2, 0.002]), (2, 1, 1))
+    with pytest.raises(InputError, match=rf"^covariance write: {what} hold {bad}, "
+                                         rf"outside \[0, 3\)$"):
+        getattr(triangle, setter)([0, bad], mats)
+    assert np.array_equal(triangle.region_covs, before[0])
+    assert np.array_equal(triangle.edge_covs, before[1])
+
+
 def test_pair_covs_is_the_mean_of_two_region_matrices(triangle):
     triangle.set_region_covs([0, 1, 2], np.stack(
         [np.diag([1.0, 1.0, 0.01]), np.diag([0.1, 0.1, 0.001]), np.eye(3)]))

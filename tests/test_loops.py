@@ -2,19 +2,24 @@ import numpy as np
 import pytest
 
 from slamplan import loops
+from slamplan.bench import GridGraphSpec, gen_grid_graph
 from slamplan.errors import MismatchError, SizeLimitError
 from slamplan.graph import load_prior_graph, metric_closure
-from slamplan.laplacian import incidence_column, information_weights
+from slamplan.laplacian import LaplacianFactor, incidence_column, information_weights
 from slamplan.loops import (
     LoopEdgeCandidate,
     abstract_pose_graph,
     brute_force_select,
     enumerate_candidates,
+    first_sweep_lognums,
     greedy_select,
     insert_loop_edges,
+    log_gain_numerator,
     omega_max,
+    path_resistance,
     prune_candidates,
     prune_mask,
+    prune_test,
     quad_forms,
     score_from_scratch,
     selection_delta,
@@ -374,6 +379,135 @@ def test_greedy_first_prune_is_prune_mask_and_omega_max(rng):
         assert trace.after_prop1 == int(mask.sum())
         assert trace.after_omega_max == int((cands.omega <= cap).sum())
         checked += 1
+
+
+def test_path_resistance_bounds_quad_forms(rng):
+    # Rayleigh monotonicity: the resistance along one path is at least the
+    # effective resistance b^T L^{-1} b, up to rounding the slack absorbs.
+    checked = 0
+    while checked < 40:
+        g, mc, walk, apg, cands = random_instance(rng, 5, 12)
+        if len(cands) == 0:
+            continue
+        quad = quad_forms(apg.factor, cands)
+        ub = path_resistance(apg, cands)
+        assert np.all(ub * (1.0 + loops._BOUND_SLACK) >= quad)
+        assert np.all(ub >= quad * (1.0 - 1e-12))
+        checked += 1
+
+
+def test_path_resistance_is_tight_on_trees(rng):
+    # On a tree every pose pair has a single path, so the bound equals the
+    # solved quadratic form up to rounding, which may put it just below:
+    # hence the slack in the first sweep.
+    checked = 0
+    while checked < 20:
+        g = randomize_covs(rng, random_connected_graph(
+            rng, int(rng.integers(4, 12)), extra_edge_prob=0.0, unit_lengths=False))
+        mc, walk, apg, cands = pipeline(g)
+        if len(cands) == 0:
+            continue
+        quad = quad_forms(apg.factor, cands)
+        ub = path_resistance(apg, cands)
+        np.testing.assert_allclose(ub, quad, rtol=1e-12, atol=0.0)
+        assert np.all(ub * (1.0 + loops._BOUND_SLACK) >= quad)
+        checked += 1
+
+
+def _count_columns(monkeypatch) -> list:
+    """Record the column count of every ``quad_form_batch`` call."""
+    solved = []
+    batch = LaplacianFactor.quad_form_batch
+
+    def counted(self, cols):
+        solved.append(cols.shape[1])
+        return batch(self, cols)
+
+    monkeypatch.setattr(LaplacianFactor, "quad_form_batch", counted)
+    return solved
+
+
+def _solve_everything(apg, factor, d_tsp, cands):
+    """The first sweep without the bound: every candidate solved at once."""
+    return log_gain_numerator(factor, cands.gamma, quad_forms(factor, cands))
+
+
+@pytest.mark.parametrize("size,seed", [(10, 0), (10, 1), (15, 0), (15, 1)])
+def test_first_sweep_bound_solves_less_and_changes_nothing(monkeypatch, size,
+                                                           seed):
+    g = gen_grid_graph(GridGraphSpec(width=size, height=size, seed=seed))
+    mc, walk, apg, cands = pipeline(g)
+    solved = _count_columns(monkeypatch)
+    lognum = first_sweep_lognums(apg, apg.factor, walk.length, cands)
+    assert 0 < sum(solved) < len(cands)
+    assert min(solved) >= 2
+    cap, _, keep = prune_test(walk.length, cands.omega, lognum)
+    assert np.array_equal(keep, prune_mask(apg.factor, walk.length, cands))
+    assert cap == omega_max(apg.factor, walk.length, cands)
+    exact = _solve_everything(apg, apg.factor, walk.length, cands)
+    assert np.array_equal(lognum[keep], exact[keep])
+
+    fast = greedy_select(apg, cands, walk, mc)
+    plain = greedy_select(apg, cands, walk, mc, pruning=False)
+    monkeypatch.setattr(loops, "first_sweep_lognums", _solve_everything)
+    ref = greedy_select(apg, cands, walk, mc)
+    assert fast.selected and fast.selected == plain.selected
+    assert fast.trace == ref.trace  # survivors, cap count, iterations, deltas
+    assert fast.log_objective == ref.log_objective
+    assert fast.trace.after_prop1 == int(keep.sum())
+    assert fast.trace.after_omega_max == int((cands.omega <= cap).sum())
+
+
+@pytest.mark.parametrize("first_batch", [1, 64])
+@pytest.mark.parametrize("d_scale", [1.0, 1e-3])
+def test_first_sweep_cap_is_exact(monkeypatch, first_batch, d_scale):
+    # The best numerator need not have the best bound (on the 8x8 seed-1 and
+    # 10x10 seed-1 and seed-2 grids it does not), so the cap check must go
+    # on until no bound can beat it.  A short reference distance prunes
+    # every candidate, which leaves the cap to that check alone.
+    monkeypatch.setattr(loops, "_CAP_BATCH", first_batch)
+    monkeypatch.setattr(loops, "_BOUND_MIN_ELEMENTS", 0)
+    for size in (8, 10):
+        for seed in range(3):
+            g = gen_grid_graph(GridGraphSpec(width=size, height=size, seed=seed))
+            mc, walk, apg, cands = pipeline(g)
+            d_ref = d_scale * walk.length
+            lognum = first_sweep_lognums(apg, apg.factor, d_ref, cands)
+            exact = _solve_everything(apg, apg.factor, d_ref, cands)
+            cap, _, keep = prune_test(d_ref, cands.omega, lognum)
+            assert cap == prune_test(d_ref, cands.omega, exact)[0]
+            assert np.array_equal(keep, prune_mask(apg.factor, d_ref, cands))
+
+
+def test_first_sweep_bound_on_small_instances(rng, monkeypatch):
+    # Small sets are solved whole; with the bound forced on, the greedy's
+    # trace and objective stay those of solving every candidate.
+    monkeypatch.setattr(loops, "_BOUND_MIN_ELEMENTS", 0)
+    for _ in range(40):
+        g, mc, walk, apg, cands = random_instance(rng, 5, 12)
+        fast = greedy_select(apg, cands, walk, mc)
+        with monkeypatch.context() as m:
+            m.setattr(loops, "first_sweep_lognums", _solve_everything)
+            ref = greedy_select(apg, cands, walk, mc)
+        assert fast.selected == ref.selected
+        assert fast.trace == ref.trace
+        assert fast.log_objective == ref.log_objective
+
+
+def test_first_sweep_pads_a_lone_column(monkeypatch):
+    # A one-column solve rounds differently from the same column in a
+    # batch, so a lone bound survivor is solved next to a copy of itself.
+    g = triangle_unit(ac_length=0.2)
+    mc = metric_closure(g)
+    walk = Walk(["a", "b", "c"], 2.0)
+    apg = abstract_pose_graph(walk, g)
+    cands = enumerate_candidates(apg, mc)
+    assert len(cands) == 1
+    monkeypatch.setattr(loops, "_BOUND_MIN_ELEMENTS", 0)
+    solved = _count_columns(monkeypatch)
+    lognum = first_sweep_lognums(apg, apg.factor, walk.length, cands)
+    assert solved == [2]
+    assert lognum[0] == pytest.approx(np.log(3.0) / 2, abs=1e-15)  # b^T L^-1 b = 2
 
 
 def test_quad_forms_chunked_match_one_batch(rng, monkeypatch):
