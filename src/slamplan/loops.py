@@ -64,9 +64,12 @@ from .tsp import Walk
 
 _LOG_TOL = 0.0  # select only while log(delta) is strictly positive
 
-# Incidence entries materialized per chunk of candidates: 4e6 float64 is
-# 32 MB, and the triangular solve holds a second array of the same size.
-_CHUNK_ELEMENTS = 4_000_000
+# Incidence entries materialized per chunk of candidates: 2^19 float64 is
+# 4 MB, and the triangular solve holds a second array of the same size.
+# Kept below what every plan solves at once (at n=379, 1383 columns against
+# 2.0k-2.5k survivors), so that each plan's peak memory is one full chunk
+# and does not depend on how many columns a sweep happens to need.
+_CHUNK_ELEMENTS = 1 << 19
 
 # Relative slack on path resistances: on a pose pair joined by one path the
 # bound is tight, and rounding may put it a few ulps below the solved value.
@@ -201,16 +204,18 @@ def enumerate_candidates(apg: AbstractedPoseGraph, closure) -> CandidateSet:
 def quad_forms(factor: LaplacianFactor, cands: CandidateSet, idx=None) -> np.ndarray:
     """b^T L^{-1} b for the candidates at ``idx`` (default: all).
 
-    Incidence columns are built and solved one chunk at a time, so at most
-    ``_CHUNK_ELEMENTS`` of them exist at once.
+    Incidence columns are built and solved in near-equal chunks, so at
+    most ``_CHUNK_ELEMENTS`` of them exist at once and no chunk is a lone
+    column unless ``idx`` is.
     """
     if idx is None:
         idx = np.arange(len(cands))
     out = np.empty(len(idx))
     step = max(1, _CHUNK_ELEMENTS // max(factor.n, 1))
-    for lo in range(0, len(idx), step):
-        part = idx[lo : lo + step]
+    lo = 0
+    for part in np.array_split(idx, -(-len(idx) // step)) if len(idx) else ():
         out[lo : lo + len(part)] = factor.quad_form_batch(cands.incidence_matrix(part))
+        lo += len(part)
     return out
 
 

@@ -523,6 +523,18 @@ def test_quad_forms_chunked_match_one_batch(rng, monkeypatch):
     np.testing.assert_allclose(whole, single, rtol=1e-12)
 
 
+def test_quad_forms_chunks_are_near_equal(rng, monkeypatch):
+    g, mc, walk, apg, cands = random_instance(rng, 9, 10)
+    monkeypatch.setattr(loops, "_CHUNK_ELEMENTS", 3 * apg.n)  # 3 columns per chunk
+    solved = _count_columns(monkeypatch)
+    quad_forms(apg.factor, cands, np.arange(7))
+    assert solved == [3, 2, 2]  # not 3, 3 and a lone column
+    solved.clear()
+    quad_forms(apg.factor, cands, np.arange(1))
+    quad_forms(apg.factor, cands, np.arange(0))
+    assert solved == [1]
+
+
 def test_greedy_matches_brute_force(rng):
     done = 0
     while done < 25:
