@@ -47,6 +47,15 @@ def default_sigma() -> np.ndarray:
     return np.diag(DEFAULT_SIGMA_DIAG)
 
 
+def entries_close(a, b, atol: float) -> np.ndarray:
+    """Entrywise ``np.isclose(a, b, atol=atol)`` without its per-call
+    overhead: |a - b| <= atol + 1e-5 * |b| and ``b`` finite.  It differs
+    from ``np.isclose`` only where both hold the same infinity, which
+    ``np.isclose`` calls close and this does not."""
+    with np.errstate(invalid="ignore"):  # inf - inf
+        return (np.abs(a - b) <= atol + 1e-5 * np.abs(b)) & np.isfinite(b)
+
+
 def check_spd(mat: np.ndarray, what: str) -> np.ndarray:
     """Validate finiteness, symmetry and positive-definiteness; returns the
     matrix."""
@@ -56,15 +65,18 @@ def check_spd(mat: np.ndarray, what: str) -> np.ndarray:
 def check_spd_batch(mats, what) -> np.ndarray:
     """Validate a (k,3,3) stack of covariances at once; returns it as floats.
 
-    Each matrix must be finite, symmetric within 1e-12 and positive-definite.
-    The error names the first failing matrix, ``what(k)`` for row k, and
-    gives the first check it fails, in that order.
+    Each matrix must be finite, symmetric and positive-definite.  Symmetric
+    means ``entries_close(m, m.T, 1e-12)``: each entry lies within
+    1e-12 + 1e-5 * |mirror entry| of its mirror, so an off-diagonal pair of
+    1.0 and 1.000005 passes.  The error names the first failing matrix,
+    ``what(k)`` for row k, and gives the first check it fails, in that
+    order.
     """
     mats = np.asarray(mats, dtype=float)
     if mats.shape[1:] != (3, 3):
         raise CovarianceError(f"{what(0)}: covariance must be 3x3, got {mats.shape[1:]}")
     finite = np.isfinite(mats).all(axis=(1, 2))
-    symmetric = np.isclose(mats, mats.transpose(0, 2, 1), atol=1e-12).all(axis=(1, 2))
+    symmetric = entries_close(mats, mats.transpose(0, 2, 1), 1e-12).all(axis=(1, 2))
     definite = finite & symmetric
     try:
         np.linalg.cholesky(mats[definite])

@@ -10,8 +10,10 @@ have been seen, and edge covariances track their endpoint regions.  A
 revealed or tracked edge takes ``PriorGraph.pair_covs`` of its endpoints,
 the one endpoint-mean rule the planner's candidates use too.  The
 covariance updates are array operations over the prior's stacked (V,3,3)
-and (E,3,3) covariances that write, in one validated batch each, only the
-rows whose value is not already current.
+and (E,3,3) covariances: each visit makes at most two validated writes,
+one of region rows and one of edge rows, and each writes only the rows
+whose value is not already current.  The world's hidden edges are listed
+once per mission; a visit walks only the ones still pending.
 
 The shortest-path closure is cached per topology, so it is rebuilt only
 after connectivity is revealed.  After every loop-closing action the
@@ -36,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError
-from .graph import PriorGraph, metric_closure
+from .graph import PriorGraph, entries_close, metric_closure
 from .laplacian import log_det_from_scratch
 from .loops import abstract_pose_graph
 from .planner import STRATEGIES, compute_plan
@@ -57,13 +59,16 @@ _DEGENERACY_WINDOW = 5  # pose-graph edges averaged per covered region
 
 def _write_changed(stored, setter, rows, new) -> bool:
     """Write ``new`` to the ``rows`` of a covariance array whose stored value
-    is not already close to it; returns whether any were.  Close is
-    ``np.isclose``: every entry within 1e-15 + 1e-5 * |new|."""
+    is not already close to it, in one validated ``setter`` call; returns
+    whether any were.  Close is ``graph.entries_close``, which on the
+    finite stored rows equals ``np.isclose``: every entry within
+    1e-15 + 1e-5 * |new|."""
     rows = np.asarray(rows, dtype=np.intp)
-    stale = ~np.isclose(stored[rows], new, atol=1e-15).all(axis=(1, 2))
-    if stale.any():
-        setter(rows[stale], new[stale])
-    return bool(stale.any())
+    stale = ~entries_close(stored[rows], new, 1e-15).all(axis=(1, 2))
+    if not stale.any():
+        return False
+    setter(rows[stale], new[stale])
+    return True
 
 
 @dataclass
@@ -105,6 +110,7 @@ class Mission:
         self.log = MissionLog(seed=seed, strategy=self.config.strategy)
         self._closure = None
         self._subpath_topology = None  # topology at the last fix-up or plan load
+        self._pending = world.hidden_edges(self.prior)  # hidden edges not yet revealed
 
     # -- bookkeeping ----------------------------------------------------
 
@@ -135,11 +141,12 @@ class Mission:
     def degeneracy_update(self, vertex):
         """Refresh region matrices from nearby pose-graph edge covariances.
 
-        The covered vertex averages its nearest edges; vertices not yet
-        visited fall back to the average over all edges.  Edge covariances
-        then track their endpoint regions.  Each of the three steps is one
-        batched write of the rows whose value is not already current; when
-        none is, nothing is written and no event is emitted.
+        The covered vertex averages its nearest edges; the other vertices
+        not yet visited fall back to the average over all edges.  Edge
+        covariances then track their endpoint regions.  The region rows are
+        disjoint, so both go in one batched write, and the edge rows in a
+        second; each writes only the rows whose value is not already
+        current.  When none is, nothing is written and no event is emitted.
         """
         edges = self.runner.odometry + self.runner.loops
         if not edges:
@@ -152,12 +159,12 @@ class Mission:
         vi = prior.index[vertex]
         d2 = np.sum((mids - prior.positions[vi]) ** 2, axis=1)
         take = np.argsort(d2, kind="stable")[:_DEGENERACY_WINDOW]
-        changed = _write_changed(prior.region_covs, prior.set_region_covs,
-                                 [vi], covs[take].mean(axis=0)[None])
-        unvisited = [prior.index[v] for v in prior.ids if v not in self.visited]
-        changed |= _write_changed(
-            prior.region_covs, prior.set_region_covs, unvisited,
-            np.broadcast_to(covs.mean(axis=0), (len(unvisited), 3, 3)))
+        rows = [vi] + [i for i, v in enumerate(prior.ids)
+                       if i != vi and v not in self.visited]
+        new = np.empty((len(rows), 3, 3))
+        new[0] = covs[take].mean(axis=0)
+        new[1:] = covs.mean(axis=0)
+        changed = _write_changed(prior.region_covs, prior.set_region_covs, rows, new)
         means = prior.pair_covs(prior.edge_ends[:, 0], prior.edge_ends[:, 1])
         changed |= _write_changed(prior.edge_covs, prior.set_edge_covs,
                                   np.arange(len(means)), means)
@@ -165,14 +172,19 @@ class Mission:
             self._emit("degeneracy_update", vertex=vertex)
 
     def connectivity_update(self):
-        """Reveal hidden world edges whose endpoints are both visited."""
+        """Reveal, in world-edge order, the pending hidden edges whose
+        endpoints are both visited, and drop them from the pending list."""
         prior = self.prior
         added = []
-        for u, v, length in self.world.hidden_edges(prior):
+        pending = []
+        for u, v, length in self._pending:
             if u in self.visited and v in self.visited:
                 cov = prior.pair_covs(prior.index[u], prior.index[v])
                 prior.add_edge(u, v, length=length, cov=cov)
                 added.append([u, v])
+            else:
+                pending.append((u, v, length))
+        self._pending = pending
         if added:
             self._emit("connectivity_update", edges=added)
         return added

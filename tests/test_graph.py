@@ -1,19 +1,25 @@
 import json
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from slamplan import graph
 from slamplan.errors import CovarianceError, DisconnectedError, InputError
 from slamplan.graph import (
     DEFAULT_SIGMA_DIAG,
     PriorGraph,
     check_spd,
+    check_spd_batch,
     default_sigma,
     load_prior_graph,
     metric_closure,
     sigma_matrix,
 )
 from slamplan.laplacian import information_weights
+from slamplan.mission import _write_changed
 
 from conftest import random_connected_graph
 
@@ -324,3 +330,120 @@ def test_to_dict_round_trip(triangle):
     assert g2.num_edges() == triangle.num_edges()
     assert np.allclose(g2.edge_cov("a", "b"), triangle.edge_cov("a", "b"))
     assert np.allclose(g2.positions, triangle.positions)
+
+
+def test_symmetry_tolerance_is_relative():
+    # |m01 - m10| <= 1e-12 + 1e-5 * |m10|, so 1.0 against 1.000005 is
+    # symmetric and 1.0 against 1.00002 is not
+    mat = np.diag([3.0, 3.0, 3.0])
+    mat[0, 1], mat[1, 0] = 1.0, 1.000005
+    check_spd(mat, "test")
+    mat[1, 0] = 1.00002
+    with pytest.raises(CovarianceError, match="not symmetric"):
+        check_spd(mat, "test")
+
+
+# Lockstep with np.isclose: entries mix ordinary values, values at the
+# tolerance edge (and one or two ulps either side), zeros, subnormals,
+# infinities and NaN.  Each matrix or row draws one mode, so a stack holds
+# valid, borderline and broken members in varying mixes.
+_ORDINARY = st.floats(-1.0, 1.0)
+_SPECIAL = st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 1e-310, np.inf, -np.inf, np.nan])
+_ENTRY = st.one_of(_ORDINARY, _SPECIAL)
+_MODES = st.sampled_from(["same", "edge", "mixed"])
+
+
+def _near(draw, b, atol, mode):
+    """An entry equal to ``b`` ("same"), at np.isclose's tolerance edge
+    around ``b`` give or take up to two ulps ("edge"), or either of those
+    or an arbitrary entry ("mixed")."""
+    if mode == "mixed":
+        mode = draw(st.sampled_from(["same", "edge", "free"]))
+    if mode == "same":
+        return b
+    if mode == "free":
+        return draw(_ENTRY)
+    b = float(b)  # Python arithmetic: inf - inf is NaN without a warning
+    a = b + draw(st.sampled_from([-1.0, 1.0])) * (atol + 1e-5 * abs(b))
+    steps = draw(st.integers(-2, 2))
+    for _ in range(abs(steps)):
+        a = float(np.nextafter(a, np.copysign(np.inf, steps)))
+    return a
+
+
+@st.composite
+def _covariance_stacks(draw):
+    """(k,3,3) stacks whose off-diagonal pairs sit on or near the 1e-12
+    symmetry tolerance; diagonally dominant unless a mixed matrix draws
+    special entries, so most matrices are SPD when symmetric."""
+    mats = np.empty((draw(st.integers(1, 4)), 3, 3))
+    for m in mats:
+        mode = draw(_MODES)
+        entry = _ENTRY if mode == "mixed" else _ORDINARY
+        for i in range(3):
+            m[i, i] = draw(st.one_of(st.floats(3.0, 1e3), st.just(-1.0), _SPECIAL)
+                           if mode == "mixed" else st.floats(3.0, 1e3))
+        for i, j in ((0, 1), (0, 2), (1, 2)):
+            m[j, i] = draw(entry)
+            m[i, j] = _near(draw, m[j, i], 1e-12, mode)
+    return mats
+
+
+def _isclose_reference(a, b, atol):
+    return np.isclose(a, b, atol=atol)
+
+
+def _validated(mats):
+    """check_spd_batch's result, or its error message."""
+    try:
+        return check_spd_batch(mats, lambda k: f"row {k}")
+    except CovarianceError as exc:
+        return str(exc)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_covariance_stacks())
+def test_check_spd_batch_matches_isclose_reference(mats):
+    with mock.patch.object(graph, "entries_close", _isclose_reference):
+        want = _validated(mats.copy())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = _validated(mats.copy())
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert not isinstance(got, str) and np.array_equal(got, want)
+
+
+@st.composite
+def _stored_and_new(draw):
+    """A finite stored (k,3,3) stack, a permutation of its rows and new
+    values for them, each entry the same, arbitrary or at the 1e-15 edge."""
+    k = draw(st.integers(1, 4))
+    new = np.empty((k, 9))
+    stored = np.empty((k, 9))
+    for b, a in zip(new, stored):
+        mode = draw(_MODES)
+        b[:] = draw(st.lists(_ENTRY if mode == "mixed" else _ORDINARY,
+                             min_size=9, max_size=9))
+        a[:] = [_near(draw, x, 1e-15, mode) for x in b]
+    stored[~np.isfinite(stored)] = 0.0
+    rows = np.array(draw(st.permutations(range(k))), dtype=np.intp)
+    return stored.reshape(k, 3, 3), rows, new.reshape(k, 3, 3)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_stored_and_new())
+def test_write_changed_marks_isclose_stale_rows(case):
+    stored, rows, new = case
+    writes = []
+    changed = _write_changed(stored, lambda r, m: writes.append((r, m)), rows, new)
+    stale = ~np.isclose(stored[rows], new, atol=1e-15).all(axis=(1, 2))
+    assert changed == stale.any()
+    if stale.any():
+        [(written, mats)] = writes
+        assert np.array_equal(written, rows[stale])
+        assert np.array_equal(mats, new[stale], equal_nan=True)
+    else:
+        assert writes == []

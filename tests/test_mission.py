@@ -239,6 +239,31 @@ def test_connectivity_reveal_shortens_paths():
     assert np.allclose(expect, diagm(0.6))
 
 
+def test_connectivity_reveals_pending_edges_in_world_order(monkeypatch):
+    # visiting d makes both hidden edges revealable at once; the world lists
+    # b-d before a-d, and that order, not the sorted one, is kept
+    prior = chain_graph(4, ids=["a", "b", "c", "d"])
+    world_graph = load_prior_graph({
+        "vertices": [{"id": v, "x": float(k), "y": 0.0}
+                     for k, v in enumerate("abcd")],
+        "edges": [{"u": u, "v": v} for u, v in ("ab", "bc", "cd", "bd", "ad")],
+        "start": "a",
+    })
+    world = matched_world(world_graph)
+    listed = []
+    hidden_edges = WorldModel.hidden_edges
+    monkeypatch.setattr(WorldModel, "hidden_edges",
+                        lambda self, g: listed.append(g) or hidden_edges(self, g))
+    mission = Mission(prior, world, MissionConfig(), seed=0)
+    log, _ = mission.run()
+    reveals = [e["edges"] for e in log.events if e["event"] == "connectivity_update"]
+    assert reveals == [[["b", "d"], ["a", "d"]]]
+    assert [(u, v) for u, v, _ in mission.prior.edges[3:]] == [("b", "d"), ("a", "d")]
+    assert mission.prior.edge_length("a", "d") == pytest.approx(3.0)
+    assert mission.connectivity_update() == []
+    assert len(listed) == 1
+
+
 def test_replan_with_everything_visited():
     g = chain_graph(3)
     world = matched_world(g)
@@ -495,6 +520,36 @@ def test_batched_degeneracy_update_matches_per_item_reference(monkeypatch, name)
     reveals = sum(e["event"] == "connectivity_update" for e in log.events)
     assert rebuilds[0] == 0 and rebuilds == sorted(set(rebuilds))
     assert len(rebuilds) <= 1 + reveals
+
+
+class _CallCounted(_Recorded):
+    """Mission that counts, per arrival, the calls of each covariance
+    setter."""
+
+    def __init__(self, *args, **kwargs):
+        self.calls = [Counter()]  # before the first arrival, then one per arrival
+        super().__init__(*args, **kwargs)
+
+    def _counted(self, setter):
+        write = super()._counted(setter)
+
+        def call(idx, mats):
+            self.calls[-1][setter.__name__] += 1
+            write(idx, mats)
+        return call
+
+    def _arrive(self, v):
+        self.calls.append(Counter())
+        super()._arrive(v)
+
+
+@pytest.mark.parametrize("name", ["env1", "env2", "grid8-3", "grid8-4"])
+def test_each_arrival_writes_regions_and_edges_at_most_once(name):
+    prior, world = _lockstep_instance(name)
+    mission = _CallCounted(prior, world, MissionConfig(), seed=2)
+    mission.run()
+    for setter in ("set_region_covs", "set_edge_covs"):
+        assert max(calls[setter] for calls in mission.calls) == 1
 
 
 class _Pops(deque):
