@@ -66,9 +66,10 @@ _LOG_TOL = 0.0  # select only while log(delta) is strictly positive
 
 # Incidence entries materialized per chunk of candidates: 2^19 float64 is
 # 4 MB, and the triangular solve holds a second array of the same size.
-# Kept below what every plan solves at once (at n=379, 1383 columns against
-# 2.0k-2.5k survivors), so that each plan's peak memory is one full chunk
-# and does not depend on how many columns a sweep happens to need.
+# The first sweep solves its bound survivors at once (at n=379, 1.3k-2.7k
+# of them against 1383 columns a chunk) and the lazy sweeps far fewer, so a
+# plan's peak memory is at most one full chunk, however many columns a
+# sweep needs.
 _CHUNK_ELEMENTS = 1 << 19
 
 # Relative slack on path resistances: on a pose pair joined by one path the
@@ -295,6 +296,38 @@ def prune_candidates(factor: LaplacianFactor, d_tsp: float,
     return cands.subset(prune_mask(factor, d_tsp, cands))
 
 
+def _solve_columns(factor: LaplacianFactor, cands: CandidateSet, lognum, idx):
+    """Write the exact gain numerators of the candidates at ``idx`` into
+    ``lognum``.  A lone column is solved next to a copy of itself: a
+    one-column solve rounds differently from the same column inside a
+    batch."""
+    quad = quad_forms(factor, cands, np.resize(idx, max(len(idx), 2)))
+    lognum[idx] = log_gain_numerator(factor, cands.gamma[idx], quad[: len(idx)])
+
+
+def _solve_while_bound_wins(factor: LaplacianFactor, cands: CandidateSet, lognum,
+                            idx, bound, shift, best: float) -> np.ndarray:
+    """Solve the candidates at ``idx`` in descending-``bound`` batches while
+    the next bound is at least the best exact value so far.
+
+    A candidate's exact value is its numerator in ``lognum`` minus its
+    ``shift``; ``best`` starts the search.  The first batch holds
+    ``_CAP_BATCH`` columns and each next one twice as many, each cut where
+    its bounds fall below the best.  A bound equal to the best is solved,
+    so every candidate that may tie the best is exact.  Returns the solved
+    positions in ``idx``, a descending-bound prefix.
+    """
+    order = np.argsort(-bound, kind="stable")
+    done, step = 0, _CAP_BATCH
+    while done < len(order) and bound[order[done]] >= best:
+        part = order[done : done + step]
+        part = part[bound[part] >= best]
+        _solve_columns(factor, cands, lognum, idx[part])
+        best = max(best, float(np.max(lognum[idx[part]] - shift[part])))
+        done, step = done + len(part), 2 * step
+    return order[:done]
+
+
 def first_sweep_lognums(apg: AbstractedPoseGraph, factor: LaplacianFactor,
                         d_tsp: float, cands: CandidateSet) -> np.ndarray:
     """Gain numerators for the greedy's first prune test, exact only where
@@ -302,35 +335,22 @@ def first_sweep_lognums(apg: AbstractedPoseGraph, factor: LaplacianFactor,
 
     Candidates that pass ``prune_test`` on their path-resistance bound are
     solved exactly; they hold every survivor.  So that the detour cap is
-    exact too, candidates whose bound beats the best exact numerator so far
-    are solved in descending-bound batches, until the next bound cannot
-    beat it.  A lone column is solved next to a copy of itself: a one-column
-    solve rounds differently from the same column inside a batch.  Below
-    ``_BOUND_MIN_ELEMENTS`` every candidate is solved, without the bound.
+    exact too, candidates whose bound reaches the best exact numerator so
+    far are solved in descending-bound batches (``_solve_while_bound_wins``).
+    Below ``_BOUND_MIN_ELEMENTS`` every candidate is solved, without the
+    bound.
     """
     if factor.n * len(cands) < _BOUND_MIN_ELEMENTS:
         return log_gain_numerator(factor, cands.gamma, quad_forms(factor, cands))
     ub = path_resistance(apg, cands) * (1.0 + _BOUND_SLACK)
     bound = log_gain_numerator(factor, cands.gamma, ub)
     lognum = np.full(len(cands), -np.inf)
-
-    def solve(idx):
-        quad = quad_forms(factor, cands, np.resize(idx, max(len(idx), 2)))
-        lognum[idx] = log_gain_numerator(factor, cands.gamma[idx], quad[: len(idx)])
-
     keep = prune_test(d_tsp, cands.omega, bound)[2]
     if keep.any():
-        solve(np.flatnonzero(keep))
+        _solve_columns(factor, cands, lognum, np.flatnonzero(keep))
     rest = np.flatnonzero(~keep)
-    rest = rest[np.argsort(-bound[rest], kind="stable")]
-    best = np.max(lognum)
-    lo, step = 0, _CAP_BATCH
-    while lo < len(rest) and bound[rest[lo]] > best:
-        part = rest[lo : lo + step]
-        part = part[bound[part] > best]
-        solve(part)
-        best = max(best, np.max(lognum[part]))
-        lo, step = lo + step, 2 * step
+    _solve_while_bound_wins(factor, cands, lognum, rest, bound[rest],
+                            np.zeros(len(rest)), float(np.max(lognum)))
     return lognum
 
 
@@ -447,7 +467,15 @@ def score_from_scratch(apg: AbstractedPoseGraph, selected, d_tsp: float) -> floa
 
 @dataclass
 class GreedyTrace:
-    """Counts and per-iteration telemetry from one greedy run."""
+    """Counts and per-iteration telemetry from one greedy run.
+
+    ``after_omega_max`` and ``after_prop1`` count the first sweep's
+    candidates within the detour cap and those that pass the prune test.
+    ``per_iteration`` counts, per sweep, the candidates that pass the prune
+    test: on exact numerators in the first sweep and wherever every live
+    candidate is solved, and on stale ones in the lazy sweeps, so there it
+    can exceed the exact count.
+    """
 
     initial_candidates: int
     after_omega_max: int
@@ -469,12 +497,23 @@ def greedy_select(apg: AbstractedPoseGraph, cands: CandidateSet, walk: Walk,
     """Iterative best-gain selection with optional candidate pruning.
 
     With pruning on, each iteration refreshes the distance cap and the
-    per-candidate test using the current factor before picking the best
-    survivor; the selected sequence is identical either way because
-    filtered candidates provably have delta <= 1.  The first sweep puts the
-    path-resistance bound in front of both (``first_sweep_lognums``), so
-    only bound survivors and the candidates the exact cap needs are solved;
-    its survivors, cap and numerators are those of solving every candidate.
+    per-candidate test before picking the best survivor; the selected
+    sequence is identical either way because filtered candidates provably
+    have delta <= 1.  The first sweep puts the path-resistance bound in
+    front of both (``first_sweep_lognums``), so only bound survivors and
+    the candidates the exact cap needs are solved; its survivors, cap and
+    numerators are those of solving every candidate.
+
+    Later sweeps are lazy (Minoux 1978).  A selection only adds
+    information, so each candidate's last exact numerator bounds its
+    current one: the prune test runs on these stale numerators, which
+    keeps every candidate the exact test keeps, and stale numerator minus
+    the current distance term bounds the log gain.  Only candidates whose
+    bound reaches the best exact log gain are solved.  Sweeps solve every
+    live candidate below ``_BOUND_MIN_ELEMENTS``, and once the plan is
+    longer than twice the tour: past that, a candidate that fails the
+    prune test on its exact numerator can still gain, and a stale
+    numerator would keep it where a solved one drops it.
     Ties in the gain break toward the smallest (i, j).
     """
     factor = apg.factor.copy()
@@ -490,28 +529,36 @@ def greedy_select(apg: AbstractedPoseGraph, cands: CandidateSet, walk: Walk,
     if m == 0:
         plan = insert_loop_edges(apg, walk, selected, closure, log_j)
         return GreedyResult(selected, plan, trace, log_j)
+    bounded = pruning and factor.n * m >= _BOUND_MIN_ELEMENTS
+    # each candidate's last exact gain numerator
+    lognum = first_sweep_lognums(apg, factor, d_tsp, cands) if pruning else np.empty(m)
     alive = np.ones(m, dtype=bool)
     first = True
     while alive.any():
         idx = np.flatnonzero(alive)
-        if pruning and first:
-            lognum = first_sweep_lognums(apg, factor, d_tsp, cands)
-        else:
+        lazy = bounded and not first and d_cur <= 2.0 * d_tsp
+        if not lazy and not (pruning and first):
             quad = quad_forms(factor, cands, idx)
-            lognum = log_gain_numerator(factor, cands.gamma[idx], quad)
+            lognum[idx] = log_gain_numerator(factor, cands.gamma[idx], quad)
         if pruning:
-            _, within_cap, keep = prune_test(d_tsp, cands.omega[idx], lognum)
+            _, within_cap, keep = prune_test(d_tsp, cands.omega[idx], lognum[idx])
             if first:
                 trace.after_omega_max = int(within_cap.sum())
                 trace.after_prop1 = int(keep.sum())
             alive[idx[~keep]] = False
             idx = idx[keep]
-            lognum = lognum[keep]
             if len(idx) == 0:
                 break
         first = False
         trace.per_iteration.append(len(idx))
-        log_delta = lognum - np.log1p(2.0 * cands.omega[idx] / d_cur)
+        den = np.log1p(2.0 * cands.omega[idx] / d_cur)
+        if lazy:
+            solved = np.sort(_solve_while_bound_wins(
+                factor, cands, lognum, idx, lognum[idx] - den, den, _LOG_TOL))
+            if len(solved) == 0:
+                break
+            idx, den = idx[solved], den[solved]
+        log_delta = lognum[idx] - den
         best = int(np.argmax(log_delta))  # first max: smallest (i, j) on ties
         if log_delta[best] <= _LOG_TOL:
             break

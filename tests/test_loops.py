@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from slamplan import loops
 from slamplan.bench import GridGraphSpec, gen_grid_graph
@@ -7,6 +8,7 @@ from slamplan.errors import MismatchError, SizeLimitError
 from slamplan.graph import load_prior_graph, metric_closure
 from slamplan.laplacian import LaplacianFactor, incidence_column, information_weights
 from slamplan.loops import (
+    GreedyTrace,
     LoopEdgeCandidate,
     abstract_pose_graph,
     brute_force_select,
@@ -343,17 +345,16 @@ def test_greedy_incremental_consistency(rng):
         done += 1
 
 
-def test_greedy_pruning_equivalence(rng):
+def test_greedy_pruning_equivalence(rng, monkeypatch):
+    # Bit for bit, with the lazy sweeps forced on: pruning only saves solves.
+    monkeypatch.setattr(loops, "_BOUND_MIN_ELEMENTS", 0)
     for _ in range(50):
         g, mc, walk, apg, cands = random_instance(rng)
         with_p = greedy_select(apg, cands, walk, mc, pruning=True)
         without = greedy_select(apg, cands, walk, mc, pruning=False)
-        seq_p = [(c.i, c.j) for c in with_p.selected]
-        seq_n = [(c.i, c.j) for c in without.selected]
-        assert seq_p == seq_n
-        assert with_p.log_objective == pytest.approx(
-            without.log_objective, abs=1e-12
-        )
+        assert with_p.selected == without.selected
+        assert with_p.trace.selections == without.trace.selections
+        assert with_p.log_objective == without.log_objective
 
 
 def test_greedy_trace_monotone_chain(rng):
@@ -508,6 +509,132 @@ def test_first_sweep_pads_a_lone_column(monkeypatch):
     lognum = first_sweep_lognums(apg, apg.factor, walk.length, cands)
     assert solved == [2]
     assert lognum[0] == pytest.approx(np.log(3.0) / 2, abs=1e-15)  # b^T L^-1 b = 2
+
+
+def _eager_greedy(apg, cands, walk):
+    """Reference: the pruned greedy before lazy sweeps, which solves every
+    live candidate on every sweep.  Returns (selected, trace, log objective)."""
+    factor = apg.factor.copy()
+    d_tsp = d_cur = walk.length
+    m = len(cands)
+    trace = GreedyTrace(m, m, m)
+    selected = []
+    log_j = factor.log_dopt() - float(np.log(d_tsp))
+    alive = np.ones(m, dtype=bool)
+    first = True
+    while alive.any():
+        idx = np.flatnonzero(alive)
+        if first:
+            lognum = first_sweep_lognums(apg, factor, d_tsp, cands)
+        else:
+            quad = quad_forms(factor, cands, idx)
+            lognum = log_gain_numerator(factor, cands.gamma[idx], quad)
+        _, within_cap, keep = prune_test(d_tsp, cands.omega[idx], lognum)
+        if first:
+            trace.after_omega_max = int(within_cap.sum())
+            trace.after_prop1 = int(keep.sum())
+        alive[idx[~keep]] = False
+        idx = idx[keep]
+        lognum = lognum[keep]
+        if len(idx) == 0:
+            break
+        first = False
+        trace.per_iteration.append(len(idx))
+        log_delta = lognum - np.log1p(2.0 * cands.omega[idx] / d_cur)
+        best = int(np.argmax(log_delta))
+        if log_delta[best] <= 0.0:
+            break
+        k = int(idx[best])
+        cand = cands.candidate(k)
+        factor.rank_one_update(cand.gamma, incidence_column(apg.n, cand.i, cand.j))
+        d_cur += 2.0 * cand.omega
+        log_j += float(log_delta[best])
+        selected.append(cand)
+        trace.selections.append((cand.i, cand.j, float(log_delta[best])))
+        alive[k] = False
+    return selected, trace, log_j
+
+
+def _assert_lockstep(lazy, eager):
+    selected, trace, log_j = eager
+    assert lazy.selected == selected
+    assert lazy.trace.selections == trace.selections  # log-delta bits too
+    assert lazy.log_objective == log_j
+    assert lazy.trace.after_omega_max == trace.after_omega_max
+    assert lazy.trace.after_prop1 == trace.after_prop1
+    # the stale prune keeps every candidate the exact one keeps
+    assert lazy.trace.per_iteration[:1] == trace.per_iteration[:1]
+    assert all(a >= b for a, b in zip(lazy.trace.per_iteration, trace.per_iteration))
+
+
+@pytest.mark.parametrize("size,seed", [(10, 0), (10, 1), (15, 0), (15, 1),
+                                       (20, 0), (20, 1)])
+def test_lazy_greedy_lockstep_on_grids(monkeypatch, size, seed):
+    g = gen_grid_graph(GridGraphSpec(width=size, height=size, seed=seed))
+    mc, walk, apg, cands = pipeline(g)
+    assert apg.n * len(cands) >= loops._BOUND_MIN_ELEMENTS
+    solved = _count_columns(monkeypatch)
+    first_sweep_lognums(apg, apg.factor, walk.length, cands)
+    first = sum(solved)
+    solved.clear()
+    lazy = greedy_select(apg, cands, walk, mc)
+    lazy_later = sum(solved) - first
+    solved.clear()
+    eager = _eager_greedy(apg, cands, walk)
+    eager_later = sum(solved) - first
+    assert len(lazy.selected) >= 9
+    _assert_lockstep(lazy, eager)
+    # Later sweeps solve 8-15% of the eager loop's columns on these grids;
+    # bounds left at their first-sweep values solve 36-69%.
+    assert lazy_later <= eager_later / 4
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(4, 40),
+       extra=st.sampled_from([0.0, 0.1, 0.3, 0.6]), unit_lengths=st.booleans(),
+       scale=st.sampled_from([1.0, 1000.0]), covs=st.sampled_from(["unit", "random"]),
+       first_batch=st.sampled_from([1, 64]))
+def test_lazy_greedy_matches_eager(seed, n, extra, unit_lengths, scale, covs,
+                                   first_batch):
+    # Tied lengths and unit covariances make ties in the gain, which the
+    # lazy sweeps must break as the eager loop does; 1000 m cells keep the
+    # gains small against the detours.  One-column first batches put ties
+    # and lone columns at batch edges.
+    rng = np.random.default_rng(seed)
+    g = random_connected_graph(rng, n, extra_edge_prob=extra,
+                               unit_lengths=unit_lengths, scale=scale)
+    (unitize if covs == "unit" else lambda h: randomize_covs(rng, h))(g)
+    mc, walk, apg, cands = pipeline(g)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(loops, "_BOUND_MIN_ELEMENTS", 0)
+        m.setattr(loops, "_CAP_BATCH", first_batch)
+        lazy = greedy_select(apg, cands, walk, mc)
+        _assert_lockstep(lazy, _eager_greedy(apg, cands, walk))
+
+
+def test_lazy_solve_reaches_a_tied_bound(monkeypatch):
+    # A bound equal to the best exact gain is solved: its candidate may tie
+    # the best with a smaller (i, j), which the greedy must then pick.  On
+    # a star every leaf pair has b^T L^-1 b = 2 exactly.
+    g = unitize(load_prior_graph({
+        "vertices": [{"id": v, "x": float(k), "y": 0.0} for k, v in enumerate("abcd")],
+        "edges": [{"u": "a", "v": v, "length": 1.0} for v in "bcd"],
+        "start": "a",
+    }))
+    mc = metric_closure(g)
+    walk = Walk(["a", "b", "a", "c", "a", "d"], 5.0)
+    apg = abstract_pose_graph(walk, g)
+    cands = enumerate_candidates(apg, mc)
+    exact = _solve_everything(apg, apg.factor, walk.length, cands)
+    assert len(cands) == 3 and exact[0] == exact[1]
+    monkeypatch.setattr(loops, "_CAP_BATCH", 1)
+    lognum = np.full(3, -np.inf)
+    idx = np.array([0, 1])
+    bound = exact[idx] + [0.0, 1.0]  # candidate 1 first; 0's bound is exact
+    solved = loops._solve_while_bound_wins(apg.factor, cands, lognum, idx, bound,
+                                           np.zeros(2), -np.inf)
+    assert solved.tolist() == [1, 0]
+    assert np.array_equal(lognum[idx], exact[idx])
 
 
 def test_quad_forms_chunked_match_one_batch(rng, monkeypatch):
