@@ -301,7 +301,7 @@ def _solve_columns(factor: LaplacianFactor, cands: CandidateSet, lognum, idx):
     ``lognum``.  A lone column is solved next to a copy of itself: a
     one-column solve rounds differently from the same column inside a
     batch."""
-    quad = quad_forms(factor, cands, np.resize(idx, max(len(idx), 2)))
+    quad = quad_forms(factor, cands, np.resize(idx, 2) if len(idx) == 1 else idx)
     lognum[idx] = log_gain_numerator(factor, cands.gamma[idx], quad[: len(idx)])
 
 
@@ -340,11 +340,12 @@ def first_sweep_lognums(apg: AbstractedPoseGraph, factor: LaplacianFactor,
     Below ``_BOUND_MIN_ELEMENTS`` every candidate is solved, without the
     bound.
     """
+    lognum = np.full(len(cands), -np.inf)
     if factor.n * len(cands) < _BOUND_MIN_ELEMENTS:
-        return log_gain_numerator(factor, cands.gamma, quad_forms(factor, cands))
+        _solve_columns(factor, cands, lognum, np.arange(len(cands)))
+        return lognum
     ub = path_resistance(apg, cands) * (1.0 + _BOUND_SLACK)
     bound = log_gain_numerator(factor, cands.gamma, ub)
-    lognum = np.full(len(cands), -np.inf)
     keep = prune_test(d_tsp, cands.omega, bound)[2]
     if keep.any():
         _solve_columns(factor, cands, lognum, np.flatnonzero(keep))
@@ -538,8 +539,7 @@ def greedy_select(apg: AbstractedPoseGraph, cands: CandidateSet, walk: Walk,
         idx = np.flatnonzero(alive)
         lazy = bounded and not first and d_cur <= 2.0 * d_tsp
         if not lazy and not (pruning and first):
-            quad = quad_forms(factor, cands, idx)
-            lognum[idx] = log_gain_numerator(factor, cands.gamma[idx], quad)
+            _solve_columns(factor, cands, lognum, idx)
         if pruning:
             _, within_cap, keep = prune_test(d_tsp, cands.omega[idx], lognum[idx])
             if first:

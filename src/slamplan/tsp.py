@@ -11,12 +11,17 @@ The heuristic solver seeds with nearest-neighbor construction from several
 distinct second vertices and polishes with best-improvement 2-opt
 reversals and or-opt segment relocations.  Each pass evaluates every move
 at once on one copy of the closure block taken in tour order, kept current
-across reversals.  An exact Held-Karp dynamic program covers small
-instances and serves as the reference oracle.
+across reversals.  Above a size gate the restarts run on one thread per
+usable core; their results are reduced in restart order, so the tour is
+the same on any number of cores.  An exact Held-Karp dynamic program
+covers small instances and serves as the reference oracle.
 """
 
 from __future__ import annotations
 
+import os
+import queue
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +30,10 @@ from .errors import InputError, SizeLimitError
 
 _EXACT_LIMIT = 14
 _TOL = 1e-9
+# Closure entries (open tours count their free terminal) from which the
+# restarts run on threads: below it, thread start-up and contention for the
+# interpreter lock cost more than the second core saves.
+_THREAD_MIN_ELEMENTS = 32_000
 
 
 @dataclass
@@ -88,48 +97,55 @@ def _nn_seed(dist: np.ndarray, second: int | None, skip) -> list:
     return order
 
 
-def _best_reversal(P: np.ndarray, mask: np.ndarray):
+def _best_reversal(P: np.ndarray, lower: np.ndarray, scratch: np.ndarray):
     """Positions (i, j) of the best-scoring reversal of order[i..j], or None.
 
     ``P`` is the cost block in tour order, ``P[a, b] = dist[order[a],
-    order[b]]``; endpoints stay pinned.  ``mask`` is the (m-2, m-2) 0/inf
-    lower triangle that rules out empty and backwards segments.  A move is
+    order[b]]``; endpoints stay pinned.  ``lower`` is the (m-2, m-2) boolean
+    lower triangle that rules out empty and backwards segments, and the
+    scores are written into the front of the flat ``scratch``.  A move is
     scored on its two new legs alone, as if the reversed segment cost the
     same in both directions.
     """
+    k = len(lower)
     sup = np.diagonal(P, 1)  # sup[r] = P[r, r + 1], the current legs
-    delta = P[:-2, 1:-1] + P[2:, 1:-1].T
+    delta = np.add(P[:-2, 1:-1], P[2:, 1:-1].T, out=scratch[: k * k].reshape(k, k))
     delta -= sup[:-1, None]
     delta -= sup[None, 1:]
-    delta += mask
+    np.copyto(delta, np.inf, where=lower)
     flat = int(np.argmin(delta))
-    a, b = divmod(flat, delta.shape[1])
+    a, b = divmod(flat, k)
     if delta[a, b] >= -_TOL:
         return None
     return a + 1, b + 1
 
 
-def _best_relocation(P: np.ndarray, order: np.ndarray, mask: np.ndarray):
+def _best_relocation(P: np.ndarray, order: np.ndarray, lower: np.ndarray,
+                     scratch: np.ndarray):
     """The tour after the best forward relocation of a 1-3 vertex segment.
 
-    Reads the tour-ordered block ``P`` and the mask of ``_best_reversal``;
-    returns None when no relocation scores below the tolerance.
+    Reads the tour-ordered block ``P``, the triangle of ``_best_reversal``
+    and its ``scratch``; returns None when no relocation scores below the
+    tolerance.
     """
     m = len(order)
+    k = m - 2
     sup = np.diagonal(P, 1)
     best = (-_TOL, None)
     for seg in (1, 2, 3):
-        if m - 2 < seg + 1:
+        if k < seg + 1:
             continue
         # segment occupies positions [s, s+seg-1] for s in 1..m-seg-1;
         # slot t inserts it between positions t and t+1 for t in 1..m-2
-        gain = sup[: m - seg - 1] + sup[seg:] - np.diagonal(P, seg + 1)
-        ins = P[1:-1, 1 : m - seg].T + P[seg:-1, 2:]
-        ins -= sup[None, 1:]
-        delta = ins - gain[:, None]
-        delta += mask[seg - 1 :]  # inf where slot t < s + seg
+        rows = m - seg - 1
+        gain = sup[:rows] + sup[seg:] - np.diagonal(P, seg + 1)
+        delta = np.add(P[1:-1, 1 : m - seg].T, P[seg:-1, 2:],
+                       out=scratch[: rows * k].reshape(rows, k))
+        delta -= sup[None, 1:]
+        delta -= gain[:, None]
+        np.copyto(delta, np.inf, where=lower[seg - 1 :])  # slot t < s + seg
         flat = int(np.argmin(delta))
-        a, b = divmod(flat, m - 2)
+        a, b = divmod(flat, k)
         if delta[a, b] < best[0]:
             best = (delta[a, b], (a + 1, seg, b + 1))
     if best[1] is None:
@@ -144,23 +160,31 @@ def _best_relocation(P: np.ndarray, order: np.ndarray, mask: np.ndarray):
 def _improve(dist: np.ndarray, order: list) -> np.ndarray:
     """2-opt to a local optimum, then one or-opt move, until neither helps.
 
-    Both searches read the closure block gathered in tour order once per
-    2-opt round, never assuming it is bitwise symmetric.  A move is taken
-    only if the tour's summed length strictly falls, so no tour repeats and
-    the search ends for any costs at any scale.  On closure blocks, whose
-    asymmetry is only rounding, every move that scores below the tolerance
-    passes that test; on clearly asymmetric costs a reversal may not, and
-    then the 2-opt round ends there.
+    ``order`` visits every vertex of ``dist`` once.  Both searches read the
+    closure block gathered in tour order once per 2-opt round, never
+    assuming it is bitwise symmetric.  A move is taken only if the tour's
+    summed length strictly falls, so no tour repeats and the search ends
+    for any costs at any scale.  On closure blocks, whose asymmetry is only
+    rounding, every move that scores below the tolerance passes that test;
+    on clearly asymmetric costs a reversal may not, and then the 2-opt
+    round ends there.
+
+    The block and one flat scratch of the same size, which stages each
+    gather and holds every move's scores, are the only (m, m) arrays a call
+    keeps, so a restart on another thread keeps a small heap.
     """
     arr = np.asarray(order, dtype=np.int64)
-    k = len(arr) - 2
-    if k < 2:
+    m = len(arr)
+    if m < 4:
         return arr  # no reversal or relocation fits between pinned ends
-    mask = np.where(np.tri(k, dtype=bool), np.inf, 0.0)
+    lower = np.tri(m - 2, dtype=bool)
+    P = np.empty((m, m))
+    scratch = np.empty(m * m)
     length = _route_length(dist, arr)
     while True:
-        P = dist[np.ix_(arr, arr)]
-        while (move := _best_reversal(P, mask)) is not None:
+        rows = np.take(dist, arr, axis=0, out=scratch.reshape(m, m), mode="clip")
+        np.take(rows, arr, axis=1, out=P, mode="clip")  # "clip": no buffered copy
+        while (move := _best_reversal(P, lower, scratch)) is not None:
             i, j = move
             cand = arr.copy()
             cand[i : j + 1] = cand[i : j + 1][::-1]
@@ -170,7 +194,7 @@ def _improve(dist: np.ndarray, order: list) -> np.ndarray:
             arr, length = cand, cand_length
             P[i : j + 1] = P[i : j + 1][::-1]
             P[:, i : j + 1] = P[:, i : j + 1][:, ::-1]
-        cand = _best_relocation(P, arr, mask)
+        cand = _best_relocation(P, arr, lower, scratch)
         if cand is None:
             return arr
         cand_length = _route_length(dist, cand)
@@ -196,6 +220,60 @@ def _seed_seconds(sym: np.ndarray, restarts, skip) -> list:
     return [int(s) for s in nearest]
 
 
+def _usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _best_of_restarts(dist: np.ndarray, seeds: list, n: int) -> tuple[list, float]:
+    """The shortest of the ``seeds`` after ``_improve``, over its first ``n``
+    vertices (an open tour's free terminal, pinned at index n, is dropped).
+
+    From ``_THREAD_MIN_ELEMENTS`` entries of ``dist`` up, the seeds are
+    shared out to one thread per usable core, at most one per seed, the
+    calling thread among them; a restart's numpy work releases the
+    interpreter lock.  Results are taken in seed order and a later one wins
+    only if shorter by more than the tolerance, so the tour does not depend
+    on the thread count.  Once every thread is joined, the error of the
+    first seed that failed, in seed order, is raised.
+    """
+    polished = [None] * len(seeds)
+    todo = queue.SimpleQueue()
+    for k in range(len(seeds)):
+        todo.put(k)
+
+    def polish():
+        while True:
+            try:
+                k = todo.get_nowait()
+            except queue.Empty:
+                return
+            try:
+                polished[k] = _improve(dist, seeds[k])
+            except Exception as exc:  # raised below, in seed order
+                polished[k] = exc
+
+    workers = min(len(seeds), _usable_cores()) if dist.size >= _THREAD_MIN_ELEMENTS else 1
+    threads = [threading.Thread(target=polish, daemon=True) for _ in range(workers - 1)]
+    for t in threads:
+        t.start()
+    try:
+        polish()
+    finally:
+        for t in threads:
+            t.join()
+    best_order, best_len = None, np.inf
+    for arr in polished:
+        if isinstance(arr, Exception):
+            raise arr
+        length = _route_length(dist, arr[:n])
+        if length < best_len - _TOL:
+            best_order, best_len = [int(v) for v in arr[:n]], length
+    return best_order, best_len
+
+
 def _solve_open_indices(sym: np.ndarray, restarts: int) -> tuple[list, float]:
     n = sym.shape[0]
     seconds = _seed_seconds(sym, restarts, skip=(0,))
@@ -203,14 +281,7 @@ def _solve_open_indices(sym: np.ndarray, restarts: int) -> tuple[list, float]:
         return [0], 0.0
     aug = np.zeros((n + 1, n + 1))
     aug[:n, :n] = sym  # index n: free terminal of the open tour
-    best_order, best_len = None, np.inf
-    for second in seconds:
-        seed = _nn_seed(sym, second, ()) + [n]
-        arr = _improve(aug, seed)
-        length = _route_length(sym, arr[:-1])
-        if length < best_len - _TOL:
-            best_order, best_len = [int(v) for v in arr[:-1]], length
-    return best_order, best_len
+    return _best_of_restarts(aug, [_nn_seed(sym, s, ()) + [n] for s in seconds], n)
 
 
 def _solve_fixed_end_indices(sym: np.ndarray, end: int, restarts: int) -> tuple[list, float]:
@@ -220,14 +291,7 @@ def _solve_fixed_end_indices(sym: np.ndarray, end: int, restarts: int) -> tuple[
     seconds = _seed_seconds(sym, restarts, skip=(0, end))
     if n == 2:
         return [0, 1], float(sym[0, 1])
-    best_order, best_len = None, np.inf
-    for second in seconds:
-        seed = _nn_seed(sym, second, (end,)) + [end]
-        arr = _improve(sym, seed)
-        length = _route_length(sym, arr)
-        if length < best_len - _TOL:
-            best_order, best_len = [int(v) for v in arr], length
-    return best_order, best_len
+    return _best_of_restarts(sym, [_nn_seed(sym, s, (end,)) + [end] for s in seconds], n)
 
 
 def _held_karp(dist: np.ndarray, end: int | None) -> tuple[list, float]:

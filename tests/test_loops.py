@@ -511,6 +511,23 @@ def test_first_sweep_pads_a_lone_column(monkeypatch):
     assert lognum[0] == pytest.approx(np.log(3.0) / 2, abs=1e-15)  # b^T L^-1 b = 2
 
 
+def test_unbounded_sweeps_pad_a_lone_column(monkeypatch):
+    # Below the bound's gate, and in the eager greedy, a lone live
+    # candidate is padded as in the bounded and lazy sweeps.
+    g = triangle_unit(ac_length=0.2)
+    mc = metric_closure(g)
+    walk = Walk(["a", "b", "c"], 2.0)
+    apg = abstract_pose_graph(walk, g)
+    cands = enumerate_candidates(apg, mc)
+    assert apg.factor.n * len(cands) < loops._BOUND_MIN_ELEMENTS
+    solved = _count_columns(monkeypatch)
+    first_sweep_lognums(apg, apg.factor, walk.length, cands)
+    assert solved == [2]
+    solved.clear()
+    result = greedy_select(apg, cands, walk, mc, pruning=False)
+    assert result.selected and solved == [2]
+
+
 def _eager_greedy(apg, cands, walk):
     """Reference: the pruned greedy before lazy sweeps, which solves every
     live candidate on every sweep.  Returns (selected, trace, log objective)."""
