@@ -22,7 +22,14 @@ import numpy as np
 
 from .errors import InputError, MismatchError
 from .graph import PriorGraph, metric_closure
-from .loops import abstract_pose_graph, enumerate_candidates, greedy_select
+from .loops import (
+    abstract_pose_graph,
+    enumerate_candidates,
+    greedy_select,
+    log_gain_numerator,
+    prune_test,
+    quad_forms,
+)
 from .mission import MissionConfig, run_mission
 from .planner import STRATEGIES
 from .sim import WorldModel
@@ -169,14 +176,22 @@ class PruneReport:
 def bench_prune(graph: PriorGraph, restarts: int = 8) -> PruneReport:
     """Run greedy selection twice and verify pruning changes nothing.
 
-    A selection mismatch is raised as an error: the filters are meant to
-    be lossless, so disagreement is a soundness bug, not a data point.
+    The survivor counts are those of the exact prune test on every
+    candidate, solved before the timed runs.  A selection mismatch is
+    raised as an error: the filters are meant to be lossless, so
+    disagreement is a soundness bug, not a data point.
     """
     closure = metric_closure(graph)
     tour = solve_open_tsp(TourCosts(closure), restarts)
     walk = expand_to_walk(closure, tour.order)
     apg = abstract_pose_graph(walk, graph)
     cands = enumerate_candidates(apg, closure)
+    within_cap = kept = 0
+    if len(cands):
+        lognum = log_gain_numerator(apg.factor, cands.gamma,
+                                    quad_forms(apg.factor, cands))
+        _, within, keep = prune_test(walk.length, cands.omega, lognum)
+        within_cap, kept = int(within.sum()), int(keep.sum())
     t0 = time.perf_counter()
     pruned = greedy_select(apg, cands, walk, closure, pruning=True)
     t1 = time.perf_counter()
@@ -192,9 +207,9 @@ def bench_prune(graph: PriorGraph, restarts: int = 8) -> PruneReport:
     return PruneReport(
         num_vertices=len(graph),
         num_candidates=total,
-        after_omega_max=pruned.trace.after_omega_max,
-        after_prop1=pruned.trace.after_prop1,
-        ratio=pruned.trace.after_prop1 / total if total else 0.0,
+        after_omega_max=within_cap,
+        after_prop1=kept,
+        ratio=kept / total if total else 0.0,
         selected=len(pruned.selected),
         t_prune=t1 - t0,
         t_no_prune=t2 - t1,

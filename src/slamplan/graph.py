@@ -252,9 +252,6 @@ class PriorGraph:
         matrices."""
         return 0.5 * (self.region_covs[a] + self.region_covs[b])
 
-    def neighbors(self, u):
-        return self.adjacency[u].keys()
-
     # -- online updates --------------------------------------------------
 
     def add_edge(self, u, v, length=None, cov=None):

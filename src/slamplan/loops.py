@@ -16,19 +16,19 @@ greedily: each iteration adds the candidate whose multiplicative gain
 
     delta = (1 + gamma * b^T L^{-1} b)^(1/n) / (1 + 2 omega / d_current)
 
-is largest, while delta > 1.  Three sound filters shrink the candidate
-set: a distance cap omega_max (no candidate farther than it can ever gain),
-a per-candidate test comparing the numerator term against 1 + omega/d_tsp,
-and, in front of both on the greedy's first sweep, a path-resistance bound.
-The first two rely on d(plan) <= 2 d_tsp, which is audited on every plan.
+is largest, while delta > 1.  Two sound filters shrink the candidate set:
+a distance cap omega_max (no candidate farther than it can ever gain) and
+a per-candidate test comparing the numerator term against 1 + omega/d_tsp.
+Both rely on d(plan) <= 2 d_tsp, which is audited on every plan.
 
-The bound reads each factor of weight gamma as a conductance, so that
-b^T L^{-1} b is the effective resistance between the candidate's poses.
-By Rayleigh monotonicity that is at most the resistance 1/gamma summed
-along any path between them (Doyle & Snell 1984), and one shortest-path
-pass gives it for every candidate.  A candidate that fails the prune test
-on its bound fails it on its exact value too, so it is dropped without a
-triangular solve.
+The greedy runs them on upper bounds of the numerators, which it solves
+only where a bound can still win.  Before the first solve the bound is a
+path resistance: read each factor of weight gamma as a conductance, so
+that b^T L^{-1} b is the effective resistance between the candidate's
+poses.  By Rayleigh monotonicity that is at most the resistance 1/gamma
+summed along any path between them (Doyle & Snell 1984), and one
+shortest-path pass gives it for every candidate.  After a solve the
+bound is the last solved value, since a selection only adds information.
 
 Every factor weight, walk edge or candidate, is ``information_weights``
 of a covariance: a walk edge's prior covariance, or for a candidate the
@@ -66,23 +66,20 @@ _LOG_TOL = 0.0  # select only while log(delta) is strictly positive
 
 # Incidence entries materialized per chunk of candidates: 2^19 float64 is
 # 4 MB, and the triangular solve holds a second array of the same size.
-# The first sweep solves its bound survivors at once (at n=379, 1.3k-2.7k
-# of them against 1383 columns a chunk) and the lazy sweeps far fewer, so a
-# plan's peak memory is at most one full chunk, however many columns a
-# sweep needs.
+# A plan's peak memory is at most one full chunk (1383 columns at n=379),
+# however many columns a sweep needs.
 _CHUNK_ELEMENTS = 1 << 19
 
 # Relative slack on path resistances: on a pose pair joined by one path the
 # bound is tight, and rounding may put it a few ulps below the solved value.
 _BOUND_SLACK = 1e-9
 
-# Columns in the first batch of the exact detour-cap check; each next batch
-# is twice as large.
-_CAP_BATCH = 64
+# Columns in a lazy sweep's first batch; each next batch is twice as large.
+_LAZY_BATCH = 64
 
-# Below this many incidence entries (poses x candidates) the first sweep
-# solves every candidate: that costs less than the shortest-path pass and
-# its set-up (at 33 poses and 528 candidates, 0.18 against 0.5 ms).
+# Below this many incidence entries (poses x candidates) every sweep solves
+# every live candidate: that costs less than the shortest-path pass and its
+# set-up (at 33 poses and 528 candidates, 0.18 against 0.5 ms).
 _BOUND_MIN_ELEMENTS = 50_000
 
 
@@ -306,53 +303,26 @@ def _solve_columns(factor: LaplacianFactor, cands: CandidateSet, lognum, idx):
 
 
 def _solve_while_bound_wins(factor: LaplacianFactor, cands: CandidateSet, lognum,
-                            idx, bound, shift, best: float) -> np.ndarray:
-    """Solve the candidates at ``idx`` in descending-``bound`` batches while
-    the next bound is at least the best exact value so far.
+                            idx, den) -> np.ndarray:
+    """Solve the candidates at ``idx`` in descending order of their log-gain
+    bound, numerator in ``lognum`` minus ``den``, while the next bound is at
+    least the best exact log gain so far, which starts at ``_LOG_TOL``.
 
-    A candidate's exact value is its numerator in ``lognum`` minus its
-    ``shift``; ``best`` starts the search.  The first batch holds
-    ``_CAP_BATCH`` columns and each next one twice as many, each cut where
-    its bounds fall below the best.  A bound equal to the best is solved,
-    so every candidate that may tie the best is exact.  Returns the solved
-    positions in ``idx``, a descending-bound prefix.
+    The first batch holds ``_LAZY_BATCH`` columns and each next one twice
+    as many, each cut where its bounds fall below the best.  A bound equal
+    to the best is solved, so every candidate that may tie the best is
+    exact.  Returns the solved positions in ``idx``, ascending.
     """
+    bound = lognum[idx] - den
     order = np.argsort(-bound, kind="stable")
-    done, step = 0, _CAP_BATCH
+    done, step, best = 0, _LAZY_BATCH, _LOG_TOL
     while done < len(order) and bound[order[done]] >= best:
         part = order[done : done + step]
         part = part[bound[part] >= best]
         _solve_columns(factor, cands, lognum, idx[part])
-        best = max(best, float(np.max(lognum[idx[part]] - shift[part])))
+        best = max(best, float(np.max(lognum[idx[part]] - den[part])))
         done, step = done + len(part), 2 * step
-    return order[:done]
-
-
-def first_sweep_lognums(apg: AbstractedPoseGraph, factor: LaplacianFactor,
-                        d_tsp: float, cands: CandidateSet) -> np.ndarray:
-    """Gain numerators for the greedy's first prune test, exact only where
-    the test needs them and -inf elsewhere.
-
-    Candidates that pass ``prune_test`` on their path-resistance bound are
-    solved exactly; they hold every survivor.  So that the detour cap is
-    exact too, candidates whose bound reaches the best exact numerator so
-    far are solved in descending-bound batches (``_solve_while_bound_wins``).
-    Below ``_BOUND_MIN_ELEMENTS`` every candidate is solved, without the
-    bound.
-    """
-    lognum = np.full(len(cands), -np.inf)
-    if factor.n * len(cands) < _BOUND_MIN_ELEMENTS:
-        _solve_columns(factor, cands, lognum, np.arange(len(cands)))
-        return lognum
-    ub = path_resistance(apg, cands) * (1.0 + _BOUND_SLACK)
-    bound = log_gain_numerator(factor, cands.gamma, ub)
-    keep = prune_test(d_tsp, cands.omega, bound)[2]
-    if keep.any():
-        _solve_columns(factor, cands, lognum, np.flatnonzero(keep))
-    rest = np.flatnonzero(~keep)
-    _solve_while_bound_wins(factor, cands, lognum, rest, bound[rest],
-                            np.zeros(len(rest)), float(np.max(lognum)))
-    return lognum
+    return np.sort(order[:done])
 
 
 # -- plans ---------------------------------------------------------------
@@ -470,19 +440,22 @@ def score_from_scratch(apg: AbstractedPoseGraph, selected, d_tsp: float) -> floa
 class GreedyTrace:
     """Counts and per-iteration telemetry from one greedy run.
 
-    ``after_omega_max`` and ``after_prop1`` count the first sweep's
-    candidates within the detour cap and those that pass the prune test.
     ``per_iteration`` counts, per sweep, the candidates that pass the prune
-    test: on exact numerators in the first sweep and wherever every live
-    candidate is solved, and on stale ones in the lazy sweeps, so there it
-    can exceed the exact count.
+    test on the numerators the sweep holds: exact ones where every live
+    candidate is solved, and upper bounds in the lazy sweeps, so there it
+    can exceed the exact count.  Above ``_BOUND_MIN_ELEMENTS`` the first
+    sweep's bounds are path resistances.  ``after_prop1`` is the first
+    sweep's count, 0 when no sweep ran; ``bench_prune`` reports the exact
+    counts.
     """
 
     initial_candidates: int
-    after_omega_max: int
-    after_prop1: int
     per_iteration: list = field(default_factory=list)
     selections: list = field(default_factory=list)  # (i, j, log_delta)
+
+    @property
+    def after_prop1(self) -> int:
+        return self.per_iteration[0] if self.per_iteration else 0
 
 
 @dataclass
@@ -500,18 +473,16 @@ def greedy_select(apg: AbstractedPoseGraph, cands: CandidateSet, walk: Walk,
     With pruning on, each iteration refreshes the distance cap and the
     per-candidate test before picking the best survivor; the selected
     sequence is identical either way because filtered candidates provably
-    have delta <= 1.  The first sweep puts the path-resistance bound in
-    front of both (``first_sweep_lognums``), so only bound survivors and
-    the candidates the exact cap needs are solved; its survivors, cap and
-    numerators are those of solving every candidate.
+    have delta <= 1.
 
-    Later sweeps are lazy (Minoux 1978).  A selection only adds
-    information, so each candidate's last exact numerator bounds its
-    current one: the prune test runs on these stale numerators, which
-    keeps every candidate the exact test keeps, and stale numerator minus
-    the current distance term bounds the log gain.  Only candidates whose
-    bound reaches the best exact log gain are solved.  Sweeps solve every
-    live candidate below ``_BOUND_MIN_ELEMENTS``, and once the plan is
+    Sweeps are lazy (Minoux 1978) above ``_BOUND_MIN_ELEMENTS``.  Each
+    candidate holds an upper bound on its gain numerator: the bound from
+    its path resistance until it is first solved, its last solved value
+    after that, since a selection only adds information.  The prune test runs
+    on these bounds, which keeps every candidate the exact test keeps, and
+    bound minus the current distance term bounds the log gain.  Only
+    candidates whose bound reaches the best exact log gain are solved.
+    Sweeps solve every live candidate below the gate, and once the plan is
     longer than twice the tour: past that, a candidate that fails the
     prune test on its exact numerator can still gain, and a stale
     numerator would keep it where a solved one drops it.
@@ -521,7 +492,7 @@ def greedy_select(apg: AbstractedPoseGraph, cands: CandidateSet, walk: Walk,
     d_tsp = walk.length
     d_cur = d_tsp
     m = len(cands)
-    trace = GreedyTrace(m, m, m)
+    trace = GreedyTrace(m)
     selected = []
     if apg.n == 0 or d_tsp <= 0.0:
         plan = insert_loop_edges(apg, walk, selected, closure, 0.0)
@@ -531,30 +502,27 @@ def greedy_select(apg: AbstractedPoseGraph, cands: CandidateSet, walk: Walk,
         plan = insert_loop_edges(apg, walk, selected, closure, log_j)
         return GreedyResult(selected, plan, trace, log_j)
     bounded = pruning and factor.n * m >= _BOUND_MIN_ELEMENTS
-    # each candidate's last exact gain numerator
-    lognum = first_sweep_lognums(apg, factor, d_tsp, cands) if pruning else np.empty(m)
+    # each candidate's last solved gain numerator, or an upper bound on it
+    lognum = np.empty(m)
+    if bounded:
+        ub = path_resistance(apg, cands) * (1.0 + _BOUND_SLACK)
+        lognum = log_gain_numerator(factor, cands.gamma, ub)
     alive = np.ones(m, dtype=bool)
-    first = True
     while alive.any():
         idx = np.flatnonzero(alive)
-        lazy = bounded and not first and d_cur <= 2.0 * d_tsp
-        if not lazy and not (pruning and first):
+        lazy = bounded and d_cur <= 2.0 * d_tsp
+        if not lazy:
             _solve_columns(factor, cands, lognum, idx)
         if pruning:
-            _, within_cap, keep = prune_test(d_tsp, cands.omega[idx], lognum[idx])
-            if first:
-                trace.after_omega_max = int(within_cap.sum())
-                trace.after_prop1 = int(keep.sum())
+            keep = prune_test(d_tsp, cands.omega[idx], lognum[idx])[2]
             alive[idx[~keep]] = False
             idx = idx[keep]
             if len(idx) == 0:
                 break
-        first = False
         trace.per_iteration.append(len(idx))
         den = np.log1p(2.0 * cands.omega[idx] / d_cur)
         if lazy:
-            solved = np.sort(_solve_while_bound_wins(
-                factor, cands, lognum, idx, lognum[idx] - den, den, _LOG_TOL))
+            solved = _solve_while_bound_wins(factor, cands, lognum, idx, den)
             if len(solved) == 0:
                 break
             idx, den = idx[solved], den[solved]
@@ -575,8 +543,7 @@ def greedy_select(apg: AbstractedPoseGraph, cands: CandidateSet, walk: Walk,
 
 
 def brute_force_select(apg: AbstractedPoseGraph, cands: CandidateSet,
-                       walk: Walk, max_subset: int | None = None,
-                       chunk: int = 16384):
+                       walk: Walk, chunk: int = 16384):
     """Exhaustive subset search; every score rebuilt densely.
 
     Only viable for small candidate sets; used as the optimality oracle.
@@ -592,15 +559,7 @@ def brute_force_select(apg: AbstractedPoseGraph, cands: CandidateSet,
     for k in range(m):
         b = incidence_column(n, int(cands.i[k]), int(cands.j[k]))
         rank1[k] = (cands.gamma[k] * np.outer(b, b)).ravel()
-    total = 1 << m
-    codes = np.arange(total, dtype=np.int64)
-    if max_subset is not None:
-        bits = np.zeros(total, dtype=np.int64)
-        tmp = codes.copy()
-        for _ in range(m):
-            bits += tmp & 1
-            tmp >>= 1
-        codes = codes[bits <= max_subset]
+    codes = np.arange(1 << m, dtype=np.int64)
     best_log, best_code = -np.inf, 0
     for lo in range(0, len(codes), chunk):
         part = codes[lo : lo + chunk]

@@ -16,7 +16,14 @@ from slamplan.bench import (
 )
 from slamplan.errors import InputError
 from slamplan.graph import metric_closure
+from slamplan.loops import (
+    abstract_pose_graph,
+    enumerate_candidates,
+    omega_max,
+    prune_mask,
+)
 from slamplan.sim import WorldModel
+from slamplan.tsp import TourCosts, expand_to_walk, solve_open_tsp
 
 
 def test_spec_from_dict_rejects_unknown_keys():
@@ -69,6 +76,24 @@ def test_bench_prune_small_graph():
     assert report.num_vertices == 4
     assert report.num_candidates <= 3
     assert report.check_monotone()
+
+
+@pytest.mark.parametrize("seed,counts", [(0, (4371, 1279, 322)),
+                                         (1, (4370, 1236, 329))])
+def test_bench_prune_counts_are_the_exact_prune_test(seed, counts):
+    # The greedy's first sweep counts bound survivors; the report counts
+    # those of omega_max and prune_mask on the same instance.
+    g = gen_grid_graph(GridGraphSpec(width=10, height=10, seed=seed))
+    report = bench_prune(g)
+    closure = metric_closure(g)
+    walk = expand_to_walk(closure, solve_open_tsp(TourCosts(closure), 8).order)
+    apg = abstract_pose_graph(walk, g)
+    cands = enumerate_candidates(apg, closure)
+    cap = omega_max(apg.factor, walk.length, cands)
+    assert report.num_candidates == len(cands)
+    assert report.after_omega_max == int((cands.omega <= cap).sum())
+    assert report.after_prop1 == int(prune_mask(apg.factor, walk.length, cands).sum())
+    assert (report.num_candidates, report.after_omega_max, report.after_prop1) == counts
 
 
 def test_bench_prune_monotone_chain_and_csv():

@@ -13,7 +13,6 @@ from slamplan.loops import (
     abstract_pose_graph,
     brute_force_select,
     enumerate_candidates,
-    first_sweep_lognums,
     greedy_select,
     insert_loop_edges,
     log_gain_numerator,
@@ -362,23 +361,24 @@ def test_greedy_trace_monotone_chain(rng):
         g, mc, walk, apg, cands = random_instance(rng)
         res = greedy_select(apg, cands, walk, mc)
         t = res.trace
-        assert t.initial_candidates >= t.after_omega_max >= t.after_prop1 >= 0
+        assert t.initial_candidates >= t.after_prop1 >= 0
         assert t.initial_candidates == len(cands)
+        assert t.per_iteration == sorted(t.per_iteration, reverse=True)
 
 
 def test_greedy_first_prune_is_prune_mask_and_omega_max(rng):
-    # The greedy's first filtering pass, prune_mask and omega_max must be
-    # one test: same survivors, same detour cap.
+    # Below the bound's gate the greedy's first filtering pass is exact: it
+    # keeps what prune_mask keeps, and nothing it selects lies past the cap.
     checked = 0
     while checked < 40:
         g, mc, walk, apg, cands = random_instance(rng, 5, 12)
         if len(cands) < 2:
             continue
-        trace = greedy_select(apg, cands, walk, mc).trace
+        res = greedy_select(apg, cands, walk, mc)
         mask = prune_mask(apg.factor, walk.length, cands)
         cap = omega_max(apg.factor, walk.length, cands)
-        assert trace.after_prop1 == int(mask.sum())
-        assert trace.after_omega_max == int((cands.omega <= cap).sum())
+        assert res.trace.after_prop1 == int(mask.sum())
+        assert all(c.omega <= cap for c in res.selected)
         checked += 1
 
 
@@ -428,9 +428,17 @@ def _count_columns(monkeypatch) -> list:
     return solved
 
 
-def _solve_everything(apg, factor, d_tsp, cands):
-    """The first sweep without the bound: every candidate solved at once."""
+def _solve_everything(factor, cands):
+    """Exact gain numerators of every candidate, solved at once."""
     return log_gain_numerator(factor, cands.gamma, quad_forms(factor, cands))
+
+
+def _unbounded_greedy(monkeypatch, apg, cands, walk, mc):
+    """The pruned greedy with the bound and the lazy sweeps off, as it runs
+    below the gate: every live candidate solved on every sweep."""
+    with monkeypatch.context() as m:
+        m.setattr(loops, "_BOUND_MIN_ELEMENTS", np.inf)
+        return greedy_select(apg, cands, walk, mc)
 
 
 @pytest.mark.parametrize("size,seed", [(10, 0), (10, 1), (15, 0), (15, 1)])
@@ -438,124 +446,92 @@ def test_first_sweep_bound_solves_less_and_changes_nothing(monkeypatch, size,
                                                            seed):
     g = gen_grid_graph(GridGraphSpec(width=size, height=size, seed=seed))
     mc, walk, apg, cands = pipeline(g)
+    assert apg.n * len(cands) >= loops._BOUND_MIN_ELEMENTS
     solved = _count_columns(monkeypatch)
-    lognum = first_sweep_lognums(apg, apg.factor, walk.length, cands)
-    assert 0 < sum(solved) < len(cands)
-    assert min(solved) >= 2
-    cap, _, keep = prune_test(walk.length, cands.omega, lognum)
-    assert np.array_equal(keep, prune_mask(apg.factor, walk.length, cands))
-    assert cap == omega_max(apg.factor, walk.length, cands)
-    exact = _solve_everything(apg, apg.factor, walk.length, cands)
-    assert np.array_equal(lognum[keep], exact[keep])
-
     fast = greedy_select(apg, cands, walk, mc)
+    assert 0 < sum(solved) < len(cands) / 10
+    assert min(solved) >= 2
+    # the bound keeps every exact survivor
+    assert fast.trace.after_prop1 >= int(prune_mask(apg.factor, walk.length,
+                                                    cands).sum())
     plain = greedy_select(apg, cands, walk, mc, pruning=False)
-    monkeypatch.setattr(loops, "first_sweep_lognums", _solve_everything)
-    ref = greedy_select(apg, cands, walk, mc)
-    assert fast.selected and fast.selected == plain.selected
-    assert fast.trace == ref.trace  # survivors, cap count, iterations, deltas
+    ref = _unbounded_greedy(monkeypatch, apg, cands, walk, mc)
+    assert fast.selected and fast.selected == plain.selected == ref.selected
+    assert fast.trace.selections == ref.trace.selections  # log-delta bits too
     assert fast.log_objective == ref.log_objective
-    assert fast.trace.after_prop1 == int(keep.sum())
-    assert fast.trace.after_omega_max == int((cands.omega <= cap).sum())
-
-
-@pytest.mark.parametrize("first_batch", [1, 64])
-@pytest.mark.parametrize("d_scale", [1.0, 1e-3])
-def test_first_sweep_cap_is_exact(monkeypatch, first_batch, d_scale):
-    # The best numerator need not have the best bound (on the 8x8 seed-1 and
-    # 10x10 seed-1 and seed-2 grids it does not), so the cap check must go
-    # on until no bound can beat it.  A short reference distance prunes
-    # every candidate, which leaves the cap to that check alone.
-    monkeypatch.setattr(loops, "_CAP_BATCH", first_batch)
-    monkeypatch.setattr(loops, "_BOUND_MIN_ELEMENTS", 0)
-    for size in (8, 10):
-        for seed in range(3):
-            g = gen_grid_graph(GridGraphSpec(width=size, height=size, seed=seed))
-            mc, walk, apg, cands = pipeline(g)
-            d_ref = d_scale * walk.length
-            lognum = first_sweep_lognums(apg, apg.factor, d_ref, cands)
-            exact = _solve_everything(apg, apg.factor, d_ref, cands)
-            cap, _, keep = prune_test(d_ref, cands.omega, lognum)
-            assert cap == prune_test(d_ref, cands.omega, exact)[0]
-            assert np.array_equal(keep, prune_mask(apg.factor, d_ref, cands))
 
 
 def test_first_sweep_bound_on_small_instances(rng, monkeypatch):
     # Small sets are solved whole; with the bound forced on, the greedy's
-    # trace and objective stay those of solving every candidate.
+    # selections and objective stay those of solving every live candidate.
     monkeypatch.setattr(loops, "_BOUND_MIN_ELEMENTS", 0)
     for _ in range(40):
         g, mc, walk, apg, cands = random_instance(rng, 5, 12)
         fast = greedy_select(apg, cands, walk, mc)
-        with monkeypatch.context() as m:
-            m.setattr(loops, "first_sweep_lognums", _solve_everything)
-            ref = greedy_select(apg, cands, walk, mc)
+        ref = _unbounded_greedy(monkeypatch, apg, cands, walk, mc)
         assert fast.selected == ref.selected
-        assert fast.trace == ref.trace
+        assert fast.trace.selections == ref.trace.selections
         assert fast.log_objective == ref.log_objective
+        assert all(a >= b for a, b in zip(fast.trace.per_iteration,
+                                          ref.trace.per_iteration))
 
 
-def test_first_sweep_pads_a_lone_column(monkeypatch):
-    # A one-column solve rounds differently from the same column in a
-    # batch, so a lone bound survivor is solved next to a copy of itself.
+def _lone_candidate_triangle():
     g = triangle_unit(ac_length=0.2)
     mc = metric_closure(g)
     walk = Walk(["a", "b", "c"], 2.0)
     apg = abstract_pose_graph(walk, g)
     cands = enumerate_candidates(apg, mc)
     assert len(cands) == 1
+    return mc, walk, apg, cands
+
+
+def test_first_sweep_pads_a_lone_column(monkeypatch):
+    # A one-column solve rounds differently from the same column in a
+    # batch, so a lone bound survivor is solved next to a copy of itself.
+    mc, walk, apg, cands = _lone_candidate_triangle()
     monkeypatch.setattr(loops, "_BOUND_MIN_ELEMENTS", 0)
     solved = _count_columns(monkeypatch)
-    lognum = first_sweep_lognums(apg, apg.factor, walk.length, cands)
+    result = greedy_select(apg, cands, walk, mc)
     assert solved == [2]
-    assert lognum[0] == pytest.approx(np.log(3.0) / 2, abs=1e-15)  # b^T L^-1 b = 2
+    (_, _, log_delta), = result.trace.selections
+    # b^T L^-1 b = 2 over a detour of 0.2 m each way on a 2 m walk
+    assert log_delta == pytest.approx(np.log(3.0) / 2 - np.log(1.2), abs=1e-15)
 
 
 def test_unbounded_sweeps_pad_a_lone_column(monkeypatch):
     # Below the bound's gate, and in the eager greedy, a lone live
-    # candidate is padded as in the bounded and lazy sweeps.
-    g = triangle_unit(ac_length=0.2)
-    mc = metric_closure(g)
-    walk = Walk(["a", "b", "c"], 2.0)
-    apg = abstract_pose_graph(walk, g)
-    cands = enumerate_candidates(apg, mc)
+    # candidate is padded as in the lazy sweeps.
+    mc, walk, apg, cands = _lone_candidate_triangle()
     assert apg.factor.n * len(cands) < loops._BOUND_MIN_ELEMENTS
     solved = _count_columns(monkeypatch)
-    first_sweep_lognums(apg, apg.factor, walk.length, cands)
-    assert solved == [2]
-    solved.clear()
-    result = greedy_select(apg, cands, walk, mc, pruning=False)
-    assert result.selected and solved == [2]
+    for pruning in (True, False):
+        solved.clear()
+        result = greedy_select(apg, cands, walk, mc, pruning=pruning)
+        assert result.selected and solved == [2]
 
 
 def _eager_greedy(apg, cands, walk):
     """Reference: the pruned greedy before lazy sweeps, which solves every
-    live candidate on every sweep.  Returns (selected, trace, log objective)."""
+    live candidate on every sweep, the first included.  Returns (selected,
+    trace, log objective)."""
     factor = apg.factor.copy()
     d_tsp = d_cur = walk.length
     m = len(cands)
-    trace = GreedyTrace(m, m, m)
+    trace = GreedyTrace(m)
     selected = []
     log_j = factor.log_dopt() - float(np.log(d_tsp))
     alive = np.ones(m, dtype=bool)
-    first = True
     while alive.any():
         idx = np.flatnonzero(alive)
-        if first:
-            lognum = first_sweep_lognums(apg, factor, d_tsp, cands)
-        else:
-            quad = quad_forms(factor, cands, idx)
-            lognum = log_gain_numerator(factor, cands.gamma[idx], quad)
-        _, within_cap, keep = prune_test(d_tsp, cands.omega[idx], lognum)
-        if first:
-            trace.after_omega_max = int(within_cap.sum())
-            trace.after_prop1 = int(keep.sum())
+        quad = quad_forms(factor, cands, np.resize(idx, 2) if len(idx) == 1 else idx)
+        lognum = log_gain_numerator(factor, cands.gamma[idx], quad[: len(idx)])
+        keep = prune_test(d_tsp, cands.omega[idx], lognum)[2]
         alive[idx[~keep]] = False
         idx = idx[keep]
         lognum = lognum[keep]
         if len(idx) == 0:
             break
-        first = False
         trace.per_iteration.append(len(idx))
         log_delta = lognum - np.log1p(2.0 * cands.omega[idx] / d_cur)
         best = int(np.argmax(log_delta))
@@ -577,10 +553,8 @@ def _assert_lockstep(lazy, eager):
     assert lazy.selected == selected
     assert lazy.trace.selections == trace.selections  # log-delta bits too
     assert lazy.log_objective == log_j
-    assert lazy.trace.after_omega_max == trace.after_omega_max
-    assert lazy.trace.after_prop1 == trace.after_prop1
-    # the stale prune keeps every candidate the exact one keeps
-    assert lazy.trace.per_iteration[:1] == trace.per_iteration[:1]
+    # the bounds keep every candidate the exact prune test keeps
+    assert len(lazy.trace.per_iteration) >= len(trace.per_iteration)
     assert all(a >= b for a, b in zip(lazy.trace.per_iteration, trace.per_iteration))
 
 
@@ -591,19 +565,14 @@ def test_lazy_greedy_lockstep_on_grids(monkeypatch, size, seed):
     mc, walk, apg, cands = pipeline(g)
     assert apg.n * len(cands) >= loops._BOUND_MIN_ELEMENTS
     solved = _count_columns(monkeypatch)
-    first_sweep_lognums(apg, apg.factor, walk.length, cands)
-    first = sum(solved)
-    solved.clear()
     lazy = greedy_select(apg, cands, walk, mc)
-    lazy_later = sum(solved) - first
+    lazy_columns = sum(solved)
     solved.clear()
     eager = _eager_greedy(apg, cands, walk)
-    eager_later = sum(solved) - first
     assert len(lazy.selected) >= 9
     _assert_lockstep(lazy, eager)
-    # Later sweeps solve 8-15% of the eager loop's columns on these grids;
-    # bounds left at their first-sweep values solve 36-69%.
-    assert lazy_later <= eager_later / 4
+    # The lazy greedy solves 2-5% of the eager loop's columns on these grids.
+    assert lazy_columns <= sum(solved) / 10
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -624,7 +593,7 @@ def test_lazy_greedy_matches_eager(seed, n, extra, unit_lengths, scale, covs,
     mc, walk, apg, cands = pipeline(g)
     with pytest.MonkeyPatch.context() as m:
         m.setattr(loops, "_BOUND_MIN_ELEMENTS", 0)
-        m.setattr(loops, "_CAP_BATCH", first_batch)
+        m.setattr(loops, "_LAZY_BATCH", first_batch)
         lazy = greedy_select(apg, cands, walk, mc)
         _assert_lockstep(lazy, _eager_greedy(apg, cands, walk))
 
@@ -642,15 +611,15 @@ def test_lazy_solve_reaches_a_tied_bound(monkeypatch):
     walk = Walk(["a", "b", "a", "c", "a", "d"], 5.0)
     apg = abstract_pose_graph(walk, g)
     cands = enumerate_candidates(apg, mc)
-    exact = _solve_everything(apg, apg.factor, walk.length, cands)
-    assert len(cands) == 3 and exact[0] == exact[1]
-    monkeypatch.setattr(loops, "_CAP_BATCH", 1)
-    lognum = np.full(3, -np.inf)
+    exact = _solve_everything(apg.factor, cands)
+    assert len(cands) == 3 and exact[0] == exact[1] > 0.0
+    monkeypatch.setattr(loops, "_LAZY_BATCH", 1)
     idx = np.array([0, 1])
-    bound = exact[idx] + [0.0, 1.0]  # candidate 1 first; 0's bound is exact
-    solved = loops._solve_while_bound_wins(apg.factor, cands, lognum, idx, bound,
-                                           np.zeros(2), -np.inf)
-    assert solved.tolist() == [1, 0]
+    lognum = np.full(3, -np.inf)
+    lognum[idx] = exact[idx] + [0.0, 1.0]  # candidate 1 first; 0's bound is exact
+    solved = loops._solve_while_bound_wins(apg.factor, cands, lognum, idx,
+                                           np.zeros(2))
+    assert solved.tolist() == [0, 1]
     assert np.array_equal(lognum[idx], exact[idx])
 
 
