@@ -9,11 +9,13 @@ A tour forced to end at a given vertex pins that vertex last instead.
 
 The heuristic solver seeds with nearest-neighbor construction from several
 distinct second vertices and polishes with best-improvement 2-opt
-reversals and or-opt segment relocations.  Each pass evaluates every move
-at once on one copy of the closure block taken in tour order, kept current
-across reversals.  Above a size gate the restarts run on one thread per
-usable core; their results are reduced in restart order, so the tour is
-the same on any number of cores.  An exact Held-Karp dynamic program
+reversals and or-opt segment relocations.  Each pass picks the best move
+from the scores of every move, read off one copy of the closure block taken
+in tour order and kept current across reversals; the 2-opt scores are kept
+too.  Above a size gate a reversal rescores only the rows and columns of
+scores it changes, and the restarts run on one thread per usable core;
+their results are reduced in restart order, so the tour is the same on any
+number of cores.  An exact Held-Karp dynamic program
 covers small instances and serves as the reference oracle.
 """
 
@@ -31,9 +33,10 @@ from .errors import InputError, SizeLimitError
 _EXACT_LIMIT = 14
 _TOL = 1e-9
 # Closure entries (open tours count their free terminal) from which the
-# restarts run on threads: below it, thread start-up and contention for the
-# interpreter lock cost more than the second core saves.
-_THREAD_MIN_ELEMENTS = 32_000
+# restarts run on threads and a reversal rescores only the bands it changes:
+# below it, thread start-up, contention for the interpreter lock and numpy
+# per-call overhead cost more than they save.
+_LARGE_TOUR_ELEMENTS = 32_000
 
 
 @dataclass
@@ -63,7 +66,12 @@ class TourCosts:
     def __init__(self, closure, include=None, start=None):
         g = closure.graph
         self.start = g.start if start is None else start
+        if self.start not in g.index:
+            raise InputError(f"unknown start vertex {self.start!r}")
         chosen = set(g.ids if include is None else include)
+        unknown = chosen.difference(g.index)
+        if unknown:
+            raise InputError(f"unknown tour vertices {', '.join(sorted(map(repr, unknown)))}")
         chosen.add(self.start)
         self.ids = [self.start] + [v for v in g.ids if v in chosen and v != self.start]
         idx = [g.index[v] for v in self.ids]
@@ -74,6 +82,15 @@ class TourCosts:
 
     def to_ids(self, order) -> list:
         return [self.ids[k] for k in order]
+
+    def end_index(self, end) -> int:
+        """Index of the tour's forced last vertex ``end`` in ``ids``."""
+        if end == self.start:
+            raise InputError(f"tour end {end!r} is the start vertex")
+        try:
+            return self.ids.index(end)
+        except ValueError:
+            raise InputError(f"tour end {end!r} is not a vertex of the tour") from None
 
 
 # -- heuristic local search (index space) ---------------------------------
@@ -97,35 +114,37 @@ def _nn_seed(dist: np.ndarray, second: int | None, skip) -> list:
     return order
 
 
-def _best_reversal(P: np.ndarray, lower: np.ndarray, scratch: np.ndarray):
-    """Positions (i, j) of the best-scoring reversal of order[i..j], or None.
+def _score_reversals(P: np.ndarray, lower: np.ndarray, block: np.ndarray,
+                     rows: tuple, cols: tuple = (0, 0)) -> None:
+    """Write the 2-opt scores of the row band ``rows`` and the column band
+    ``cols`` (half-open index ranges) into ``block``.
 
     ``P`` is the cost block in tour order, ``P[a, b] = dist[order[a],
-    order[b]]``; endpoints stay pinned.  ``lower`` is the (m-2, m-2) boolean
-    lower triangle that rules out empty and backwards segments, and the
-    scores are written into the front of the flat ``scratch``.  A move is
-    scored on its two new legs alone, as if the reversed segment cost the
-    same in both directions.
+    order[b]]``; endpoints stay pinned.  ``block[a, b]`` scores the reversal
+    of order[a+1..b+1] on its two new legs alone, as if the reversed segment
+    cost the same in both directions.  ``lower`` is the (m-2, m-2) boolean
+    lower triangle that rules out empty and backwards segments.  Every
+    entry comes from the same formula whichever band writes it, so a kept
+    block rescored in bands holds the bits of a full rescore.
     """
-    k = len(lower)
+    k = len(block)
     sup = np.diagonal(P, 1)  # sup[r] = P[r, r + 1], the current legs
-    delta = np.add(P[:-2, 1:-1], P[2:, 1:-1].T, out=scratch[: k * k].reshape(k, k))
-    delta -= sup[:-1, None]
-    delta -= sup[None, 1:]
-    np.copyto(delta, np.inf, where=lower)
-    flat = int(np.argmin(delta))
-    a, b = divmod(flat, k)
-    if delta[a, b] >= -_TOL:
-        return None
-    return a + 1, b + 1
+    for (a0, a1), (b0, b1) in ((rows, (0, k)), ((0, k), cols)):
+        if a0 == a1 or b0 == b1:
+            continue
+        out = block[a0:a1, b0:b1]
+        np.add(P[a0:a1, b0 + 1 : b1 + 1], P[b0 + 2 : b1 + 2, a0 + 1 : a1 + 1].T, out=out)
+        out -= sup[a0:a1, None]
+        out -= sup[None, b0 + 1 : b1 + 1]
+        np.copyto(out, np.inf, where=lower[a0:a1, b0:b1])
 
 
 def _best_relocation(P: np.ndarray, order: np.ndarray, lower: np.ndarray,
                      scratch: np.ndarray):
     """The tour after the best forward relocation of a 1-3 vertex segment.
 
-    Reads the tour-ordered block ``P``, the triangle of ``_best_reversal``
-    and its ``scratch``; returns None when no relocation scores below the
+    Reads the tour-ordered block ``P``, the triangle of ``_score_reversals``
+    and the flat ``scratch``; returns None when no relocation scores below the
     tolerance.
     """
     m = len(order)
@@ -169,23 +188,36 @@ def _improve(dist: np.ndarray, order: list) -> np.ndarray:
     on clearly asymmetric costs a reversal may not, and then the 2-opt
     round ends there.
 
-    The block and one flat scratch of the same size, which stages each
-    gather and holds every move's scores, are the only (m, m) arrays a call
-    keeps, so a restart on another thread keeps a small heap.
+    A round keeps one score block across its reversals.  From
+    ``_LARGE_TOUR_ELEMENTS`` entries of ``dist`` up, an accepted reversal of
+    positions i..j rescores only rows i-1..j and columns i-2..j-1, the
+    scores it can change; smaller blocks, where numpy's per-call cost
+    dominates, are rescored whole.  Both hold the same bits.
+
+    The block gathered in tour order and one flat scratch of the same size,
+    which stages each gather and holds the scores, are the only (m, m)
+    arrays a call keeps, so a restart on another thread keeps a small heap.
     """
     arr = np.asarray(order, dtype=np.int64)
     m = len(arr)
     if m < 4:
         return arr  # no reversal or relocation fits between pinned ends
-    lower = np.tri(m - 2, dtype=bool)
+    k = m - 2
+    bands = dist.size >= _LARGE_TOUR_ELEMENTS
+    lower = np.tri(k, dtype=bool)
     P = np.empty((m, m))
     scratch = np.empty(m * m)
+    scores = scratch[: k * k].reshape(k, k)
     length = _route_length(dist, arr)
     while True:
         rows = np.take(dist, arr, axis=0, out=scratch.reshape(m, m), mode="clip")
         np.take(rows, arr, axis=1, out=P, mode="clip")  # "clip": no buffered copy
-        while (move := _best_reversal(P, lower, scratch)) is not None:
-            i, j = move
+        _score_reversals(P, lower, scores, (0, k))
+        while True:
+            a, b = divmod(int(np.argmin(scores)), k)  # smallest index on ties
+            if scores[a, b] >= -_TOL:
+                break
+            i, j = a + 1, b + 1
             cand = arr.copy()
             cand[i : j + 1] = cand[i : j + 1][::-1]
             cand_length = _route_length(dist, cand)
@@ -194,6 +226,10 @@ def _improve(dist: np.ndarray, order: list) -> np.ndarray:
             arr, length = cand, cand_length
             P[i : j + 1] = P[i : j + 1][::-1]
             P[:, i : j + 1] = P[:, i : j + 1][:, ::-1]
+            if bands:
+                _score_reversals(P, lower, scores, (i - 1, min(j + 1, k)), (max(i - 2, 0), j))
+            else:
+                _score_reversals(P, lower, scores, (0, k))
         cand = _best_relocation(P, arr, lower, scratch)
         if cand is None:
             return arr
@@ -231,7 +267,7 @@ def _best_of_restarts(dist: np.ndarray, seeds: list, n: int) -> tuple[list, floa
     """The shortest of the ``seeds`` after ``_improve``, over its first ``n``
     vertices (an open tour's free terminal, pinned at index n, is dropped).
 
-    From ``_THREAD_MIN_ELEMENTS`` entries of ``dist`` up, the seeds are
+    From ``_LARGE_TOUR_ELEMENTS`` entries of ``dist`` up, the seeds are
     shared out to one thread per usable core, at most one per seed, the
     calling thread among them; a restart's numpy work releases the
     interpreter lock.  Results are taken in seed order and a later one wins
@@ -255,7 +291,7 @@ def _best_of_restarts(dist: np.ndarray, seeds: list, n: int) -> tuple[list, floa
             except Exception as exc:  # raised below, in seed order
                 polished[k] = exc
 
-    workers = min(len(seeds), _usable_cores()) if dist.size >= _THREAD_MIN_ELEMENTS else 1
+    workers = min(len(seeds), _usable_cores()) if dist.size >= _LARGE_TOUR_ELEMENTS else 1
     threads = [threading.Thread(target=polish, daemon=True) for _ in range(workers - 1)]
     for t in threads:
         t.start()
@@ -286,8 +322,6 @@ def _solve_open_indices(sym: np.ndarray, restarts: int) -> tuple[list, float]:
 
 def _solve_fixed_end_indices(sym: np.ndarray, end: int, restarts: int) -> tuple[list, float]:
     n = sym.shape[0]
-    if not 0 < end < n:
-        raise InputError(f"end index {end} out of range")
     seconds = _seed_seconds(sym, restarts, skip=(0, end))
     if n == 2:
         return [0, 1], float(sym[0, 1])
@@ -321,12 +355,7 @@ def _held_karp(dist: np.ndarray, end: int | None) -> tuple[list, float]:
             if val[t] < dp[nm, t]:
                 dp[nm, t] = val[t]
                 parent[nm, t] = src[t]
-    if end is None:
-        last = int(np.argmin(dp[full]))
-    else:
-        if not 0 < end < n:
-            raise InputError(f"end index {end} out of range")
-        last = end - 1
+    last = int(np.argmin(dp[full])) if end is None else end - 1
     length = float(dp[full, last])
     chain = [last]
     mask = full
@@ -349,13 +378,13 @@ def solve_open_tsp(costs: TourCosts, restarts: int = 8) -> Tour:
 
 def solve_fixed_end_tsp(costs: TourCosts, end, restarts: int = 8) -> Tour:
     """Heuristic open tour forced to terminate at vertex ``end``."""
-    order, length = _solve_fixed_end_indices(costs.sym, costs.ids.index(end), restarts)
+    order, length = _solve_fixed_end_indices(costs.sym, costs.end_index(end), restarts)
     return Tour(costs.to_ids(order), length)
 
 
 def solve_open_tsp_exact(costs: TourCosts, end=None) -> Tour:
     """Held-Karp reference solution; SizeLimitError above the hard cap."""
-    end_idx = None if end is None else costs.ids.index(end)
+    end_idx = None if end is None else costs.end_index(end)
     order, length = _held_karp(costs.sym, end_idx)
     return Tour(costs.to_ids(order), length)
 

@@ -3,9 +3,11 @@ import signal
 import sys
 import threading
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from slamplan import tsp
 from slamplan.bench import GridGraphSpec, gen_grid_graph
@@ -284,6 +286,14 @@ def _assert_same_as_reference(monkeypatch, sym, end, restarts):
     assert got[1] == want[1]  # bitwise: same deltas, same moves, same sums
 
 
+def _assert_same_as_reference_either_side_of_gate(monkeypatch, sym, end, restarts):
+    # one thread, so band rescoring is tested apart from the restart threads
+    monkeypatch.setattr(tsp, "_usable_cores", lambda: 1)
+    for gate in (0, np.inf):  # bands on every block, then on none
+        monkeypatch.setattr(tsp, "_LARGE_TOUR_ELEMENTS", gate)
+        _assert_same_as_reference(monkeypatch, sym, end, restarts)
+
+
 def test_local_search_matches_reference_on_random_blocks(rng, monkeypatch):
     # Sub-blocks of random closures, including sizes where no move fits
     # (fewer than 4 pinned positions) and the two-vertex fixed-end case.
@@ -302,10 +312,43 @@ def test_local_search_matches_reference_on_random_blocks(rng, monkeypatch):
             # never read P[a, b] where the reference reads dist[b, a]
             sym *= 1.0 + 1e-12 * rng.random(sym.shape)
         restarts = int(rng.integers(1, 4))
-        _assert_same_as_reference(monkeypatch, sym, None, restarts)
+        _assert_same_as_reference_either_side_of_gate(monkeypatch, sym, None, restarts)
         if size >= 2:
             end = int(rng.integers(1, size))
-            _assert_same_as_reference(monkeypatch, sym, end, restarts)
+            _assert_same_as_reference_either_side_of_gate(monkeypatch, sym, end, restarts)
+
+
+@st.composite
+def _tour_blocks(draw):
+    """A closure block of 4-60 vertices, tied or not, maybe perturbed in its
+    last bits, and a random order over it that starts at 0."""
+    n = draw(st.integers(4, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    graph = random_connected_graph(rng, n, extra_edge_prob=draw(st.sampled_from([0.05, 0.3])),
+                                   unit_lengths=draw(st.booleans()))
+    sym = metric_closure(graph).dist_matrix
+    if draw(st.booleans()):
+        sym = sym * (1.0 + 1e-12 * rng.random(sym.shape))
+    return sym, [0] + [int(v) for v in 1 + rng.permutation(n - 1)]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_tour_blocks())
+def test_kept_score_block_matches_full_rescore(case):
+    # After each accepted reversal, the bands it rescored leave the block
+    # equal to scoring the current tour-ordered block whole, bit for bit.
+    sym, order = case
+    score = tsp._score_reversals
+
+    def checked(P, lower, block, rows, cols=(0, 0)):
+        score(P, lower, block, rows, cols)
+        fresh = np.empty_like(block)
+        score(P, lower, fresh, (0, len(block)))
+        assert block.tobytes() == fresh.tobytes()
+
+    with mock.patch.object(tsp, "_score_reversals", checked), \
+            mock.patch.object(tsp, "_LARGE_TOUR_ELEMENTS", 0):
+        tsp._improve(sym, order)
 
 
 def test_local_search_matches_reference_on_grid20(monkeypatch):
@@ -322,11 +365,11 @@ def _serial_and_threaded(sym, end, restarts, monkeypatch):
     else:
         solve = lambda: tsp._solve_fixed_end_indices(sym, end, restarts)  # noqa: E731
     with monkeypatch.context() as patch:
-        patch.setattr(tsp, "_THREAD_MIN_ELEMENTS", np.inf)
+        patch.setattr(tsp, "_LARGE_TOUR_ELEMENTS", np.inf)
         serial = solve()
     for workers in (1, 2, 3, 8):
         with monkeypatch.context() as patch:
-            patch.setattr(tsp, "_THREAD_MIN_ELEMENTS", 0)
+            patch.setattr(tsp, "_LARGE_TOUR_ELEMENTS", 0)
             patch.setattr(tsp, "_usable_cores", lambda w=workers: w)
             yield serial, solve()
 
@@ -358,7 +401,7 @@ def test_thread_count_does_not_change_tours(rng, monkeypatch):
     sym = metric_closure(g).dist_matrix
     for serial, threaded in _serial_and_threaded(sym, None, 8, monkeypatch):
         assert threaded[0] == serial[0] and threaded[1] == serial[1]
-    monkeypatch.setattr(tsp, "_THREAD_MIN_ELEMENTS", 0)
+    monkeypatch.setattr(tsp, "_LARGE_TOUR_ELEMENTS", 0)
     monkeypatch.setattr(tsp, "_usable_cores", lambda: 2)
     _assert_same_as_reference(monkeypatch, sym, len(sym) - 1, 2)
 
@@ -375,9 +418,9 @@ def _spy_thread_starts(monkeypatch) -> list:
     return started
 
 
-def test_small_tours_start_no_thread(monkeypatch):
-    monkeypatch.setattr(tsp, "_usable_cores", lambda: 8)
-    started = _spy_thread_starts(monkeypatch)
+def _solve_small_tours():
+    """A 12x12 tour, and env1 plans and missions with both strategies: all
+    below the size gate."""
     grid12 = gen_grid_graph(GridGraphSpec(width=12.0, height=12.0, seed=0))
     solve_open_tsp(costs_for(grid12))
     envs = Path(__file__).resolve().parents[1] / "src" / "slamplan" / "envs"
@@ -386,12 +429,35 @@ def test_small_tours_start_no_thread(monkeypatch):
     for strategy in ("tsp_only", "slam_aware"):
         compute_plan(prior, strategy)
         run_mission(prior, world, MissionConfig(strategy=strategy), seed=3)
+
+
+def test_small_tours_start_no_thread(monkeypatch):
+    monkeypatch.setattr(tsp, "_usable_cores", lambda: 8)
+    started = _spy_thread_starts(monkeypatch)
+    _solve_small_tours()
     assert started == []
     # above the gate, one thread per seed up to the usable cores, less the caller
     grid15 = gen_grid_graph(GridGraphSpec(width=15.0, height=15.0, seed=0))
     solve_open_tsp(costs_for(grid15), 3)
     assert len(started) == 2
     assert not any(t.is_alive() for t in started)
+
+
+def test_only_tours_above_the_gate_rescore_bands(monkeypatch):
+    score = tsp._score_reversals
+    bands = []
+
+    def spy(P, lower, block, rows, cols=(0, 0)):
+        bands.append(rows != (0, len(block)))
+        score(P, lower, block, rows, cols)
+
+    monkeypatch.setattr(tsp, "_score_reversals", spy)
+    _solve_small_tours()
+    assert bands and not any(bands)
+    bands.clear()
+    grid15 = gen_grid_graph(GridGraphSpec(width=15.0, height=15.0, seed=0))
+    solve_open_tsp(costs_for(grid15), 3)
+    assert any(bands)
 
 
 def test_restart_error_reaches_caller_after_join(monkeypatch):
@@ -467,3 +533,25 @@ def test_solvers_reject_restarts_that_are_not_positive_integers(triangle, restar
         solve_open_tsp(costs, restarts)
     with pytest.raises(InputError, match="restarts must be a positive integer"):
         solve_fixed_end_tsp(costs, "c", restarts)
+
+
+def test_tour_inputs_name_unknown_and_misplaced_vertices(triangle):
+    mc = metric_closure(triangle)
+    costs = TourCosts(mc)
+    with pytest.raises(InputError, match="unknown start vertex 'nope'"):
+        TourCosts(mc, start="nope")
+    with pytest.raises(InputError, match="unknown tour vertices 'nope'"):
+        TourCosts(mc, include=["nope", "b"])
+    with pytest.raises(InputError, match="unknown tour vertices 'nope'"):
+        compute_plan(triangle, include=["nope", "b"])
+    with pytest.raises(InputError, match="tour end 'nope' is not a vertex of the tour"):
+        solve_fixed_end_tsp(costs, "nope")
+    with pytest.raises(InputError, match="tour end 'nope' is not a vertex of the tour"):
+        solve_open_tsp_exact(costs, end="nope")
+    subset = TourCosts(mc, include=["b"])  # "c" is in the graph, not in the tour
+    with pytest.raises(InputError, match="tour end 'c' is not a vertex of the tour"):
+        solve_fixed_end_tsp(subset, "c")
+    for solve in (lambda: solve_fixed_end_tsp(costs, "a"),
+                  lambda: solve_open_tsp_exact(costs, end="a")):
+        with pytest.raises(InputError, match="tour end 'a' is the start vertex"):
+            solve()
