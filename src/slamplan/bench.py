@@ -13,7 +13,6 @@ from __future__ import annotations
 import io
 import csv
 import math
-import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -21,7 +20,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import InputError, MismatchError
-from .graph import PriorGraph, metric_closure
+from .graph import PriorGraph, _reachable, metric_closure
 from .loops import (
     abstract_pose_graph,
     enumerate_candidates,
@@ -33,7 +32,7 @@ from .loops import (
 from .mission import MissionConfig, run_mission
 from .planner import STRATEGIES
 from .sim import WorldModel
-from .tsp import TourCosts, expand_to_walk, solve_open_tsp
+from .tsp import TourCosts, _usable_cores, expand_to_walk, solve_open_tsp
 
 _MAX_ATTEMPTS = 100
 
@@ -134,18 +133,7 @@ def gen_grid_graph(spec: GridGraphSpec) -> PriorGraph:
 
 
 def _connected(kept, edges) -> bool:
-    adj = {v: [] for v in kept}
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    seen = {kept[0]}
-    stack = [kept[0]]
-    while stack:
-        for nb in adj[stack.pop()]:
-            if nb not in seen:
-                seen.add(nb)
-                stack.append(nb)
-    return len(seen) == len(kept)
+    return len(_reachable(kept, edges, kept[0])) == len(kept)
 
 
 # -- pruning benchmark ---------------------------------------------------
@@ -288,9 +276,9 @@ def compare_strategies(prior: PriorGraph, world: WorldModel, seeds,
                        workers: int | None = None) -> ComparisonResult:
     """Paired mission runs per seed for each strategy, with summary stats.
 
-    Instances are independent and run across a process pool by default;
-    results merge by (seed, strategy) so the report never depends on
-    completion order.  ``workers=1`` forces in-process execution.
+    Instances are independent and run across a process pool by default, one
+    worker per usable core; results merge by (seed, strategy) so the report
+    never depends on completion order.  ``workers=1`` forces in-process execution.
     """
     seeds = sorted(seeds)
     if len(seeds) < 2:
@@ -302,7 +290,7 @@ def compare_strategies(prior: PriorGraph, world: WorldModel, seeds,
         for strategy in STRATEGIES
     ]
     if workers is None:
-        workers = min(len(jobs), os.cpu_count() or 1)
+        workers = min(len(jobs), _usable_cores())
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_compare_worker, jobs, chunksize=1))

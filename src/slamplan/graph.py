@@ -114,6 +114,23 @@ def _batch(rows, mats, what, size):
     return rows, mats
 
 
+def _reachable(vertices, edges, start) -> set:
+    """The ``vertices`` reachable from ``start`` over ``edges``, whose items
+    begin with their two end vertices."""
+    neighbors = {v: [] for v in vertices}
+    for u, v, *_ in edges:
+        neighbors[u].append(v)
+        neighbors[v].append(u)
+    seen = {start}
+    stack = [start]
+    while stack:
+        for nb in neighbors[stack.pop()]:
+            if nb not in seen:
+                seen.add(nb)
+                stack.append(nb)
+    return seen
+
+
 class PriorGraph:
     """Undirected topo-metric graph with positions, lengths and covariances.
 
@@ -151,7 +168,6 @@ class PriorGraph:
             raise InputError(f"unknown start vertex {start!r}")
         self.start = start
 
-        self.adjacency = {vid: {} for vid in self.ids}  # id -> {neighbor: length}
         self._edge_row = {}  # frozenset({u,v}) -> row of edges / edge_covs
         self.edges = []
         covs = [self._add_edge_checked(u, v, length, cov) for u, v, length, cov in edges]
@@ -161,7 +177,11 @@ class PriorGraph:
         ).reshape(-1, 2)
         self.region_covs = np.tile(default_sigma(), (len(self.ids), 1, 1))
         self.topology_revision = 0
-        self._check_connected()
+        seen = _reachable(self.ids, self.edges, self.start)
+        missing = [v for v in self.ids if v not in seen]
+        if missing:
+            raise DisconnectedError(
+                f"vertex {missing[0]!r} is unreachable from start {self.start!r}")
 
     # -- construction helpers -------------------------------------------
 
@@ -195,25 +215,9 @@ class PriorGraph:
             if cov.ndim == 1:
                 cov = sigma_matrix(cov, f"{what} sigma")
         cov = check_spd(cov, what)
-        self.adjacency[u][v] = length
-        self.adjacency[v][u] = length
         self._edge_row[key] = len(self.edges)
         self.edges.append((u, v, length))
         return cov
-
-    def _check_connected(self):
-        seen = {self.start}
-        stack = [self.start]
-        while stack:
-            for nb in self.adjacency[stack.pop()]:
-                if nb not in seen:
-                    seen.add(nb)
-                    stack.append(nb)
-        if len(seen) != len(self.ids):
-            missing = next(v for v in self.ids if v not in seen)
-            raise DisconnectedError(
-                f"vertex {missing!r} is unreachable from start {self.start!r}"
-            )
 
     # -- queries --------------------------------------------------------
 
@@ -227,13 +231,10 @@ class PriorGraph:
         return self.positions[self.index[vid]]
 
     def has_edge(self, u, v) -> bool:
-        return v in self.adjacency.get(u, ())
+        return frozenset((u, v)) in self._edge_row
 
     def edge_length(self, u, v) -> float:
-        try:
-            return self.adjacency[u][v]
-        except KeyError:
-            raise InputError(f"no edge ({u!r}, {v!r})") from None
+        return self.edges[self.edge_row(u, v)][2]
 
     def edge_row(self, u, v) -> int:
         """Row of the edge (u, v) in ``edges``, ``edge_covs`` and
@@ -290,7 +291,6 @@ class PriorGraph:
         g.index = dict(self.index)
         g.positions = self.positions.copy()
         g.start = self.start
-        g.adjacency = {v: dict(nbrs) for v, nbrs in self.adjacency.items()}
         g._edge_row = dict(self._edge_row)
         g.edges = list(self.edges)
         g.edge_covs = self.edge_covs.copy()

@@ -70,9 +70,14 @@ class WorldModel:
         return self.region_degeneracy[v]
 
     def check_prior(self, prior: PriorGraph) -> None:
+        """Raise a MismatchError naming the first prior vertex, in id order,
+        or else the first prior edge, in edge order, that the world lacks."""
         missing = [v for v in prior.ids if v not in self.true_graph.index]
         if missing:
             raise MismatchError(f"prior vertex {missing[0]!r} absent from world")
+        for u, v, _ in prior.edges:
+            if not self.true_graph.has_edge(u, v):
+                raise MismatchError(f"prior edge ({u!r}, {v!r}) absent from world")
 
     def hidden_edges(self, prior: PriorGraph) -> list:
         """World edges joining prior vertices that the prior graph lacks."""

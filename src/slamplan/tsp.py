@@ -1,15 +1,16 @@
 """Open-loop coverage tours over the metric closure of a prior graph.
 
 A coverage route must start at a given vertex, visit every requested
-vertex, and may stop anywhere.  The open tour is solved as a path with
-both ends pinned: the heuristic appends a free terminal vertex, at zero
-cost from and to every vertex, and pins it last, so the vertex before it
-is the true endpoint and the path length equals the open tour's length.
+vertex, and may stop anywhere.  There is one heuristic solver, for a path
+with both ends pinned.  An open tour appends a free terminal vertex, at
+zero cost from and to every vertex, and pins it last, so the vertex before
+it is the true endpoint and the path length equals the open tour's length.
 A tour forced to end at a given vertex pins that vertex last instead.
 
-The heuristic solver seeds with nearest-neighbor construction from several
-distinct second vertices and polishes with best-improvement 2-opt
-reversals and or-opt segment relocations.  Each pass picks the best move
+The solver seeds with nearest-neighbor construction from several distinct
+second vertices, all seeds built in lockstep one tour position at a time,
+and polishes with best-improvement 2-opt reversals and or-opt segment
+relocations.  Each pass picks the best move
 from the scores of every move, read off one copy of the closure block taken
 in tour order and kept current across reversals; the 2-opt scores are kept
 too.  Above a size gate a reversal rescores only the rows and columns of
@@ -96,22 +97,25 @@ class TourCosts:
 # -- heuristic local search (index space) ---------------------------------
 
 
-def _nn_seed(dist: np.ndarray, second: int | None, skip) -> list:
+def _nn_seeds(dist: np.ndarray, seconds: list, end: int) -> np.ndarray:
+    """Nearest-neighbor orders from 0 to ``end``, one row per vertex of
+    ``seconds``, which that row visits second (the lone row [0, end] when
+    there is none).  The rows are built in lockstep, one tour position for
+    all of them at a time; ties go to the smallest index."""
     n = dist.shape[0]
-    visited = np.zeros(n, dtype=bool)
-    for k in skip:
-        visited[k] = True
-    order = [0]
-    visited[0] = True
-    if second is not None:
-        order.append(second)
-        visited[second] = True
-    while not visited.all():
-        row = np.where(visited, np.inf, dist[order[-1]])
-        nxt = int(np.argmin(row))  # argmin takes the smallest index on ties
-        order.append(nxt)
-        visited[nxt] = True
-    return order
+    orders = np.zeros((max(len(seconds), 1), n), dtype=np.int64)
+    orders[:, -1] = end
+    visited = np.zeros(orders.shape, dtype=bool)
+    visited[:, [0, end]] = True
+    rows = np.arange(len(orders))
+    for pos in range(1, n - 1):
+        if pos == 1:
+            nxt = seconds
+        else:
+            nxt = np.where(visited, np.inf, dist[orders[:, pos - 1]]).argmin(axis=1)
+        orders[:, pos] = nxt
+        visited[rows, nxt] = True
+    return orders
 
 
 def _score_reversals(P: np.ndarray, lower: np.ndarray, block: np.ndarray,
@@ -263,7 +267,7 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-def _best_of_restarts(dist: np.ndarray, seeds: list, n: int) -> tuple[list, float]:
+def _best_of_restarts(dist: np.ndarray, seeds: np.ndarray, n: int) -> tuple[list, float]:
     """The shortest of the ``seeds`` after ``_improve``, over its first ``n``
     vertices (an open tour's free terminal, pinned at index n, is dropped).
 
@@ -310,22 +314,17 @@ def _best_of_restarts(dist: np.ndarray, seeds: list, n: int) -> tuple[list, floa
     return best_order, best_len
 
 
-def _solve_open_indices(sym: np.ndarray, restarts: int) -> tuple[list, float]:
+def _solve_indices(sym: np.ndarray, end: int | None, restarts: int) -> tuple[list, float]:
+    """Heuristic tour over ``sym`` from index 0 to ``end``, or, for an open
+    tour (``end`` None), to a free terminal that the result drops."""
     n = sym.shape[0]
-    seconds = _seed_seconds(sym, restarts, skip=(0,))
-    if n == 1:
-        return [0], 0.0
-    aug = np.zeros((n + 1, n + 1))
-    aug[:n, :n] = sym  # index n: free terminal of the open tour
-    return _best_of_restarts(aug, [_nn_seed(sym, s, ()) + [n] for s in seconds], n)
-
-
-def _solve_fixed_end_indices(sym: np.ndarray, end: int, restarts: int) -> tuple[list, float]:
-    n = sym.shape[0]
-    seconds = _seed_seconds(sym, restarts, skip=(0, end))
-    if n == 2:
-        return [0, 1], float(sym[0, 1])
-    return _best_of_restarts(sym, [_nn_seed(sym, s, (end,)) + [end] for s in seconds], n)
+    dist = sym
+    if end is None:  # the terminal, index n, costs nothing to or from any vertex
+        dist = np.zeros((n + 1, n + 1))
+        dist[:n, :n] = sym
+        end = n
+    seconds = _seed_seconds(dist, restarts, skip=(0, end))
+    return _best_of_restarts(dist, _nn_seeds(dist, seconds, end), n)
 
 
 def _held_karp(dist: np.ndarray, end: int | None) -> tuple[list, float]:
@@ -372,13 +371,13 @@ def _held_karp(dist: np.ndarray, end: int | None) -> tuple[list, float]:
 
 def solve_open_tsp(costs: TourCosts, restarts: int = 8) -> Tour:
     """Heuristic open tour from the start over all vertices of ``costs``."""
-    order, length = _solve_open_indices(costs.sym, restarts)
+    order, length = _solve_indices(costs.sym, None, restarts)
     return Tour(costs.to_ids(order), length)
 
 
 def solve_fixed_end_tsp(costs: TourCosts, end, restarts: int = 8) -> Tour:
     """Heuristic open tour forced to terminate at vertex ``end``."""
-    order, length = _solve_fixed_end_indices(costs.sym, costs.end_index(end), restarts)
+    order, length = _solve_indices(costs.sym, costs.end_index(end), restarts)
     return Tour(costs.to_ids(order), length)
 
 

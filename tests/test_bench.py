@@ -4,6 +4,7 @@ import io
 import numpy as np
 import pytest
 
+from slamplan import bench
 from slamplan.bench import (
     TIMING_COLUMNS,
     ComparisonResult,
@@ -152,6 +153,19 @@ def test_compare_parallel_matches_serial(path3):
     serial = compare_strategies(g, world, [0, 1], workers=1)
     parallel = compare_strategies(g, world, [0, 1], workers=2)
     assert serial.to_csv() == parallel.to_csv()
+
+
+def test_compare_on_one_usable_core_builds_no_pool(monkeypatch):
+    # The default worker count follows the affinity mask, as the tour's
+    # threads do, so a process pinned to one core runs the missions in-process.
+    def no_pool(*args, **kwargs):
+        raise AssertionError("process pool built with one usable core")
+
+    monkeypatch.setattr(bench, "_usable_cores", lambda: 1)
+    monkeypatch.setattr(bench, "ProcessPoolExecutor", no_pool)
+    g = gen_grid_graph(GridGraphSpec(width=4, height=4, seed=6))
+    res = compare_strategies(g, WorldModel(g), [0, 1])
+    assert len(res.rows) == 4
 
 
 def test_prune_report_speedup_property():

@@ -170,6 +170,19 @@ def test_simulate_bad_world_exits_with_error(tmp_path, path3, graph_file, capsys
     assert match in err
 
 
+def test_simulate_prior_edge_absent_from_world_exits_with_error(tmp_path, capsys):
+    vertices = [{"id": v, "x": x, "y": 0.0} for v, x in (("a", 0.0), ("b", 10.0), ("c", 1.0))]
+    edges = [{"u": "a", "v": "b", "length": 10.0}, {"u": "b", "v": "c", "length": 1.0},
+             {"u": "a", "v": "c", "length": 1.0}]
+    prior = tmp_path / "prior.json"
+    prior.write_text(json.dumps({"vertices": vertices, "edges": edges, "start": "a"}))
+    world = tmp_path / "world.json"
+    world.write_text(json.dumps({"graph": {"vertices": vertices, "edges": edges[:2],
+                                           "start": "a"}}))
+    assert main(["simulate", str(prior), str(world)]) == 2
+    assert capsys.readouterr().err == "error: prior edge ('a', 'c') absent from world\n"
+
+
 def test_compare_too_few_seeds(graph_file, world_file, capsys):
     code = main(["compare", graph_file, world_file, "--seeds", "1"])
     assert code == 2

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from slamplan.errors import DisconnectedError, InputError
+from slamplan.errors import DisconnectedError, InputError, MismatchError
 from slamplan.graph import PriorGraph, load_prior_graph, metric_closure
 from slamplan.loops import LoopAction, Plan
 from slamplan.mission import Mission, MissionConfig, run_mission
@@ -47,6 +47,29 @@ def test_pure_traversal_events_only_visits():
     assert metrics.total_distance == pytest.approx(2.0)
     assert metrics.pose_count == 3
     assert metrics.assumption_ok
+
+
+def shortcut_prior_and_world():
+    """A prior whose tour takes the a-c shortcut, and a world without it."""
+    vertices = [{"id": v, "x": x, "y": 0.0} for v, x in (("a", 0.0), ("b", 10.0), ("c", 1.0))]
+    edges = [("a", "b", 10.0), ("b", "c", 1.0), ("a", "c", 1.0)]
+    doc = {"vertices": vertices, "start": "a",
+           "edges": [{"u": u, "v": v, "length": d} for u, v, d in edges]}
+    world = dict(doc, edges=doc["edges"][:2])
+    return load_prior_graph(doc), WorldModel(load_prior_graph(world))
+
+
+def test_prior_edge_absent_from_world_fails_before_moving():
+    prior, world = shortcut_prior_and_world()
+    with pytest.raises(MismatchError, match=r"^prior edge \('a', 'c'\) absent from world$"):
+        Mission(prior, world)
+    # a prior vertex the world lacks is named before any edge
+    vertices = [{"id": v, "x": 0.0, "y": 0.0} for v in ("a", "b", "c", "d")]
+    edges = [{"u": "a", "v": "d", "length": 1.0}, {"u": "d", "v": "b", "length": 1.0},
+             {"u": "b", "v": "c", "length": 1.0}]
+    lacking = load_prior_graph({"vertices": vertices, "edges": edges, "start": "a"})
+    with pytest.raises(MismatchError, match="prior vertex 'd' absent from world"):
+        Mission(lacking, world)
 
 
 def test_unknown_strategy_rejected():

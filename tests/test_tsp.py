@@ -274,10 +274,7 @@ def _ref_improve(dist, order):
 
 
 def _assert_same_as_reference(monkeypatch, sym, end, restarts):
-    if end is None:
-        solve = lambda: tsp._solve_open_indices(sym, restarts)  # noqa: E731
-    else:
-        solve = lambda: tsp._solve_fixed_end_indices(sym, end, restarts)  # noqa: E731
+    solve = lambda: tsp._solve_indices(sym, end, restarts)  # noqa: E731
     got = solve()
     with monkeypatch.context() as patch:
         patch.setattr(tsp, "_improve", _ref_improve)
@@ -358,12 +355,85 @@ def test_local_search_matches_reference_on_grid20(monkeypatch):
     _assert_same_as_reference(monkeypatch, sym, len(sym) - 1, 1)
 
 
+def _nn_seed(dist, second, skip):
+    """Reference nearest-neighbor seed, one vertex per numpy call: from 0
+    through ``second``, never to a vertex in ``skip``."""
+    n = dist.shape[0]
+    visited = np.zeros(n, dtype=bool)
+    for k in skip:
+        visited[k] = True
+    order = [0]
+    visited[0] = True
+    if second is not None:
+        order.append(second)
+        visited[second] = True
+    while not visited.all():
+        row = np.where(visited, np.inf, dist[order[-1]])
+        nxt = int(np.argmin(row))  # argmin takes the smallest index on ties
+        order.append(nxt)
+        visited[nxt] = True
+    return order
+
+
+@st.composite
+def _seed_blocks(draw):
+    """A closure block of 2-60 vertices, tied or not, maybe perturbed in its
+    last bits; either open (None) or with a drawn fixed end."""
+    n = draw(st.integers(2, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    graph = random_connected_graph(rng, n, extra_edge_prob=draw(st.sampled_from([0.05, 0.3])),
+                                   unit_lengths=draw(st.booleans()))
+    sym = metric_closure(graph).dist_matrix
+    if draw(st.booleans()):
+        sym = sym * (1.0 + 1e-12 * rng.random(sym.shape))
+    end = draw(st.one_of(st.none(), st.integers(1, n - 1)))
+    return sym, end, draw(st.integers(1, 8))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_seed_blocks())
+def test_lockstep_seeds_match_reference(case):
+    # Every row built in lockstep is the seed the one-at-a-time loop builds
+    # from that row's second vertex, on the open tour's augmented block with
+    # the free terminal as its end and on a block with a fixed end.
+    sym, end, restarts = case
+    n = len(sym)
+    if end is None:
+        dist = np.zeros((n + 1, n + 1))
+        dist[:n, :n] = sym
+        pinned, skip = n, ()
+    else:
+        dist, pinned, skip = sym, end, (end,)
+    seconds = tsp._seed_seconds(dist, restarts, skip=(0, pinned))
+    if end is None:  # the terminal, last and at zero cost, is never a second
+        assert seconds == tsp._seed_seconds(sym, restarts, skip=(0,))
+    want = [_nn_seed(sym, s, skip) + [pinned] for s in seconds] or [[0, pinned]]
+    assert tsp._nn_seeds(dist, seconds, pinned).tolist() == want
+
+
+def test_restarts_leave_the_shared_seeds_unchanged(monkeypatch):
+    build = tsp._nn_seeds
+    built = []
+
+    def keep(dist, seconds, end):
+        seeds = build(dist, seconds, end)
+        built.append((seeds, seeds.copy()))
+        return seeds
+
+    monkeypatch.setattr(tsp, "_nn_seeds", keep)
+    monkeypatch.setattr(tsp, "_usable_cores", lambda: 3)
+    g = gen_grid_graph(GridGraphSpec(width=15.0, height=15.0, seed=0))
+    costs = costs_for(g)
+    solve_open_tsp(costs, 4)
+    solve_fixed_end_tsp(costs, costs.ids[-1], 4)
+    assert len(built) == 2
+    for seeds, before in built:
+        assert np.array_equal(seeds, before)
+
+
 def _serial_and_threaded(sym, end, restarts, monkeypatch):
     """The solve on the serial path, then on 1, 2, 3 and 8 threads."""
-    if end is None:
-        solve = lambda: tsp._solve_open_indices(sym, restarts)  # noqa: E731
-    else:
-        solve = lambda: tsp._solve_fixed_end_indices(sym, end, restarts)  # noqa: E731
+    solve = lambda: tsp._solve_indices(sym, end, restarts)  # noqa: E731
     with monkeypatch.context() as patch:
         patch.setattr(tsp, "_LARGE_TOUR_ELEMENTS", np.inf)
         serial = solve()
@@ -480,7 +550,7 @@ def test_restart_error_reaches_caller_after_join(monkeypatch):
     for failing in ({seconds[5]}, {seconds[2], seconds[6]}):
         # the first failing seed's error, as the serial loop would raise it
         with pytest.raises(Failed) as err:
-            tsp._solve_open_indices(sym, 8)
+            tsp._solve_indices(sym, None, 8)
         assert err.value.args == (min(failing, key=seconds.index),)
         assert started and not any(t.is_alive() for t in started)
         started.clear()
@@ -500,10 +570,10 @@ def test_asymmetric_block_search_ends_within_a_second(rng):
             dist = metric_closure(random_connected_graph(
                 rng, 30, extra_edge_prob=0.1, unit_lengths=False)).dist_matrix
             skewed = dist + rng.uniform(0.0, 0.5, dist.shape)
-            order, length = tsp._solve_open_indices(skewed, 8)
+            order, length = tsp._solve_indices(skewed, None, 8)
             assert sorted(order) == list(range(30)) and order[0] == 0
             assert length == tsp._route_length(skewed, order)
-            order, length = tsp._solve_fixed_end_indices(skewed, 29, 8)
+            order, length = tsp._solve_indices(skewed, 29, 8)
             assert sorted(order) == list(range(30)) and order[0] == 0 and order[-1] == 29
             assert length == tsp._route_length(skewed, order)
     finally:
