@@ -15,24 +15,17 @@ import csv
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InputError, MismatchError
-from .graph import PriorGraph, _reachable, metric_closure
-from .loops import (
-    abstract_pose_graph,
-    enumerate_candidates,
-    greedy_select,
-    log_gain_numerator,
-    prune_test,
-    quad_forms,
-)
+from .graph import PriorGraph, _reachable
+from .loops import enumerate_candidates, exact_prune_test, greedy_select
 from .mission import MissionConfig, run_mission
-from .planner import STRATEGIES
+from .planner import STRATEGIES, compute_plan
 from .sim import WorldModel
-from .tsp import TourCosts, _usable_cores, expand_to_walk, solve_open_tsp
+from .tsp import _usable_cores
 
 _MAX_ATTEMPTS = 100
 
@@ -161,7 +154,7 @@ class PruneReport:
         return self.after_prop1 <= self.after_omega_max <= self.num_candidates
 
 
-def bench_prune(graph: PriorGraph, restarts: int = 8) -> PruneReport:
+def bench_prune(graph: PriorGraph) -> PruneReport:
     """Run greedy selection twice and verify pruning changes nothing.
 
     The survivor counts are those of the exact prune test on every
@@ -169,16 +162,12 @@ def bench_prune(graph: PriorGraph, restarts: int = 8) -> PruneReport:
     raised as an error: the filters are meant to be lossless, so
     disagreement is a soundness bug, not a data point.
     """
-    closure = metric_closure(graph)
-    tour = solve_open_tsp(TourCosts(closure), restarts)
-    walk = expand_to_walk(closure, tour.order)
-    apg = abstract_pose_graph(walk, graph)
+    base = compute_plan(graph, strategy="tsp_only")
+    closure, apg, walk = base.closure, base.apg, base.plan.tsp_walk
     cands = enumerate_candidates(apg, closure)
     within_cap = kept = 0
     if len(cands):
-        lognum = log_gain_numerator(apg.factor, cands.gamma,
-                                    quad_forms(apg.factor, cands))
-        _, within, keep = prune_test(walk.length, cands.omega, lognum)
+        _, within, keep = exact_prune_test(apg.factor, walk.length, cands)
         within_cap, kept = int(within.sum()), int(keep.sum())
     t0 = time.perf_counter()
     pruned = greedy_select(apg, cands, walk, closure, pruning=True)
@@ -272,7 +261,6 @@ def _compare_worker(args):
 
 
 def compare_strategies(prior: PriorGraph, world: WorldModel, seeds,
-                       config: MissionConfig | None = None,
                        workers: int | None = None) -> ComparisonResult:
     """Paired mission runs per seed for each strategy, with summary stats.
 
@@ -283,9 +271,8 @@ def compare_strategies(prior: PriorGraph, world: WorldModel, seeds,
     seeds = sorted(seeds)
     if len(seeds) < 2:
         raise InputError("comparison needs at least 2 seeds")
-    base = config or MissionConfig()
     jobs = [
-        (prior, world, replace(base, strategy=strategy), seed)
+        (prior, world, MissionConfig(strategy=strategy), seed)
         for seed in seeds
         for strategy in STRATEGIES
     ]

@@ -49,10 +49,7 @@ def _dump(obj) -> str:
 
 def _cmd_plan(args) -> int:
     graph = load_prior_graph(_read_json(args.graph))
-    plan = plan_exploration(
-        graph, strategy=args.strategy, pruning=not args.no_pruning,
-        restarts=args.restarts,
-    )
+    plan = plan_exploration(graph, strategy=args.strategy, restarts=args.restarts)
     _write(_dump(plan.to_dict()), args.out)
     return 0
 
@@ -64,7 +61,6 @@ def _cmd_simulate(args) -> int:
         strategy=args.strategy,
         replanning=not args.no_replanning,
         subpath_optimization=not args.no_subpath,
-        pruning=not args.no_pruning,
     )
     log, metrics = run_mission(graph, world, config, args.seed)
     if args.events is not None:
@@ -116,7 +112,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("plan", help="compute an exploration plan for a graph")
     p.add_argument("graph", help="prior graph JSON file")
     p.add_argument("--strategy", choices=STRATEGIES, default="slam_aware")
-    p.add_argument("--no-pruning", action="store_true")
     p.add_argument("--restarts", type=int, default=8)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_plan)
@@ -128,7 +123,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strategy", choices=STRATEGIES, default="slam_aware")
     p.add_argument("--no-replanning", action="store_true")
     p.add_argument("--no-subpath", action="store_true")
-    p.add_argument("--no-pruning", action="store_true")
     p.add_argument("--events", default=None, help="write event log (JSON lines)")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_simulate)

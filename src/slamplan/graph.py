@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -30,13 +31,17 @@ from .errors import CovarianceError, DisconnectedError, InputError
 # specify one.
 DEFAULT_SIGMA_DIAG = (0.1, 0.1, 0.001)
 
+# Largest summed edge length: plan lengths sum at most about V^2 distances,
+# each at most this, so they stay finite on graphs of up to 10^4 vertices.
+MAX_TOTAL_LENGTH = 1e300
+
 
 def sigma_matrix(diag, what: str = "sigma") -> np.ndarray:
     """Build a diagonal 3x3 covariance from per-axis variances; ``what``
     names the entry in error messages."""
     try:
         d = np.asarray(diag, dtype=float)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise InputError(f"{what} entries must be numbers, got {diag!r}") from None
     if d.shape != (3,):
         raise InputError(f"{what} must have 3 entries, got {d.tolist()}")
@@ -149,11 +154,13 @@ class PriorGraph:
         self.index = {}
         pos = []
         for vid, x, y in vertices:
+            if not isinstance(vid, (str, int)):
+                raise InputError(f"vertex id {vid!r} must be a string or an integer")
             if vid in self.index:
                 raise InputError(f"duplicate vertex id {vid!r}")
             try:
                 x, y = float(x), float(y)
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
                 raise InputError(
                     f"vertex {vid!r} position must be numeric, got ({x!r}, {y!r})"
                 ) from None
@@ -164,13 +171,16 @@ class PriorGraph:
             pos.append((x, y))
         self.positions = np.asarray(pos, dtype=float).reshape(len(self.ids), 2)
 
-        if start not in self.index:
+        if not isinstance(start, (str, int)) or start not in self.index:
             raise InputError(f"unknown start vertex {start!r}")
         self.start = start
 
         self._edge_row = {}  # frozenset({u,v}) -> row of edges / edge_covs
         self.edges = []
         covs = [self._add_edge_checked(u, v, length, cov) for u, v, length, cov in edges]
+        total = sum(length for _, _, length in self.edges)
+        if total > MAX_TOTAL_LENGTH:
+            raise InputError(f"edge lengths sum to {total:g}, above {MAX_TOTAL_LENGTH:g}")
         self.edge_covs = np.array(covs, dtype=float).reshape(-1, 3, 3)
         self.edge_ends = np.array(
             [(self.index[u], self.index[v]) for u, v, _ in self.edges], dtype=np.intp
@@ -189,7 +199,7 @@ class PriorGraph:
         """Validate one edge and record its topology; returns its covariance
         for the caller to store."""
         for vid in (u, v):
-            if vid not in self.index:
+            if not isinstance(vid, (str, int)) or vid not in self.index:
                 raise InputError(f"edge ({u!r}, {v!r}) references unknown vertex {vid!r}")
         if u == v:
             raise InputError(f"self-loop at vertex {u!r}")
@@ -201,7 +211,7 @@ class PriorGraph:
             length = float(np.linalg.norm(self.position(u) - self.position(v)))
         try:
             length = float(length)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise InputError(f"{what} length must be a number, got {length!r}") from None
         if not (length > 0 and math.isfinite(length)):
             raise InputError(f"{what} length must be finite and positive, got {length}")
@@ -210,7 +220,7 @@ class PriorGraph:
         else:
             try:
                 cov = np.asarray(cov, dtype=float)
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
                 raise InputError(f"{what} sigma must hold numbers, got {cov!r}") from None
             if cov.ndim == 1:
                 cov = sigma_matrix(cov, f"{what} sigma")
@@ -355,19 +365,21 @@ def load_prior_graph(document) -> PriorGraph:
 
 
 def _as_dict(document) -> dict:
-    if isinstance(document, dict):
-        return document
-    text = str(document)
-    if not text.lstrip().startswith("{"):
+    if isinstance(document, (str, os.PathLike)):
+        text = str(document)
+        if not text.lstrip().startswith("{"):
+            try:
+                with open(text, "r", encoding="utf-8") as fh:
+                    text = fh.read()
+            except OSError as exc:
+                raise InputError(f"cannot read {text}: {exc}") from None
         try:
-            with open(text, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise InputError(f"cannot read {text}: {exc}") from None
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"invalid JSON: {exc}") from None
+            document = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise InputError(f"invalid JSON: {exc}") from None
+    if not isinstance(document, dict):
+        raise InputError(f"document must be a JSON object, got {type(document).__name__}")
+    return document
 
 
 class MetricClosure:

@@ -39,8 +39,8 @@ recomputation (``log_det_from_scratch``) reserved for oracles and audits.
 Candidates are stored as (i, j) index pairs.  Their incidence columns are
 built one bounded chunk at a time to evaluate the quadratic forms
 b^T L^{-1} b, so memory does not grow with poses x candidates.  One
-function holds the prune test, shared by the greedy, ``prune_mask`` and
-``omega_max``.
+function holds the prune test, for the greedy and ``exact_prune_test``,
+which ``prune_mask``, ``omega_max`` and ``bench_prune`` read.
 """
 
 from __future__ import annotations
@@ -81,6 +81,9 @@ _LAZY_BATCH = 64
 # every live candidate: that costs less than the shortest-path pass and its
 # set-up (at 33 poses and 528 candidates, 0.18 against 0.5 ms).
 _BOUND_MIN_ELEMENTS = 50_000
+
+# Subsets scored per batch by ``brute_force_select``.
+_SUBSET_CHUNK = 16384
 
 
 class AbstractedPoseGraph:
@@ -180,10 +183,7 @@ def enumerate_candidates(apg: AbstractedPoseGraph, closure) -> CandidateSet:
     if closure.graph is not apg.graph or not closure.fresh():
         raise MismatchError("metric closure is stale for this pose graph")
     p = apg.pose_count
-    ju, iu = np.triu_indices(p, k=1)  # iu > ju
-    if len(iu):
-        order = np.lexsort((ju, iu))
-        iu, ju = iu[order], ju[order]
+    iu, ju = np.tril_indices(p, k=-1)  # iu > ju, sorted by (iu, ju)
     if apg.edges:
         ei = np.array([e[0] for e in apg.edges], dtype=np.int64)
         ej = np.array([e[1] for e in apg.edges], dtype=np.int64)
@@ -258,19 +258,21 @@ def prune_test(d_tsp: float, omega, lognum):
     return cap, within_cap, keep
 
 
-def omega_max(factor: LaplacianFactor, d_tsp: float, cands: CandidateSet,
-              quad=None) -> float:
+def exact_prune_test(factor: LaplacianFactor, d_tsp: float, cands: CandidateSet):
+    """``prune_test`` on the solved gain numerators of all of ``cands``, at
+    least one."""
+    lognum = log_gain_numerator(factor, cands.gamma, quad_forms(factor, cands))
+    return prune_test(d_tsp, cands.omega, lognum)
+
+
+def omega_max(factor: LaplacianFactor, d_tsp: float, cands: CandidateSet) -> float:
     """Detour cap: no candidate farther than this can ever raise the score."""
     if len(cands) == 0:
         raise InputError("omega_max needs at least one candidate")
-    if quad is None:
-        quad = quad_forms(factor, cands)
-    lognum = log_gain_numerator(factor, cands.gamma, quad)
-    return float(prune_test(d_tsp, cands.omega, lognum)[0])
+    return float(exact_prune_test(factor, d_tsp, cands)[0])
 
 
-def prune_mask(factor: LaplacianFactor, d_tsp: float, cands: CandidateSet,
-               quad=None) -> np.ndarray:
+def prune_mask(factor: LaplacianFactor, d_tsp: float, cands: CandidateSet) -> np.ndarray:
     """Boolean mask of candidates that can still improve the score.
 
     A candidate is dropped when its gain numerator cannot beat
@@ -282,10 +284,7 @@ def prune_mask(factor: LaplacianFactor, d_tsp: float, cands: CandidateSet,
     """
     if len(cands) == 0:
         return np.zeros(0, dtype=bool)
-    if quad is None:
-        quad = quad_forms(factor, cands)
-    lognum = log_gain_numerator(factor, cands.gamma, quad)
-    return prune_test(d_tsp, cands.omega, lognum)[2]
+    return exact_prune_test(factor, d_tsp, cands)[2]
 
 
 def prune_candidates(factor: LaplacianFactor, d_tsp: float,
@@ -542,8 +541,7 @@ def greedy_select(apg: AbstractedPoseGraph, cands: CandidateSet, walk: Walk,
     return GreedyResult(selected, plan, trace, log_j)
 
 
-def brute_force_select(apg: AbstractedPoseGraph, cands: CandidateSet,
-                       walk: Walk, chunk: int = 16384):
+def brute_force_select(apg: AbstractedPoseGraph, cands: CandidateSet, walk: Walk):
     """Exhaustive subset search; every score rebuilt densely.
 
     Only viable for small candidate sets; used as the optimality oracle.
@@ -561,8 +559,8 @@ def brute_force_select(apg: AbstractedPoseGraph, cands: CandidateSet,
         rank1[k] = (cands.gamma[k] * np.outer(b, b)).ravel()
     codes = np.arange(1 << m, dtype=np.int64)
     best_log, best_code = -np.inf, 0
-    for lo in range(0, len(codes), chunk):
-        part = codes[lo : lo + chunk]
+    for lo in range(0, len(codes), _SUBSET_CHUNK):
+        part = codes[lo : lo + _SUBSET_CHUNK]
         members = ((part[:, None] >> np.arange(m)) & 1).astype(float)
         laps = base.ravel()[None, :] + members @ rank1
         sign, logdet = np.linalg.slogdet(laps.reshape(-1, n, n))

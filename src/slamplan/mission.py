@@ -76,7 +76,6 @@ class MissionConfig:
     strategy: str = "slam_aware"
     replanning: bool = True
     subpath_optimization: bool = True
-    pruning: bool = True
 
 
 @dataclass
@@ -279,7 +278,6 @@ class Mission:
         outcome = compute_plan(
             self.prior,
             strategy=self.config.strategy,
-            pruning=self.config.pruning,
             closure=closure,
             include=set(unvisited),
             start=self.current,
@@ -316,7 +314,7 @@ class Mission:
         pool = set(goals) | {self.current}
         if end is not None:
             pool.add(end)
-        if len(pool) < 3 or (end is not None and len(pool - {self.current, end}) == 0):
+        if len(pool) < 3:
             return False
         costs = TourCosts(closure, include=pool, start=self.current)
         old_order = [self.current] + [v for v in goals if v != end]
@@ -348,7 +346,6 @@ class Mission:
         outcome = compute_plan(
             self.prior,
             strategy=self.config.strategy,
-            pruning=self.config.pruning,
             closure=closure,
         )
         self.log.plans.append(outcome.plan)

@@ -67,5 +67,5 @@ def compute_plan(
 
 
 def plan_exploration(graph: PriorGraph, strategy: str = "slam_aware",
-                     pruning: bool = True, restarts: int = 8) -> Plan:
-    return compute_plan(graph, strategy, pruning, restarts).plan
+                     restarts: int = 8) -> Plan:
+    return compute_plan(graph, strategy, restarts=restarts).plan

@@ -46,6 +46,10 @@ NOISE_FLOOR_TRACE = 1e-10
 
 DEFAULT_LOOP_SIGMA = (0.01, 0.01, 0.0001)
 
+# Gauss-Newton stops after this many iterations or on a step shorter than this.
+_GN_MAX_ITERS = 100
+_GN_STEP_TOL = 1e-10
+
 
 class WorldModel:
     """Ground-truth environment: full connectivity plus noise character."""
@@ -317,8 +321,7 @@ def _assemble(est, edges, dim):
     return h, grad
 
 
-def optimize_pose_graph(pg: SimPoseGraph, max_iters: int = 100,
-                        tol: float = 1e-10) -> dict:
+def optimize_pose_graph(pg: SimPoseGraph) -> dict:
     """Anchored Gauss-Newton; mutates pg.estimates, returns run info.
 
     Rejected full steps retry at half length up to 10 times; if even the
@@ -336,7 +339,7 @@ def optimize_pose_graph(pg: SimPoseGraph, max_iters: int = 100,
     f_cur = _objective(est, edges)
     info = {"iterations": 0, "converged": False, "objective": f_cur,
             "grad_norm": np.inf}
-    for it in range(1, max_iters + 1):
+    for it in range(1, _GN_MAX_ITERS + 1):
         h, grad = _assemble(est, edges, dim)
         info["grad_norm"] = float(np.linalg.norm(grad))
         try:
@@ -363,7 +366,7 @@ def optimize_pose_graph(pg: SimPoseGraph, max_iters: int = 100,
         step_norm = float(np.linalg.norm(alpha * step))
         f_cur = f_new
         info.update(iterations=it, objective=f_cur)
-        if step_norm < tol:
+        if step_norm < _GN_STEP_TOL:
             info["converged"] = True
             break
     h, grad = _assemble(est, edges, dim)

@@ -278,6 +278,12 @@ def _best_of_restarts(dist: np.ndarray, seeds: np.ndarray, n: int) -> tuple[list
     only if shorter by more than the tolerance, so the tour does not depend
     on the thread count.  Once every thread is joined, the error of the
     first seed that failed, in seed order, is raised.
+
+    The calling thread polishes too, which a ``ThreadPoolExecutor`` would
+    not: its caller only waits, so it needs one more worker thread, and each
+    thread keeps its own malloc arena of about 4 MB.  An executor version
+    raised ``plan-grid20`` peak RSS from 95-96 to 100-101 MB, in 4 of 4
+    pairs, for no change in time.
     """
     polished = [None] * len(seeds)
     todo = queue.SimpleQueue()

@@ -156,6 +156,26 @@ def test_plan_non_numeric_position_exits_with_error(tmp_path, path3, capsys):
     assert err.startswith("error: vertex 'b' position must be numeric")
 
 
+_TRIANGLE = [{"id": v, "x": float(k), "y": 0.0} for k, v in enumerate("abc")]
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"vertices": [{"id": [1], "x": 0, "y": 0}], "edges": [], "start": [1]},
+     "vertex id [1] must be a string or an integer"),
+    ({"vertices": _TRIANGLE, "edges": [{"u": ["a"], "v": "b"}], "start": "a"},
+     "edge (['a'], 'b') references unknown vertex ['a']"),
+    ([], "document must be a JSON object, got list"),
+    ({"vertices": _TRIANGLE, "start": "a",
+      "edges": [{"u": u, "v": v, "length": 1e308} for u, v in ("ab", "bc", "ac")]},
+     "edge lengths sum to inf, above 1e+300"),
+], ids=["unhashable-id", "unhashable-endpoint", "non-object", "overflowing-lengths"])
+def test_plan_malformed_document_exits_with_error(tmp_path, capsys, doc, message):
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(doc))
+    assert main(["plan", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("world, match", [
     ({"region_degeneracy": [1]}, "'region_degeneracy' must be an object"),
     ({"region_degeneracy": {"b": ["x", 1, 1]}}, "vertex 'b' degeneracy entries"),

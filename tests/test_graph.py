@@ -20,6 +20,8 @@ from slamplan.graph import (
 )
 from slamplan.laplacian import information_weights
 from slamplan.mission import _write_changed
+from slamplan.planner import compute_plan
+from slamplan.sim import load_world
 
 from conftest import random_connected_graph
 
@@ -116,7 +118,11 @@ def test_nan_covariance_entry_rejected_as_non_finite():
     ({}, {"length": "far"}, r"edge \(0, 'p'\) length must be a number, got 'far'"),
     ({}, {"sigma": ["a", 1, 1]}, r"edge \(0, 'p'\) sigma must hold numbers"),
     ({}, {"sigma": [[1, 0, 0], [0, 1]]}, r"edge \(0, 'p'\) sigma must hold numbers"),
-], ids=["x-text", "y-null", "length-text", "sigma-text", "sigma-ragged"])
+    ({"id": "p", "x": 10**400, "y": 0}, {}, r"vertex 'p' position must be numeric"),
+    ({}, {"length": 10**400}, r"edge \(0, 'p'\) length must be a number"),
+    ({}, {"sigma": [10**400, 1, 1]}, r"edge \(0, 'p'\) sigma must hold numbers"),
+], ids=["x-text", "y-null", "length-text", "sigma-text", "sigma-ragged", "x-huge-int",
+        "length-huge-int", "sigma-huge-int"])
 def test_non_numeric_entries_rejected_naming_offender(vertex, edge, match):
     doc = {
         "vertices": [{"id": 0, "x": 0, "y": 0}, dict({"id": "p", "x": 1, "y": 0}, **vertex)],
@@ -125,6 +131,56 @@ def test_non_numeric_entries_rejected_naming_offender(vertex, edge, match):
     }
     with pytest.raises(InputError, match=match):
         load_prior_graph(doc)
+
+
+@pytest.mark.parametrize("change, match", [
+    ({"vertices": [{"id": [1], "x": 0, "y": 0}], "edges": [], "start": [1]},
+     r"vertex id \[1\] must be a string or an integer"),
+    ({"edges": [{"u": ["a"], "v": 1}]}, r"edge \(\['a'\], 1\) references unknown vertex"),
+    ({"start": {"id": 0}}, r"unknown start vertex \{'id': 0\}"),
+], ids=["vertex-id", "edge-endpoint", "start"])
+def test_unhashable_ids_rejected_naming_offender(change, match):
+    doc = {
+        "vertices": [{"id": 0, "x": 0, "y": 0}, {"id": 1, "x": 1, "y": 0}],
+        "edges": [{"u": 0, "v": 1}],
+        "start": 0,
+    }
+    with pytest.raises(InputError, match=match):
+        load_prior_graph(dict(doc, **change))
+
+
+@pytest.mark.parametrize("load, document, kind", [
+    (load_prior_graph, [], "list"),
+    (load_prior_graph, 5, "int"),
+    (load_world, ["graph"], "list"),
+    (load_world, {"graph": []}, "list"),
+], ids=["prior-list", "prior-number", "world-list", "world-graph-list"])
+def test_non_object_documents_rejected(load, document, kind):
+    with pytest.raises(InputError, match=f"^document must be a JSON object, got {kind}$"):
+        load(document)
+
+
+def _path_doc(lengths):
+    return {
+        "vertices": [{"id": k, "x": float(k), "y": 0.0} for k in range(len(lengths) + 1)],
+        "edges": [{"u": k, "v": k + 1, "length": x} for k, x in enumerate(lengths)],
+        "start": 0,
+    }
+
+
+def test_summed_edge_length_above_limit_rejected():
+    with pytest.raises(InputError, match=r"^edge lengths sum to 1.2e\+300, above 1e\+300$"):
+        load_prior_graph(_path_doc([6e299, 6e299, 1.0]))
+    with pytest.raises(InputError, match=r"^edge lengths sum to inf, above 1e\+300$"):
+        load_prior_graph(_path_doc([1e308, 1e308]))
+
+
+def test_plan_below_summed_length_limit_stays_finite():
+    # pytest turns any overflow warning into an error
+    doc = _path_doc([1e299] * 9)
+    doc["edges"].append({"u": 0, "v": 9, "length": 5e298})
+    plan = compute_plan(load_prior_graph(doc)).plan
+    assert plan.actions and np.isfinite(plan.base_distance)
 
 
 def test_default_covariance_weight():

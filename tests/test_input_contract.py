@@ -1,0 +1,110 @@
+"""Input contract: any JSON document either loads and plans, or fails as a
+``SlamplanError``; the CLI exits 0, or 2 with ``error: ...``."""
+
+import contextlib
+import io
+import json
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from slamplan.cli import main
+from slamplan.errors import SlamplanError
+from slamplan.graph import load_prior_graph
+from slamplan.planner import compute_plan
+from slamplan.sim import load_world
+
+_scalars = (st.none() | st.booleans() | st.integers() | st.just(10**400)
+            | st.floats(allow_nan=True, allow_infinity=True) | st.text(max_size=3))
+_json = st.recursive(
+    _scalars,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=2), inner,
+                                                                max_size=2),
+    max_leaves=4,
+)
+_coordinate = st.floats(min_value=-1e3, max_value=1e3)
+_length = (st.sampled_from([None, 1.0, 1e154, 1e308])
+           | st.floats(min_value=1e-9, max_value=1e3)
+           | st.floats(min_value=1e-9, max_value=1e308))
+_sigma = st.none() | st.lists(st.floats(min_value=1e-6, max_value=1e3), min_size=3,
+                              max_size=3)
+
+
+@st.composite
+def prior_documents(draw):
+    """Prior-graph documents of at most 6 vertices, lengths up to 1e308,
+    with any JSON value in up to two of the id, coordinate, endpoint,
+    length, sigma, start, vertices and edges slots."""
+    n = draw(st.integers(1, 6))
+    ids = [draw(st.sampled_from([k, f"v{k}"])) for k in range(n)]
+    vertices = [{"id": v, "x": draw(_coordinate), "y": draw(_coordinate)} for v in ids]
+    pairs = [(k, k + 1) for k in range(n - 1)] if draw(st.integers(0, 3)) else []
+    if n > 1:
+        pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        pairs += draw(st.lists(pair.filter(lambda p: p[0] != p[1]), max_size=3))
+    edges = []
+    for a, b in pairs:
+        edge = {"u": ids[a], "v": ids[b]}
+        for key, values in (("length", _length), ("sigma", _sigma)):
+            value = draw(values)
+            if value is not None:
+                edge[key] = value
+        edges.append(edge)
+    doc = {"vertices": vertices, "edges": edges, "start": ids[0]}
+    slots = ([(doc, key) for key in doc]
+             + [(v, key) for v in vertices for key in ("id", "x", "y")]
+             + [(e, key) for e in edges for key in ("u", "v", "length", "sigma")])
+    corrupt = st.lists(st.integers(0, len(slots) - 1), min_size=1, max_size=2)
+    for k in draw(corrupt) if draw(st.booleans()) else ():
+        container, key = slots[k]
+        container[key] = draw(_json)
+    return doc
+
+
+def _mostly(good):
+    """``good`` three times in four, else any JSON value."""
+    return st.one_of(good, good, good, _json)
+
+
+_priors = _mostly(prior_documents())
+
+
+@st.composite
+def world_documents(draw):
+    """World documents over ``_priors``, with diagonals or any JSON value in
+    the degeneracy and loop-closure slots."""
+    doc = {"graph": draw(_priors)}
+    keys = st.sampled_from(["0", "1", "v0", "v1"]) | st.text(max_size=2)
+    for key in ("default_degeneracy", "region_degeneracy", "loop_closure_sigma"):
+        if draw(st.booleans()):
+            doc[key] = draw(_mostly(_sigma | st.dictionaries(keys, _mostly(_sigma),
+                                                              max_size=2)))
+    return doc
+
+
+@pytest.fixture(scope="module")
+def doc_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("contract") / "doc.json"
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(doc=_priors)
+def test_prior_documents_load_and_plan_or_fail_as_slamplan_errors(doc, doc_path):
+    try:
+        compute_plan(load_prior_graph(doc))
+    except SlamplanError:
+        pass
+    doc_path.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["plan", str(doc_path)])
+    assert (code, err.getvalue()[:7]) in ((0, ""), (2, "error: "))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(doc=_mostly(world_documents()))
+def test_world_documents_load_or_fail_as_slamplan_errors(doc):
+    try:
+        load_world(doc)
+    except SlamplanError:
+        pass
