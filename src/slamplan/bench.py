@@ -18,9 +18,10 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse.csgraph import connected_components
 
 from .errors import InputError, MismatchError
-from .graph import PriorGraph, _reachable
+from .graph import PriorGraph, _adjacency
 from .loops import enumerate_candidates, exact_prune_test, greedy_select
 from .mission import MissionConfig, run_mission
 from .planner import STRATEGIES, compute_plan
@@ -28,6 +29,10 @@ from .sim import WorldModel
 from .tsp import _usable_cores
 
 _MAX_ATTEMPTS = 100
+
+# Most cells a generated grid may have (100x100 at the default cell): the
+# scale graph.MAX_TOTAL_LENGTH is sized for.
+_MAX_GRID_CELLS = 10_000
 
 # Range of each grid spec value that has one: (test, wording for errors).
 _FRACTION = (lambda x: 0 <= x < 1, "in [0, 1)")
@@ -62,8 +67,10 @@ class GridGraphSpec:
         if extra:
             raise InputError(f"unknown grid spec keys: {sorted(extra)}")
         for key, value in doc.items():
-            finite = (isinstance(value, int) and not isinstance(value, bool)
-                      or isinstance(value, float) and math.isfinite(value))
+            try:
+                finite = not isinstance(value, bool) and math.isfinite(value)
+            except (TypeError, OverflowError):  # not a number, or no float holds it
+                finite = False
             if not finite:
                 raise InputError(f"grid spec {key!r} must be a finite number, got {value!r}")
             rule = _SPEC_RANGES.get(key)
@@ -79,10 +86,17 @@ def gen_grid_graph(spec: GridGraphSpec) -> PriorGraph:
     only after a connected topology is found, so the jitter never affects
     which removal sets are viable.
     """
-    nx = int(round(spec.width / spec.cell))
-    ny = int(round(spec.height / spec.cell))
+    try:
+        nx = int(round(spec.width / spec.cell))
+        ny = int(round(spec.height / spec.cell))
+    except (OverflowError, ValueError):  # an infinite or NaN cell count
+        raise InputError(f"grid of {spec.width!r} x {spec.height!r} in cells of "
+                         f"{spec.cell!r} has no finite cell count") from None
     if nx < 2 or ny < 2:
         raise InputError(f"grid needs at least 2x2 cells, got {nx}x{ny}")
+    if nx * ny > _MAX_GRID_CELLS:
+        raise InputError(f"grid of {nx}x{ny} cells is above the "
+                         f"{_MAX_GRID_CELLS}-cell limit")
     n = nx * ny
     base_edges = []
     for j in range(ny):
@@ -126,7 +140,10 @@ def gen_grid_graph(spec: GridGraphSpec) -> PriorGraph:
 
 
 def _connected(kept, edges) -> bool:
-    return len(_reachable(kept, edges, kept[0])) == len(kept)
+    """Whether ``edges``, items that begin with two ids of ``kept``, join it."""
+    index = {v: k for k, v in enumerate(kept)}
+    ends = [(index[u], index[v]) for u, v, *_ in edges]
+    return connected_components(_adjacency(ends, np.ones(len(ends)), len(kept)))[0] == 1
 
 
 # -- pruning benchmark ---------------------------------------------------

@@ -31,7 +31,7 @@ def _read_json(path: str) -> dict:
             return json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON or UTF-8, or an integer of over 4300 digits
         raise InputError(f"{path}: invalid JSON: {exc}") from None
 
 

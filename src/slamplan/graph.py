@@ -23,7 +23,7 @@ import os
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra
+from scipy.sparse.csgraph import connected_components, dijkstra
 
 from .errors import CovarianceError, DisconnectedError, InputError
 
@@ -119,21 +119,14 @@ def _batch(rows, mats, what, size):
     return rows, mats
 
 
-def _reachable(vertices, edges, start) -> set:
-    """The ``vertices`` reachable from ``start`` over ``edges``, whose items
-    begin with their two end vertices."""
-    neighbors = {v: [] for v in vertices}
-    for u, v, *_ in edges:
-        neighbors[u].append(v)
-        neighbors[v].append(u)
-    seen = {start}
-    stack = [start]
-    while stack:
-        for nb in neighbors[stack.pop()]:
-            if nb not in seen:
-                seen.add(nb)
-                stack.append(nb)
-    return seen
+def _adjacency(ends, weights, n: int) -> csr_matrix:
+    """(n, n) sparse matrix of the edges whose vertex indices are the rows
+    of the (k, 2) ``ends``, each edge stored in both directions with its
+    weight.  Searches on it run directed: an undirected one builds the
+    transpose on every call."""
+    i, j = np.asarray(ends, dtype=np.intp).reshape(-1, 2).T
+    w = np.asarray(weights, dtype=float)
+    return csr_matrix((np.r_[w, w], (np.r_[i, j], np.r_[j, i])), shape=(n, n))
 
 
 class PriorGraph:
@@ -178,26 +171,28 @@ class PriorGraph:
         self._edge_row = {}  # frozenset({u,v}) -> row of edges / edge_covs
         self.edges = []
         covs = [self._add_edge_checked(u, v, length, cov) for u, v, length, cov in edges]
+        self.edge_covs = np.empty((len(self.edges), 3, 3))
+        self.set_edge_covs(range(len(self.edges)), covs)
         total = sum(length for _, _, length in self.edges)
         if total > MAX_TOTAL_LENGTH:
             raise InputError(f"edge lengths sum to {total:g}, above {MAX_TOTAL_LENGTH:g}")
-        self.edge_covs = np.array(covs, dtype=float).reshape(-1, 3, 3)
         self.edge_ends = np.array(
             [(self.index[u], self.index[v]) for u, v, _ in self.edges], dtype=np.intp
         ).reshape(-1, 2)
         self.region_covs = np.tile(default_sigma(), (len(self.ids), 1, 1))
         self.topology_revision = 0
-        seen = _reachable(self.ids, self.edges, self.start)
-        missing = [v for v in self.ids if v not in seen]
-        if missing:
-            raise DisconnectedError(
-                f"vertex {missing[0]!r} is unreachable from start {self.start!r}")
+        labels = connected_components(
+            _adjacency(self.edge_ends, np.ones(len(self.edges)), len(self.ids)))[1]
+        outside = np.flatnonzero(labels != labels[self.index[start]])
+        if len(outside):
+            raise DisconnectedError(f"vertex {self.ids[outside[0]]!r} is unreachable "
+                                    f"from start {self.start!r}")
 
     # -- construction helpers -------------------------------------------
 
-    def _add_edge_checked(self, u, v, length, cov) -> np.ndarray:
-        """Validate one edge and record its topology; returns its covariance
-        for the caller to store."""
+    def _add_edge_checked(self, u, v, length, cov, check=None) -> np.ndarray:
+        """Validate one edge and record its topology; returns its 3x3
+        covariance, validated by ``check`` if given, for the caller to store."""
         for vid in (u, v):
             if not isinstance(vid, (str, int)) or vid not in self.index:
                 raise InputError(f"edge ({u!r}, {v!r}) references unknown vertex {vid!r}")
@@ -224,7 +219,10 @@ class PriorGraph:
                 raise InputError(f"{what} sigma must hold numbers, got {cov!r}") from None
             if cov.ndim == 1:
                 cov = sigma_matrix(cov, f"{what} sigma")
-        cov = check_spd(cov, what)
+            elif cov.shape != (3, 3):
+                raise CovarianceError(f"{what}: covariance must be 3x3, got {cov.shape}")
+        if check is not None:
+            cov = check(cov, what)
         self._edge_row[key] = len(self.edges)
         self.edges.append((u, v, length))
         return cov
@@ -266,7 +264,7 @@ class PriorGraph:
     # -- online updates --------------------------------------------------
 
     def add_edge(self, u, v, length=None, cov=None):
-        cov = self._add_edge_checked(u, v, length, cov)
+        cov = self._add_edge_checked(u, v, length, cov, check_spd)
         self.edge_covs = np.concatenate([self.edge_covs, cov[None]])
         self.edge_ends = np.vstack([self.edge_ends, (self.index[u], self.index[v])])
         self.topology_revision += 1
@@ -367,15 +365,15 @@ def load_prior_graph(document) -> PriorGraph:
 def _as_dict(document) -> dict:
     if isinstance(document, (str, os.PathLike)):
         text = str(document)
-        if not text.lstrip().startswith("{"):
+        if not text.lstrip().startswith(("{", "[")):
             try:
                 with open(text, "r", encoding="utf-8") as fh:
                     text = fh.read()
-            except OSError as exc:
+            except (OSError, UnicodeDecodeError) as exc:
                 raise InputError(f"cannot read {text}: {exc}") from None
         try:
             document = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # a JSONDecodeError, or an integer of over 4300 digits
             raise InputError(f"invalid JSON: {exc}") from None
     if not isinstance(document, dict):
         raise InputError(f"document must be a JSON object, got {type(document).__name__}")
@@ -391,18 +389,8 @@ class MetricClosure:
     """
 
     def __init__(self, graph: PriorGraph):
-        n = len(graph)
-        rows, cols, data = [], [], []
-        for u, v, length in graph.edges:
-            i, j = graph.index[u], graph.index[v]
-            rows += [i, j]
-            cols += [j, i]
-            data += [length, length]
-        weights = csr_matrix((data, (rows, cols)), shape=(n, n))
-        dist, pred = dijkstra(weights, directed=False, return_predecessors=True)
-        if not np.all(np.isfinite(dist)):
-            bad = int(np.argwhere(~np.isfinite(dist))[0, 1])
-            raise DisconnectedError(f"vertex {graph.ids[bad]!r} unreachable")
+        weights = _adjacency(graph.edge_ends, [e[2] for e in graph.edges], len(graph))
+        dist, pred = dijkstra(weights, return_predecessors=True)
         self.graph = graph
         self.dist_matrix = dist
         self._pred = pred

@@ -49,10 +49,10 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from .errors import InputError, MismatchError, SizeLimitError
+from .graph import _adjacency
 from .laplacian import (
     LaplacianFactor,
     build_reduced_laplacian,
@@ -184,11 +184,10 @@ def enumerate_candidates(apg: AbstractedPoseGraph, closure) -> CandidateSet:
         raise MismatchError("metric closure is stale for this pose graph")
     p = apg.pose_count
     iu, ju = np.tril_indices(p, k=-1)  # iu > ju, sorted by (iu, ju)
-    if apg.edges:
-        ei = np.array([e[0] for e in apg.edges], dtype=np.int64)
-        ej = np.array([e[1] for e in apg.edges], dtype=np.int64)
-        keep = ~np.isin(iu * p + ju, ei * p + ej)
-        iu, ju = iu[keep], ju[keep]
+    ei = np.array([e[0] for e in apg.edges], dtype=np.int64)
+    ej = np.array([e[1] for e in apg.edges], dtype=np.int64)
+    keep = ~np.isin(iu * p + ju, ei * p + ej)
+    iu, ju = iu[keep], ju[keep]
     g = apg.graph
     vidx = np.array([g.index[v] for v in apg.pose_to_vertex], dtype=np.int64)
     a, b = vidx[iu], vidx[ju]
@@ -222,12 +221,7 @@ def path_resistance(apg: AbstractedPoseGraph, cands: CandidateSet) -> np.ndarray
     of weight gamma a resistor of 1/gamma: an upper bound on b^T L^{-1} b,
     with equality when the poses are joined by a single path."""
     e = np.array(apg.weighted_edges, dtype=float).reshape(-1, 3)
-    i, j = e[:, :2].astype(np.int64).T
-    p = apg.pose_count
-    # both directions stored: a directed search skips the transpose that an
-    # undirected one builds on every call
-    res = csr_matrix((np.tile(1.0 / e[:, 2], 2), (np.r_[i, j], np.r_[j, i])),
-                     shape=(p, p))
+    res = _adjacency(e[:, :2], 1.0 / e[:, 2], apg.pose_count)
     return dijkstra(res)[cands.i, cands.j]
 
 
@@ -497,9 +491,6 @@ def greedy_select(apg: AbstractedPoseGraph, cands: CandidateSet, walk: Walk,
         plan = insert_loop_edges(apg, walk, selected, closure, 0.0)
         return GreedyResult(selected, plan, trace, 0.0)
     log_j = factor.log_dopt() - float(np.log(d_tsp))
-    if m == 0:
-        plan = insert_loop_edges(apg, walk, selected, closure, log_j)
-        return GreedyResult(selected, plan, trace, log_j)
     bounded = pruning and factor.n * m >= _BOUND_MIN_ELEMENTS
     # each candidate's last solved gain numerator, or an upper bound on it
     lognum = np.empty(m)

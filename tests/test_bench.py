@@ -1,5 +1,6 @@
 import csv
 import io
+import re
 
 import numpy as np
 import pytest
@@ -68,6 +69,30 @@ def test_grid_same_seed_identical():
 def test_grid_too_small_rejected():
     with pytest.raises(InputError):
         gen_grid_graph(GridGraphSpec(width=1.0, height=1.0))
+
+
+@pytest.mark.parametrize("key", ["width", "height", "cell", "seed"])
+def test_spec_value_beyond_float_range_rejected(key):
+    with pytest.raises(InputError, match=f"^grid spec '{key}' must be a finite number, got 1000"):
+        GridGraphSpec.from_dict({key: 10**400})
+
+
+# The 1e9 x 1e9 grid, which a regression would try to build, is tested in a
+# subprocess in test_cli.py.
+@pytest.mark.parametrize("spec, match", [
+    (GridGraphSpec(width=101, height=100), "grid of 101x100 cells is above the 10000-cell limit"),
+    (GridGraphSpec(width=1e308, cell=1e-10),
+     "grid of 1e+308 x 10.0 in cells of 1e-10 has no finite cell count"),
+    (GridGraphSpec(width=10**400), "in cells of 1.0 has no finite cell count"),
+], ids=["101x100", "infinite-ratio", "huge-int-width"])
+def test_grid_above_cell_limit_rejected(spec, match):
+    with pytest.raises(InputError, match=re.escape(match)):
+        gen_grid_graph(spec)
+
+
+def test_grid_at_cell_limit_builds():
+    g = gen_grid_graph(GridGraphSpec(width=100, height=100))
+    assert 9000 <= len(g) <= 9600
 
 
 def test_bench_prune_small_graph():

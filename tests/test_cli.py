@@ -1,7 +1,13 @@
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import slamplan
 from slamplan.bench import TIMING_COLUMNS
 from slamplan.cli import main
 
@@ -135,6 +141,25 @@ def test_invalid_json_exit(tmp_path, capsys):
     assert "bad.json" in capsys.readouterr().err
 
 
+def test_non_utf8_file_exits_with_error(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_bytes(b'{"width": "\xff"}')
+    assert main(["gen-graph", str(spec)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: {spec}: invalid JSON: 'utf-8' codec can't decode byte 0xff")
+
+
+@pytest.mark.skipif(not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 5000,
+                    reason="this Python parses integers of any length")
+def test_integer_beyond_json_digit_limit_exits_with_error(tmp_path, capsys):
+    # Python's int parser refuses more than 4300 digits with a ValueError
+    spec = tmp_path / "spec.json"
+    spec.write_text('{"width": ' + "1" * 5000 + "}")
+    assert main(["gen-graph", str(spec)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {spec}: invalid JSON: Exceeds the limit")
+
+
 @pytest.mark.parametrize("key,value", [("vertices", 5), ("edges", 3)])
 def test_plan_non_list_key_exits_with_error(tmp_path, path3, capsys, key, value):
     doc = dict(path3.to_dict(), **{key: value})
@@ -231,9 +256,12 @@ def test_plan_non_positive_restarts_exits_with_error(graph_file, capsys, restart
     ({"width": float("inf")}, "'width' must be a finite number, got inf"),
     ([1, 2], "grid spec must be a JSON object, got list"),
     (5, "grid spec must be a JSON object, got int"),
+    ({"width": 10**400}, "'width' must be a finite number, got 1000"),
+    ({"width": 1e308, "cell": 1e-10}, "in cells of 1e-10 has no finite cell count"),
 ], ids=["zero-cell", "text-width", "bool-height", "removal-above-one",
         "removal-one", "negative-seed", "float-seed", "negative-sigma",
-        "null-width", "infinite-width", "list", "number"])
+        "null-width", "infinite-width", "list", "number", "huge-int-width",
+        "infinite-cell-count"])
 def test_bad_grid_spec_exits_with_error(tmp_path, capsys, command, doc, match):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps(doc))
@@ -242,3 +270,23 @@ def test_bad_grid_spec_exits_with_error(tmp_path, capsys, command, doc, match):
     assert err.startswith("error: ")
     assert match in err
 
+
+
+def test_gen_graph_on_huge_grid_exits_with_error_in_seconds(tmp_path):
+    # Run apart, with a timeout and a 2 GB address-space cap, so that a
+    # generator that builds the lattice before checking its size fails this
+    # test quickly instead of hanging the suite or starving the machine.
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"width": 1e9, "height": 1e9}))
+    src = str(Path(slamplan.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    done = subprocess.run([sys.executable, "-m", "slamplan.cli", "gen-graph", str(spec)],
+                          capture_output=True, text=True, timeout=60, env=env,
+                          preexec_fn=cap_memory)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == ("error: grid of 1000000000x1000000000 cells is above the "
+                           "10000-cell limit\n")

@@ -1,12 +1,17 @@
 import json
+import re
+import sys
 import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra
 
-from slamplan import graph
+from slamplan import bench, graph
+from slamplan.bench import GridGraphSpec, gen_grid_graph
 from slamplan.errors import CovarianceError, DisconnectedError, InputError
 from slamplan.graph import (
     DEFAULT_SIGMA_DIAG,
@@ -154,10 +159,38 @@ def test_unhashable_ids_rejected_naming_offender(change, match):
     (load_prior_graph, 5, "int"),
     (load_world, ["graph"], "list"),
     (load_world, {"graph": []}, "list"),
-], ids=["prior-list", "prior-number", "world-list", "world-graph-list"])
+    (load_prior_graph, "[]", "list"),
+    (load_world, " [1, 2]", "list"),
+], ids=["prior-list", "prior-number", "world-list", "world-graph-list", "prior-list-text",
+        "world-list-text"])
 def test_non_object_documents_rejected(load, document, kind):
     with pytest.raises(InputError, match=f"^document must be a JSON object, got {kind}$"):
         load(document)
+
+
+@pytest.mark.skipif(not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 5000,
+                    reason="this Python parses integers of any length")
+def test_integer_beyond_json_digit_limit_rejected():
+    text = '{"vertices": [{"id": 0, "x": ' + "1" * 5000 + ', "y": 0}], "edges": [], "start": 0}'
+    with pytest.raises(InputError, match="^invalid JSON: Exceeds the limit"):
+        load_prior_graph(text)
+
+
+def test_non_utf8_file_rejected(tmp_path):
+    path = tmp_path / "g.json"
+    path.write_bytes(b'{"start": "\xff"}')
+    with pytest.raises(InputError, match=f"^cannot read {re.escape(str(path))}: 'utf-8' codec"):
+        load_prior_graph(str(path))
+
+
+def test_number_text_is_read_as_a_path(tmp_path, monkeypatch):
+    # " 5" is a valid file name, so only text opening with "{" or "[" is JSON
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(InputError, match="^cannot read  5: "):
+        load_prior_graph(" 5")
+    (tmp_path / " 5").write_text("[5]")
+    with pytest.raises(InputError, match="^document must be a JSON object, got list$"):
+        load_prior_graph(" 5")
 
 
 def _path_doc(lengths):
@@ -309,6 +342,117 @@ def test_disconnected_graph_rejected():
     }
     with pytest.raises(DisconnectedError):
         load_prior_graph(doc)
+
+
+def test_structural_fault_reported_before_earlier_covariance_fault():
+    # all edge covariances are validated in one batch after the edges are read
+    doc = {
+        "vertices": [{"id": v, "x": float(k), "y": 0.0} for k, v in enumerate("abc")],
+        "edges": [{"u": "a", "v": "b", "sigma": [0.1, -0.1, 0.001]},
+                  {"u": "b", "v": "c"},
+                  {"u": "c", "v": "b"}],
+        "start": "a",
+    }
+    with pytest.raises(InputError, match=r"^duplicate edge \('c', 'b'\)$"):
+        load_prior_graph(doc)
+    doc["edges"].pop()
+    with pytest.raises(CovarianceError,
+                       match=r"^edge \('a', 'b'\): covariance not positive-definite$"):
+        load_prior_graph(doc)
+    doc["edges"][1]["sigma"] = [[1.0, 0.0], [0.0, 1.0]]
+    with pytest.raises(CovarianceError,
+                       match=r"^edge \('b', 'c'\): covariance must be 3x3, got \(2, 2\)$"):
+        load_prior_graph(doc)
+
+
+def test_add_edge_validates_covariance_before_changing_the_graph(path3):
+    before = path3.copy()
+    with pytest.raises(CovarianceError,
+                       match=r"^edge \('a', 'c'\): covariance not symmetric$"):
+        path3.add_edge("a", "c", cov=np.triu(np.ones((3, 3))))
+    assert not path3.has_edge("a", "c")
+    assert path3.edges == before.edges
+    assert np.array_equal(path3.edge_covs, before.edge_covs)
+    assert np.array_equal(path3.edge_ends, before.edge_ends)
+    assert path3.topology_revision == before.topology_revision
+
+
+def _undirected_closure(g):
+    """All-pairs distances and predecessors from an undirected search on a
+    CSR holding each edge of ``g.edges`` once per direction, interleaved."""
+    rows, cols, data = [], [], []
+    for u, v, length in g.edges:
+        i, j = g.index[u], g.index[v]
+        rows += [i, j]
+        cols += [j, i]
+        data += [length, length]
+    weights = csr_matrix((data, (rows, cols)), shape=(len(g), len(g)))
+    return dijkstra(weights, directed=False, return_predecessors=True)
+
+
+@st.composite
+def _closure_graphs(draw):
+    """Random connected graphs of 4 to 40 vertices with unit (tied) or
+    jittered lengths at 1 m or 1000 m, and grids with or without jitter,
+    whose unjittered lattices tie many paths exactly."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    if draw(st.booleans()):
+        return gen_grid_graph(GridGraphSpec(
+            width=draw(st.integers(3, 9)), height=draw(st.integers(3, 9)),
+            position_noise_sigma=draw(st.sampled_from([0.0, 0.2])), seed=seed))
+    return random_connected_graph(
+        np.random.default_rng(seed), draw(st.integers(4, 40)),
+        extra_edge_prob=draw(st.sampled_from([0.05, 0.2, 0.5])),
+        unit_lengths=draw(st.booleans()), scale=draw(st.sampled_from([1.0, 1000.0])))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(_closure_graphs())
+def test_closure_matches_undirected_search_bit_for_bit(g):
+    dist, pred = _undirected_closure(g)
+    mc = metric_closure(g)
+    assert np.array_equal(mc.dist_matrix, dist)
+    assert np.array_equal(mc._pred, pred)
+
+
+def _reachable(vertices, edges, start) -> set:
+    """The ``vertices`` reachable from ``start`` over ``edges`` by a
+    depth-first search over ids."""
+    neighbors = {v: [] for v in vertices}
+    for u, v, *_ in edges:
+        neighbors[u].append(v)
+        neighbors[v].append(u)
+    seen = {start}
+    stack = [start]
+    while stack:
+        for nb in neighbors[stack.pop()]:
+            if nb not in seen:
+                seen.add(nb)
+                stack.append(nb)
+    return seen
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 14),
+       density=st.sampled_from([0.0, 0.1, 0.2, 0.4, 1.0]))
+def test_connectivity_matches_depth_first_search(seed, n, density):
+    rng = np.random.default_rng(seed)
+    # ids out of order and of both kinds, so id order differs from any sort
+    ids = [int(k) if k % 2 else f"v{k}" for k in rng.permutation(3 * n)[:n]]
+    edges = [(ids[a], ids[b]) for a in range(n) for b in range(a + 1, n)
+             if rng.uniform() < density]
+    start = ids[int(rng.integers(n))]
+    seen = _reachable(ids, edges, start)
+    assert bench._connected(ids, edges) == (len(seen) == n)
+    vertices = [(v, float(k), 0.0) for k, v in enumerate(ids)]
+    prior = [(u, v, 1.0, None) for u, v in edges]
+    missing = [v for v in ids if v not in seen]
+    if not missing:
+        assert len(PriorGraph(vertices, prior, start)) == n
+        return
+    message = f"vertex {missing[0]!r} is unreachable from start {start!r}"
+    with pytest.raises(DisconnectedError, match=f"^{re.escape(message)}$"):
+        PriorGraph(vertices, prior, start)
 
 
 def test_closure_path_on_unit_path(path3):

@@ -1,5 +1,6 @@
 """Input contract: any JSON document either loads and plans, or fails as a
-``SlamplanError``; the CLI exits 0, or 2 with ``error: ...``."""
+``SlamplanError``; the CLI exits 0, or 2 with ``error: ...``.  Grid specs
+get the same contract through ``slamplan gen-graph``."""
 
 import contextlib
 import io
@@ -108,3 +109,57 @@ def test_world_documents_load_or_fail_as_slamplan_errors(doc):
         load_world(doc)
     except SlamplanError:
         pass
+
+
+# Grid sizes: small valid values, and extremes that give a cell count that is
+# negative, below 2x2, infinite or beyond a float.  Large finite counts are
+# left to the subprocess test in test_cli.py, since a generator that built
+# them before checking their size would hang here.
+_extent = (st.integers(2, 12) | st.floats(2.0, 12.0)
+           | st.sampled_from([10**400, -10**400, -1e308, 5e-324, 0, -1]))
+_cell = st.floats(0.5, 4.0) | st.sampled_from([10**400, 1e308, 5e-324, 0, -1e-3])
+_fraction = st.floats(0.0, 0.5) | st.sampled_from([0.99, 1.0, -0.0, 1e308, 10**400])
+_spec_values = {
+    "width": _extent,
+    "height": _extent,
+    "cell": _cell,
+    "vertex_removal": _fraction,
+    "edge_removal": _fraction,
+    "position_noise_sigma": _fraction,
+    "seed": st.integers(0, 2**64) | st.sampled_from([-1, 1.5, 10**400]),
+}
+# JSON values that are not numbers: a number can size a lattice too large
+# to build before its size is checked, and the size strategies hold those.
+_non_numbers = _json.filter(lambda x: isinstance(x, bool) or not isinstance(x, (int, float)))
+
+
+@st.composite
+def grid_specs(draw):
+    """Grid specs with any subset of the keys, each a size drawn above or
+    any JSON value that is not a number, now and then an unknown key, or
+    any JSON value that is not a number as the whole document."""
+    kind = draw(st.sampled_from(["spec"] * 8 + ["unknown key", "not a spec"]))
+    if kind == "not a spec":
+        return draw(_non_numbers)
+    doc = {}
+    for key in draw(st.sets(st.sampled_from(sorted(_spec_values)))):
+        odd = draw(st.sampled_from([False] * 4 + [True]))
+        doc[key] = draw(_non_numbers if odd else _spec_values[key])
+    if kind == "unknown key":
+        doc[draw(st.text(max_size=2))] = draw(_json)
+    return doc
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(doc=grid_specs())
+def test_grid_specs_generate_or_fail_as_slamplan_errors(doc, doc_path):
+    doc_path.write_text(json.dumps(doc))
+    out_path = doc_path.with_name("graph.json")
+    out_path.unlink(missing_ok=True)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["gen-graph", str(doc_path), "--out", str(out_path)])
+    assert (code, err.getvalue()[:7]) in ((0, ""), (2, "error: "))
+    assert out_path.exists() == (code == 0)
+    if code == 0:
+        load_prior_graph(str(out_path))
