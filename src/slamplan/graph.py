@@ -364,8 +364,9 @@ def load_prior_graph(document) -> PriorGraph:
 
 def _as_dict(document) -> dict:
     if isinstance(document, (str, os.PathLike)):
-        text = str(document)
-        if not text.lstrip().startswith(("{", "[")):
+        text = os.fspath(document)
+        # a path object is always a file; a str is JSON text if it looks like it
+        if not isinstance(document, str) or not text.lstrip().startswith(("{", "[")):
             try:
                 with open(text, "r", encoding="utf-8") as fh:
                     text = fh.read()

@@ -1,4 +1,4 @@
-"""Weighted reduced graph Laplacian with incremental Cholesky updates.
+"""Weighted reduced graph Laplacian with incremental inverse-factor updates.
 
 The estimation quality of a pose graph is summarized by the determinant of
 its weighted reduced Laplacian: each relative-pose factor between poses i
@@ -8,14 +8,15 @@ weight, exp(-log det / 3) of the covariance.  Anchoring removes one
 row/column so the determinant is nonzero.
 
 The Laplacian is assembled by scatter-adding the four nonzero entries of
-each factor's w * b b^T.  The factor object below maintains a
-lower-triangular Cholesky factor and the log-determinant, supports O(n^2)
-rank-1 updates (a product-form update whose triangular solve also yields
-the log-det increment via the matrix determinant lemma), and evaluates
-quadratic forms b^T L^{-1} b with one LAPACK triangular solve per batch of
-columns.  Callers with many candidates pass the columns in chunks.
-``log_det_from_scratch`` is the dense, no-reuse log-det that oracles and
-the mission's plan comparison share.
+each factor's w * b b^T.  The factor object below is built from one
+Cholesky factorization L = C C^T and one triangular solve for W = C^{-1},
+and keeps W's columns as rows next to the log-determinant.  A quadratic
+form b^T L^{-1} b = ||W b||^2 of a pose pair is then the squared distance
+between two of those rows, O(n) per pair, and an O(n^2) rank-1 update
+(Sherman-Morrison on the square root) yields the log-det increment via the
+matrix determinant lemma.  Callers with many candidates pass the pairs in
+chunks.  ``log_det_from_scratch`` is the dense, no-reuse log-det that
+oracles and the mission's plan comparison share.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from .errors import InputError, RankDeficientError
-from .kernels import chol_update
+from .kernels import inverse_factor_update
 
 
 def information_weights(covs) -> np.ndarray:
@@ -92,41 +93,43 @@ def log_det_from_scratch(n: int, factors) -> float:
 
 
 class LaplacianFactor:
-    """Cholesky factor (lower) of a reduced Laplacian, with its log-det.
+    """Inverse Cholesky factor of a reduced Laplacian, with its log-det.
 
-    All updates mutate in place; use ``copy()`` to branch.
+    For L = C C^T and W = C^{-1}, row r of the (n+1, n) array ``rows`` is
+    column r-1 of W and row 0, the anchor pose's, is zero, so that
+    rows rows^T is W^T W = L^{-1} bordered by the anchor's zero row and
+    column.  All updates mutate in place; use ``copy()`` to branch.
     """
 
-    __slots__ = ("n", "chol", "log_det")
+    __slots__ = ("n", "rows", "log_det")
 
     def __init__(self, matrix: np.ndarray):
         matrix = np.asarray(matrix, dtype=float)
-        self.n = matrix.shape[0]
-        if self.n == 0:
-            self.chol = np.zeros((0, 0))
-            self.log_det = 0.0
+        self.n = n = matrix.shape[0]
+        self.rows = np.zeros((n + 1, n))
+        self.log_det = 0.0
+        if n == 0:
             return
         try:
-            self.chol = np.linalg.cholesky(matrix)
+            chol = np.linalg.cholesky(matrix)
         except np.linalg.LinAlgError:
             raise RankDeficientError(
                 "reduced Laplacian is not positive-definite; "
                 "is the underlying pose graph connected?"
             ) from None
-        diag = np.diagonal(self.chol)
+        diag = np.diagonal(chol)
         if np.min(diag) <= 1e-12:
             raise RankDeficientError("reduced Laplacian is numerically singular")
         self.log_det = 2.0 * float(np.sum(np.log(diag)))
+        self.rows[1:] = solve_triangular(chol, np.eye(n), lower=True,
+                                         check_finite=False).T
 
     def copy(self) -> "LaplacianFactor":
         dup = LaplacianFactor.__new__(LaplacianFactor)
         dup.n = self.n
-        dup.chol = self.chol.copy()
+        dup.rows = self.rows.copy()
         dup.log_det = self.log_det
         return dup
-
-    def matrix(self) -> np.ndarray:
-        return self.chol @ self.chol.T
 
     def log_dopt(self) -> float:
         """log of det(L)^(1/n); the empty factor scores 1 by convention."""
@@ -136,20 +139,24 @@ class LaplacianFactor:
         return float(np.exp(self.log_dopt()))
 
     def quad_form(self, b: np.ndarray) -> float:
-        """b^T L^{-1} b via one forward triangular solve."""
-        y = solve_triangular(self.chol, b, lower=True, check_finite=False)
+        """b^T L^{-1} b for any vector b, as ||W b||^2."""
+        y = np.asarray(b, dtype=float) @ self.rows[1:]
         return float(y @ y)
 
-    def quad_form_batch(self, cols: np.ndarray) -> np.ndarray:
-        """Quadratic forms for many incidence columns at once.
+    def quad_form_batch(self, pairs) -> np.ndarray:
+        """b^T L^{-1} b for the incidence vectors of many pose pairs at once.
 
-        ``cols`` is (n, k); returns the length-k array of b^T L^{-1} b.
-        The solve holds a second (n, k) array, so callers bound k.
+        ``pairs`` is the (2, k) array of pose indices, pose 0 the anchor;
+        each form is the squared distance between two gathered rows, O(n)
+        and with bits that do not depend on the batch.  Two (k, n)
+        temporaries are held, so callers bound k.
         """
-        y = solve_triangular(self.chol, cols, lower=True, check_finite=False)
-        return np.einsum("ij,ij->j", y, y)
+        i, j = pairs
+        y = self.rows[i]
+        y -= self.rows[j]
+        return np.einsum("ij,ij->i", y, y)
 
     def rank_one_update(self, weight: float, b: np.ndarray) -> None:
         """Add weight * b b^T in place; log-det via the determinant lemma."""
         x = np.sqrt(weight) * np.asarray(b, dtype=float)
-        self.log_det += float(np.log1p(chol_update(self.chol, x)))
+        self.log_det += float(np.log1p(inverse_factor_update(self.rows, x)))

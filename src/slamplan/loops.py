@@ -33,13 +33,14 @@ bound is the last solved value, since a selection only adds information.
 Every factor weight, walk edge or candidate, is ``information_weights``
 of a covariance: a walk edge's prior covariance, or for a candidate the
 ``PriorGraph.pair_covs`` mean of its two regions' matrices.  All score
-bookkeeping is in the log domain; determinants come from the Cholesky
-factor via the matrix determinant lemma, with from-scratch dense
+bookkeeping is in the log domain; determinants come from the factor's
+log-det, updated via the matrix determinant lemma, with from-scratch dense
 recomputation (``log_det_from_scratch``) reserved for oracles and audits.
-Candidates are stored as (i, j) index pairs.  Their incidence columns are
-built one bounded chunk at a time to evaluate the quadratic forms
-b^T L^{-1} b, so memory does not grow with poses x candidates.  One
-function holds the prune test, for the greedy and ``exact_prune_test``,
+Candidates are stored as (i, j) index pairs.  The factor keeps the rows of
+the inverse Cholesky factor, so a quadratic form b^T L^{-1} b is the
+squared distance between rows i and j: O(n) per candidate, gathered one
+bounded chunk at a time, so memory does not grow with poses x candidates.
+One function holds the prune test, for the greedy and ``exact_prune_test``,
 which ``prune_mask``, ``omega_max`` and ``bench_prune`` read.
 """
 
@@ -64,10 +65,10 @@ from .tsp import Walk
 
 _LOG_TOL = 0.0  # select only while log(delta) is strictly positive
 
-# Incidence entries materialized per chunk of candidates: 2^19 float64 is
-# 4 MB, and the triangular solve holds a second array of the same size.
-# A plan's peak memory is at most one full chunk (1383 columns at n=379),
-# however many columns a sweep needs.
+# Gathered row entries per chunk of candidates: 2^19 float64 is 4 MB, and
+# the quadratic forms hold a second gather of the same size.  A plan's peak
+# memory is at most one full chunk (1383 candidates at n=379), however many
+# candidates a sweep needs.
 _CHUNK_ELEMENTS = 1 << 19
 
 # Relative slack on path resistances: on a pose pair joined by one path the
@@ -99,8 +100,8 @@ class AbstractedPoseGraph:
 
     @cached_property
     def factor(self) -> LaplacianFactor:
-        """Cholesky factor of the walk's reduced Laplacian, built on first
-        use: the mission scores abstracted walks without it."""
+        """Inverse Cholesky factor of the walk's reduced Laplacian, built on
+        first use: the mission scores abstracted walks without it."""
         return LaplacianFactor(build_reduced_laplacian(self.n, self.weighted_edges))
 
     @property
@@ -142,12 +143,11 @@ class LoopEdgeCandidate:
 class CandidateSet:
     """Column-oriented candidate storage for batched evaluation."""
 
-    def __init__(self, i, j, omega, gamma, n):
+    def __init__(self, i, j, omega, gamma):
         self.i = np.asarray(i, dtype=np.int64)
         self.j = np.asarray(j, dtype=np.int64)
         self.omega = np.asarray(omega, dtype=float)
         self.gamma = np.asarray(gamma, dtype=float)
-        self.n = n
 
     def __len__(self):
         return len(self.i)
@@ -162,20 +162,7 @@ class CandidateSet:
         )
 
     def subset(self, mask) -> "CandidateSet":
-        return CandidateSet(
-            self.i[mask], self.j[mask], self.omega[mask], self.gamma[mask], self.n
-        )
-
-    def incidence_matrix(self, idx) -> np.ndarray:
-        """Dense (n, len(idx)) signed incidence columns of the candidates at
-        ``idx`` (anchor dropped)."""
-        i, j = self.i[idx], self.j[idx]
-        cols = np.zeros((self.n, len(i)), order="F")
-        rows = np.arange(len(i))
-        cols[i - 1, rows] = 1.0
-        pos = j > 0
-        cols[j[pos] - 1, rows[pos]] = -1.0
-        return cols
+        return CandidateSet(self.i[mask], self.j[mask], self.omega[mask], self.gamma[mask])
 
 
 def enumerate_candidates(apg: AbstractedPoseGraph, closure) -> CandidateSet:
@@ -192,7 +179,7 @@ def enumerate_candidates(apg: AbstractedPoseGraph, closure) -> CandidateSet:
     vidx = np.array([g.index[v] for v in apg.pose_to_vertex], dtype=np.int64)
     a, b = vidx[iu], vidx[ju]
     gamma = information_weights(g.pair_covs(a, b))
-    return CandidateSet(iu, ju, closure.dist_matrix[a, b], gamma, apg.n)
+    return CandidateSet(iu, ju, closure.dist_matrix[a, b], gamma)
 
 
 # -- incremental gain and pruning ---------------------------------------
@@ -201,9 +188,8 @@ def enumerate_candidates(apg: AbstractedPoseGraph, closure) -> CandidateSet:
 def quad_forms(factor: LaplacianFactor, cands: CandidateSet, idx=None) -> np.ndarray:
     """b^T L^{-1} b for the candidates at ``idx`` (default: all).
 
-    Incidence columns are built and solved in near-equal chunks, so at
-    most ``_CHUNK_ELEMENTS`` of them exist at once and no chunk is a lone
-    column unless ``idx`` is.
+    The pose pairs go to ``quad_form_batch`` in near-equal chunks, so at
+    most ``_CHUNK_ELEMENTS`` gathered row entries exist at once.
     """
     if idx is None:
         idx = np.arange(len(cands))
@@ -211,7 +197,8 @@ def quad_forms(factor: LaplacianFactor, cands: CandidateSet, idx=None) -> np.nda
     step = max(1, _CHUNK_ELEMENTS // max(factor.n, 1))
     lo = 0
     for part in np.array_split(idx, -(-len(idx) // step)) if len(idx) else ():
-        out[lo : lo + len(part)] = factor.quad_form_batch(cands.incidence_matrix(part))
+        pairs = np.stack((cands.i[part], cands.j[part]))
+        out[lo : lo + len(part)] = factor.quad_form_batch(pairs)
         lo += len(part)
     return out
 
@@ -233,7 +220,7 @@ def log_gain_numerator(factor: LaplacianFactor, gamma, quad) -> np.ndarray:
 def selection_delta(cand: LoopEdgeCandidate, factor: LaplacianFactor,
                     current_distance: float) -> float:
     """Multiplicative score gain of adding one candidate to the plan."""
-    q = factor.quad_form(incidence_column(factor.n, cand.i, cand.j))
+    q = factor.quad_form_batch(np.array([[cand.i], [cand.j]]))[0]
     num = np.log1p(cand.gamma * q) / factor.n
     den = np.log1p(2.0 * cand.omega / current_distance)
     return float(np.exp(num - den))
@@ -288,11 +275,9 @@ def prune_candidates(factor: LaplacianFactor, d_tsp: float,
 
 def _solve_columns(factor: LaplacianFactor, cands: CandidateSet, lognum, idx):
     """Write the exact gain numerators of the candidates at ``idx`` into
-    ``lognum``.  A lone column is solved next to a copy of itself: a
-    one-column solve rounds differently from the same column inside a
-    batch."""
-    quad = quad_forms(factor, cands, np.resize(idx, 2) if len(idx) == 1 else idx)
-    lognum[idx] = log_gain_numerator(factor, cands.gamma[idx], quad[: len(idx)])
+    ``lognum``."""
+    lognum[idx] = log_gain_numerator(factor, cands.gamma[idx],
+                                     quad_forms(factor, cands, idx))
 
 
 def _solve_while_bound_wins(factor: LaplacianFactor, cands: CandidateSet, lognum,

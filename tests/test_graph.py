@@ -2,6 +2,7 @@ import json
 import re
 import sys
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -191,6 +192,17 @@ def test_number_text_is_read_as_a_path(tmp_path, monkeypatch):
     (tmp_path / " 5").write_text("[5]")
     with pytest.raises(InputError, match="^document must be a JSON object, got list$"):
         load_prior_graph(" 5")
+
+
+@pytest.mark.parametrize("name", ["[draft].json", "{x}.json"])
+def test_path_object_is_always_a_file(tmp_path, monkeypatch, path3, name):
+    # only a str is checked for JSON text; a path object is opened even when
+    # its name starts with "[" or "{"
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / name).write_text(json.dumps(path3.to_dict()))
+    assert list(load_prior_graph(Path(name)).ids) == ["a", "b", "c"]
+    with pytest.raises(InputError, match=f"^cannot read {re.escape(name[0])}x: "):
+        load_prior_graph(Path(name[0] + "x"))
 
 
 def _path_doc(lengths):

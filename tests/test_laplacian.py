@@ -18,15 +18,20 @@ def unit_factor(n, edges, anchor=0):
     return reduced_laplacian(n, [(i, j, 1.0) for i, j in edges], anchor)
 
 
+def inverse(f):
+    """L^{-1} from the factor's rows: W^T W, the anchor's zero row dropped."""
+    return f.rows[1:] @ f.rows[1:].T
+
+
 def test_two_pose_single_edge():
     f = unit_factor(2, [(0, 1)])
-    assert np.allclose(f.matrix(), [[1.0]])
+    np.testing.assert_array_equal(f.rows, [[0.0], [1.0]])
     assert f.dopt() == pytest.approx(1.0)
 
 
 def test_triangle_matrix_and_det():
     f = unit_factor(3, [(0, 1), (1, 2), (0, 2)])
-    assert np.allclose(f.matrix(), [[2.0, -1.0], [-1.0, 2.0]])
+    assert np.allclose(inverse(f), np.array([[2.0, 1.0], [1.0, 2.0]]) / 3.0)
     assert np.exp(f.log_det) == pytest.approx(3.0)
     assert f.dopt() == pytest.approx(np.sqrt(3.0))
 
@@ -144,9 +149,9 @@ def test_batch_quad_form_matches_single(rng):
     g = random_connected_graph(rng, 9, extra_edge_prob=0.4)
     edges = [(g.index[u], g.index[v]) for u, v, _ in g.edges]
     f = unit_factor(9, edges)
-    cols = rng.standard_normal((8, 12))
-    batch = f.quad_form_batch(cols)
-    singles = [f.quad_form(cols[:, k]) for k in range(12)]
+    pairs = np.array([rng.choice(9, size=2, replace=False) for _ in range(12)]).T
+    batch = f.quad_form_batch(pairs)
+    singles = [f.quad_form(incidence_column(8, int(i), int(j))) for i, j in pairs.T]
     assert np.allclose(batch, singles, rtol=1e-10)
 
 
@@ -214,7 +219,7 @@ def test_build_reduced_laplacian_dense_agrees(rng):
     ]
     dense = build_reduced_laplacian(n - 1, factors)
     fact = reduced_laplacian(n, factors)
-    assert np.allclose(dense, fact.matrix(), rtol=1e-12)
+    assert np.allclose(np.linalg.inv(dense), inverse(fact), rtol=1e-12)
 
 
 @pytest.mark.parametrize("anchor", [0, 3])
@@ -248,6 +253,7 @@ def test_rank_one_update_drift_against_fresh_factor(rng):
         f.rank_one_update(gamma, incidence_column(poses - 1, int(i), int(j)))
         factors.append((int(i), int(j), gamma))
     fresh = LaplacianFactor(build_reduced_laplacian(poses - 1, factors))
-    rel = np.linalg.norm(f.chol - fresh.chol) / np.linalg.norm(fresh.chol)
+    # the updated rows are not triangular, so compare W^T W = L^{-1}
+    rel = np.linalg.norm(inverse(f) - inverse(fresh)) / np.linalg.norm(inverse(fresh))
     assert rel < 1e-12
     assert f.log_det == pytest.approx(fresh.log_det, rel=1e-12)
