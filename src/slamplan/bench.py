@@ -25,7 +25,7 @@ from .graph import PriorGraph, _adjacency
 from .loops import enumerate_candidates, exact_prune_test, greedy_select
 from .mission import MissionConfig, run_mission
 from .planner import STRATEGIES, compute_plan
-from .sim import WorldModel
+from .sim import WorldModel, _check_seed
 from .tsp import _usable_cores
 
 _MAX_ATTEMPTS = 100
@@ -284,10 +284,11 @@ def compare_strategies(prior: PriorGraph, world: WorldModel, seeds,
     Instances are independent and run across a process pool by default, one
     worker per usable core; results merge by (seed, strategy) so the report
     never depends on completion order.  ``workers=1`` forces in-process execution.
+    Seeds are checked before any mission starts.
     """
-    seeds = sorted(seeds)
-    if len(seeds) < 2:
-        raise InputError("comparison needs at least 2 seeds")
+    seeds = sorted(_check_seed(s) for s in seeds)
+    if len(seeds) < 2 or len(set(seeds)) < len(seeds):
+        raise InputError(f"comparison needs at least 2 seeds, all distinct, got {seeds}")
     jobs = [
         (prior, world, MissionConfig(strategy=strategy), seed)
         for seed in seeds

@@ -36,10 +36,11 @@ of a covariance: a walk edge's prior covariance, or for a candidate the
 bookkeeping is in the log domain; determinants come from the factor's
 log-det, updated via the matrix determinant lemma, with from-scratch dense
 recomputation (``log_det_from_scratch``) reserved for oracles and audits.
-Candidates are stored as (i, j) index pairs.  The factor keeps the rows of
-the inverse Cholesky factor, so a quadratic form b^T L^{-1} b is the
-squared distance between rows i and j: O(n) per candidate, gathered one
-bounded chunk at a time, so memory does not grow with poses x candidates.
+Factors, candidates and selections are all (i, j) pose pairs, pose 0 the
+anchor, and the factor takes pairs: a quadratic form b^T L^{-1} b costs
+O(n) per candidate, asked for one bounded chunk of pairs at a time so that
+memory does not grow with poses x candidates, and a selection is the
+rank-one update of its pair.
 One function holds the prune test, for the greedy and ``exact_prune_test``,
 which ``prune_mask``, ``omega_max`` and ``bench_prune`` read.
 """
@@ -57,18 +58,18 @@ from .graph import _adjacency
 from .laplacian import (
     LaplacianFactor,
     build_reduced_laplacian,
-    incidence_column,
     information_weights,
     log_det_from_scratch,
+    reduced_laplacian,
 )
 from .tsp import Walk
 
 _LOG_TOL = 0.0  # select only while log(delta) is strictly positive
 
-# Gathered row entries per chunk of candidates: 2^19 float64 is 4 MB, and
-# the quadratic forms hold a second gather of the same size.  A plan's peak
-# memory is at most one full chunk (1383 candidates at n=379), however many
-# candidates a sweep needs.
+# Entries per chunk of candidates in each of the two (k, n) temporaries of
+# ``quad_form_batch``: 2^19 float64 is 4 MB.  A plan's peak memory is at
+# most one full chunk (1383 candidates at n=379), however many candidates
+# a sweep needs.
 _CHUNK_ELEMENTS = 1 << 19
 
 # Relative slack on path resistances: on a pose pair joined by one path the
@@ -78,9 +79,9 @@ _BOUND_SLACK = 1e-9
 # Columns in a lazy sweep's first batch; each next batch is twice as large.
 _LAZY_BATCH = 64
 
-# Below this many incidence entries (poses x candidates) every sweep solves
-# every live candidate: that costs less than the shortest-path pass and its
-# set-up (at 33 poses and 528 candidates, 0.18 against 0.5 ms).
+# Below this many poses x candidates every sweep solves every live
+# candidate: that costs less than the shortest-path pass and its set-up (on
+# env1, 33 poses and 528 candidates, 0.10 against 0.37-0.40 ms).
 _BOUND_MIN_ELEMENTS = 50_000
 
 # Subsets scored per batch by ``brute_force_select``.
@@ -102,7 +103,7 @@ class AbstractedPoseGraph:
     def factor(self) -> LaplacianFactor:
         """Inverse Cholesky factor of the walk's reduced Laplacian, built on
         first use: the mission scores abstracted walks without it."""
-        return LaplacianFactor(build_reduced_laplacian(self.n, self.weighted_edges))
+        return reduced_laplacian(self.pose_count, self.weighted_edges)
 
     @property
     def pose_count(self):
@@ -188,8 +189,8 @@ def enumerate_candidates(apg: AbstractedPoseGraph, closure) -> CandidateSet:
 def quad_forms(factor: LaplacianFactor, cands: CandidateSet, idx=None) -> np.ndarray:
     """b^T L^{-1} b for the candidates at ``idx`` (default: all).
 
-    The pose pairs go to ``quad_form_batch`` in near-equal chunks, so at
-    most ``_CHUNK_ELEMENTS`` gathered row entries exist at once.
+    The pose pairs go to ``quad_form_batch`` in near-equal chunks of at
+    most ``_CHUNK_ELEMENTS`` // n pairs.
     """
     if idx is None:
         idx = np.arange(len(cands))
@@ -507,7 +508,7 @@ def greedy_select(apg: AbstractedPoseGraph, cands: CandidateSet, walk: Walk,
             break
         k = int(idx[best])
         cand = cands.candidate(k)
-        factor.rank_one_update(cand.gamma, incidence_column(apg.n, cand.i, cand.j))
+        factor.rank_one_update(cand.gamma, cand.i, cand.j)
         d_cur += 2.0 * cand.omega
         log_j += float(log_delta[best])
         selected.append(cand)
@@ -531,8 +532,8 @@ def brute_force_select(apg: AbstractedPoseGraph, cands: CandidateSet, walk: Walk
     base = build_reduced_laplacian(n, apg.weighted_edges)
     rank1 = np.empty((m, n * n))
     for k in range(m):
-        b = incidence_column(n, int(cands.i[k]), int(cands.j[k]))
-        rank1[k] = (cands.gamma[k] * np.outer(b, b)).ravel()
+        c = cands.candidate(k)
+        rank1[k] = build_reduced_laplacian(n, [(c.i, c.j, c.gamma)]).ravel()
     codes = np.arange(1 << m, dtype=np.int64)
     best_log, best_code = -np.inf, 0
     for lo in range(0, len(codes), _SUBSET_CHUNK):

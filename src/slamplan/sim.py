@@ -172,6 +172,14 @@ class MissionMetrics:
         return asdict(self)
 
 
+def _check_seed(seed):
+    """``seed`` if it is a non-negative integer, else an ``InputError``
+    that names it."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise InputError(f"seed must be a non-negative integer, got {seed!r}")
+    return seed
+
+
 class RouteRunner:
     """Edge-by-edge execution in the world with incremental measurements.
 
@@ -182,7 +190,7 @@ class RouteRunner:
 
     def __init__(self, world: WorldModel, start, seed):
         self.world = world
-        self.rng = np.random.default_rng(seed)
+        self.rng = np.random.default_rng(_check_seed(seed))
         g = world.true_graph
         if start not in g.index:
             raise MismatchError(f"start vertex {start!r} absent from world")

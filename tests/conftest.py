@@ -31,6 +31,15 @@ def random_connected_graph(rng, n, extra_edge_prob=0.3, unit_lengths=True,
     return PriorGraph(vertices, edge_list, start=0)
 
 
+def incidence(n, i, j) -> np.ndarray:
+    """Dense signed incidence vector of the pose pair (i, j) over poses
+    1..n, pose 0 the dropped anchor: the oracle for pair-indexed forms."""
+    b = np.zeros(n + 1)
+    b[i] += 1.0
+    b[j] -= 1.0
+    return b[1:]
+
+
 def spanning_tree_count(n, edges) -> int:
     """Exhaustive Kirchhoff check: count edge subsets of size n-1 that
     connect all n vertices."""

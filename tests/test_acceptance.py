@@ -23,7 +23,6 @@ from slamplan.graph import load_prior_graph, metric_closure
 from slamplan.laplacian import (
     LaplacianFactor,
     build_reduced_laplacian,
-    incidence_column,
 )
 from slamplan.loops import (
     abstract_pose_graph,
@@ -53,7 +52,7 @@ from slamplan.tsp import (
     solve_open_tsp_exact,
 )
 
-from conftest import random_connected_graph, spanning_tree_count
+from conftest import incidence, random_connected_graph, spanning_tree_count
 
 ENVS = resources.files("slamplan") / "envs"
 
@@ -132,11 +131,11 @@ def test_criterion_02_rank_one_logdet_identity(capsys):
         i = int(rng.integers(1, poses))
         j = int(rng.integers(0, i))
         gamma = float(np.exp(rng.uniform(np.log(0.05), np.log(50.0))))
-        b = incidence_column(n, i, j)
+        b = incidence(n, i, j)
         dense = build_reduced_laplacian(n, factors) + gamma * np.outer(b, b)
         _, ref = np.linalg.slogdet(dense)
         upd = factor.copy()
-        upd.rank_one_update(gamma, b)
+        upd.rank_one_update(gamma, i, j)
         worst = max(worst, abs(upd.log_det - ref) / max(1.0, abs(ref)))
     ok = worst < 1e-9
     _report(capsys, 2, "rank-one log-det identity", ok,
@@ -159,7 +158,7 @@ def test_criterion_03_gain_factorization(capsys):
         factor = apg.factor.copy()
         d_cur = walk.length
         for c in subset:
-            factor.rank_one_update(c.gamma, incidence_column(apg.n, c.i, c.j))
+            factor.rank_one_update(c.gamma, c.i, c.j)
             d_cur += 2.0 * c.omega
         delta = selection_delta(z, factor, d_cur)
         scratch = np.exp(score_from_scratch(apg, subset + [z], walk.length))

@@ -147,6 +147,22 @@ def test_compare_needs_two_seeds(path3):
         compare_strategies(path3, world, [0])
 
 
+@pytest.mark.parametrize("seeds, match", [
+    ([1, 1], r"at least 2 seeds, all distinct, got \[1, 1\]"),
+    ([2, 1, 2], r"at least 2 seeds, all distinct, got \[1, 2, 2\]"),
+    ([0, -3], "seed must be a non-negative integer, got -3"),
+    ([0, 2.0], "seed must be a non-negative integer, got 2.0"),
+], ids=["one-distinct", "repeated", "negative", "float"])
+def test_compare_checks_seeds_before_any_mission(monkeypatch, path3, seeds, match):
+    def no_mission(*args, **kwargs):
+        raise AssertionError("a mission ran before the seeds were checked")
+
+    monkeypatch.setattr(bench, "run_mission", no_mission)
+    monkeypatch.setattr(bench, "ProcessPoolExecutor", no_mission)
+    with pytest.raises(InputError, match=match):
+        compare_strategies(path3, WorldModel(path3), seeds)
+
+
 def test_compare_rows_sorted_and_summary(path3):
     from slamplan.bench import gen_grid_graph as gen
 

@@ -234,6 +234,18 @@ def test_compare_too_few_seeds(graph_file, world_file, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("args", [
+    ["simulate", "--seed", "-1"],
+    ["compare", "--seeds", "2", "--seed-start", "-3"],
+], ids=["simulate", "compare"])
+def test_negative_seed_exits_with_error(graph_file, world_file, capsys, args):
+    code = main([args[0], graph_file, world_file] + args[1:])
+    assert code == 2
+    seed = args[-1]
+    assert capsys.readouterr().err == (
+        f"error: seed must be a non-negative integer, got {seed}\n")
+
+
 @pytest.mark.parametrize("restarts", ["0", "-2"])
 def test_plan_non_positive_restarts_exits_with_error(graph_file, capsys, restarts):
     assert main(["plan", graph_file, "--restarts", restarts]) == 2

@@ -1,19 +1,17 @@
 import numpy as np
 import pytest
-from scipy.linalg import solve_triangular
 
 from slamplan import kernels
-from slamplan.laplacian import incidence_column
+from slamplan.laplacian import LaplacianFactor
+
+from conftest import incidence
 
 
-def spd_rows(rng, n):
-    """A random SPD matrix m and the inverse-factor rows of m: zero, then
-    the columns of C^{-1} for m = C C^T."""
+def spd_factor(rng, n):
+    """The inverse factor of a random SPD matrix m, and m."""
     a = rng.standard_normal((n, n))
     m = a @ a.T + n * np.eye(n)
-    rows = np.zeros((n + 1, n))
-    rows[1:] = solve_triangular(np.linalg.cholesky(m), np.eye(n), lower=True).T
-    return rows, m
+    return LaplacianFactor(m), m
 
 
 def sherman_morrison(rows, x):
@@ -28,76 +26,92 @@ def sherman_morrison(rows, x):
     return out
 
 
+def random_pair(rng, n):
+    i, j = rng.choice(n + 1, size=2, replace=False)
+    return int(i), int(j)
+
+
 def test_backend_reports_something():
     assert kernels.BACKEND == "numpy"
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 17])
 def test_update_matches_dense_oracle(rng, n):
-    rows, m = spd_rows(rng, n)
-    x = rng.standard_normal(n)
-    got = rows.copy()
-    kernels.inverse_factor_update(got, x.copy())
-    np.testing.assert_allclose(got, sherman_morrison(rows, x), atol=1e-14)
+    f, m = spd_factor(rng, n)
+    rows = f.rows.copy()
+    i, j = random_pair(rng, n)
+    w = float(rng.uniform(0.1, 10.0))
+    x = np.sqrt(w) * incidence(n, i, j)
+    f.rank_one_update(w, i, j)
+    np.testing.assert_allclose(f.rows, sherman_morrison(rows, x), atol=1e-14)
     # still a square root of the inverse of the updated matrix
-    np.testing.assert_allclose(got[1:] @ got[1:].T, np.linalg.inv(m + np.outer(x, x)),
-                               atol=1e-13)
+    np.testing.assert_allclose(f.rows[1:] @ f.rows[1:].T,
+                               np.linalg.inv(m + np.outer(x, x)), atol=1e-13)
 
 
 def test_update_returns_quadratic_form(rng):
+    # the log-det grows by log1p of the pair's weighted quadratic form
     for n in (1, 4, 11):
-        rows, m = spd_rows(rng, n)
-        x = rng.standard_normal(n)
-        q = kernels.inverse_factor_update(rows.copy(), x)
-        assert q == pytest.approx(x @ np.linalg.solve(m, x), rel=1e-12)
+        f, m = spd_factor(rng, n)
+        i, j = random_pair(rng, n)
+        x = 1.7 * incidence(n, i, j)
+        before = f.log_det
+        f.rank_one_update(1.7**2, i, j)
+        assert f.log_det - before == pytest.approx(
+            np.log1p(x @ np.linalg.solve(m, x)), rel=1e-12)
 
 
 @pytest.mark.parametrize("n", [2, 7, 30])
 def test_update_incidence_trailing_block(rng, n):
-    # Incidence-shaped x with leading zeros on a fresh, triangular inverse
-    # factor: p = W x vanishes before x's first nonzero, so the columns of
-    # rows before it keep their bits, and the result is the dense oracle.
+    # A pair update on a fresh, triangular inverse factor: p vanishes before
+    # the incidence vector's first nonzero, so the columns of rows before it
+    # keep their bits, and the result is the dense oracle.
     for _ in range(10):
-        rows, m = spd_rows(rng, n)
-        i, j = sorted(rng.choice(n + 1, size=2, replace=False), reverse=True)
-        x = 1.7 * incidence_column(n, int(i), int(j))
+        f, m = spd_factor(rng, n)
+        rows = f.rows.copy()
+        i, j = random_pair(rng, n)
+        x = 1.7 * incidence(n, i, j)
         s = int(np.flatnonzero(x)[0])
-        got = rows.copy()
-        q = kernels.inverse_factor_update(got, x)
-        np.testing.assert_allclose(got, sherman_morrison(rows, x), atol=1e-14)
-        np.testing.assert_array_equal(got[:, :s], rows[:, :s])
-        assert q == pytest.approx(x @ np.linalg.solve(m, x), rel=1e-12)
+        f.rank_one_update(1.7**2, i, j)
+        np.testing.assert_allclose(f.rows, sherman_morrison(rows, x), atol=1e-14)
+        np.testing.assert_array_equal(f.rows[:, :s], rows[:, :s])
 
 
 @pytest.mark.parametrize("n", [1, 6])
 def test_update_zero_vector_is_identity(rng, n):
-    rows, _ = spd_rows(rng, n)
-    got = rows.copy()
-    assert kernels.inverse_factor_update(got, np.zeros(n)) == 0.0
-    np.testing.assert_array_equal(got, rows)
+    # a pair of one pose with itself has the zero incidence vector
+    f, _ = spd_factor(rng, n)
+    rows, log_det = f.rows.copy(), f.log_det
+    for k in range(n + 1):
+        f.rank_one_update(2.5, k, k)
+    np.testing.assert_array_equal(f.rows, rows)
+    assert f.log_det == log_det
 
 
 def test_update_scalar_factor():
-    rows = np.array([[0.0], [0.5]])  # the inverse factor of [[4]]
-    q = kernels.inverse_factor_update(rows, np.array([1.5]))
-    assert rows[1, 0] == pytest.approx(1.0 / np.sqrt(4.0 + 2.25), rel=1e-15)
-    assert rows[0, 0] == 0.0
-    assert q == pytest.approx(2.25 / 4.0, rel=1e-15)
+    f = LaplacianFactor(np.array([[4.0]]))
+    np.testing.assert_array_equal(f.rows, [[0.0], [0.5]])
+    before = f.log_det
+    f.rank_one_update(2.25, 1, 0)
+    assert f.rows[1, 0] == pytest.approx(1.0 / np.sqrt(4.0 + 2.25), rel=1e-15)
+    assert f.rows[0, 0] == 0.0
+    assert f.log_det - before == pytest.approx(np.log1p(2.25 / 4.0), rel=1e-15)
 
 
 def test_update_keeps_the_anchor_row_zero(rng):
-    rows, _ = spd_rows(rng, 6)
+    f, _ = spd_factor(rng, 6)
     for _ in range(3):
-        kernels.inverse_factor_update(rows, rng.standard_normal(6))
-    np.testing.assert_array_equal(rows[0], np.zeros(6))
+        f.rank_one_update(float(rng.uniform(0.1, 10.0)), *random_pair(rng, 6))
+    np.testing.assert_array_equal(f.rows[0], np.zeros(6))
 
 
 def test_repeated_updates_accumulate(rng):
     n = 5
-    rows, m = spd_rows(rng, n)
+    f, m = spd_factor(rng, n)
     acc = m.copy()
     for _ in range(4):
-        x = rng.standard_normal(n)
-        acc += np.outer(x, x)
-        kernels.inverse_factor_update(rows, x.copy())
-    np.testing.assert_allclose(rows[1:] @ rows[1:].T, np.linalg.inv(acc), atol=1e-12)
+        i, j = random_pair(rng, n)
+        w = float(rng.uniform(0.1, 10.0))
+        acc += w * np.outer(incidence(n, i, j), incidence(n, i, j))
+        f.rank_one_update(w, i, j)
+    np.testing.assert_allclose(f.rows[1:] @ f.rows[1:].T, np.linalg.inv(acc), atol=1e-12)

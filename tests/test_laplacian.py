@@ -5,17 +5,29 @@ from slamplan.errors import InputError, RankDeficientError
 from slamplan.laplacian import (
     LaplacianFactor,
     build_reduced_laplacian,
-    incidence_column,
     information_weights,
     log_det_from_scratch,
     reduced_laplacian,
 )
 
-from conftest import random_connected_graph, spanning_tree_count
+from conftest import incidence, random_connected_graph, spanning_tree_count
 
 
-def unit_factor(n, edges, anchor=0):
-    return reduced_laplacian(n, [(i, j, 1.0) for i, j in edges], anchor)
+def unit_factor(n, edges):
+    return reduced_laplacian(n, [(i, j, 1.0) for i, j in edges])
+
+
+def relabel(edges, a):
+    """The same edges with poses a and 0 swapped, so that pose a is the
+    anchor."""
+    swap = {a: 0, 0: a}
+    return [(swap.get(e[0], e[0]), swap.get(e[1], e[1])) + tuple(e[2:]) for e in edges]
+
+
+def pair_form(n, factors, i, j):
+    """Dense oracle: b^T L^{-1} b for the pair (i, j) by ``np.linalg.solve``."""
+    b = incidence(n, i, j)
+    return float(b @ np.linalg.solve(build_reduced_laplacian(n, factors), b))
 
 
 def inverse(f):
@@ -49,35 +61,59 @@ def test_identity_matrix_dopt_is_one():
 
 
 def test_four_cycle_dopt_any_anchor():
+    # any pose as the anchor: relabel it to pose 0
     edges = [(0, 1), (1, 2), (2, 3), (0, 3)]
     for anchor in range(4):
-        f = unit_factor(4, edges, anchor)
+        f = unit_factor(4, relabel(edges, anchor))
         assert f.dopt() == pytest.approx(4.0 ** (1.0 / 3.0))
 
 
 def test_quad_form_zero_vector():
+    # a pair of one pose with itself has the zero incidence vector
     f = unit_factor(3, [(0, 1), (1, 2)])
-    assert f.quad_form(np.zeros(2)) == 0.0
+    np.testing.assert_array_equal(f.quad_form_batch(np.array([[0, 1, 2], [0, 1, 2]])),
+                                  np.zeros(3))
 
 
 def test_quad_form_path_candidate():
     # reduced L of the 0-1-2 path is [[2,-1],[-1,1]], inverse [[1,1],[1,2]]
-    f = unit_factor(3, [(0, 1), (1, 2)])
-    b = incidence_column(2, 2, 0)
-    assert np.allclose(b, [0.0, 1.0])
-    assert f.quad_form(b) == pytest.approx(2.0)
+    edges = [(0, 1, 1.0), (1, 2, 1.0)]
+    q = reduced_laplacian(3, edges).quad_form_batch(np.array([[2], [0]]))[0]
+    np.testing.assert_array_equal(incidence(2, 2, 0), [0.0, 1.0])
+    assert q == pytest.approx(2.0)
+    assert q == pytest.approx(pair_form(2, edges, 2, 0), rel=1e-14)
 
 
 def test_quad_form_duplicate_triangle_edge():
-    f = unit_factor(3, [(0, 1), (1, 2), (0, 2)])
-    b = incidence_column(2, 1, 0)
-    assert f.quad_form(b) == pytest.approx(2.0 / 3.0)
+    edges = [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)]
+    q = reduced_laplacian(3, edges).quad_form_batch(np.array([[1], [0]]))[0]
+    assert q == pytest.approx(2.0 / 3.0)
+    assert q == pytest.approx(pair_form(2, edges, 1, 0), rel=1e-14)
+
+
+def test_pair_forms_do_not_depend_on_the_anchor():
+    # The form of a pair is the effective resistance between its poses,
+    # whichever pose is anchored: relabel each pose to pose 0 in turn and
+    # compare with the pseudo-inverse of the full Laplacian.
+    edges = [(0, 1, 1.0), (1, 2, 2.0), (2, 3, 0.5), (3, 0, 1.5), (0, 2, 0.7)]
+    full = np.zeros((4, 4))
+    for i, j, w in edges:
+        e = np.eye(4)[i] - np.eye(4)[j]
+        full += w * np.outer(e, e)
+    for anchor in range(4):
+        f = reduced_laplacian(4, relabel(edges, anchor))
+        swap = {anchor: 0, 0: anchor}
+        for i, j in [(2, 0), (3, 1), (1, 2)]:
+            e = np.eye(4)[i] - np.eye(4)[j]
+            pair = np.array([[swap.get(i, i)], [swap.get(j, j)]])
+            assert f.quad_form_batch(pair)[0] == pytest.approx(
+                e @ np.linalg.pinv(full) @ e, rel=1e-12)
 
 
 def test_rank_one_update_path_to_triangle():
     f = unit_factor(3, [(0, 1), (1, 2)])
     assert np.exp(f.log_det) == pytest.approx(1.0)
-    f.rank_one_update(1.0, incidence_column(2, 2, 0))
+    f.rank_one_update(1.0, 2, 0)
     assert np.exp(f.log_det) == pytest.approx(3.0)
     ref = unit_factor(3, [(0, 1), (1, 2), (0, 2)])
     assert f.log_det == pytest.approx(ref.log_det, rel=1e-12)
@@ -85,11 +121,11 @@ def test_rank_one_update_path_to_triangle():
 
 def test_same_edge_twice_compounds():
     f = unit_factor(3, [(0, 1), (1, 2), (0, 2)])
-    b = incidence_column(2, 2, 1)
-    q1 = f.quad_form(b)
-    f.rank_one_update(1.0, b)
-    q2 = f.quad_form(b)
-    f.rank_one_update(1.0, b)
+    pair = np.array([[2], [1]])
+    q1 = f.quad_form_batch(pair)[0]
+    f.rank_one_update(1.0, 2, 1)
+    q2 = f.quad_form_batch(pair)[0]
+    f.rank_one_update(1.0, 2, 1)
     expected = 3.0 * (1.0 + q1) * (1.0 + q2)
     assert np.exp(f.log_det) == pytest.approx(expected, rel=1e-9)
     assert q2 < q1
@@ -106,11 +142,12 @@ def test_matrix_tree_oracle(rng):
 
 
 def test_anchor_invariance(rng):
+    # relabelling any pose to pose 0, the anchor, keeps the determinant
     for _ in range(20):
         n = int(rng.integers(3, 8))
         g = random_connected_graph(rng, n, extra_edge_prob=0.5)
         edges = [(g.index[u], g.index[v]) for u, v, _ in g.edges]
-        dets = [np.exp(unit_factor(n, edges, a).log_det) for a in range(n)]
+        dets = [np.exp(unit_factor(n, relabel(edges, a)).log_det) for a in range(n)]
         assert np.allclose(dets, dets[0], rtol=1e-9)
 
 
@@ -125,9 +162,8 @@ def test_determinant_lemma(rng):
         f = reduced_laplacian(n, factors)
         i, j = rng.choice(n, size=2, replace=False)
         gamma = float(rng.uniform(0.1, 10.0))
-        b = incidence_column(n - 1, int(i), int(j))
         before = f.log_det
-        f.rank_one_update(gamma, b)
+        f.rank_one_update(gamma, int(i), int(j))
         ref = reduced_laplacian(n, factors + [(int(i), int(j), gamma)])
         assert f.log_det == pytest.approx(ref.log_det, rel=1e-9)
         assert f.log_det >= before
@@ -140,18 +176,19 @@ def test_monotonicity_under_edge_addition(rng):
     log_det = f.log_det
     for i in range(7):
         for j in range(i):
-            f.rank_one_update(0.5, incidence_column(6, i, j))
+            f.rank_one_update(0.5, i, j)
             assert f.log_det >= log_det - 1e-12
             log_det = f.log_det
 
 
 def test_batch_quad_form_matches_single(rng):
+    # each form of a batch against a dense solve for its pair alone
     g = random_connected_graph(rng, 9, extra_edge_prob=0.4)
-    edges = [(g.index[u], g.index[v]) for u, v, _ in g.edges]
-    f = unit_factor(9, edges)
+    factors = [(g.index[u], g.index[v], 1.0) for u, v, _ in g.edges]
+    f = reduced_laplacian(9, factors)
     pairs = np.array([rng.choice(9, size=2, replace=False) for _ in range(12)]).T
     batch = f.quad_form_batch(pairs)
-    singles = [f.quad_form(incidence_column(8, int(i), int(j))) for i, j in pairs.T]
+    singles = [pair_form(8, factors, int(i), int(j)) for i, j in pairs.T]
     assert np.allclose(batch, singles, rtol=1e-10)
 
 
@@ -194,9 +231,10 @@ def test_information_weights_match_per_matrix_slogdet(rng, k):
 
 
 def test_reduced_laplacian_rejects_anchor_out_of_range():
-    for anchor in (-1, 3):
-        with pytest.raises(InputError, match=f"anchor {anchor} out of range"):
-            reduced_laplacian(3, [(0, 1, 1.0), (1, 2, 1.0)], anchor)
+    # pose 0, the anchor, must exist
+    for poses in (0, -1):
+        with pytest.raises(InputError, match=f"anchor pose 0 out of range for {poses}"):
+            reduced_laplacian(poses, [])
 
 
 def test_log_det_from_scratch_matches_factor(rng):
@@ -222,10 +260,11 @@ def test_build_reduced_laplacian_dense_agrees(rng):
     assert np.allclose(np.linalg.inv(dense), inverse(fact), rtol=1e-12)
 
 
-@pytest.mark.parametrize("anchor", [0, 3])
-def test_build_reduced_laplacian_equals_outer_product_sum(rng, anchor):
+@pytest.mark.parametrize("hub", [0, 3])
+def test_build_reduced_laplacian_equals_outer_product_sum(rng, hub):
     # Scatter-add must reproduce the per-factor w * outer(b, b) sum bit for
-    # bit, including duplicate pairs and pairs that touch the anchor.
+    # bit, including duplicate pairs and, with hub 0, pairs that touch the
+    # anchor.
     poses = 9
     n = poses - 1
     factors = []
@@ -233,14 +272,13 @@ def test_build_reduced_laplacian_equals_outer_product_sum(rng, anchor):
         i, j = rng.choice(poses, size=2, replace=False)
         factors.append((int(i), int(j), float(rng.uniform(0.01, 50.0))))
     factors += factors[:10]
-    factors += [(anchor, 5, 0.3), (7, anchor, 2.5), (anchor, 5, 1.1)]
+    factors += [(hub, 5, 0.3), (7, hub, 2.5), (hub, 5, 1.1)]
     expected = np.zeros((n, n))
     for i, j, w in factors:
-        b = incidence_column(n, i, j, anchor)
+        b = incidence(n, i, j)
         expected += w * np.outer(b, b)
-    np.testing.assert_array_equal(
-        build_reduced_laplacian(n, factors, anchor), expected)
-    assert not build_reduced_laplacian(n, [], anchor).any()
+    np.testing.assert_array_equal(build_reduced_laplacian(n, factors), expected)
+    assert not build_reduced_laplacian(n, []).any()
 
 
 def test_rank_one_update_drift_against_fresh_factor(rng):
@@ -250,7 +288,7 @@ def test_rank_one_update_drift_against_fresh_factor(rng):
     for _ in range(60):
         i, j = sorted(rng.choice(poses, size=2, replace=False), reverse=True)
         gamma = float(rng.uniform(0.1, 50.0))
-        f.rank_one_update(gamma, incidence_column(poses - 1, int(i), int(j)))
+        f.rank_one_update(gamma, int(i), int(j))
         factors.append((int(i), int(j), gamma))
     fresh = LaplacianFactor(build_reduced_laplacian(poses - 1, factors))
     # the updated rows are not triangular, so compare W^T W = L^{-1}

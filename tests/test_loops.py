@@ -10,7 +10,6 @@ from slamplan.graph import load_prior_graph, metric_closure
 from slamplan.laplacian import (
     LaplacianFactor,
     build_reduced_laplacian,
-    incidence_column,
     information_weights,
 )
 from slamplan.loops import (
@@ -33,7 +32,7 @@ from slamplan.loops import (
 )
 from slamplan.tsp import TourCosts, Walk, expand_to_walk, solve_open_tsp
 
-from conftest import random_connected_graph
+from conftest import incidence, random_connected_graph
 
 
 def unitize(g):
@@ -273,7 +272,7 @@ def test_delta_factorization(rng):
         z = cands.candidate(z_idx)
         factor = apg.factor.copy()
         for c in subset:
-            factor.rank_one_update(c.gamma, incidence_column(apg.n, c.i, c.j))
+            factor.rank_one_update(c.gamma, c.i, c.j)
         d_cur = walk.length + 2.0 * sum(c.omega for c in subset)
         delta = selection_delta(z, factor, d_cur)
         log_with = score_from_scratch(apg, subset + [z], walk.length)
@@ -388,19 +387,44 @@ def test_greedy_first_prune_is_prune_mask_and_omega_max(rng):
         checked += 1
 
 
-def test_path_resistance_bounds_quad_forms(rng):
+def near_singular_covs(rng, g):
+    """Random diagonal covariances, each with one axis shrunk by 1e-6 to
+    1e-9, so that factor weights spread over decades."""
+    def cov():
+        d = rng.uniform(0.05, 1.5, size=3)
+        d[rng.integers(3)] *= 10.0 ** rng.uniform(-9.0, -6.0)
+        return np.diag(d)
+
+    for u, v, _ in g.edges:
+        g.set_edge_cov(u, v, cov())
+    for vid in g.ids:
+        g.set_region_cov(vid, cov())
+    return g
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(4, 40),
+       extra=st.sampled_from([0.0, 0.1, 0.3, 0.6]), unit_lengths=st.booleans(),
+       scale=st.sampled_from([1.0, 1000.0]),
+       covs=st.sampled_from(["unit", "random", "near-singular"]))
+def test_path_resistance_bounds_quad_forms(seed, n, extra, unit_lengths, scale, covs):
     # Rayleigh monotonicity: the resistance along one path is at least the
-    # effective resistance b^T L^{-1} b, up to rounding the slack absorbs.
-    checked = 0
-    while checked < 40:
-        g, mc, walk, apg, cands = random_instance(rng, 5, 12)
-        if len(cands) == 0:
-            continue
-        quad = quad_forms(apg.factor, cands)
-        ub = path_resistance(apg, cands)
-        assert np.all(ub * (1.0 + loops._BOUND_SLACK) >= quad)
-        assert np.all(ub >= quad * (1.0 - 1e-12))
-        checked += 1
+    # effective resistance b^T L^{-1} b, up to rounding the slack absorbs,
+    # so the first sweep's bound is at least the solved form of every
+    # candidate.  Tied (unit) lengths give tied paths; on a tree (extra
+    # 0.0) each pair has one path and the two agree to 1e-12.
+    rng = np.random.default_rng(seed)
+    g = random_connected_graph(rng, n, extra_edge_prob=extra,
+                               unit_lengths=unit_lengths, scale=scale)
+    {"unit": unitize, "random": lambda h: randomize_covs(rng, h),
+     "near-singular": lambda h: near_singular_covs(rng, h)}[covs](g)
+    mc, walk, apg, cands = pipeline(g)
+    quad = quad_forms(apg.factor, cands)
+    ub = path_resistance(apg, cands)
+    assert np.all(ub * (1.0 + loops._BOUND_SLACK) >= quad)
+    assert np.all(ub >= quad * (1.0 - 1e-12))
+    if extra == 0.0:
+        np.testing.assert_allclose(ub, quad, rtol=1e-12, atol=0.0)
 
 
 def test_path_resistance_is_tight_on_trees(rng):
@@ -545,7 +569,7 @@ def _eager_greedy(apg, cands, walk):
             break
         k = int(idx[best])
         cand = cands.candidate(k)
-        factor.rank_one_update(cand.gamma, incidence_column(apg.n, cand.i, cand.j))
+        factor.rank_one_update(cand.gamma, cand.i, cand.j)
         d_cur += 2.0 * cand.omega
         log_j += float(log_delta[best])
         selected.append(cand)
@@ -637,7 +661,9 @@ def test_quad_forms_chunked_match_one_batch(rng, monkeypatch):
     np.testing.assert_array_equal(quad_forms(apg.factor, cands), whole)
     idx = np.arange(1, len(cands), 2)
     np.testing.assert_array_equal(quad_forms(apg.factor, cands, idx), whole[idx])
-    single = [apg.factor.quad_form(incidence_column(apg.n, c.i, c.j)) for c in cands]
+    lap = build_reduced_laplacian(apg.n, apg.weighted_edges)
+    single = [b @ np.linalg.solve(lap, b)
+              for b in (incidence(apg.n, c.i, c.j) for c in cands)]
     np.testing.assert_allclose(whole, single, rtol=1e-12)
 
 
@@ -669,7 +695,7 @@ def test_quad_form_bits_do_not_depend_on_the_batch(seed, n, updates, chunk):
     factor = apg.factor.copy()
     for k in rng.integers(0, len(cands), size=updates):
         c = cands.candidate(int(k))
-        factor.rank_one_update(c.gamma, incidence_column(apg.n, c.i, c.j))
+        factor.rank_one_update(c.gamma, c.i, c.j)
     whole = quad_forms(factor, cands)
     alone = [quad_forms(factor, cands, np.array([k]))[0] for k in range(len(cands))]
     np.testing.assert_array_equal(whole, alone)
@@ -713,11 +739,11 @@ def test_updates_match_a_fresh_dense_factor(seed, n, scale, updates):
     for _ in range(updates):
         i, j = sorted(rng.choice(apg.pose_count, size=2, replace=False), reverse=True)
         w = float(np.exp(rng.uniform(np.log(1e-6), np.log(1e3))))
-        factor.rank_one_update(w, incidence_column(apg.n, int(i), int(j)))
+        factor.rank_one_update(w, int(i), int(j))
         factors.append((int(i), int(j), w))
     lap = build_reduced_laplacian(apg.n, factors)
     iu, ju = np.tril_indices(apg.pose_count, k=-1)
-    cols = np.stack([incidence_column(apg.n, i, j) for i, j in zip(iu, ju)], axis=1)
+    cols = np.stack([incidence(apg.n, i, j) for i, j in zip(iu, ju)], axis=1)
     np.testing.assert_allclose(factor.quad_form_batch(np.stack((iu, ju))),
                                _refined_quad_forms(lap, cols), rtol=1e-12, atol=0.0)
     fresh = 2.0 * np.sum(np.log(np.diag(np.linalg.cholesky(lap))))

@@ -78,6 +78,15 @@ def test_unknown_strategy_rejected():
         Mission(g, matched_world(g), MissionConfig(strategy="bogus"))
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, True, "3", None])
+def test_run_mission_rejects_a_seed_that_is_not_a_non_negative_integer(seed):
+    g = chain_graph(3)
+    with pytest.raises(InputError, match=f"seed must be a non-negative integer, got {seed!r}"):
+        run_mission(g, matched_world(g), MissionConfig(), seed=seed)
+    with pytest.raises(InputError, match="seed must be a non-negative integer"):
+        simulate_walk([0, 1], matched_world(g), seed=seed)
+
+
 def test_coverage_each_vertex_visited_once():
     from slamplan.bench import GridGraphSpec, gen_grid_graph
 
