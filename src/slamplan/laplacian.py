@@ -8,19 +8,25 @@ weight, exp(-log det / 3) of the covariance.  Pose 0 is the anchor; its
 row and column are dropped so the determinant is nonzero.
 
 Factors, quadratic forms and updates all take pose pairs (i, j).  The
-factor object below keeps the inverse Cholesky factor W = C^{-1} of
-L = C C^T as rows, one per pose, next to the log-determinant: a pair's
+factor object below keeps an inverse factor W of L, with W^T W = L^{-1},
+as rows, one per pose, next to the log-determinant: a pair's
 b^T L^{-1} b = ||W b||^2 is the squared distance between two rows, O(n),
-and a rank-1 update is O(n^2).  ``log_det_from_scratch`` is the dense,
-no-reuse log-det that oracles and the mission's plan comparison share.
+and a rank-1 update is O(n^2).  ``reduced_laplacian`` builds it from a
+pose graph's factors with no LAPACK call; a dense matrix can be factored
+by Cholesky instead.  ``log_det_from_scratch`` is the dense, no-reuse
+log-det that oracles and the mission's plan comparison share.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.linalg import solve_triangular
+from scipy.sparse.csgraph import breadth_first_order
 
 from .errors import InputError, RankDeficientError
+from .graph import _adjacency
 
 
 def information_weights(covs) -> np.ndarray:
@@ -32,6 +38,18 @@ def information_weights(covs) -> np.ndarray:
     return np.exp(-logdet / 3)
 
 
+def _pose_factors(n: int, factors):
+    """(k, 2) pose indices and (k,) weights of (i, j, weight) ``factors``
+    over poses 0..n; an index outside [0, n] raises an InputError, which
+    names the first one."""
+    fac = np.asarray(list(factors), dtype=float).reshape(-1, 3)
+    ends = fac[:, :2].astype(np.int64)
+    outside = (ends < 0) | (ends > n)
+    if outside.any():
+        raise InputError(f"pose index {ends.flat[np.argmax(outside)]} outside [0, {n}]")
+    return ends, fac[:, 2]
+
+
 def build_reduced_laplacian(n: int, factors) -> np.ndarray:
     """Dense reduced Laplacian from (i, j, weight) factors over poses
     0..n, pose 0 the anchor.  Duplicate pairs accumulate.
@@ -40,9 +58,8 @@ def build_reduced_laplacian(n: int, factors) -> np.ndarray:
     one that adding w * outer(b, b) per factor would give.
     """
     lap = np.zeros((n + 1, n + 1))
-    fac = np.asarray(list(factors), dtype=float).reshape(-1, 3)
-    i, j = fac[:, :2].astype(np.int64).T
-    w = fac[:, 2]
+    ends, w = _pose_factors(n, factors)
+    i, j = ends.T
     # per factor, in order: (i, i, w), (j, j, w), (i, j, -w), (j, i, -w)
     rows = np.stack([i, j, i, j], axis=1)
     cols = np.stack([i, j, j, i], axis=1)
@@ -50,15 +67,48 @@ def build_reduced_laplacian(n: int, factors) -> np.ndarray:
     return lap[1:, 1:]
 
 
+def _pair_keys(i, j, poses: int) -> np.ndarray:
+    """One integer per unordered pose pair."""
+    return np.minimum(i, j) * poses + np.maximum(i, j)
+
+
 def reduced_laplacian(poses: int, edges) -> "LaplacianFactor":
     """Factor the weighted reduced Laplacian of a pose graph.
 
-    ``edges`` holds (i, j, weight) with indices in [0, poses); pose 0 is
-    the anchor.
+    ``edges`` holds (i, j, weight) with indices in [0, poses) and positive,
+    finite weights; pose 0 is the anchor.  No LAPACK or BLAS matrix routine
+    runs, so the factor's bits do not depend on the BLAS thread count.  For
+    a spanning tree, W is known in closed form: with gamma_c the weight of
+    the tree factor into pose c, rows[c] = rows[parent(c)] + e_c /
+    sqrt(gamma_c), and log det L is the sum of log gamma_c (the matrix-tree
+    theorem).  The tree is the breadth-first one from pose 0, through the
+    first factor of each pair in input order; every other factor is one
+    rank-one update, in input order.
     """
     if poses < 1:
         raise InputError(f"anchor pose 0 out of range for {poses} poses")
-    return LaplacianFactor(build_reduced_laplacian(poses - 1, edges))
+    ends, weights = _pose_factors(poses - 1, edges)
+    if not np.all((weights > 0) & np.isfinite(weights)):
+        raise InputError("factor weights must be positive and finite")
+    order, parent = breadth_first_order(
+        _adjacency(ends, np.ones(len(ends)), poses), 0, return_predecessors=True)
+    if len(order) < poses:
+        raise RankDeficientError("reduced Laplacian is not positive-definite; "
+                                 "is the underlying pose graph connected?")
+    child = order[1:]
+    keys, first = np.unique(_pair_keys(*ends.T, poses), return_index=True)
+    tree = first[np.searchsorted(keys, _pair_keys(child, parent[child], poses))]
+    rows = np.zeros((poses, poses - 1))
+    for c, up, scale in zip(child.tolist(), parent[child].tolist(),
+                            (1.0 / np.sqrt(weights[tree])).tolist()):
+        rows[c] = rows[up]
+        rows[c, c - 1] = scale
+    factor = LaplacianFactor._of(rows, math.fsum(np.log(weights[tree])))
+    rest = np.ones(len(ends), dtype=bool)
+    rest[tree] = False
+    for k in np.flatnonzero(rest):
+        factor._add(weights[k], ends[k, 0], ends[k, 1])
+    return factor
 
 
 def log_det_from_scratch(n: int, factors) -> float:
@@ -71,12 +121,14 @@ def log_det_from_scratch(n: int, factors) -> float:
 
 
 class LaplacianFactor:
-    """Inverse Cholesky factor of a reduced Laplacian, with its log-det.
+    """Inverse factor of a reduced Laplacian, with its log-det.
 
-    For L = C C^T and W = C^{-1}, row r of the (n+1, n) array ``rows`` is
-    column r-1 of W and row 0, the anchor pose's, is zero, so that
-    rows rows^T is W^T W = L^{-1} bordered by the anchor's zero row and
-    column.  All updates mutate in place; use ``copy()`` to branch.
+    For a square W with W^T W = L^{-1}, row r of the (n+1, n) array
+    ``rows`` is column r-1 of W and row 0, the anchor pose's, is zero, so
+    that rows rows^T is L^{-1} bordered by the anchor's zero row and
+    column.  Constructed from a dense matrix L = C C^T, W is C^{-1}; from a
+    pose graph, ``reduced_laplacian`` builds it.  All updates mutate in
+    place; use ``copy()`` to branch.
     """
 
     __slots__ = ("n", "rows", "log_det")
@@ -102,12 +154,16 @@ class LaplacianFactor:
         self.rows[1:] = solve_triangular(chol, np.eye(n), lower=True,
                                          check_finite=False).T
 
+    @classmethod
+    def _of(cls, rows: np.ndarray, log_det: float) -> "LaplacianFactor":
+        factor = cls.__new__(cls)
+        factor.n = rows.shape[1]
+        factor.rows = rows
+        factor.log_det = log_det
+        return factor
+
     def copy(self) -> "LaplacianFactor":
-        dup = LaplacianFactor.__new__(LaplacianFactor)
-        dup.n = self.n
-        dup.rows = self.rows.copy()
-        dup.log_det = self.log_det
-        return dup
+        return LaplacianFactor._of(self.rows.copy(), self.log_det)
 
     def log_dopt(self) -> float:
         """log of det(L)^(1/n); the empty factor scores 1 by convention."""
@@ -132,7 +188,14 @@ class LaplacianFactor:
     def rank_one_update(self, weight: float, i: int, j: int) -> None:
         """Add the factor weight * b b^T of the pose pair (i, j) in place.
 
-        Sherman-Morrison on the square root: p = sqrt(w) (rows[i] - rows[j])
+        This is the greedy's selection step; ``reduced_laplacian`` adds a
+        pose graph's own factors through the same ``_add``, so counting
+        these calls counts selections.
+        """
+        self._add(weight, i, j)
+
+    def _add(self, weight: float, i: int, j: int) -> None:
+        """Sherman-Morrison on the square root: p = sqrt(w) (rows[i] - rows[j])
         is W sqrt(w) b, and with s = ||p||^2, r = sqrt(1 + s) and
         c = 1 / (r (r + 1)), W' = (I - c p p^T) W, which is
         rows' = rows - c (rows p) p^T; the log-det grows by log1p(s).  Both

@@ -9,15 +9,16 @@ A tour forced to end at a given vertex pins that vertex last instead.
 
 The solver seeds with nearest-neighbor construction from several distinct
 second vertices, all seeds built in lockstep one tour position at a time,
-and polishes with best-improvement 2-opt reversals and or-opt segment
-relocations.  Each pass picks the best move
-from the scores of every move, read off one copy of the closure block taken
-in tour order and kept current across reversals; the 2-opt scores are kept
-too.  Above a size gate a reversal rescores only the rows and columns of
-scores it changes, and the restarts run on one thread per usable core;
-their results are reduced in restart order, so the tour is the same on any
-number of cores.  An exact Held-Karp dynamic program
-covers small instances and serves as the reference oracle.
+and polishes each seed with a first-improvement search over neighbour lists
+with don't-look bits (Bentley 1992; Johnson & McGeoch 1997): 2-opt
+reversals and moves of 1-3 vertex segments that join a vertex to one of its
+nearest neighbours.  Each search ends with one full scan of every reversal
+and every forward segment relocation, which resumes the search whenever it
+finds a move, so every polished tour is a local optimum of both full
+neighbourhoods.  Above a size gate the restarts run on one thread per usable
+core; their results are reduced in restart order, so the tour is the same
+on any number of cores.  An exact Held-Karp dynamic program covers small
+instances and serves as the reference oracle.
 """
 
 from __future__ import annotations
@@ -25,7 +26,9 @@ from __future__ import annotations
 import os
 import queue
 import threading
+from collections import deque
 from dataclasses import dataclass
+from math import fsum
 
 import numpy as np
 
@@ -33,10 +36,10 @@ from .errors import InputError, SizeLimitError
 
 _EXACT_LIMIT = 14
 _TOL = 1e-9
+_NEIGHBOURS = 12  # nearest vertices each vertex's moves try to join it to
 # Closure entries (open tours count their free terminal) from which the
-# restarts run on threads and a reversal rescores only the bands it changes:
-# below it, thread start-up, contention for the interpreter lock and numpy
-# per-call overhead cost more than they save.
+# restarts run on threads: below it, thread start-up and contention for the
+# interpreter lock cost more than the threads' numpy scans save.
 _LARGE_TOUR_ELEMENTS = 32_000
 
 
@@ -118,40 +121,32 @@ def _nn_seeds(dist: np.ndarray, seconds: list, end: int) -> np.ndarray:
     return orders
 
 
-def _score_reversals(P: np.ndarray, lower: np.ndarray, block: np.ndarray,
-                     rows: tuple, cols: tuple = (0, 0)) -> None:
-    """Write the 2-opt scores of the row band ``rows`` and the column band
-    ``cols`` (half-open index ranges) into ``block``.
+def _score_reversals(P: np.ndarray, lower: np.ndarray, block: np.ndarray) -> None:
+    """Write the 2-opt score of every reversal into ``block``.
 
     ``P`` is the cost block in tour order, ``P[a, b] = dist[order[a],
     order[b]]``; endpoints stay pinned.  ``block[a, b]`` scores the reversal
     of order[a+1..b+1] on its two new legs alone, as if the reversed segment
     cost the same in both directions.  ``lower`` is the (m-2, m-2) boolean
-    lower triangle that rules out empty and backwards segments.  Every
-    entry comes from the same formula whichever band writes it, so a kept
-    block rescored in bands holds the bits of a full rescore.
+    lower triangle that rules out empty and backwards segments.
     """
     k = len(block)
     sup = np.diagonal(P, 1)  # sup[r] = P[r, r + 1], the current legs
-    for (a0, a1), (b0, b1) in ((rows, (0, k)), ((0, k), cols)):
-        if a0 == a1 or b0 == b1:
-            continue
-        out = block[a0:a1, b0:b1]
-        np.add(P[a0:a1, b0 + 1 : b1 + 1], P[b0 + 2 : b1 + 2, a0 + 1 : a1 + 1].T, out=out)
-        out -= sup[a0:a1, None]
-        out -= sup[None, b0 + 1 : b1 + 1]
-        np.copyto(out, np.inf, where=lower[a0:a1, b0:b1])
+    np.add(P[:k, 1 : k + 1], P[2:, 1 : k + 1].T, out=block)
+    block -= sup[:k, None]
+    block -= sup[None, 1:]
+    np.copyto(block, np.inf, where=lower)
 
 
-def _best_relocation(P: np.ndarray, order: np.ndarray, lower: np.ndarray,
-                     scratch: np.ndarray):
-    """The tour after the best forward relocation of a 1-3 vertex segment.
+def _best_relocation(P: np.ndarray, lower: np.ndarray, scratch: np.ndarray):
+    """The best forward relocation of a 1-3 vertex segment, as (s, e, j):
+    positions s..e move, in order, to between positions j and j+1.
 
     Reads the tour-ordered block ``P``, the triangle of ``_score_reversals``
     and the flat ``scratch``; returns None when no relocation scores below the
     tolerance.
     """
-    m = len(order)
+    m = len(P)
     k = m - 2
     sup = np.diagonal(P, 1)
     best = (-_TOL, None)
@@ -170,77 +165,193 @@ def _best_relocation(P: np.ndarray, order: np.ndarray, lower: np.ndarray,
         flat = int(np.argmin(delta))
         a, b = divmod(flat, k)
         if delta[a, b] < best[0]:
-            best = (delta[a, b], (a + 1, seg, b + 1))
-    if best[1] is None:
-        return None
-    i, seg, j = best[1]
-    piece = order[i : i + seg]
-    rest = np.concatenate([order[:i], order[i + seg :]])
-    at = j + 1 - seg  # insertion index after the segment was removed
-    return np.concatenate([rest[:at], piece, rest[at:]])
+            best = (delta[a, b], (a + 1, a + seg, b + 1))
+    return best[1]
 
 
-def _improve(dist: np.ndarray, order: list) -> np.ndarray:
-    """2-opt to a local optimum, then one or-opt move, until neither helps.
+class _SearchBlock:
+    """A cost block made ready, once per solve, for every restart's search.
 
-    ``order`` visits every vertex of ``dist`` once.  Both searches read the
-    closure block gathered in tour order once per 2-opt round, never
-    assuming it is bitwise symmetric.  A move is taken only if the tour's
-    summed length strictly falls, so no tour repeats and the search ends
-    for any costs at any scale.  On closure blocks, whose asymmetry is only
-    rounding, every move that scores below the tolerance passes that test;
-    on clearly asymmetric costs a reversal may not, and then the 2-opt
-    round ends there.
-
-    A round keeps one score block across its reversals.  From
-    ``_LARGE_TOUR_ELEMENTS`` entries of ``dist`` up, an accepted reversal of
-    positions i..j rescores only rows i-1..j and columns i-2..j-1, the
-    scores it can change; smaller blocks, where numpy's per-call cost
-    dominates, are rescored whole.  Both hold the same bits.
-
-    The block gathered in tour order and one flat scratch of the same size,
-    which stages each gather and holds the scores, are the only (m, m)
-    arrays a call keeps, so a restart on another thread keeps a small heap.
+    ``rows`` holds one memoryview per row of ``dist``, which reads an entry
+    as a Python float at the cost of a list lookup, without a Python copy
+    of the block.  ``near[v]`` lists (distance, vertex) for the
+    ``_NEIGHBOURS`` vertices nearest v by row v, nearest first and equal
+    distances in index order.
     """
-    arr = np.asarray(order, dtype=np.int64)
-    m = len(arr)
+
+    __slots__ = ("dist", "rows", "near")
+
+    def __init__(self, dist: np.ndarray):
+        self.dist = dist
+        self.rows = [memoryview(row) for row in dist]
+        m = len(dist)
+        kth = min(_NEIGHBOURS, m - 1)  # one spare pick for row v's own entry
+        idx = np.sort(np.argpartition(dist, kth, axis=1)[:, : kth + 1], axis=1)
+        near = np.take_along_axis(dist, idx, axis=1)
+        by_dist = np.argsort(near, axis=1, kind="stable")
+        idx = np.take_along_axis(idx, by_dist, axis=1).tolist()
+        near = np.take_along_axis(near, by_dist, axis=1).tolist()
+        self.near = [[(d, c) for d, c in zip(ds, cs) if c != v][:_NEIGHBOURS]
+                     for v, (ds, cs) in enumerate(zip(near, idx))]
+
+
+def _improve(block: _SearchBlock, order) -> np.ndarray:
+    """2-opt and or-opt over neighbour lists, closed by a full scan.
+
+    ``order`` visits every vertex of ``block.dist`` once; its ends stay
+    pinned.  A first-improvement search with don't-look bits (Bentley 1992)
+    wakes each vertex and tries the moves that give it a new leg to one of
+    its nearest neighbours: a reversal with the vertex as the tail or the
+    head of a removed leg, and the move of a 1-3 vertex segment that starts
+    or ends at it, either way round, to next to the neighbour.  A scan
+    stops where the neighbour's distance reaches the removed leg of the
+    reversal, or what removing the segment saves.
+    A vertex sleeps once it has no move; a move wakes the ends of the legs
+    it changed.  When every vertex sleeps, one full scan scores every
+    reversal and every forward relocation of a 1-3 vertex segment; if its
+    best move is taken, the search wakes that move's vertices and resumes,
+    so the tour it returns is a local optimum of both full neighbourhoods.
+
+    A move is taken only if the tour's summed length strictly falls, which
+    ``math.fsum`` decides exactly from the legs the move removes and adds,
+    so no tour repeats and the search ends for any costs.
+    """
+    dist, D, near = block.dist, block.rows, block.near
+    t = [int(v) for v in order]
+    m = len(t)
     if m < 4:
-        return arr  # no reversal or relocation fits between pinned ends
+        return np.asarray(t, dtype=np.int64)  # nothing fits between pinned ends
+    last = m - 2  # the last position a move may change
+    pos = [0] * m
+    for p, v in enumerate(t):
+        pos[v] = p
+
+    def rearrange(lo, new, old_legs, new_legs):
+        """Put ``new`` at positions lo.. if the tour's length strictly falls,
+        judged exactly from the legs the move removes and adds."""
+        if not fsum(new_legs) < fsum(old_legs):
+            return False
+        t[lo : lo + len(new)] = new
+        for q in range(lo, lo + len(new)):
+            pos[t[q]] = q
+        return True
+
+    def reverse(i, j):
+        """Reverse positions i..j if that shortens the tour; the ends of the
+        two legs it replaces, or None."""
+        seq = t[i - 1 : j + 2]
+        new = [seq[0], *seq[-2:0:-1], seq[-1]]
+        if rearrange(i - 1, new, [D[u][v] for u, v in zip(seq, seq[1:])],
+                     [D[u][v] for u, v in zip(new, new[1:])]):
+            return seq[0], seq[1], seq[-2], seq[-1]
+        return None
+
+    def relocate(s, e, y, rev):
+        """Move positions s..e, reversed if ``rev``, to between positions y
+        and y+1 (outside s-1..e) if that shortens the tour; the ends of the
+        three legs it replaces, or None."""
+        seg = t[s : e + 1]
+        prev, nxt, u, w = t[s - 1], t[e + 1], t[y], t[y + 1]
+        piece = seg[::-1] if rev else seg
+        old = [D[prev][seg[0]], D[seg[-1]][nxt], D[u][w]]
+        new = [D[prev][nxt], D[u][piece[0]], D[piece[-1]][w]]
+        if rev:  # the piece's own legs now run the other way
+            old += [D[a][b] for a, b in zip(seg, seg[1:])]
+            new += [D[a][b] for a, b in zip(piece, piece[1:])]
+        if y < s:
+            lo, order = y, [u, *piece, *t[y + 1 : s], nxt]
+        else:
+            lo, order = s - 1, [prev, *t[e + 1 : y + 1], *piece, w]
+        if rearrange(lo, order, old, new):
+            return prev, seg[0], seg[-1], nxt, u, w
+        return None
+
+    def two_opt(a):
+        """The first shortening reversal that gives ``a`` a new leg to a near
+        neighbour, with ``a`` the tail, then the head, of the leg it removes;
+        the ends of the legs it changed, or None."""
+        p = pos[a]
+        for tail, gap in ((True, D[a][t[p + 1]] if p <= last else 0.0),
+                          (False, D[t[p - 1]][a] if p >= 1 else 0.0)):
+            for dc, c in near[a]:
+                if dc >= gap:
+                    break
+                q = pos[c]
+                lo, hi = (p, q) if p < q else (q, p)
+                i, j = (lo + 1, hi) if tail else (lo, hi - 1)
+                if i < 1 or j > last or j <= i:
+                    continue
+                u, v, w, x = t[i - 1], t[i], t[j], t[j + 1]
+                if D[u][w] + D[v][x] - D[u][v] - D[w][x] < -_TOL:
+                    woken = reverse(i, j)
+                    if woken:
+                        return woken
+        return None
+
+    def or_opt(a):
+        """The first shortening move of a 1-3 vertex segment that starts or
+        ends at ``a`` to next to a near neighbour, ``a`` facing it; the ends
+        of the legs it changed, or None."""
+        p = pos[a]
+        for s, e in ((p, p), (p, p + 1), (p - 1, p), (p, p + 2), (p - 2, p)):
+            if s < 1 or e > last:
+                continue
+            prev, s0, se, nxt = t[s - 1], t[s], t[e], t[e + 1]
+            gain = D[prev][s0] + D[se][nxt] - D[prev][nxt]
+            for dc, c in near[a]:
+                if dc >= gain:
+                    break
+                x = pos[c]
+                if s <= x <= e or x > last:
+                    continue
+                for y in (x, x - 1):  # the slot after c, then before it
+                    if not 0 <= y <= last or s - 1 <= y <= e:
+                        continue
+                    rev = (y == x) != (s == p)
+                    fst, lst = (se, s0) if rev else (s0, se)
+                    u, w = t[y], t[y + 1]
+                    if D[u][fst] + D[lst][w] - D[u][w] - gain < -_TOL:
+                        woken = relocate(s, e, y, rev)
+                        if woken:
+                            return woken
+        return None
+
     k = m - 2
-    bands = dist.size >= _LARGE_TOUR_ELEMENTS
     lower = np.tri(k, dtype=bool)
     P = np.empty((m, m))
     scratch = np.empty(m * m)
     scores = scratch[: k * k].reshape(k, k)
-    length = _route_length(dist, arr)
-    while True:
+
+    def full_scan():
+        """Take the best reversal, else the best forward relocation, of all;
+        the ends of the legs it changed, or None."""
+        arr = np.asarray(t, dtype=np.int64)
         rows = np.take(dist, arr, axis=0, out=scratch.reshape(m, m), mode="clip")
         np.take(rows, arr, axis=1, out=P, mode="clip")  # "clip": no buffered copy
-        _score_reversals(P, lower, scores, (0, k))
-        while True:
-            a, b = divmod(int(np.argmin(scores)), k)  # smallest index on ties
-            if scores[a, b] >= -_TOL:
-                break
-            i, j = a + 1, b + 1
-            cand = arr.copy()
-            cand[i : j + 1] = cand[i : j + 1][::-1]
-            cand_length = _route_length(dist, cand)
-            if not cand_length < length:
-                break
-            arr, length = cand, cand_length
-            P[i : j + 1] = P[i : j + 1][::-1]
-            P[:, i : j + 1] = P[:, i : j + 1][:, ::-1]
-            if bands:
-                _score_reversals(P, lower, scores, (i - 1, min(j + 1, k)), (max(i - 2, 0), j))
-            else:
-                _score_reversals(P, lower, scores, (0, k))
-        cand = _best_relocation(P, arr, lower, scratch)
-        if cand is None:
-            return arr
-        cand_length = _route_length(dist, cand)
-        if not cand_length < length:
-            return arr
-        arr, length = cand, cand_length
+        _score_reversals(P, lower, scores)
+        a, b = divmod(int(np.argmin(scores)), k)  # smallest index on ties
+        if scores[a, b] < -_TOL:
+            woken = reverse(a + 1, b + 1)
+            if woken:
+                return woken
+        best = _best_relocation(P, lower, scratch)
+        return best and relocate(*best, False)
+
+    todo = deque(t)
+    awake = [True] * m
+    while True:
+        if todo:
+            a = todo.popleft()
+            awake[a] = False
+            woken = two_opt(a) or or_opt(a)
+        else:
+            woken = full_scan()
+            if not woken:
+                return np.asarray(t, dtype=np.int64)
+        for v in woken or ():
+            if not awake[v]:
+                awake[v] = True
+                todo.append(v)
 
 
 def _route_length(dist: np.ndarray, order) -> float:
@@ -285,6 +396,7 @@ def _best_of_restarts(dist: np.ndarray, seeds: np.ndarray, n: int) -> tuple[list
     raised ``plan-grid20`` peak RSS from 95-96 to 100-101 MB, in 4 of 4
     pairs, for no change in time.
     """
+    block = _SearchBlock(dist)
     polished = [None] * len(seeds)
     todo = queue.SimpleQueue()
     for k in range(len(seeds)):
@@ -297,7 +409,7 @@ def _best_of_restarts(dist: np.ndarray, seeds: np.ndarray, n: int) -> tuple[list
             except queue.Empty:
                 return
             try:
-                polished[k] = _improve(dist, seeds[k])
+                polished[k] = _improve(block, seeds[k])
             except Exception as exc:  # raised below, in seed order
                 polished[k] = exc
 

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from slamplan import laplacian
 from slamplan.errors import InputError, RankDeficientError
 from slamplan.laplacian import (
     LaplacianFactor,
@@ -237,6 +239,20 @@ def test_reduced_laplacian_rejects_anchor_out_of_range():
             reduced_laplacian(poses, [])
 
 
+def test_pose_indices_outside_the_graph_are_input_errors():
+    # a negative index must not wrap to the last pose, nor an index of
+    # ``poses`` or more surface as numpy's IndexError
+    for edges, bad in (([(0, 1, 1.0), (1, -1, 1.0)], -1),
+                       ([(0, 1, 1.0), (3, 2, 1.0), (-2, 1, 1.0)], 3)):
+        with pytest.raises(InputError, match=rf"pose index {bad} outside \[0, 2\]"):
+            reduced_laplacian(3, edges)
+        with pytest.raises(InputError, match=rf"pose index {bad} outside \[0, 2\]"):
+            log_det_from_scratch(2, edges)
+        with pytest.raises(InputError, match=rf"pose index {bad} outside \[0, 2\]"):
+            build_reduced_laplacian(2, edges)
+    assert reduced_laplacian(3, [(0, 1, 1.0), (1, 2, 1.0)]).n == 2
+
+
 def test_log_det_from_scratch_matches_factor(rng):
     n = 7
     g = random_connected_graph(rng, n, extra_edge_prob=0.5)
@@ -295,3 +311,56 @@ def test_rank_one_update_drift_against_fresh_factor(rng):
     rel = np.linalg.norm(inverse(f) - inverse(fresh)) / np.linalg.norm(inverse(fresh))
     assert rel < 1e-12
     assert f.log_det == pytest.approx(fresh.log_det, rel=1e-12)
+
+
+@st.composite
+def _pose_graphs(draw):
+    """A connected factor list over 1-40 poses: a random tree, extra pairs,
+    duplicates and self-pairs, in shuffled order, with weights over six
+    decades."""
+    poses = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    factors = [(int(rng.integers(k)), k) for k in range(1, poses)]
+    factors += [tuple(int(v) for v in rng.integers(poses, size=2))
+                for _ in range(draw(st.integers(0, 2 * poses)))]
+    factors += factors[: draw(st.integers(0, 5))]
+    weights = 10.0 ** rng.uniform(-3, 3, size=len(factors))
+    order = rng.permutation(len(factors))
+    return poses, [(*factors[k], float(weights[k])) for k in order]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_pose_graphs())
+def test_tree_factor_matches_dense_oracles(case):
+    # The factor built from a spanning tree and rank-one updates holds the
+    # reduced Laplacian's log-det (LU) and inverse (dense solve).
+    poses, factors = case
+    f = reduced_laplacian(poses, factors)
+    assert f.n == poses - 1
+    if poses == 1:
+        assert f.log_det == 0.0
+        return
+    n = poses - 1
+    lap = build_reduced_laplacian(n, factors)
+    assert f.log_det == pytest.approx(np.linalg.slogdet(lap)[1], rel=1e-10, abs=1e-10)
+    want = np.linalg.inv(lap)
+    assert np.allclose(inverse(f), want, rtol=1e-8, atol=1e-10 * np.abs(want).max())
+
+
+def test_tree_factor_calls_no_lapack(monkeypatch, rng):
+    # Plans take no bit from the BLAS thread count: building the greedy's
+    # factor runs no LAPACK factorization or triangular solve.
+    def refuse(*args, **kwargs):
+        raise AssertionError("LAPACK call while building a pose-graph factor")
+
+    g = random_connected_graph(rng, 30, extra_edge_prob=0.3)
+    factors = [(g.index[u], g.index[v], float(rng.uniform(0.5, 2.0))) for u, v, _ in g.edges]
+    monkeypatch.setattr(np.linalg, "cholesky", refuse)
+    monkeypatch.setattr(laplacian, "solve_triangular", refuse)
+    assert np.isfinite(reduced_laplacian(30, factors).log_det)
+
+
+@pytest.mark.parametrize("weight", [0.0, -1.0, np.nan, np.inf])
+def test_factor_weights_must_be_positive_and_finite(weight):
+    with pytest.raises(InputError, match="factor weights must be positive and finite"):
+        reduced_laplacian(3, [(0, 1, 1.0), (1, 2, weight)])

@@ -599,7 +599,7 @@ def test_lazy_greedy_lockstep_on_grids(monkeypatch, size, seed):
     lazy_columns = sum(solved)
     solved.clear()
     eager = _eager_greedy(apg, cands, walk)
-    assert len(lazy.selected) >= 9
+    assert len(lazy.selected) >= 7
     _assert_lockstep(lazy, eager)
     # The lazy greedy solves 2-5% of the eager loop's columns on these grids.
     assert lazy_columns <= sum(solved) / 10

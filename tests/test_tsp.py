@@ -1,9 +1,9 @@
 import itertools
+import math
 import signal
 import sys
 import threading
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -201,7 +201,7 @@ def test_plan_coverage_tour(path3):
     assert tour.order == ["a", "b", "c"]
 
 
-# -- reference local search: every move gathered from ``dist`` afresh -----
+# -- reference full scans: every move gathered from ``dist`` afresh -------
 
 
 def _ref_two_opt_pass(dist, order):
@@ -264,57 +264,6 @@ def _ref_or_opt_pass(dist, order):
     return True
 
 
-def _ref_improve(dist, order):
-    arr = np.asarray(order, dtype=np.int64)
-    while True:
-        while _ref_two_opt_pass(dist, arr):
-            pass
-        if not _ref_or_opt_pass(dist, arr):
-            return arr
-
-
-def _assert_same_as_reference(monkeypatch, sym, end, restarts):
-    solve = lambda: tsp._solve_indices(sym, end, restarts)  # noqa: E731
-    got = solve()
-    with monkeypatch.context() as patch:
-        patch.setattr(tsp, "_improve", _ref_improve)
-        want = solve()
-    assert got[0] == want[0]
-    assert got[1] == want[1]  # bitwise: same deltas, same moves, same sums
-
-
-def _assert_same_as_reference_either_side_of_gate(monkeypatch, sym, end, restarts):
-    # one thread, so band rescoring is tested apart from the restart threads
-    monkeypatch.setattr(tsp, "_usable_cores", lambda: 1)
-    for gate in (0, np.inf):  # bands on every block, then on none
-        monkeypatch.setattr(tsp, "_LARGE_TOUR_ELEMENTS", gate)
-        _assert_same_as_reference(monkeypatch, sym, end, restarts)
-
-
-def test_local_search_matches_reference_on_random_blocks(rng, monkeypatch):
-    # Sub-blocks of random closures, including sizes where no move fits
-    # (fewer than 4 pinned positions) and the two-vertex fixed-end case.
-    closures = [
-        metric_closure(random_connected_graph(
-            rng, 60, extra_edge_prob=p, unit_lengths=unit)).dist_matrix
-        for p in (0.02, 0.05, 0.1, 0.3) for unit in (False, True)
-    ]
-    sizes = [1, 2, 2, 3, 3] + [int(s) for s in rng.integers(3, 61, size=200)]
-    for size in sizes:
-        dist = closures[int(rng.integers(len(closures)))]
-        pick = rng.permutation(60)[:size]
-        sym = np.ascontiguousarray(dist[np.ix_(pick, pick)])
-        if rng.integers(2):
-            # Dijkstra rows may differ in the last bits, so the search must
-            # never read P[a, b] where the reference reads dist[b, a]
-            sym *= 1.0 + 1e-12 * rng.random(sym.shape)
-        restarts = int(rng.integers(1, 4))
-        _assert_same_as_reference_either_side_of_gate(monkeypatch, sym, None, restarts)
-        if size >= 2:
-            end = int(rng.integers(1, size))
-            _assert_same_as_reference_either_side_of_gate(monkeypatch, sym, end, restarts)
-
-
 @st.composite
 def _tour_blocks(draw):
     """A closure block of 4-60 vertices, tied or not, maybe perturbed in its
@@ -327,32 +276,6 @@ def _tour_blocks(draw):
     if draw(st.booleans()):
         sym = sym * (1.0 + 1e-12 * rng.random(sym.shape))
     return sym, [0] + [int(v) for v in 1 + rng.permutation(n - 1)]
-
-
-@settings(max_examples=150, deadline=None, derandomize=True)
-@given(_tour_blocks())
-def test_kept_score_block_matches_full_rescore(case):
-    # After each accepted reversal, the bands it rescored leave the block
-    # equal to scoring the current tour-ordered block whole, bit for bit.
-    sym, order = case
-    score = tsp._score_reversals
-
-    def checked(P, lower, block, rows, cols=(0, 0)):
-        score(P, lower, block, rows, cols)
-        fresh = np.empty_like(block)
-        score(P, lower, fresh, (0, len(block)))
-        assert block.tobytes() == fresh.tobytes()
-
-    with mock.patch.object(tsp, "_score_reversals", checked), \
-            mock.patch.object(tsp, "_LARGE_TOUR_ELEMENTS", 0):
-        tsp._improve(sym, order)
-
-
-def test_local_search_matches_reference_on_grid20(monkeypatch):
-    g = gen_grid_graph(GridGraphSpec(width=20.0, height=20.0, seed=1))
-    sym = metric_closure(g).dist_matrix
-    _assert_same_as_reference(monkeypatch, sym, None, 2)
-    _assert_same_as_reference(monkeypatch, sym, len(sym) - 1, 1)
 
 
 def _nn_seed(dist, second, skip):
@@ -390,6 +313,18 @@ def _seed_blocks(draw):
     return sym, end, draw(st.integers(1, 8))
 
 
+def _pinned_block(sym, end):
+    """The block a solve searches, its pinned last index and the indices a
+    seed skips: an open tour (``end`` None) appends the free terminal, at
+    zero cost to and from every vertex."""
+    if end is not None:
+        return sym, end, (end,)
+    n = len(sym)
+    dist = np.zeros((n + 1, n + 1))
+    dist[:n, :n] = sym
+    return dist, n, ()
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(_seed_blocks())
 def test_lockstep_seeds_match_reference(case):
@@ -397,18 +332,50 @@ def test_lockstep_seeds_match_reference(case):
     # from that row's second vertex, on the open tour's augmented block with
     # the free terminal as its end and on a block with a fixed end.
     sym, end, restarts = case
-    n = len(sym)
-    if end is None:
-        dist = np.zeros((n + 1, n + 1))
-        dist[:n, :n] = sym
-        pinned, skip = n, ()
-    else:
-        dist, pinned, skip = sym, end, (end,)
+    dist, pinned, skip = _pinned_block(sym, end)
     seconds = tsp._seed_seconds(dist, restarts, skip=(0, pinned))
     if end is None:  # the terminal, last and at zero cost, is never a second
         assert seconds == tsp._seed_seconds(sym, restarts, skip=(0,))
     want = [_nn_seed(sym, s, skip) + [pinned] for s in seconds] or [[0, pinned]]
     assert tsp._nn_seeds(dist, seconds, pinned).tolist() == want
+
+
+def _assert_full_scan_optimum(dist, order):
+    got = tsp._improve(tsp._SearchBlock(dist), order)
+    assert sorted(got.tolist()) == sorted(order)
+    assert (got[0], got[-1]) == (order[0], order[-1])
+    legs = lambda o: math.fsum(dist[o[:-1], o[1:]])  # noqa: E731
+    assert legs(got) <= legs(np.asarray(order))
+    assert not _ref_two_opt_pass(dist, got.copy())
+    assert not _ref_or_opt_pass(dist, got.copy())
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.one_of(_tour_blocks(), _seed_blocks()))
+def test_search_ends_at_a_full_scan_local_optimum(case):
+    # Whatever the neighbour lists miss, no reversal and no forward
+    # relocation of a 1-3 vertex segment, scored afresh from the block,
+    # improves the returned tour by more than the tolerance: from random
+    # orders with a pinned last vertex, and from the nearest-neighbour seeds
+    # of open and fixed-end blocks.
+    if len(case) == 2:
+        _assert_full_scan_optimum(*case)
+        return
+    sym, end, restarts = case
+    dist, pinned, _ = _pinned_block(sym, end)
+    seconds = tsp._seed_seconds(dist, restarts, skip=(0, pinned))
+    for seed in tsp._nn_seeds(dist, seconds, pinned):
+        _assert_full_scan_optimum(dist, seed.tolist())
+
+
+@pytest.mark.parametrize("size, bound", [(12, 140.3845), (20, 387.2980)])
+def test_open_tours_no_longer_than_the_best_improvement_search(size, bound):
+    # The mean open-tour length over a pool of grid graphs, bounded by the
+    # mean that the best-improvement search this one replaced reached on the
+    # same pool (140.38450 and 387.29803).
+    lengths = [solve_open_tsp(costs_for(gen_grid_graph(GridGraphSpec(
+        width=float(size), height=float(size), seed=seed)))).length for seed in range(8)]
+    assert np.mean(lengths) <= bound
 
 
 def test_restarts_leave_the_shared_seeds_unchanged(monkeypatch):
@@ -471,9 +438,6 @@ def test_thread_count_does_not_change_tours(rng, monkeypatch):
     sym = metric_closure(g).dist_matrix
     for serial, threaded in _serial_and_threaded(sym, None, 8, monkeypatch):
         assert threaded[0] == serial[0] and threaded[1] == serial[1]
-    monkeypatch.setattr(tsp, "_LARGE_TOUR_ELEMENTS", 0)
-    monkeypatch.setattr(tsp, "_usable_cores", lambda: 2)
-    _assert_same_as_reference(monkeypatch, sym, len(sym) - 1, 2)
 
 
 def _spy_thread_starts(monkeypatch) -> list:
@@ -511,23 +475,6 @@ def test_small_tours_start_no_thread(monkeypatch):
     solve_open_tsp(costs_for(grid15), 3)
     assert len(started) == 2
     assert not any(t.is_alive() for t in started)
-
-
-def test_only_tours_above_the_gate_rescore_bands(monkeypatch):
-    score = tsp._score_reversals
-    bands = []
-
-    def spy(P, lower, block, rows, cols=(0, 0)):
-        bands.append(rows != (0, len(block)))
-        score(P, lower, block, rows, cols)
-
-    monkeypatch.setattr(tsp, "_score_reversals", spy)
-    _solve_small_tours()
-    assert bands and not any(bands)
-    bands.clear()
-    grid15 = gen_grid_graph(GridGraphSpec(width=15.0, height=15.0, seed=0))
-    solve_open_tsp(costs_for(grid15), 3)
-    assert any(bands)
 
 
 def test_restart_error_reaches_caller_after_join(monkeypatch):
