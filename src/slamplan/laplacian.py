@@ -12,9 +12,9 @@ factor object below keeps an inverse factor W of L, with W^T W = L^{-1},
 as rows, one per pose, next to the log-determinant: a pair's
 b^T L^{-1} b = ||W b||^2 is the squared distance between two rows, O(n),
 and a rank-1 update is O(n^2).  ``reduced_laplacian`` builds it from a
-pose graph's factors with no LAPACK call; a dense matrix can be factored
-by Cholesky instead.  ``log_det_from_scratch`` is the dense, no-reuse
-log-det that oracles and the mission's plan comparison share.
+pose graph's factors with no LAPACK call.  ``log_det_from_scratch`` is
+the dense, no-reuse log-det that oracles and the mission's plan
+comparison share.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg import solve_triangular
 from scipy.sparse.csgraph import breadth_first_order
 
 from .errors import InputError, RankDeficientError
@@ -103,7 +102,7 @@ def reduced_laplacian(poses: int, edges) -> "LaplacianFactor":
                             (1.0 / np.sqrt(weights[tree])).tolist()):
         rows[c] = rows[up]
         rows[c, c - 1] = scale
-    factor = LaplacianFactor._of(rows, math.fsum(np.log(weights[tree])))
+    factor = LaplacianFactor(rows, math.fsum(np.log(weights[tree])))
     rest = np.ones(len(ends), dtype=bool)
     rest[tree] = False
     for k in np.flatnonzero(rest):
@@ -126,44 +125,19 @@ class LaplacianFactor:
     For a square W with W^T W = L^{-1}, row r of the (n+1, n) array
     ``rows`` is column r-1 of W and row 0, the anchor pose's, is zero, so
     that rows rows^T is L^{-1} bordered by the anchor's zero row and
-    column.  Constructed from a dense matrix L = C C^T, W is C^{-1}; from a
-    pose graph, ``reduced_laplacian`` builds it.  All updates mutate in
-    place; use ``copy()`` to branch.
+    column.  ``reduced_laplacian`` builds it from a pose graph.  All
+    updates mutate in place; use ``copy()`` to branch.
     """
 
     __slots__ = ("n", "rows", "log_det")
 
-    def __init__(self, matrix: np.ndarray):
-        matrix = np.asarray(matrix, dtype=float)
-        self.n = n = matrix.shape[0]
-        self.rows = np.zeros((n + 1, n))
-        self.log_det = 0.0
-        if n == 0:
-            return
-        try:
-            chol = np.linalg.cholesky(matrix)
-        except np.linalg.LinAlgError:
-            raise RankDeficientError(
-                "reduced Laplacian is not positive-definite; "
-                "is the underlying pose graph connected?"
-            ) from None
-        diag = np.diagonal(chol)
-        if np.min(diag) <= 1e-12:
-            raise RankDeficientError("reduced Laplacian is numerically singular")
-        self.log_det = 2.0 * float(np.sum(np.log(diag)))
-        self.rows[1:] = solve_triangular(chol, np.eye(n), lower=True,
-                                         check_finite=False).T
-
-    @classmethod
-    def _of(cls, rows: np.ndarray, log_det: float) -> "LaplacianFactor":
-        factor = cls.__new__(cls)
-        factor.n = rows.shape[1]
-        factor.rows = rows
-        factor.log_det = log_det
-        return factor
+    def __init__(self, rows: np.ndarray, log_det: float):
+        self.n = rows.shape[1]
+        self.rows = rows
+        self.log_det = log_det
 
     def copy(self) -> "LaplacianFactor":
-        return LaplacianFactor._of(self.rows.copy(), self.log_det)
+        return LaplacianFactor(self.rows.copy(), self.log_det)
 
     def log_dopt(self) -> float:
         """log of det(L)^(1/n); the empty factor scores 1 by convention."""

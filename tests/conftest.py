@@ -6,8 +6,11 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
+from slamplan.errors import RankDeficientError
 from slamplan.graph import PriorGraph
+from slamplan.laplacian import LaplacianFactor
 
 
 def random_connected_graph(rng, n, extra_edge_prob=0.3, unit_lengths=True,
@@ -38,6 +41,21 @@ def incidence(n, i, j) -> np.ndarray:
     b[i] += 1.0
     b[j] -= 1.0
     return b[1:]
+
+
+def dense_factor(matrix) -> LaplacianFactor:
+    """Oracle factor of a dense SPD matrix L = C C^T: W = C^{-1} by one
+    Cholesky factorization and one triangular solve, log det from C's
+    diagonal."""
+    matrix = np.asarray(matrix, dtype=float)
+    n = matrix.shape[0]
+    try:
+        chol = np.linalg.cholesky(matrix)
+    except np.linalg.LinAlgError:
+        raise RankDeficientError("matrix is not positive-definite") from None
+    rows = np.zeros((n + 1, n))
+    rows[1:] = solve_triangular(chol, np.eye(n), lower=True).T
+    return LaplacianFactor(rows, 2.0 * float(np.sum(np.log(np.diagonal(chol)))))
 
 
 def spanning_tree_count(n, edges) -> int:

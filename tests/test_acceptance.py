@@ -20,10 +20,7 @@ from slamplan.bench import (
 )
 from slamplan.cli import main as cli_main
 from slamplan.graph import load_prior_graph, metric_closure
-from slamplan.laplacian import (
-    LaplacianFactor,
-    build_reduced_laplacian,
-)
+from slamplan.laplacian import build_reduced_laplacian
 from slamplan.loops import (
     abstract_pose_graph,
     brute_force_select,
@@ -52,7 +49,7 @@ from slamplan.tsp import (
     solve_open_tsp_exact,
 )
 
-from conftest import incidence, random_connected_graph, spanning_tree_count
+from conftest import dense_factor, incidence, random_connected_graph, spanning_tree_count
 
 ENVS = resources.files("slamplan") / "envs"
 
@@ -127,7 +124,7 @@ def test_criterion_02_rank_one_logdet_identity(capsys):
             i = int(rng.integers(1, poses))
             j = int(rng.integers(0, i))
             factors.append((i, j, float(rng.uniform(0.2, 5.0))))
-        factor = LaplacianFactor(build_reduced_laplacian(n, factors))
+        factor = dense_factor(build_reduced_laplacian(n, factors))
         i = int(rng.integers(1, poses))
         j = int(rng.integers(0, i))
         gamma = float(np.exp(rng.uniform(np.log(0.05), np.log(50.0))))

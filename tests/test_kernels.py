@@ -2,16 +2,15 @@ import numpy as np
 import pytest
 
 from slamplan import kernels
-from slamplan.laplacian import LaplacianFactor
 
-from conftest import incidence
+from conftest import dense_factor, incidence
 
 
 def spd_factor(rng, n):
     """The inverse factor of a random SPD matrix m, and m."""
     a = rng.standard_normal((n, n))
     m = a @ a.T + n * np.eye(n)
-    return LaplacianFactor(m), m
+    return dense_factor(m), m
 
 
 def sherman_morrison(rows, x):
@@ -89,7 +88,7 @@ def test_update_zero_vector_is_identity(rng, n):
 
 
 def test_update_scalar_factor():
-    f = LaplacianFactor(np.array([[4.0]]))
+    f = dense_factor(np.array([[4.0]]))
     np.testing.assert_array_equal(f.rows, [[0.0], [0.5]])
     before = f.log_det
     f.rank_one_update(2.25, 1, 0)

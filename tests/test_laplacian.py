@@ -1,18 +1,17 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from slamplan import laplacian
 from slamplan.errors import InputError, RankDeficientError
 from slamplan.laplacian import (
-    LaplacianFactor,
     build_reduced_laplacian,
     information_weights,
     log_det_from_scratch,
     reduced_laplacian,
 )
 
-from conftest import incidence, random_connected_graph, spanning_tree_count
+from conftest import dense_factor, incidence, random_connected_graph, spanning_tree_count
 
 
 def unit_factor(n, edges):
@@ -58,7 +57,7 @@ def test_path_of_three_single_tree():
 
 def test_identity_matrix_dopt_is_one():
     for n in (1, 2, 5):
-        f = LaplacianFactor(np.eye(n))
+        f = dense_factor(np.eye(n))
         assert f.dopt() == pytest.approx(1.0)
 
 
@@ -300,13 +299,13 @@ def test_build_reduced_laplacian_equals_outer_product_sum(rng, hub):
 def test_rank_one_update_drift_against_fresh_factor(rng):
     poses = 120
     factors = [(k + 1, k, float(rng.uniform(0.2, 5.0))) for k in range(poses - 1)]
-    f = LaplacianFactor(build_reduced_laplacian(poses - 1, factors))
+    f = dense_factor(build_reduced_laplacian(poses - 1, factors))
     for _ in range(60):
         i, j = sorted(rng.choice(poses, size=2, replace=False), reverse=True)
         gamma = float(rng.uniform(0.1, 50.0))
         f.rank_one_update(gamma, int(i), int(j))
         factors.append((int(i), int(j), gamma))
-    fresh = LaplacianFactor(build_reduced_laplacian(poses - 1, factors))
+    fresh = dense_factor(build_reduced_laplacian(poses - 1, factors))
     # the updated rows are not triangular, so compare W^T W = L^{-1}
     rel = np.linalg.norm(inverse(f) - inverse(fresh)) / np.linalg.norm(inverse(fresh))
     assert rel < 1e-12
@@ -355,8 +354,9 @@ def test_tree_factor_calls_no_lapack(monkeypatch, rng):
 
     g = random_connected_graph(rng, 30, extra_edge_prob=0.3)
     factors = [(g.index[u], g.index[v], float(rng.uniform(0.5, 2.0))) for u, v, _ in g.edges]
-    monkeypatch.setattr(np.linalg, "cholesky", refuse)
-    monkeypatch.setattr(laplacian, "solve_triangular", refuse)
+    for name in ("cholesky", "inv", "solve"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    monkeypatch.setattr(scipy.linalg, "solve_triangular", refuse)
     assert np.isfinite(reduced_laplacian(30, factors).log_det)
 
 

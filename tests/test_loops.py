@@ -588,8 +588,14 @@ def _assert_lockstep(lazy, eager):
     assert all(a >= b for a, b in zip(lazy.trace.per_iteration, trace.per_iteration))
 
 
-@pytest.mark.parametrize("size,seed", [(10, 0), (10, 1), (15, 0), (15, 1),
-                                       (20, 0), (20, 1)])
+# Fewest loops each grid's greedy must select for its lockstep check to
+# compare a real sequence: 9, except the 10x10 seed-1 walk (93.17 m), on
+# which the greedy selects 7.
+_LOCKSTEP_MIN_SELECTED = {(10, 0): 9, (10, 1): 7, (15, 0): 9, (15, 1): 9,
+                          (20, 0): 9, (20, 1): 9}
+
+
+@pytest.mark.parametrize("size,seed", list(_LOCKSTEP_MIN_SELECTED))
 def test_lazy_greedy_lockstep_on_grids(monkeypatch, size, seed):
     g = gen_grid_graph(GridGraphSpec(width=size, height=size, seed=seed))
     mc, walk, apg, cands = pipeline(g)
@@ -599,7 +605,7 @@ def test_lazy_greedy_lockstep_on_grids(monkeypatch, size, seed):
     lazy_columns = sum(solved)
     solved.clear()
     eager = _eager_greedy(apg, cands, walk)
-    assert len(lazy.selected) >= 7
+    assert len(lazy.selected) >= _LOCKSTEP_MIN_SELECTED[size, seed]
     _assert_lockstep(lazy, eager)
     # The lazy greedy solves 2-5% of the eager loop's columns on these grids.
     assert lazy_columns <= sum(solved) / 10
