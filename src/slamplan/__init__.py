@@ -43,7 +43,6 @@ from .sim import (
     load_world,
     log_dopt_fim,
     optimize_pose_graph,
-    simulate_execution,
 )
 from .tsp import (
     TourCosts,
@@ -99,7 +98,6 @@ __all__ = [
     "reduced_laplacian",
     "run_mission",
     "selection_delta",
-    "simulate_execution",
     "solve_fixed_end_tsp",
     "solve_open_tsp",
     "solve_open_tsp_exact",

@@ -7,7 +7,11 @@ Odometry between consecutive poses is the true relative motion corrupted
 by zero-mean Gaussian noise whose covariance averages the two endpoint
 regions' degeneracy matrices.  Revisiting a vertex closes a loop against
 the earliest pose recorded there.  Optimization is Gauss-Newton with
-step-halving damping on the anchored graph.
+step-halving damping on the anchored graph.  The anchored normal
+equations are sparse: their pattern is built once per pose graph, each
+iteration sums its entries in compressed-column form, and SuperLU factors
+them in a fill-reducing symmetric order, which also gives the information
+matrix's log det.
 """
 
 from __future__ import annotations
@@ -15,7 +19,8 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.sparse import csc_matrix
+from scipy.sparse.linalg import splu
 
 from .errors import (
     DivergenceError,
@@ -258,11 +263,6 @@ def simulate_walk(route, world: WorldModel, seed) -> SimPoseGraph:
     return runner.pose_graph()
 
 
-def simulate_execution(plan, world: WorldModel, seed) -> SimPoseGraph:
-    """Run a plan's walk through the world with seeded noise."""
-    return simulate_walk(plan.walk.vertices, world, seed)
-
-
 def dead_reckon(pg: SimPoseGraph) -> np.ndarray:
     """Initial estimates: compose odometry outward from the anchor."""
     est = np.zeros_like(pg.poses_true)
@@ -298,35 +298,71 @@ def _objective(est, edges) -> float:
     return total
 
 
-def _assemble(est, edges, dim):
-    """Gauss-Newton ``H`` and gradient with the anchor pose removed.
+def _normal_pattern(ends, dim):
+    """Compressed-column pattern of the anchored normal equations of the
+    edges ``ends``, which holds for every estimate.
 
     Every edge adds the blocks ii, jj, ij and ji of ``H`` and the rows i
-    and j of the gradient, skipping those of the anchor; ``np.add.at``
-    adds them in edge order, so each entry is summed as a per-edge loop
-    would sum it.
+    and j of the gradient, skipping those of the anchor.  Returns the
+    (K,4) mask of kept blocks, the CSC slot of each kept block entry,
+    ``indices`` and ``indptr``, then the (K,2) mask of free rows and the
+    gradient row of each free row entry.
+    """
+    i, j = ends[:, 0], ends[:, 1]
+    rows, cols = np.stack([i, j, i, j], 1), np.stack([i, j, j, i], 1)
+    keep = (rows > 0) & (cols > 0)
+    offs = np.arange(3)
+    r = 3 * (rows[keep][:, None, None] - 1) + offs[:, None]
+    c = 3 * (cols[keep][:, None, None] - 1) + offs
+    keys, slot = np.unique((c * dim + r).ravel(), return_inverse=True)
+    indptr = np.searchsorted(keys // dim, np.arange(dim + 1))
+    free = ends > 0
+    grad_rows = (3 * (ends[..., None] - 1) + offs)[free].ravel()
+    return keep, slot, keys % dim, indptr, free, grad_rows
+
+
+def _assemble(est, edges, pattern):
+    """Gauss-Newton ``H``, a CSC matrix on ``pattern``, and gradient with
+    the anchor pose removed.
+
+    ``np.bincount`` adds the entries of each slot in edge order from 0.0,
+    so each entry is summed as a per-edge loop into a dense ``H`` would
+    sum it.
     """
     ends, z, cov = edges
+    keep, slot, indices, indptr, free, grad_rows = pattern
+    dim = len(indptr) - 1
     xi, xj = est[ends[:, 0]], est[ends[:, 1]]
     e = edge_residual(xi, xj, z)[..., None]
     a, b = edge_jacobians(xi, xj, z)
     w = np.linalg.inv(cov)
     wa, wb, we = w @ a, w @ b, w @ e
     at, bt = _t(a), _t(b)
-    offs = np.arange(3)
-    i, j = ends[:, 0], ends[:, 1]
     blocks = np.stack([at @ wa, bt @ wb, at @ wb, bt @ wa], 1)  # (K,4,3,3)
-    rows, cols = np.stack([i, j, i, j], 1), np.stack([i, j, j, i], 1)
-    keep = (rows > 0) & (cols > 0)
-    r = np.broadcast_to(3 * (rows[..., None, None] - 1) + offs[:, None], blocks.shape)
-    c = np.broadcast_to(3 * (cols[..., None, None] - 1) + offs, blocks.shape)
-    h = np.zeros((dim, dim))
-    np.add.at(h, (r[keep], c[keep]), blocks[keep])
+    data = np.bincount(slot, weights=blocks[keep].ravel(), minlength=len(indices))
+    h = csc_matrix((data, indices, indptr), shape=(dim, dim))
     g = np.stack([at @ we, bt @ we], 1)[..., 0]  # (K,2,3), rows i then j
-    free = ends > 0
-    grad = np.zeros(dim)
-    np.add.at(grad, (3 * (ends[..., None] - 1) + offs)[free], g[free])
+    grad = np.bincount(grad_rows, weights=g[free].ravel(), minlength=dim)
     return h, grad
+
+
+def _factor(h, message):
+    """SuperLU factors of the SPD ``h`` and its log det.
+
+    Pivots stay on the diagonal of a symmetric fill-reducing order, so the
+    log det is the sum of the logs of U's diagonal.  An exactly singular
+    ``h``, a pivot that is not positive (NaN included) or one taken off
+    the diagonal raises a ``RankDeficientError`` with ``message``.
+    """
+    try:
+        lu = splu(h, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                  options=dict(SymmetricMode=True))
+    except RuntimeError:  # "Factor is exactly singular"
+        raise RankDeficientError(message) from None
+    pivots = lu.U.diagonal()
+    if not (np.all(pivots > 0) and np.array_equal(lu.perm_r, lu.perm_c)):
+        raise RankDeficientError(message)
+    return lu, float(np.sum(np.log(pivots)))
 
 
 def optimize_pose_graph(pg: SimPoseGraph) -> dict:
@@ -338,24 +374,21 @@ def optimize_pose_graph(pg: SimPoseGraph) -> dict:
     if pg.estimates is None:
         pg.estimates = dead_reckon(pg)
     est = pg.estimates.copy()
-    edges = _stack_edges(pg)
     dim = 3 * (pg.pose_count - 1)
     if dim == 0 or not pg.edge_count:
         pg.estimates = est
         return {"iterations": 0, "converged": True, "objective": 0.0,
                 "grad_norm": 0.0}
+    edges = _stack_edges(pg)
+    pattern = _normal_pattern(edges[0], dim)
     f_cur = _objective(est, edges)
     info = {"iterations": 0, "converged": False, "objective": f_cur,
             "grad_norm": np.inf}
     for it in range(1, _GN_MAX_ITERS + 1):
-        h, grad = _assemble(est, edges, dim)
+        h, grad = _assemble(est, edges, pattern)
         info["grad_norm"] = float(np.linalg.norm(grad))
-        try:
-            step = -cho_solve(cho_factor(h, check_finite=False), grad,
-                              check_finite=False)
-        except np.linalg.LinAlgError:
-            raise RankDeficientError("normal equations singular; graph "
-                                     "likely disconnected") from None
+        lu, _ = _factor(h, "normal equations singular; graph likely disconnected")
+        step = -lu.solve(grad)
         alpha = 1.0
         for _ in range(11):
             trial = est.copy()
@@ -377,7 +410,7 @@ def optimize_pose_graph(pg: SimPoseGraph) -> dict:
         if step_norm < _GN_STEP_TOL:
             info["converged"] = True
             break
-    h, grad = _assemble(est, edges, dim)
+    _, grad = _assemble(est, edges, pattern)
     info["grad_norm"] = float(np.linalg.norm(grad))
     pg.estimates = est
     return info
@@ -397,11 +430,10 @@ def log_dopt_fim(pg: SimPoseGraph) -> float:
     dim = 3 * (pg.pose_count - 1)
     if dim == 0:
         return 0.0
-    h, _ = _assemble(pg.estimates, _stack_edges(pg), dim)
-    sign, logdet = np.linalg.slogdet(0.5 * h)
-    if sign <= 0:
-        raise RankDeficientError("information matrix is rank-deficient")
-    return float(logdet / dim)
+    edges = _stack_edges(pg)
+    h, _ = _assemble(pg.estimates, edges, _normal_pattern(edges[0], dim))
+    _, logdet = _factor(0.5 * h, "information matrix is rank-deficient")
+    return logdet / dim
 
 
 def ape_rmse(estimates: np.ndarray, ground_truth: np.ndarray) -> float:

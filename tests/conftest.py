@@ -11,6 +11,7 @@ from scipy.linalg import solve_triangular
 from slamplan.errors import RankDeficientError
 from slamplan.graph import PriorGraph
 from slamplan.laplacian import LaplacianFactor
+from slamplan.se2 import edge_jacobians, edge_residual
 
 
 def random_connected_graph(rng, n, extra_edge_prob=0.3, unit_lengths=True,
@@ -56,6 +57,33 @@ def dense_factor(matrix) -> LaplacianFactor:
     rows = np.zeros((n + 1, n))
     rows[1:] = solve_triangular(chol, np.eye(n), lower=True).T
     return LaplacianFactor(rows, 2.0 * float(np.sum(np.log(np.diagonal(chol)))))
+
+
+def dense_information(pg, est=None):
+    """Per-edge oracle of the anchored Gauss-Newton H and gradient of the
+    simulated pose graph ``pg`` at ``est`` (its estimates by default): each
+    edge adds its blocks into a dense H, one edge at a time in edge order,
+    skipping the anchor pose 0."""
+    est = pg.estimates if est is None else est
+    dim = 3 * (pg.pose_count - 1)
+    h = np.zeros((dim, dim))
+    grad = np.zeros(dim)
+    for i, j, z, cov in pg.all_edges():
+        e = edge_residual(est[i], est[j], z)
+        a, b = edge_jacobians(est[i], est[j], z)
+        w = np.linalg.inv(cov)
+        wa, wb = w @ a, w @ b
+        ii, jj = 3 * (i - 1), 3 * (j - 1)
+        if i > 0:
+            h[ii : ii + 3, ii : ii + 3] += a.T @ wa
+            grad[ii : ii + 3] += a.T @ (w @ e)
+        if j > 0:
+            h[jj : jj + 3, jj : jj + 3] += b.T @ wb
+            grad[jj : jj + 3] += b.T @ (w @ e)
+        if i > 0 and j > 0:
+            h[ii : ii + 3, jj : jj + 3] += a.T @ wb
+            h[jj : jj + 3, ii : ii + 3] += b.T @ wa
+    return h, grad
 
 
 def spanning_tree_count(n, edges) -> int:

@@ -39,7 +39,6 @@ from slamplan.sim import (
     load_world,
     log_dopt_fim,
     optimize_pose_graph,
-    simulate_execution,
     simulate_walk,
 )
 from slamplan.tsp import (
@@ -323,8 +322,8 @@ def test_criterion_09_simulator_stack(capsys):
             )
             _, logdet = np.linalg.slogdet(lap)
             ld_lap = logdet / apg.n
-            pg_k = simulate_execution(
-                insert_loop_edges(apg, walk, sel[:k], mc), world2, seed=5)
+            plan_k = insert_loop_edges(apg, walk, sel[:k], mc)
+            pg_k = simulate_walk(plan_k.walk.vertices, world2, seed=5)
             optimize_pose_graph(pg_k)
             ld_fim = log_dopt_fim(pg_k)
             if prev_lap is not None and not (ld_lap > prev_lap

@@ -4,6 +4,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings, strategies as st
+from scipy.sparse import csc_matrix
 
 import slamplan.sim as sim_mod
 from slamplan.bench import GridGraphSpec, gen_grid_graph
@@ -11,7 +14,7 @@ from slamplan.errors import InputError, MismatchError, RankDeficientError
 from slamplan.graph import DEFAULT_SIGMA_DIAG, load_prior_graph, metric_closure
 from slamplan.mission import MissionConfig, run_mission
 from slamplan.planner import plan_exploration
-from slamplan.se2 import compose, edge_jacobians, edge_residual
+from slamplan.se2 import compose, edge_residual
 from slamplan.sim import (
     DEFAULT_LOOP_SIGMA,
     WorldModel,
@@ -20,11 +23,10 @@ from slamplan.sim import (
     load_world,
     log_dopt_fim,
     optimize_pose_graph,
-    simulate_execution,
     simulate_walk,
 )
 
-from conftest import random_connected_graph
+from conftest import dense_information, random_connected_graph
 
 
 def path3_graph():
@@ -182,7 +184,7 @@ def test_plan_detour_produces_one_loop_edge():
         apg, Walk(["a", "b", "c"], 2.0), [LoopEdgeCandidate(2, 0, 2.0, 1.0)], mc
     )
     w = noiseless_world(g)
-    pg = simulate_execution(plan2, w, seed=0)
+    pg = simulate_walk(plan2.walk.vertices, w, seed=0)
     # detour c -> b -> a -> b -> c revisits three vertices
     assert len(pg.loops) == 4
     assert pg.pose_count == 7
@@ -247,6 +249,16 @@ def test_edgeless_pose_graph_keeps_its_outcome():
     info = optimize_pose_graph(pg)
     assert info == {"iterations": 0, "converged": True, "objective": 0.0,
                     "grad_norm": 0.0}
+    with pytest.raises(RankDeficientError, match="rank-deficient"):
+        log_dopt_fim(pg)
+
+
+def test_unreached_pose_makes_normal_equations_singular():
+    # the last step carries no measurement, so no edge reaches pose 2
+    pg = simulate_walk(["a", "b", "c"], WorldModel(path3_graph()), seed=0)
+    pg.odometry = pg.odometry[:1]
+    with pytest.raises(RankDeficientError, match="normal equations singular"):
+        optimize_pose_graph(copy.deepcopy(pg))
     with pytest.raises(RankDeficientError, match="rank-deficient"):
         log_dopt_fim(pg)
 
@@ -322,25 +334,12 @@ def _reference_objective(est, edges) -> float:
     return total
 
 
-def _reference_assemble(est, edges, dim):
-    h = np.zeros((dim, dim))
-    grad = np.zeros(dim)
-    for i, j, z, cov in edges:
-        e = edge_residual(est[i], est[j], z)
-        a, b = edge_jacobians(est[i], est[j], z)
-        w = np.linalg.inv(cov)
-        wa, wb = w @ a, w @ b
-        ii, jj = 3 * (i - 1), 3 * (j - 1)
-        if i > 0:
-            h[ii : ii + 3, ii : ii + 3] += a.T @ wa
-            grad[ii : ii + 3] += a.T @ (w @ e)
-        if j > 0:
-            h[jj : jj + 3, jj : jj + 3] += b.T @ wb
-            grad[jj : jj + 3] += b.T @ (w @ e)
-        if i > 0 and j > 0:
-            h[ii : ii + 3, jj : jj + 3] += a.T @ wb
-            h[jj : jj + 3, ii : ii + 3] += b.T @ wa
-    return h, grad
+def _on_pattern(h, grad, pattern):
+    """The dense ``h`` as a CSC matrix on the batched path's ``pattern``, so
+    that SuperLU factors the same structure, and ``grad``."""
+    indices, indptr = pattern[2], pattern[3]
+    cols = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
+    return csc_matrix((h[indices, cols], indices, indptr), shape=h.shape), grad
 
 
 def _mission_pose_graph(name):
@@ -384,23 +383,97 @@ def test_batched_gauss_newton_matches_per_edge_loops(monkeypatch, name):
     dim = 3 * (pg.pose_count - 1)
     edges = list(pg.all_edges())
     stacked = sim_mod._stack_edges(pg)
+    pattern = sim_mod._normal_pattern(stacked[0], dim)
     for est in (dead_reckon(pg), pg.estimates):
         assert (sim_mod._objective(est, stacked)
                 == _reference_objective(est, edges))
-        h, grad = sim_mod._assemble(est, stacked, dim)
-        ref_h, ref_grad = _reference_assemble(est, edges, dim)
-        np.testing.assert_array_equal(h, ref_h)
+        h, grad = sim_mod._assemble(est, stacked, pattern)
+        ref_h, ref_grad = dense_information(pg, est)
+        np.testing.assert_array_equal(h.toarray(), ref_h)
         np.testing.assert_array_equal(grad, ref_grad)
     runs = []
     for patched in (False, True):
         run = copy.deepcopy(pg)
         run.estimates = None
         if patched:
-            monkeypatch.setattr(sim_mod, "_stack_edges", lambda p: list(p.all_edges()))
-            monkeypatch.setattr(sim_mod, "_objective", _reference_objective)
-            monkeypatch.setattr(sim_mod, "_assemble", _reference_assemble)
+            # per-edge loops over the run's own edges; only the CSC pattern,
+            # which SuperLU's ordering reads, comes from the batched path
+            run_edges = list(run.all_edges())
+            monkeypatch.setattr(sim_mod, "_objective",
+                                lambda est, _: _reference_objective(est, run_edges))
+            monkeypatch.setattr(sim_mod, "_assemble", lambda est, _, pattern:
+                                _on_pattern(*dense_information(run, est), pattern))
         runs.append((optimize_pose_graph(run), run.estimates, log_dopt_fim(run)))
     (info, est, fim), (ref_info, ref_est, ref_fim) = runs
     assert info == ref_info and info["iterations"] > 0
     np.testing.assert_array_equal(est, ref_est)
     assert fim == ref_fim
+
+
+def test_simulator_calls_no_lapack(monkeypatch):
+    # Mission metrics take no bit from the BLAS thread count: the simulator
+    # factors no dense matrix larger than the per-edge 3x3 stacks.
+    def refuse_above_3x3(fn):
+        def call(a, *args, **kwargs):
+            if max(np.shape(a)[-2:], default=0) > 3:
+                raise AssertionError(f"LAPACK call on a {np.shape(a)} array")
+            return fn(a, *args, **kwargs)
+        return call
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense Cholesky call in the simulator")
+
+    g = gen_grid_graph(GridGraphSpec(width=6.0, height=6.0, seed=1))
+    plan = plan_exploration(g)
+    pg = simulate_walk(plan.walk.vertices, WorldModel(g), seed=1)
+    assert pg.loops and 3 * (pg.pose_count - 1) > 3
+    for name in ("cholesky", "slogdet", "det", "inv", "solve"):
+        monkeypatch.setattr(np.linalg, name, refuse_above_3x3(getattr(np.linalg, name)))
+    for name in ("cho_factor", "cho_solve"):
+        monkeypatch.setattr(scipy.linalg, name, refuse)
+        monkeypatch.setattr(sim_mod, name, refuse, raising=False)
+    assert optimize_pose_graph(pg)["converged"]
+    assert np.isfinite(log_dopt_fim(pg))
+
+
+def _random_walk_pose_graph(seed, n, steps, turned):
+    """Seeded random walk of ``steps`` steps on a random connected world of
+    ``n`` vertices with log-normal degeneracy; ``turned`` turns every loop
+    covariance by a random rotation so that none is diagonal."""
+    rng = np.random.default_rng(seed)
+    g = random_connected_graph(rng, n, extra_edge_prob=0.3, unit_lengths=False)
+    world = WorldModel(g, {v: np.diag(DEFAULT_SIGMA_DIAG * np.exp(rng.normal(0.0, 0.5, 3)))
+                           for v in g.ids})
+    nbrs = {v: [] for v in g.ids}
+    for u, v, _ in g.edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    walk = [g.start]
+    for _ in range(steps):
+        walk.append(nbrs[walk[-1]][int(rng.integers(len(nbrs[walk[-1]])))])
+    pg = simulate_walk(walk, world, seed=seed)
+    if turned:
+        turned_loops = []
+        for i, j, z, cov in pg.loops:
+            q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+            turned_loops.append((i, j, z, q @ cov @ q.T))
+        pg.loops = turned_loops
+    return pg
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 12), steps=st.integers(1, 60),
+       turned=st.booleans())
+def test_sparse_normal_equations_match_dense_oracle(seed, n, steps, turned):
+    # Every pose with two edges sums two blocks into its diagonal, so a slot
+    # that kept only one contribution moves both the step and the log det.
+    pg = _random_walk_pose_graph(seed, n, steps, turned)
+    dim = 3 * (pg.pose_count - 1)
+    edges = sim_mod._stack_edges(pg)
+    h, grad = sim_mod._assemble(pg.estimates, edges, sim_mod._normal_pattern(edges[0], dim))
+    lu, _ = sim_mod._factor(h, "singular")
+    ref_h, ref_grad = dense_information(pg)
+    want = np.linalg.solve(ref_h, ref_grad)
+    assert np.linalg.norm(lu.solve(grad) - want) <= 1e-10 * np.linalg.norm(want)
+    _, logdet = np.linalg.slogdet(0.5 * ref_h)
+    assert log_dopt_fim(pg) == pytest.approx(logdet / dim, rel=0.0, abs=1e-11)
