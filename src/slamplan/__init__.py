@@ -30,8 +30,6 @@ from .loops import (
     greedy_select,
     insert_loop_edges,
     omega_max,
-    prune_candidates,
-    selection_delta,
 )
 from .mission import Mission, MissionConfig, run_mission
 from .planner import compute_plan, plan_exploration
@@ -94,10 +92,8 @@ __all__ = [
     "omega_max",
     "optimize_pose_graph",
     "plan_exploration",
-    "prune_candidates",
     "reduced_laplacian",
     "run_mission",
-    "selection_delta",
     "solve_fixed_end_tsp",
     "solve_open_tsp",
     "solve_open_tsp_exact",

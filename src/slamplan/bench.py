@@ -167,9 +167,6 @@ class PruneReport:
     def speedup(self) -> float:
         return self.t_no_prune / self.t_prune if self.t_prune > 0 else np.inf
 
-    def check_monotone(self) -> bool:
-        return self.after_prop1 <= self.after_omega_max <= self.num_candidates
-
 
 def bench_prune(graph: PriorGraph) -> PruneReport:
     """Run greedy selection twice and verify pruning changes nothing.

@@ -119,6 +119,12 @@ def _batch(rows, mats, what, size):
     return rows, mats
 
 
+def _is_id(vid) -> bool:
+    """Whether ``vid`` can be a vertex id: a string or an integer, but not a
+    bool, which Python counts as an integer and which equals 0 or 1."""
+    return isinstance(vid, (str, int)) and not isinstance(vid, bool)
+
+
 def _adjacency(ends, weights, n: int) -> csr_matrix:
     """(n, n) sparse matrix of the edges whose vertex indices are the rows
     of the (k, 2) ``ends``, each edge stored in both directions with its
@@ -147,7 +153,7 @@ class PriorGraph:
         self.index = {}
         pos = []
         for vid, x, y in vertices:
-            if not isinstance(vid, (str, int)):
+            if not _is_id(vid):
                 raise InputError(f"vertex id {vid!r} must be a string or an integer")
             if vid in self.index:
                 raise InputError(f"duplicate vertex id {vid!r}")
@@ -164,7 +170,7 @@ class PriorGraph:
             pos.append((x, y))
         self.positions = np.asarray(pos, dtype=float).reshape(len(self.ids), 2)
 
-        if not isinstance(start, (str, int)) or start not in self.index:
+        if not _is_id(start) or start not in self.index:
             raise InputError(f"unknown start vertex {start!r}")
         self.start = start
 
@@ -194,7 +200,7 @@ class PriorGraph:
         """Validate one edge and record its topology; returns its 3x3
         covariance, validated by ``check`` if given, for the caller to store."""
         for vid in (u, v):
-            if not isinstance(vid, (str, int)) or vid not in self.index:
+            if not _is_id(vid) or vid not in self.index:
                 raise InputError(f"edge ({u!r}, {v!r}) references unknown vertex {vid!r}")
         if u == v:
             raise InputError(f"self-loop at vertex {u!r}")
@@ -232,9 +238,6 @@ class PriorGraph:
     def __len__(self):
         return len(self.ids)
 
-    def num_edges(self):
-        return len(self.edges)
-
     def position(self, vid) -> np.ndarray:
         return self.positions[self.index[vid]]
 
@@ -251,9 +254,6 @@ class PriorGraph:
             return self._edge_row[frozenset((u, v))]
         except KeyError:
             raise InputError(f"no edge ({u!r}, {v!r})") from None
-
-    def edge_cov(self, u, v) -> np.ndarray:
-        return self.edge_covs[self.edge_row(u, v)]
 
     def pair_covs(self, a, b) -> np.ndarray:
         """Covariances of factors between the regions at vertex indices
@@ -284,14 +284,6 @@ class PriorGraph:
         if len(rows):
             self.edge_covs[rows] = check_spd_batch(
                 mats, lambda k: "edge ({!r}, {!r})".format(*self.edges[rows[k]][:2]))
-
-    def set_edge_cov(self, u, v, cov):
-        self.set_edge_covs([self.edge_row(u, v)], np.asarray(cov, dtype=float)[None])
-
-    def set_region_cov(self, vid, cov):
-        if vid not in self.index:
-            raise InputError(f"unknown vertex {vid!r}")
-        self.set_region_covs([self.index[vid]], np.asarray(cov, dtype=float)[None])
 
     def copy(self) -> "PriorGraph":
         g = PriorGraph.__new__(PriorGraph)

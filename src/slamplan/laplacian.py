@@ -143,9 +143,6 @@ class LaplacianFactor:
         """log of det(L)^(1/n); the empty factor scores 1 by convention."""
         return self.log_det / self.n if self.n else 0.0
 
-    def dopt(self) -> float:
-        return float(np.exp(self.log_dopt()))
-
     def quad_form_batch(self, pairs) -> np.ndarray:
         """b^T L^{-1} b for many pose pairs at once.
 

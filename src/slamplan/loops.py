@@ -16,7 +16,10 @@ greedily: each iteration adds the candidate whose multiplicative gain
 
     delta = (1 + gamma * b^T L^{-1} b)^(1/n) / (1 + 2 omega / d_current)
 
-is largest, while delta > 1.  Two sound filters shrink the candidate set:
+is largest, while delta > 1.  Its log has one code path,
+``log_gain_numerator`` minus ``log_gain_denominator``: the greedy scores
+every candidate through it, and acceptance criterion 3 checks it against
+from-scratch scores.  Two sound filters shrink the candidate set:
 a distance cap omega_max (no candidate farther than it can ever gain) and
 a per-candidate test comparing the numerator term against 1 + omega/d_tsp.
 Both rely on d(plan) <= 2 d_tsp, which is audited on every plan.
@@ -153,17 +156,10 @@ class CandidateSet:
     def __len__(self):
         return len(self.i)
 
-    def __iter__(self):
-        for k in range(len(self.i)):
-            yield self.candidate(k)
-
     def candidate(self, k: int) -> LoopEdgeCandidate:
         return LoopEdgeCandidate(
             int(self.i[k]), int(self.j[k]), float(self.omega[k]), float(self.gamma[k])
         )
-
-    def subset(self, mask) -> "CandidateSet":
-        return CandidateSet(self.i[mask], self.j[mask], self.omega[mask], self.gamma[mask])
 
 
 def enumerate_candidates(apg: AbstractedPoseGraph, closure) -> CandidateSet:
@@ -218,13 +214,9 @@ def log_gain_numerator(factor: LaplacianFactor, gamma, quad) -> np.ndarray:
     return np.log1p(np.asarray(gamma) * np.asarray(quad)) / factor.n
 
 
-def selection_delta(cand: LoopEdgeCandidate, factor: LaplacianFactor,
-                    current_distance: float) -> float:
-    """Multiplicative score gain of adding one candidate to the plan."""
-    q = factor.quad_form_batch(np.array([[cand.i], [cand.j]]))[0]
-    num = np.log1p(cand.gamma * q) / factor.n
-    den = np.log1p(2.0 * cand.omega / current_distance)
-    return float(np.exp(num - den))
+def log_gain_denominator(omega, d_current) -> np.ndarray:
+    """log of 1 + 2 omega / d_current, the distance term of the gain."""
+    return np.log1p(2.0 * omega / d_current)
 
 
 def prune_test(d_tsp: float, omega, lognum):
@@ -267,11 +259,6 @@ def prune_mask(factor: LaplacianFactor, d_tsp: float, cands: CandidateSet) -> np
     if len(cands) == 0:
         return np.zeros(0, dtype=bool)
     return exact_prune_test(factor, d_tsp, cands)[2]
-
-
-def prune_candidates(factor: LaplacianFactor, d_tsp: float,
-                     cands: CandidateSet) -> CandidateSet:
-    return cands.subset(prune_mask(factor, d_tsp, cands))
 
 
 def _solve_columns(factor: LaplacianFactor, cands: CandidateSet, lognum, idx):
@@ -496,7 +483,7 @@ def greedy_select(apg: AbstractedPoseGraph, cands: CandidateSet, walk: Walk,
             if len(idx) == 0:
                 break
         trace.per_iteration.append(len(idx))
-        den = np.log1p(2.0 * cands.omega[idx] / d_cur)
+        den = log_gain_denominator(cands.omega[idx], d_cur)
         if lazy:
             solved = _solve_while_bound_wins(factor, cands, lognum, idx, den)
             if len(solved) == 0:

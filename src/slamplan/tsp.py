@@ -81,9 +81,6 @@ class TourCosts:
         idx = [g.index[v] for v in self.ids]
         self.sym = np.ascontiguousarray(closure.dist_matrix[np.ix_(idx, idx)])
 
-    def __len__(self):
-        return len(self.ids)
-
     def to_ids(self, order) -> list:
         return [self.ids[k] for k in order]
 

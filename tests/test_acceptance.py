@@ -27,9 +27,10 @@ from slamplan.loops import (
     enumerate_candidates,
     greedy_select,
     insert_loop_edges,
+    log_gain_denominator,
+    log_gain_numerator,
     prune_mask,
     score_from_scratch,
-    selection_delta,
 )
 from slamplan.planner import compute_plan, plan_exploration
 from slamplan.se2 import edge_jacobians, edge_residual
@@ -61,10 +62,11 @@ def _report(capsys, num, label, ok, detail):
 
 
 def _randomize_covs(rng, g):
-    for u, v, _ in g.edges:
-        g.set_edge_cov(u, v, np.diag(rng.uniform(0.05, 1.5, size=3)))
-    for vid in g.ids:
-        g.set_region_cov(vid, np.diag(rng.uniform(0.05, 1.5, size=3)))
+    """Random diagonal covariances, drawn for the edges, then the regions."""
+    d = rng.uniform(0.05, 1.5, size=(len(g.edges), 3))
+    g.set_edge_covs(range(len(g.edges)), d[:, :, None] * np.eye(3))
+    d = rng.uniform(0.05, 1.5, size=(len(g.ids), 3))
+    g.set_region_covs(range(len(g.ids)), d[:, :, None] * np.eye(3))
     return g
 
 
@@ -156,7 +158,9 @@ def test_criterion_03_gain_factorization(capsys):
         for c in subset:
             factor.rank_one_update(c.gamma, c.i, c.j)
             d_cur += 2.0 * c.omega
-        delta = selection_delta(z, factor, d_cur)
+        q = factor.quad_form_batch(np.array([[z.i], [z.j]]))
+        delta = np.exp(log_gain_numerator(factor, z.gamma, q)[0]
+                       - log_gain_denominator(z.omega, d_cur))
         scratch = np.exp(score_from_scratch(apg, subset + [z], walk.length))
         factored = np.exp(score_from_scratch(apg, subset, walk.length)) * delta
         worst = max(worst, abs(scratch - factored) / abs(scratch))

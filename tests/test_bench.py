@@ -49,7 +49,7 @@ def test_exact_grid_without_removal():
     )
     g = gen_grid_graph(spec)
     assert len(g) == 100
-    assert g.num_edges() == 2 * 10 * 9
+    assert len(g.edges) == 2 * 10 * 9
     xs = sorted({p[0] for p in g.positions})
     assert xs == [float(k) for k in range(10)]
 
@@ -101,7 +101,7 @@ def test_bench_prune_small_graph():
     report = bench_prune(g)
     assert report.num_vertices == 4
     assert report.num_candidates <= 3
-    assert report.check_monotone()
+    assert report.after_prop1 <= report.after_omega_max <= report.num_candidates
 
 
 @pytest.mark.parametrize("seed,counts", [(0, (4371, 1257, 342)),
@@ -128,7 +128,7 @@ def test_bench_prune_monotone_chain_and_csv():
         for s in range(3)
     ]
     for r in reports:
-        assert r.check_monotone()
+        assert r.after_prop1 <= r.after_omega_max <= r.num_candidates
         assert r.t_prune > 0 and r.t_no_prune > 0
     text = prune_report_csv(reports)
     rows = list(csv.reader(io.StringIO(text)))

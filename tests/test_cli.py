@@ -193,7 +193,17 @@ _TRIANGLE = [{"id": v, "x": float(k), "y": 0.0} for k, v in enumerate("abc")]
     ({"vertices": _TRIANGLE, "start": "a",
       "edges": [{"u": u, "v": v, "length": 1e308} for u, v in ("ab", "bc", "ac")]},
      "edge lengths sum to inf, above 1e+300"),
-], ids=["unhashable-id", "unhashable-endpoint", "non-object", "overflowing-lengths"])
+    ({"vertices": [{"id": 1, "x": 0, "y": 0}, {"id": True, "x": 1, "y": 0}],
+      "edges": [{"u": 1, "v": True}], "start": 1},
+     "vertex id True must be a string or an integer"),
+    ({"vertices": [{"id": k, "x": float(k), "y": 0.0} for k in (1, 2, 3)],
+      "edges": [{"u": True, "v": 2}, {"u": 2, "v": 3}], "start": 1},
+     "edge (True, 2) references unknown vertex True"),
+    ({"vertices": [{"id": k, "x": float(k), "y": 0.0} for k in (1, 2, 3)],
+      "edges": [{"u": 1, "v": 2}, {"u": 2, "v": 3}], "start": True},
+     "unknown start vertex True"),
+], ids=["unhashable-id", "unhashable-endpoint", "non-object", "overflowing-lengths",
+        "bool-id", "bool-endpoint", "bool-start"])
 def test_plan_malformed_document_exits_with_error(tmp_path, capsys, doc, message):
     path = tmp_path / "graph.json"
     path.write_text(json.dumps(doc))

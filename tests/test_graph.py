@@ -41,7 +41,7 @@ def test_load_from_dict_text_and_path(tmp_path, path3):
     for g in (from_text, from_path):
         assert list(g.ids) == ["a", "b", "c"]
         assert g.start == "a"
-        assert g.num_edges() == 2
+        assert len(g.edges) == 2
 
 
 def test_default_edge_length_is_euclidean():
@@ -144,7 +144,13 @@ def test_non_numeric_entries_rejected_naming_offender(vertex, edge, match):
      r"vertex id \[1\] must be a string or an integer"),
     ({"edges": [{"u": ["a"], "v": 1}]}, r"edge \(\['a'\], 1\) references unknown vertex"),
     ({"start": {"id": 0}}, r"unknown start vertex \{'id': 0\}"),
-], ids=["vertex-id", "edge-endpoint", "start"])
+    # a JSON boolean is no id, though True == 1 and False == 0 in Python
+    ({"vertices": [{"id": 0, "x": 0, "y": 0}, {"id": True, "x": 1, "y": 0}]},
+     r"vertex id True must be a string or an integer"),
+    ({"edges": [{"u": True, "v": 0}]}, r"edge \(True, 0\) references unknown vertex True"),
+    ({"start": False}, r"unknown start vertex False"),
+], ids=["vertex-id", "edge-endpoint", "start", "vertex-id-bool", "edge-endpoint-bool",
+        "start-bool"])
 def test_unhashable_ids_rejected_naming_offender(change, match):
     doc = {
         "vertices": [{"id": 0, "x": 0, "y": 0}, {"id": 1, "x": 1, "y": 0}],
@@ -237,7 +243,7 @@ def test_default_covariance_weight():
         "start": 0,
     }
     g = load_prior_graph(doc)
-    cov = g.edge_cov(0, 1)
+    cov = g.edge_covs[g.edge_row(0, 1)]
     assert np.allclose(np.diag(cov), DEFAULT_SIGMA_DIAG)
     assert information_weights(cov[None])[0] == pytest.approx(46.4159, abs=1e-3)
     assert np.array_equal(sigma_matrix([0.1, 0.1, 0.001]), cov)
@@ -286,8 +292,8 @@ def test_batched_write_names_bad_row_and_writes_nothing(triangle, kind, reason):
         triangle.set_region_covs([0, 2], np.stack([_bad_cov("asymmetric"),
                                                    _bad_cov("non-finite")]))
     triangle.set_edge_covs([2, 0], np.stack([good, 2.0 * good]))
-    assert np.array_equal(triangle.edge_cov("a", "c"), good)
-    assert np.array_equal(triangle.edge_cov("a", "b"), 2.0 * good)
+    assert np.array_equal(triangle.edge_covs[triangle.edge_row("a", "c")], good)
+    assert np.array_equal(triangle.edge_covs[triangle.edge_row("a", "b")], 2.0 * good)
 
 
 @pytest.mark.parametrize("setter", ["set_region_covs", "set_edge_covs"])
@@ -522,8 +528,8 @@ def test_revision_tracks_mutations(path3):
     mc = metric_closure(path3)
     assert mc.fresh()
     topo = path3.topology_revision
-    path3.set_region_cov("a", np.diag([1.0, 1.0, 0.01]))
-    path3.set_edge_cov("a", "b", np.diag([0.2, 0.2, 0.002]))
+    path3.set_region_covs([path3.index["a"]], np.diag([1.0, 1.0, 0.01])[None])
+    path3.set_edge_covs([path3.edge_row("a", "b")], np.diag([0.2, 0.2, 0.002])[None])
     assert path3.topology_revision == topo
     assert mc.fresh()
     path3.add_edge("a", "c", length=2.0)
@@ -535,12 +541,13 @@ def test_revision_tracks_mutations(path3):
 
 
 def test_to_dict_round_trip(triangle):
-    triangle.set_edge_cov("a", "b", np.diag([0.2, 0.2, 0.002]))
+    triangle.set_edge_covs([triangle.edge_row("a", "b")], np.diag([0.2, 0.2, 0.002])[None])
     doc = triangle.to_dict()
     g2 = load_prior_graph(doc)
     assert list(g2.ids) == list(triangle.ids)
-    assert g2.num_edges() == triangle.num_edges()
-    assert np.allclose(g2.edge_cov("a", "b"), triangle.edge_cov("a", "b"))
+    assert len(g2.edges) == len(triangle.edges)
+    assert np.allclose(g2.edge_covs[g2.edge_row("a", "b")],
+                       triangle.edge_covs[triangle.edge_row("a", "b")])
     assert np.allclose(g2.positions, triangle.positions)
 
 

@@ -20,15 +20,14 @@ from slamplan.loops import (
     enumerate_candidates,
     greedy_select,
     insert_loop_edges,
+    log_gain_denominator,
     log_gain_numerator,
     omega_max,
     path_resistance,
-    prune_candidates,
     prune_mask,
     prune_test,
     quad_forms,
     score_from_scratch,
-    selection_delta,
 )
 from slamplan.tsp import TourCosts, Walk, expand_to_walk, solve_open_tsp
 
@@ -37,21 +36,17 @@ from conftest import incidence, random_connected_graph
 
 def unitize(g):
     """Identity covariances everywhere: every factor weight becomes 1."""
-    eye = np.eye(3)
-    for u, v, _ in g.edges:
-        g.set_edge_cov(u, v, eye)
-    for vid in g.ids:
-        g.set_region_cov(vid, eye)
+    g.set_edge_covs(range(len(g.edges)), np.tile(np.eye(3), (len(g.edges), 1, 1)))
+    g.set_region_covs(range(len(g.ids)), np.tile(np.eye(3), (len(g.ids), 1, 1)))
     return g
 
 
 def randomize_covs(rng, g):
-    for u, v, _ in g.edges:
-        d = rng.uniform(0.05, 1.5, size=3)
-        g.set_edge_cov(u, v, np.diag(d))
-    for vid in g.ids:
-        d = rng.uniform(0.05, 1.5, size=3)
-        g.set_region_cov(vid, np.diag(d))
+    """Random diagonal covariances, drawn for the edges, then the regions."""
+    d = rng.uniform(0.05, 1.5, size=(len(g.edges), 3))
+    g.set_edge_covs(range(len(g.edges)), d[:, :, None] * np.eye(3))
+    d = rng.uniform(0.05, 1.5, size=(len(g.ids), 3))
+    g.set_region_covs(range(len(g.ids)), d[:, :, None] * np.eye(3))
     return g
 
 
@@ -177,8 +172,8 @@ def test_candidates_reject_stale_closure():
     g = path3_unit()
     mc = metric_closure(g)
     apg = abstract_pose_graph(Walk(["a", "b", "c"], 2.0), g)
-    g.set_region_cov("a", np.diag([2.0, 2.0, 0.02]))
-    g.set_edge_cov("a", "b", np.diag([2.0, 2.0, 0.02]))
+    g.set_region_covs([g.index["a"]], np.diag([2.0, 2.0, 0.02])[None])
+    g.set_edge_covs([g.edge_row("a", "b")], np.diag([2.0, 2.0, 0.02])[None])
     assert mc.fresh()
     enumerate_candidates(apg, mc)
     g.add_edge("a", "c", length=2.0)
@@ -205,7 +200,7 @@ def test_candidate_gamma_values():
 
     # both regions at the default diag(0.1, 0.1, 0.001)
     assert gamma() == pytest.approx(46.4159, abs=1e-3)
-    g.set_region_cov(2, np.diag([1.0, 1.0, 0.01]))
+    g.set_region_covs([g.index[2]], np.diag([1.0, 1.0, 0.01])[None])
     assert gamma() == pytest.approx(8.44, abs=0.01)
 
 
@@ -215,9 +210,10 @@ def test_candidate_gamma_values():
 def test_delta_vanishing_gamma():
     g = path3_unit()
     apg = abstract_pose_graph(Walk(["a", "b", "c"], 2.0), g)
-    cand = LoopEdgeCandidate(2, 0, 1.5, 0.0)
+    q = apg.factor.quad_form_batch(np.array([[2], [0]]))
+    log_delta = log_gain_numerator(apg.factor, 0.0, q) - log_gain_denominator(1.5, 2.0)
     expect = 1.0 / (1.0 + 2.0 * 1.5 / 2.0)
-    assert selection_delta(cand, apg.factor, 2.0) == pytest.approx(expect)
+    assert np.exp(log_delta[0]) == pytest.approx(expect)
 
 
 def test_delta_worked_three_pose_example():
@@ -230,12 +226,13 @@ def test_delta_worked_three_pose_example():
     assert len(cands) == 1
     c = cands.candidate(0)
     assert c.omega == pytest.approx(1.0)
-    delta = selection_delta(c, apg.factor, 2.0)
+    q = apg.factor.quad_form_batch(np.array([[c.i], [c.j]]))
+    delta = np.exp(log_gain_numerator(apg.factor, c.gamma, q)[0]
+                   - log_gain_denominator(c.omega, 2.0))
     assert delta == pytest.approx(np.sqrt(3.0) / 2.0, rel=1e-12)
     # direct Eq-style check: 1.732 > 1.5, so the candidate survives
     mask = prune_mask(apg.factor, 2.0, cands)
     assert mask.tolist() == [True]
-    assert len(prune_candidates(apg.factor, 2.0, cands)) == 1
 
 
 def test_omega_max_cap():
@@ -274,7 +271,9 @@ def test_delta_factorization(rng):
         for c in subset:
             factor.rank_one_update(c.gamma, c.i, c.j)
         d_cur = walk.length + 2.0 * sum(c.omega for c in subset)
-        delta = selection_delta(z, factor, d_cur)
+        q = factor.quad_form_batch(np.array([[z.i], [z.j]]))
+        delta = np.exp(log_gain_numerator(factor, z.gamma, q)[0]
+                       - log_gain_denominator(z.omega, d_cur))
         log_with = score_from_scratch(apg, subset + [z], walk.length)
         log_without = score_from_scratch(apg, subset, walk.length)
         assert log_with == pytest.approx(log_without + np.log(delta), abs=1e-9)
@@ -316,7 +315,7 @@ def test_greedy_empty_candidates():
     cands = enumerate_candidates(apg, mc)
     res = greedy_select(apg, cands, walk, mc)
     assert res.selected == []
-    assert res.plan.objective == pytest.approx(apg.factor.dopt() / 3.0)
+    assert res.plan.objective == pytest.approx(np.exp(apg.factor.log_dopt()) / 3.0)
     assert res.plan.walk.vertices == walk.vertices
 
 
@@ -347,6 +346,27 @@ def test_greedy_incremental_consistency(rng):
         assert log_j == pytest.approx(res.log_objective, abs=1e-12)
         assert len(res.selected) <= len(cands)
         done += 1
+
+
+@pytest.mark.parametrize("size,lazy", [(6, False), (10, True)])
+def test_greedy_log_deltas_are_the_shared_gain(size, lazy):
+    # Replayed on a copy of the walk's factor, each selection's log gain is
+    # log_gain_numerator minus log_gain_denominator, bit for bit, in the
+    # lazy sweeps and in those that solve every live candidate.
+    g = gen_grid_graph(GridGraphSpec(width=size, height=size, seed=0))
+    mc, walk, apg, cands = pipeline(g)
+    assert (apg.n * len(cands) >= loops._BOUND_MIN_ELEMENTS) == lazy
+    res = greedy_select(apg, cands, walk, mc)
+    assert len(res.selected) >= 2
+    factor = apg.factor.copy()
+    d_cur = walk.length
+    for c, (_, _, log_delta) in zip(res.selected, res.trace.selections):
+        q = factor.quad_form_batch(np.array([[c.i], [c.j]]))
+        num = log_gain_numerator(factor, np.array([c.gamma]), q)
+        den = log_gain_denominator(np.array([c.omega]), d_cur)
+        assert log_delta == float((num - den)[0])
+        factor.rank_one_update(c.gamma, c.i, c.j)
+        d_cur += 2.0 * c.omega
 
 
 def test_greedy_pruning_equivalence(rng, monkeypatch):
@@ -395,10 +415,8 @@ def near_singular_covs(rng, g):
         d[rng.integers(3)] *= 10.0 ** rng.uniform(-9.0, -6.0)
         return np.diag(d)
 
-    for u, v, _ in g.edges:
-        g.set_edge_cov(u, v, cov())
-    for vid in g.ids:
-        g.set_region_cov(vid, cov())
+    g.set_edge_covs(range(len(g.edges)), [cov() for _ in g.edges])
+    g.set_region_covs(range(len(g.ids)), [cov() for _ in g.ids])
     return g
 
 
@@ -563,7 +581,7 @@ def _eager_greedy(apg, cands, walk):
         if len(idx) == 0:
             break
         trace.per_iteration.append(len(idx))
-        log_delta = lognum - np.log1p(2.0 * cands.omega[idx] / d_cur)
+        log_delta = lognum - log_gain_denominator(cands.omega[idx], d_cur)
         best = int(np.argmax(log_delta))
         if log_delta[best] <= 0.0:
             break
@@ -669,7 +687,7 @@ def test_quad_forms_chunked_match_one_batch(rng, monkeypatch):
     np.testing.assert_array_equal(quad_forms(apg.factor, cands, idx), whole[idx])
     lap = build_reduced_laplacian(apg.n, apg.weighted_edges)
     single = [b @ np.linalg.solve(lap, b)
-              for b in (incidence(apg.n, c.i, c.j) for c in cands)]
+              for b in (incidence(apg.n, i, j) for i, j in zip(cands.i, cands.j))]
     np.testing.assert_allclose(whole, single, rtol=1e-12)
 
 

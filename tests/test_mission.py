@@ -214,7 +214,8 @@ def test_degeneracy_fallback_for_unvisited():
         assert np.allclose(regions[k], only_edge)
     # edge covariances track endpoint regions
     expect_ab = 0.5 * (regions[0] + regions[1])
-    assert np.allclose(mission.prior.edge_cov("a", "b"), expect_ab)
+    assert np.allclose(mission.prior.edge_covs[mission.prior.edge_row("a", "b")],
+                       expect_ab)
 
 
 def test_degeneracy_uniform_world_noop():
@@ -230,7 +231,7 @@ def test_connectivity_no_hidden_edges_noop():
     mission = Mission(g, world, MissionConfig(), seed=0)
     log, _ = mission.run()
     assert not any(e["event"] == "connectivity_update" for e in log.events)
-    assert mission.prior.num_edges() == g.num_edges()
+    assert len(mission.prior.edges) == len(g.edges)
 
 
 def test_connectivity_reveal_shortens_paths():
@@ -267,7 +268,8 @@ def test_connectivity_reveal_shortens_paths():
     assert mission.connectivity_update() == [["a", "c"]]
     index = mission.prior.index
     expect = mission.prior.pair_covs(index["a"], index["c"])
-    assert np.array_equal(mission.prior.edge_cov("a", "c"), expect)
+    assert np.array_equal(mission.prior.edge_covs[mission.prior.edge_row("a", "c")],
+                          expect)
     assert np.allclose(expect, diagm(0.6))
 
 
@@ -474,20 +476,20 @@ class _PerItemReference(_Recorded):
         for v in self.prior.ids:
             if v not in self.visited:
                 changed |= self._set_region(v, overall)
-        for u, v, _ in self.prior.edges:
+        for row, (u, v, _) in enumerate(self.prior.edges):
             regions, index = self.prior.region_covs, self.prior.index
             mean = 0.5 * (regions[index[u]] + regions[index[v]])
-            if not np.allclose(self.prior.edge_cov(u, v), mean, atol=1e-15):
-                self.prior.set_edge_cov(u, v, mean)
+            if not np.allclose(self.prior.edge_covs[row], mean, atol=1e-15):
+                self.prior.set_edge_covs([row], mean[None])
                 changed = True
         if changed:
             self._emit("degeneracy_update", vertex=vertex)
 
     def _set_region(self, vertex, mat) -> bool:
-        if np.allclose(self.prior.region_covs[self.prior.index[vertex]], mat,
-                       atol=1e-15):
+        k = self.prior.index[vertex]
+        if np.allclose(self.prior.region_covs[k], mat, atol=1e-15):
             return False
-        self.prior.set_region_cov(vertex, mat)
+        self.prior.set_region_covs([k], mat[None])
         return True
 
 
