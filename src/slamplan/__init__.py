@@ -29,7 +29,6 @@ from .loops import (
     enumerate_candidates,
     greedy_select,
     insert_loop_edges,
-    omega_max,
 )
 from .mission import Mission, MissionConfig, run_mission
 from .planner import compute_plan, plan_exploration
@@ -89,7 +88,6 @@ __all__ = [
     "load_world",
     "log_dopt_fim",
     "metric_closure",
-    "omega_max",
     "optimize_pose_graph",
     "plan_exploration",
     "reduced_laplacian",

@@ -13,6 +13,7 @@ from __future__ import annotations
 import io
 import csv
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -26,7 +27,6 @@ from .loops import enumerate_candidates, exact_prune_test, greedy_select
 from .mission import MissionConfig, run_mission
 from .planner import STRATEGIES, compute_plan
 from .sim import WorldModel, _check_seed
-from .tsp import _usable_cores
 
 _MAX_ATTEMPTS = 100
 
@@ -243,6 +243,13 @@ _COMPARE_COLUMNS = [
     "seed", "strategy", "n_pose", "k", "ape_rmse", "d_total",
     "dopt_predicted", "dopt_fim", "assumption_ok",
 ]
+
+
+def _usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 @dataclass

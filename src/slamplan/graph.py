@@ -25,7 +25,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, dijkstra
 
-from .errors import CovarianceError, DisconnectedError, InputError
+from .errors import CovarianceError, DisconnectedError, InputError, MismatchError
 
 # Measurement covariance (diagonal variances) assigned to edges that do not
 # specify one.
@@ -391,6 +391,11 @@ class MetricClosure:
 
     def fresh(self) -> bool:
         return self.topology_revision == self.graph.topology_revision
+
+    def check_serves(self, graph: PriorGraph) -> None:
+        """Raise MismatchError unless this closure is of ``graph`` and fresh."""
+        if self.graph is not graph or not self.fresh():
+            raise MismatchError("metric closure is stale for this graph")
 
     def dist(self, u, v) -> float:
         g = self.graph

@@ -45,7 +45,7 @@ O(n) per candidate, asked for one bounded chunk of pairs at a time so that
 memory does not grow with poses x candidates, and a selection is the
 rank-one update of its pair.
 One function holds the prune test, for the greedy and ``exact_prune_test``,
-which ``prune_mask``, ``omega_max`` and ``bench_prune`` read.
+which ``bench_prune`` reads.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ from functools import cached_property
 import numpy as np
 from scipy.sparse.csgraph import dijkstra
 
-from .errors import InputError, MismatchError, SizeLimitError
+from .errors import InputError, SizeLimitError
 from .graph import _adjacency
 from .laplacian import (
     LaplacianFactor,
@@ -164,8 +164,7 @@ class CandidateSet:
 
 def enumerate_candidates(apg: AbstractedPoseGraph, closure) -> CandidateSet:
     """All pose pairs i > j without a direct factor, sorted by (i, j)."""
-    if closure.graph is not apg.graph or not closure.fresh():
-        raise MismatchError("metric closure is stale for this pose graph")
+    closure.check_serves(apg.graph)
     p = apg.pose_count
     iu, ju = np.tril_indices(p, k=-1)  # iu > ju, sorted by (iu, ju)
     ei = np.array([e[0] for e in apg.edges], dtype=np.int64)
@@ -225,6 +224,13 @@ def prune_test(d_tsp: float, omega, lognum):
     Returns (cap, within_cap, keep): the detour cap omega_max, the mask
     omega <= cap, and that mask narrowed by the per-candidate test
     lognum > log(1 + omega/d_tsp).
+
+    A candidate is dropped when its gain numerator cannot beat
+    1 + omega/d_tsp, which upper-bounds the distance penalty for any plan
+    within twice the base tour length.  The distance reference stays at
+    d_tsp even as the factor is updated mid-selection: the factor only
+    gains information (numerator shrinks), so dropped candidates stay
+    dropped, while the 2x-assumption keeps the denominator bound valid.
     """
     cap = d_tsp * np.expm1(np.max(lognum))
     within_cap = omega <= cap
@@ -237,28 +243,6 @@ def exact_prune_test(factor: LaplacianFactor, d_tsp: float, cands: CandidateSet)
     least one."""
     lognum = log_gain_numerator(factor, cands.gamma, quad_forms(factor, cands))
     return prune_test(d_tsp, cands.omega, lognum)
-
-
-def omega_max(factor: LaplacianFactor, d_tsp: float, cands: CandidateSet) -> float:
-    """Detour cap: no candidate farther than this can ever raise the score."""
-    if len(cands) == 0:
-        raise InputError("omega_max needs at least one candidate")
-    return float(exact_prune_test(factor, d_tsp, cands)[0])
-
-
-def prune_mask(factor: LaplacianFactor, d_tsp: float, cands: CandidateSet) -> np.ndarray:
-    """Boolean mask of candidates that can still improve the score.
-
-    A candidate is dropped when its gain numerator cannot beat
-    1 + omega/d_tsp, which upper-bounds the distance penalty for any plan
-    within twice the base tour length.  The distance reference stays at
-    d_tsp even as the factor is updated mid-selection: the factor only
-    gains information (numerator shrinks), so dropped candidates stay
-    dropped, while the 2x-assumption keeps the denominator bound valid.
-    """
-    if len(cands) == 0:
-        return np.zeros(0, dtype=bool)
-    return exact_prune_test(factor, d_tsp, cands)[2]
 
 
 def _solve_columns(factor: LaplacianFactor, cands: CandidateSet, lognum, idx):

@@ -48,12 +48,13 @@ def compute_plan(
     """Plan coverage of ``include`` (default: all vertices) from ``start``.
 
     ``closure`` may be supplied to reuse a cached all-pairs table; it must
-    match the graph's current topology.
+    be of ``graph`` and fresh, or MismatchError is raised.
     """
     if strategy not in STRATEGIES:
         raise InputError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
     if closure is None:
         closure = metric_closure(graph)
+    closure.check_serves(graph)
     costs = TourCosts(closure, include=include, start=start)
     tour = solve_open_tsp(costs, restarts)
     walk = expand_to_walk(closure, tour.order)

@@ -38,12 +38,6 @@ def compose(a, b) -> np.ndarray:
     return np.array([xy[0], xy[1], wrap_angle(a[2] + b[2])])
 
 
-def inverse(a) -> np.ndarray:
-    a = np.asarray(a, dtype=float)
-    xy = -rot(a[2]).T @ a[:2]
-    return np.array([xy[0], xy[1], wrap_angle(-a[2])])
-
-
 def between(a, b) -> np.ndarray:
     """Relative pose taking a to b (a's frame)."""
     a = np.asarray(a, dtype=float)

@@ -15,17 +15,14 @@ reversals and moves of 1-3 vertex segments that join a vertex to one of its
 nearest neighbours.  Each search ends with one full scan of every reversal
 and every forward segment relocation, which resumes the search whenever it
 finds a move, so every polished tour is a local optimum of both full
-neighbourhoods.  Above a size gate the restarts run on one thread per usable
-core; their results are reduced in restart order, so the tour is the same
-on any number of cores.  An exact Held-Karp dynamic program covers small
-instances and serves as the reference oracle.
+neighbourhoods.  The restarts are polished one after another, and a later
+one replaces the best so far only if it is shorter by more than a
+tolerance.  An exact Held-Karp dynamic program covers small instances and
+serves as the reference oracle.
 """
 
 from __future__ import annotations
 
-import os
-import queue
-import threading
 from collections import deque
 from dataclasses import dataclass
 from math import fsum
@@ -37,10 +34,6 @@ from .errors import InputError, SizeLimitError
 _EXACT_LIMIT = 14
 _TOL = 1e-9
 _NEIGHBOURS = 12  # nearest vertices each vertex's moves try to join it to
-# Closure entries (open tours count their free terminal) from which the
-# restarts run on threads.  Two threads gain on 30x30 grids but not on
-# 20x20 ones; where they start to gain is not measured.
-_LARGE_TOUR_ELEMENTS = 32_000
 
 
 @dataclass
@@ -368,64 +361,18 @@ def _seed_seconds(sym: np.ndarray, restarts, skip) -> list:
     return [int(s) for s in nearest]
 
 
-def _usable_cores() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 def _best_of_restarts(dist: np.ndarray, seeds: np.ndarray, n: int) -> tuple[list, float]:
     """The shortest of the ``seeds`` after ``_improve``, over its first ``n``
     vertices (an open tour's free terminal, pinned at index n, is dropped).
-
-    From ``_LARGE_TOUR_ELEMENTS`` entries of ``dist`` up, the seeds are
-    shared out to one thread per usable core, at most one per seed, the
-    calling thread among them; a restart's numpy work releases the
-    interpreter lock.  Results are taken in seed order and a later one wins
-    only if shorter by more than the tolerance, so the tour does not depend
-    on the thread count.  Once every thread is joined, the error of the
-    first seed that failed, in seed order, is raised.
-
-    The calling thread polishes too, which a ``ThreadPoolExecutor`` would
-    not: its caller only waits, so it needs one more worker thread, and each
-    thread keeps its own malloc arena of about 4 MB.  An executor version
-    raised ``plan-grid20`` peak RSS from 95-96 to 100-101 MB, in 4 of 4
-    pairs, for no change in time.
-    """
+    Seeds are polished in order, and a later one wins only if shorter by
+    more than the tolerance."""
     block = _SearchBlock(dist)
-    polished = [None] * len(seeds)
-    todo = queue.SimpleQueue()
-    for k in range(len(seeds)):
-        todo.put(k)
-
-    def polish():
-        while True:
-            try:
-                k = todo.get_nowait()
-            except queue.Empty:
-                return
-            try:
-                polished[k] = _improve(block, seeds[k])
-            except Exception as exc:  # raised below, in seed order
-                polished[k] = exc
-
-    workers = min(len(seeds), _usable_cores()) if dist.size >= _LARGE_TOUR_ELEMENTS else 1
-    threads = [threading.Thread(target=polish, daemon=True) for _ in range(workers - 1)]
-    for t in threads:
-        t.start()
-    try:
-        polish()
-    finally:
-        for t in threads:
-            t.join()
     best_order, best_len = None, np.inf
-    for arr in polished:
-        if isinstance(arr, Exception):
-            raise arr
-        length = _route_length(dist, arr[:n])
+    for seed in seeds:
+        arr = _improve(block, seed)[:n]
+        length = _route_length(dist, arr)
         if length < best_len - _TOL:
-            best_order, best_len = [int(v) for v in arr[:n]], length
+            best_order, best_len = [int(v) for v in arr], length
     return best_order, best_len
 
 

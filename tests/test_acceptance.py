@@ -25,11 +25,11 @@ from slamplan.loops import (
     abstract_pose_graph,
     brute_force_select,
     enumerate_candidates,
+    exact_prune_test,
     greedy_select,
     insert_loop_edges,
     log_gain_denominator,
     log_gain_numerator,
-    prune_mask,
     score_from_scratch,
 )
 from slamplan.planner import compute_plan, plan_exploration
@@ -177,7 +177,7 @@ def test_criterion_04_pruning_soundness(capsys):
         g, mc, walk, apg, cands = _instance(rng, 5, 12)
         if len(cands) < 2:
             continue
-        mask = prune_mask(apg.factor, walk.length, cands)
+        mask = exact_prune_test(apg.factor, walk.length, cands)[2]
         pruned = [cands.candidate(int(k)) for k in np.flatnonzero(~mask)]
         survivors = [cands.candidate(int(k)) for k in np.flatnonzero(mask)]
         if not pruned:

@@ -21,8 +21,7 @@ from slamplan.graph import metric_closure
 from slamplan.loops import (
     abstract_pose_graph,
     enumerate_candidates,
-    omega_max,
-    prune_mask,
+    exact_prune_test,
 )
 from slamplan.sim import WorldModel
 from slamplan.tsp import TourCosts, expand_to_walk, solve_open_tsp
@@ -108,17 +107,17 @@ def test_bench_prune_small_graph():
                                          (1, (4369, 1191, 263))])
 def test_bench_prune_counts_are_the_exact_prune_test(seed, counts):
     # The greedy's first sweep counts bound survivors; the report counts
-    # those of omega_max and prune_mask on the same instance.
+    # those of the exact prune test on the same instance.
     g = gen_grid_graph(GridGraphSpec(width=10, height=10, seed=seed))
     report = bench_prune(g)
     closure = metric_closure(g)
     walk = expand_to_walk(closure, solve_open_tsp(TourCosts(closure), 8).order)
     apg = abstract_pose_graph(walk, g)
     cands = enumerate_candidates(apg, closure)
-    cap = omega_max(apg.factor, walk.length, cands)
+    cap, _, keep = exact_prune_test(apg.factor, walk.length, cands)
     assert report.num_candidates == len(cands)
     assert report.after_omega_max == int((cands.omega <= cap).sum())
-    assert report.after_prop1 == int(prune_mask(apg.factor, walk.length, cands).sum())
+    assert report.after_prop1 == int(keep.sum())
     assert (report.num_candidates, report.after_omega_max, report.after_prop1) == counts
 
 

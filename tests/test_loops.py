@@ -18,17 +18,17 @@ from slamplan.loops import (
     abstract_pose_graph,
     brute_force_select,
     enumerate_candidates,
+    exact_prune_test,
     greedy_select,
     insert_loop_edges,
     log_gain_denominator,
     log_gain_numerator,
-    omega_max,
     path_resistance,
-    prune_mask,
     prune_test,
     quad_forms,
     score_from_scratch,
 )
+from slamplan.planner import STRATEGIES, compute_plan
 from slamplan.tsp import TourCosts, Walk, expand_to_walk, solve_open_tsp
 
 from conftest import incidence, random_connected_graph
@@ -181,6 +181,21 @@ def test_candidates_reject_stale_closure():
         enumerate_candidates(apg, mc)
 
 
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_plan_rejects_a_stale_or_foreign_closure(strategy):
+    g = gen_grid_graph(GridGraphSpec(width=5.0, height=5.0, seed=0))
+    other = g.copy()
+    mc = metric_closure(g)
+    compute_plan(g, strategy, closure=mc)
+    with pytest.raises(MismatchError):
+        compute_plan(other, strategy, closure=mc)  # the closure of another graph
+    u, v = g.ids[0], g.ids[-1]
+    assert not g.has_edge(u, v)
+    g.add_edge(u, v, length=1.0)
+    with pytest.raises(MismatchError):
+        compute_plan(g, strategy, closure=mc)  # predates the new edge
+
+
 def test_candidate_gamma_values():
     # a candidate's gamma is the information weight of the endpoint mean of
     # its two regions' matrices
@@ -231,7 +246,7 @@ def test_delta_worked_three_pose_example():
                    - log_gain_denominator(c.omega, 2.0))
     assert delta == pytest.approx(np.sqrt(3.0) / 2.0, rel=1e-12)
     # direct Eq-style check: 1.732 > 1.5, so the candidate survives
-    mask = prune_mask(apg.factor, 2.0, cands)
+    mask = exact_prune_test(apg.factor, 2.0, cands)[2]
     assert mask.tolist() == [True]
 
 
@@ -240,7 +255,7 @@ def test_omega_max_cap():
     mc = metric_closure(g)
     apg = abstract_pose_graph(Walk(["a", "b", "c"], 2.0), g)
     cands = enumerate_candidates(apg, mc)
-    cap = omega_max(apg.factor, 2.0, cands)
+    cap = exact_prune_test(apg.factor, 2.0, cands)[0]
     assert cap == pytest.approx(2.0 * (np.sqrt(3.0) - 1.0), rel=1e-12)
 
 
@@ -252,7 +267,7 @@ def test_pruning_drops_distant_candidate():
     apg = abstract_pose_graph(Walk(["a", "b", "c"], 2.0), g)
     cands = enumerate_candidates(apg, mc)
     assert cands.candidate(0).omega == pytest.approx(2.0)
-    assert prune_mask(apg.factor, 2.0, cands).tolist() == [False]
+    assert exact_prune_test(apg.factor, 2.0, cands)[2].tolist() == [False]
 
 
 def test_delta_factorization(rng):
@@ -286,7 +301,7 @@ def test_pruning_soundness_subsets(rng):
         g, mc, walk, apg, cands = random_instance(rng, 4, 8)
         if len(cands) < 2:
             continue
-        mask = prune_mask(apg.factor, walk.length, cands)
+        mask = exact_prune_test(apg.factor, walk.length, cands)[2]
         pruned = [cands.candidate(k) for k in np.flatnonzero(~mask)]
         survivors = [cands.candidate(k) for k in np.flatnonzero(mask)]
         if not pruned:
@@ -393,15 +408,15 @@ def test_greedy_trace_monotone_chain(rng):
 
 def test_greedy_first_prune_is_prune_mask_and_omega_max(rng):
     # Below the bound's gate the greedy's first filtering pass is exact: it
-    # keeps what prune_mask keeps, and nothing it selects lies past the cap.
+    # keeps what the exact prune test keeps, and nothing it selects lies past
+    # the cap omega_max.
     checked = 0
     while checked < 40:
         g, mc, walk, apg, cands = random_instance(rng, 5, 12)
         if len(cands) < 2:
             continue
         res = greedy_select(apg, cands, walk, mc)
-        mask = prune_mask(apg.factor, walk.length, cands)
-        cap = omega_max(apg.factor, walk.length, cands)
+        cap, _, mask = exact_prune_test(apg.factor, walk.length, cands)
         assert res.trace.after_prop1 == int(mask.sum())
         assert all(c.omega <= cap for c in res.selected)
         checked += 1
@@ -500,8 +515,8 @@ def test_first_sweep_bound_solves_less_and_changes_nothing(monkeypatch, size,
     assert 0 < sum(solved) < len(cands) / 10
     assert min(solved) >= 2
     # the bound keeps every exact survivor
-    assert fast.trace.after_prop1 >= int(prune_mask(apg.factor, walk.length,
-                                                    cands).sum())
+    keep = exact_prune_test(apg.factor, walk.length, cands)[2]
+    assert fast.trace.after_prop1 >= int(keep.sum())
     plain = greedy_select(apg, cands, walk, mc, pruning=False)
     ref = _unbounded_greedy(monkeypatch, apg, cands, walk, mc)
     assert fast.selected and fast.selected == plain.selected == ref.selected

@@ -1,9 +1,6 @@
 import itertools
 import math
 import signal
-import sys
-import threading
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,9 +10,7 @@ from slamplan import tsp
 from slamplan.bench import GridGraphSpec, gen_grid_graph
 from slamplan.errors import InputError, SizeLimitError
 from slamplan.graph import load_prior_graph, metric_closure
-from slamplan.mission import MissionConfig, run_mission
 from slamplan.planner import compute_plan
-from slamplan.sim import load_world
 from slamplan.tsp import (
     TourCosts,
     expand_to_walk,
@@ -388,7 +383,6 @@ def test_restarts_leave_the_shared_seeds_unchanged(monkeypatch):
         return seeds
 
     monkeypatch.setattr(tsp, "_nn_seeds", keep)
-    monkeypatch.setattr(tsp, "_usable_cores", lambda: 3)
     g = gen_grid_graph(GridGraphSpec(width=15.0, height=15.0, seed=0))
     costs = costs_for(g)
     solve_open_tsp(costs, 4)
@@ -398,92 +392,15 @@ def test_restarts_leave_the_shared_seeds_unchanged(monkeypatch):
         assert np.array_equal(seeds, before)
 
 
-def _serial_and_threaded(sym, end, restarts, monkeypatch):
-    """The solve on the serial path, then on 1, 2, 3 and 8 threads."""
-    solve = lambda: tsp._solve_indices(sym, end, restarts)  # noqa: E731
-    with monkeypatch.context() as patch:
-        patch.setattr(tsp, "_LARGE_TOUR_ELEMENTS", np.inf)
-        serial = solve()
-    for workers in (1, 2, 3, 8):
-        with monkeypatch.context() as patch:
-            patch.setattr(tsp, "_LARGE_TOUR_ELEMENTS", 0)
-            patch.setattr(tsp, "_usable_cores", lambda w=workers: w)
-            yield serial, solve()
-
-
-def test_thread_count_does_not_change_tours(rng, monkeypatch):
-    # More threads than cores, switching often: a lost or misplaced restart
-    # result would change the tour or fail the solve.
-    blocks = [metric_closure(random_connected_graph(
-        rng, 40, extra_edge_prob=p, unit_lengths=False)).dist_matrix
-        for p in (0.05, 0.3)]
-    previous = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(12):
-            dist = blocks[int(rng.integers(len(blocks)))]
-            pick = rng.permutation(40)[: int(rng.integers(2, 41))]
-            sym = np.ascontiguousarray(dist[np.ix_(pick, pick)])
-            if rng.integers(2):
-                sym *= 1.0 + 1e-12 * rng.random(sym.shape)
-            restarts = int(rng.integers(1, 9))
-            for end in (None, len(sym) - 1):
-                for serial, threaded in _serial_and_threaded(sym, end, restarts,
-                                                             monkeypatch):
-                    assert threaded[0] == serial[0]
-                    assert threaded[1] == serial[1]  # bitwise
-    finally:
-        sys.setswitchinterval(previous)
-    g = gen_grid_graph(GridGraphSpec(width=20.0, height=20.0, seed=0))
-    sym = metric_closure(g).dist_matrix
-    for serial, threaded in _serial_and_threaded(sym, None, 8, monkeypatch):
-        assert threaded[0] == serial[0] and threaded[1] == serial[1]
-
-
-def _spy_thread_starts(monkeypatch) -> list:
-    started = []
-    start = threading.Thread.start
-
-    def spy(self):
-        started.append(self)
-        start(self)
-
-    monkeypatch.setattr(threading.Thread, "start", spy)
-    return started
-
-
-def _solve_small_tours():
-    """A 12x12 tour, and env1 plans and missions with both strategies: all
-    below the size gate."""
-    grid12 = gen_grid_graph(GridGraphSpec(width=12.0, height=12.0, seed=0))
-    solve_open_tsp(costs_for(grid12))
-    envs = Path(__file__).resolve().parents[1] / "src" / "slamplan" / "envs"
-    prior = load_prior_graph(str(envs / "env1.json"))
-    world = load_world(str(envs / "env1_world.json"))
-    for strategy in ("tsp_only", "slam_aware"):
-        compute_plan(prior, strategy)
-        run_mission(prior, world, MissionConfig(strategy=strategy), seed=3)
-
-
-def test_small_tours_start_no_thread(monkeypatch):
-    monkeypatch.setattr(tsp, "_usable_cores", lambda: 8)
-    started = _spy_thread_starts(monkeypatch)
-    _solve_small_tours()
-    assert started == []
-    # above the gate, one thread per seed up to the usable cores, less the caller
-    grid15 = gen_grid_graph(GridGraphSpec(width=15.0, height=15.0, seed=0))
-    solve_open_tsp(costs_for(grid15), 3)
-    assert len(started) == 2
-    assert not any(t.is_alive() for t in started)
-
-
-def test_restart_error_reaches_caller_after_join(monkeypatch):
+def test_first_failing_restart_error_reaches_caller(monkeypatch):
     class Failed(Exception):
         pass
 
     improve = tsp._improve
+    polished = []
 
     def fail_on_some_seeds(dist, order):
+        polished.append(order[1])
         if order[1] in failing:
             raise Failed(order[1])
         return improve(dist, order)
@@ -492,15 +409,14 @@ def test_restart_error_reaches_caller_after_join(monkeypatch):
     sym = metric_closure(g).dist_matrix
     seconds = tsp._seed_seconds(sym, 8, skip=(0,))
     monkeypatch.setattr(tsp, "_improve", fail_on_some_seeds)
-    monkeypatch.setattr(tsp, "_usable_cores", lambda: 3)
-    started = _spy_thread_starts(monkeypatch)
     for failing in ({seconds[5]}, {seconds[2], seconds[6]}):
-        # the first failing seed's error, as the serial loop would raise it
+        # the first failing seed, in seed order, stops the solve
+        first = min(failing, key=seconds.index)
+        polished.clear()
         with pytest.raises(Failed) as err:
             tsp._solve_indices(sym, None, 8)
-        assert err.value.args == (min(failing, key=seconds.index),)
-        assert started and not any(t.is_alive() for t in started)
-        started.clear()
+        assert err.value.args == (first,)
+        assert polished == seconds[: seconds.index(first) + 1]
 
 
 @pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs a POSIX interval timer")
