@@ -18,21 +18,11 @@ from .bench import (
     gen_grid_graph,
     prune_report_csv,
 )
-from .errors import InputError, SlamplanError
-from .graph import load_prior_graph
+from .errors import SlamplanError
+from .graph import _read_json, load_prior_graph
 from .mission import MissionConfig, run_mission
 from .planner import STRATEGIES, plan_exploration
 from .sim import load_world
-
-
-def _read_json(path: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from None
-    except ValueError as exc:  # bad JSON or UTF-8, or an integer of over 4300 digits
-        raise InputError(f"{path}: invalid JSON: {exc}") from None
 
 
 def _write(text: str, out: str | None) -> None:
@@ -48,15 +38,14 @@ def _dump(obj) -> str:
 
 
 def _cmd_plan(args) -> int:
-    graph = load_prior_graph(_read_json(args.graph))
-    plan = plan_exploration(graph, strategy=args.strategy, restarts=args.restarts)
+    plan = plan_exploration(load_prior_graph(args.graph), strategy=args.strategy)
     _write(_dump(plan.to_dict()), args.out)
     return 0
 
 
 def _cmd_simulate(args) -> int:
-    graph = load_prior_graph(_read_json(args.graph))
-    world = load_world(_read_json(args.world))
+    graph = load_prior_graph(args.graph)
+    world = load_world(args.world)
     config = MissionConfig(
         strategy=args.strategy,
         replanning=not args.no_replanning,
@@ -93,8 +82,8 @@ def _cmd_bench_prune(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    graph = load_prior_graph(_read_json(args.graph))
-    world = load_world(_read_json(args.world))
+    graph = load_prior_graph(args.graph)
+    world = load_world(args.world)
     seeds = range(args.seed_start, args.seed_start + args.seeds)
     result: ComparisonResult = compare_strategies(graph, world, seeds)
     _write(result.to_csv(), args.out)
@@ -112,7 +101,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("plan", help="compute an exploration plan for a graph")
     p.add_argument("graph", help="prior graph JSON file")
     p.add_argument("--strategy", choices=STRATEGIES, default="slam_aware")
-    p.add_argument("--restarts", type=int, default=8)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_plan)
 

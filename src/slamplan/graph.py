@@ -321,7 +321,8 @@ class PriorGraph:
 
 
 def load_prior_graph(document) -> PriorGraph:
-    """Parse a prior-graph document (JSON text, path, or parsed dict).
+    """Parse a prior-graph document: a parsed object, or the path of a JSON
+    file holding one.
 
     Missing edge lengths default to the Euclidean distance between endpoint
     positions; missing edge covariances default to the package-wide default.
@@ -354,20 +355,20 @@ def load_prior_graph(document) -> PriorGraph:
     return PriorGraph(vertices, edges, start)
 
 
+def _read_json(path):
+    """The JSON value of the UTF-8 file at ``path``."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc}") from None
+    except ValueError as exc:  # bad JSON or UTF-8, or an integer of over 4300 digits
+        raise InputError(f"{path}: invalid JSON: {exc}") from None
+
+
 def _as_dict(document) -> dict:
     if isinstance(document, (str, os.PathLike)):
-        text = os.fspath(document)
-        # a path object is always a file; a str is JSON text if it looks like it
-        if not isinstance(document, str) or not text.lstrip().startswith(("{", "[")):
-            try:
-                with open(text, "r", encoding="utf-8") as fh:
-                    text = fh.read()
-            except (OSError, UnicodeDecodeError) as exc:
-                raise InputError(f"cannot read {text}: {exc}") from None
-        try:
-            document = json.loads(text)
-        except ValueError as exc:  # a JSONDecodeError, or an integer of over 4300 digits
-            raise InputError(f"invalid JSON: {exc}") from None
+        document = _read_json(document)
     if not isinstance(document, dict):
         raise InputError(f"document must be a JSON object, got {type(document).__name__}")
     return document

@@ -38,7 +38,7 @@ of a covariance: a walk edge's prior covariance, or for a candidate the
 ``PriorGraph.pair_covs`` mean of its two regions' matrices.  All score
 bookkeeping is in the log domain; determinants come from the factor's
 log-det, updated via the matrix determinant lemma, with from-scratch dense
-recomputation (``log_det_from_scratch``) reserved for oracles and audits.
+recomputation (``log_dopt_from_scratch``) left to oracles, audits and replans.
 Factors, candidates and selections are all (i, j) pose pairs, pose 0 the
 anchor, and the factor takes pairs: a quadratic form b^T L^{-1} b costs
 O(n) per candidate, asked for one bounded chunk of pairs at a time so that
@@ -372,15 +372,23 @@ def insert_loop_edges(apg: AbstractedPoseGraph, walk: Walk, selected,
     )
 
 
+def log_dopt_from_scratch(apg: AbstractedPoseGraph, loops) -> float:
+    """log D-opt, (1/n) log det, of the reduced Laplacian of the walk's
+    factors plus the (i, j, gamma) ``loops``, by dense reassembly; 0 for a
+    one-pose walk."""
+    if apg.n == 0:
+        return 0.0
+    return log_det_from_scratch(apg.n, apg.weighted_edges + list(loops)) / apg.n
+
+
 def score_from_scratch(apg: AbstractedPoseGraph, selected, d_tsp: float) -> float:
     """log score via dense reassembly; the oracle path, no factor reuse.
     A one-pose walk has no factor and no length: 0, as in ``greedy_select``."""
     if apg.n == 0:
         return 0.0
-    extra = [(c.i, c.j, c.gamma) for c in selected]
-    logdet = log_det_from_scratch(apg.n, apg.weighted_edges + extra)
+    loops = [(c.i, c.j, c.gamma) for c in selected]
     dist = d_tsp + 2.0 * sum(c.omega for c in selected)
-    return logdet / apg.n - float(np.log(dist))
+    return log_dopt_from_scratch(apg, loops) - float(np.log(dist))
 
 
 # -- selection -----------------------------------------------------------

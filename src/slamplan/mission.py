@@ -20,7 +20,7 @@ after connectivity is revealed.  After every loop-closing action the
 planner is re-run over the remaining vertices and the better of {existing
 remainder, fresh plan} is kept, scored by remaining quality per meter:
 both are scored as a vertex sequence, a length and loop factors, and the
-log-det is ``log_det_from_scratch``, the planner's oracle path.
+log D-opt is ``loops.log_dopt_from_scratch``, the planner's oracle path.
 Between loop closures, a cheaper fix-up re-solves the segment up to the
 next loop anchor as a small TSP whenever an edge has been revealed since
 the last fix-up or plan load: the TSP reads closure distances alone, which
@@ -39,8 +39,7 @@ import numpy as np
 
 from .errors import InputError
 from .graph import PriorGraph, entries_close, metric_closure
-from .laplacian import log_det_from_scratch
-from .loops import abstract_pose_graph
+from .loops import abstract_pose_graph, log_dopt_from_scratch
 from .planner import STRATEGIES, compute_plan
 from .sim import (
     MissionMetrics,
@@ -242,20 +241,17 @@ class Mission:
         """log D-opt of the abstracted Laplacian over executed + projected
         coverage, including performed and pending loop factors.
 
-        ``apg.factor`` would cover the walk factors alone, so the log-det
-        comes from ``log_det_from_scratch`` over walk and loop factors.  An
-        abstracted walk is connected and its weights are positive, so the
-        Laplacian is positive-definite.
+        ``apg.factor`` would cover the walk factors alone, so the score is
+        ``log_dopt_from_scratch`` over walk and loop factors.  An abstracted
+        walk is connected and its weights are positive, so the Laplacian is
+        positive-definite.
         """
         seq = self.runner.route + list(extra_seq[1:])
         apg = abstract_pose_graph(Walk(seq, 0.0), self.prior)
-        if apg.n == 0:
-            return 0.0
-        factors = list(apg.weighted_edges)
-        for anchor, target, gamma in self.performed + list(extra_factors):
-            i, j = apg.vertex_to_pose[anchor], apg.vertex_to_pose[target]
-            factors.append((max(i, j), min(i, j), gamma))
-        return log_det_from_scratch(apg.n, factors) / apg.n
+        pose = apg.vertex_to_pose
+        return log_dopt_from_scratch(apg, [
+            (pose[anchor], pose[target], gamma)
+            for anchor, target, gamma in self.performed + list(extra_factors)])
 
     def _remaining_score(self, seq, length, factors):
         """Remaining-quality-per-meter score used to pick between plans:

@@ -40,7 +40,6 @@ def compute_plan(
     graph: PriorGraph,
     strategy: str = "slam_aware",
     pruning: bool = True,
-    restarts: int = 8,
     closure=None,
     include=None,
     start=None,
@@ -56,7 +55,7 @@ def compute_plan(
         closure = metric_closure(graph)
     closure.check_serves(graph)
     costs = TourCosts(closure, include=include, start=start)
-    tour = solve_open_tsp(costs, restarts)
+    tour = solve_open_tsp(costs)
     walk = expand_to_walk(closure, tour.order)
     apg = abstract_pose_graph(walk, graph)
     if strategy == "tsp_only":
@@ -67,6 +66,5 @@ def compute_plan(
     return PlanningOutcome(result.plan, tour, apg, closure, result)
 
 
-def plan_exploration(graph: PriorGraph, strategy: str = "slam_aware",
-                     restarts: int = 8) -> Plan:
-    return compute_plan(graph, strategy, restarts=restarts).plan
+def plan_exploration(graph: PriorGraph, strategy: str = "slam_aware") -> Plan:
+    return compute_plan(graph, strategy).plan

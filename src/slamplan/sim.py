@@ -98,14 +98,16 @@ class WorldModel:
 
 
 def load_world(document) -> WorldModel:
-    """Parse a world document (JSON text, path, or parsed dict): prior-graph
-    schema under ``graph`` plus optional degeneracy and loop-closure noise
-    entries (diagonal variances)."""
+    """Parse a world document, a parsed object or the path of a JSON file
+    holding one: a prior-graph object under ``graph`` plus optional
+    degeneracy and loop-closure noise entries (diagonal variances)."""
     document = _as_dict(document)
     try:
         graph_doc = document["graph"]
-    except (KeyError, TypeError):
+    except KeyError:
         raise InputError("world document missing key 'graph'") from None
+    if not isinstance(graph_doc, dict):
+        raise InputError(f"world 'graph' must be an object, got {type(graph_doc).__name__}")
     graph = load_prior_graph(graph_doc)
     default = document.get("default_degeneracy")
     degeneracy = {}
@@ -370,6 +372,8 @@ def optimize_pose_graph(pg: SimPoseGraph) -> dict:
 
     Rejected full steps retry at half length up to 10 times; if even the
     smallest step raises the objective the run is reported as divergent.
+    ``grad_norm`` is the gradient norm at the last linearization, the one
+    before the last step.
     """
     if pg.estimates is None:
         pg.estimates = dead_reckon(pg)
@@ -382,8 +386,7 @@ def optimize_pose_graph(pg: SimPoseGraph) -> dict:
     edges = _stack_edges(pg)
     pattern = _normal_pattern(edges[0], dim)
     f_cur = _objective(est, edges)
-    info = {"iterations": 0, "converged": False, "objective": f_cur,
-            "grad_norm": np.inf}
+    info = {"iterations": 0, "converged": False, "objective": f_cur}
     for it in range(1, _GN_MAX_ITERS + 1):
         h, grad = _assemble(est, edges, pattern)
         info["grad_norm"] = float(np.linalg.norm(grad))
@@ -410,8 +413,6 @@ def optimize_pose_graph(pg: SimPoseGraph) -> dict:
         if step_norm < _GN_STEP_TOL:
             info["converged"] = True
             break
-    _, grad = _assemble(est, edges, pattern)
-    info["grad_norm"] = float(np.linalg.norm(grad))
     pg.estimates = est
     return info
 

@@ -7,7 +7,7 @@ zero cost from and to every vertex, and pins it last, so the vertex before
 it is the true endpoint and the path length equals the open tour's length.
 A tour forced to end at a given vertex pins that vertex last instead.
 
-The solver seeds with nearest-neighbor construction from several distinct
+The solver seeds with nearest-neighbor construction from eight distinct
 second vertices, all seeds built in lockstep one tour position at a time,
 and polishes each seed with a first-improvement search over neighbour lists
 with don't-look bits (Bentley 1992; Johnson & McGeoch 1997): 2-opt
@@ -34,6 +34,7 @@ from .errors import InputError, SizeLimitError
 _EXACT_LIMIT = 14
 _TOL = 1e-9
 _NEIGHBOURS = 12  # nearest vertices each vertex's moves try to join it to
+_RESTARTS = 8  # nearest-neighbor seeds polished per tour
 
 
 @dataclass
@@ -349,12 +350,9 @@ def _route_length(dist: np.ndarray, order) -> float:
     return float(dist[order[:-1], order[1:]].sum())
 
 
-def _seed_seconds(sym: np.ndarray, restarts, skip) -> list:
+def _seed_seconds(sym: np.ndarray, restarts: int, skip) -> list:
     """Second vertices of the nearest-neighbor seeds: the ``restarts``
     vertices nearest the start, other than the indices in ``skip``."""
-    if not isinstance(restarts, (int, np.integer)) or isinstance(restarts, bool) \
-            or restarts < 1:
-        raise InputError(f"restarts must be a positive integer, got {restarts!r}")
     legs = sym[0].copy()
     legs[list(skip)] = np.inf
     nearest = np.argsort(legs, kind="stable")[: min(restarts, len(legs) - len(skip))]
@@ -376,7 +374,7 @@ def _best_of_restarts(dist: np.ndarray, seeds: np.ndarray, n: int) -> tuple[list
     return best_order, best_len
 
 
-def _solve_indices(sym: np.ndarray, end: int | None, restarts: int) -> tuple[list, float]:
+def _solve_indices(sym: np.ndarray, end: int | None) -> tuple[list, float]:
     """Heuristic tour over ``sym`` from index 0 to ``end``, or, for an open
     tour (``end`` None), to a free terminal that the result drops."""
     n = sym.shape[0]
@@ -385,7 +383,7 @@ def _solve_indices(sym: np.ndarray, end: int | None, restarts: int) -> tuple[lis
         dist = np.zeros((n + 1, n + 1))
         dist[:n, :n] = sym
         end = n
-    seconds = _seed_seconds(dist, restarts, skip=(0, end))
+    seconds = _seed_seconds(dist, _RESTARTS, skip=(0, end))
     return _best_of_restarts(dist, _nn_seeds(dist, seconds, end), n)
 
 
@@ -431,15 +429,15 @@ def _held_karp(dist: np.ndarray, end: int | None) -> tuple[list, float]:
 # -- public solvers ------------------------------------------------------
 
 
-def solve_open_tsp(costs: TourCosts, restarts: int = 8) -> Tour:
+def solve_open_tsp(costs: TourCosts) -> Tour:
     """Heuristic open tour from the start over all vertices of ``costs``."""
-    order, length = _solve_indices(costs.sym, None, restarts)
+    order, length = _solve_indices(costs.sym, None)
     return Tour(costs.to_ids(order), length)
 
 
-def solve_fixed_end_tsp(costs: TourCosts, end, restarts: int = 8) -> Tour:
+def solve_fixed_end_tsp(costs: TourCosts, end) -> Tour:
     """Heuristic open tour forced to terminate at vertex ``end``."""
-    order, length = _solve_indices(costs.sym, costs.end_index(end), restarts)
+    order, length = _solve_indices(costs.sym, costs.end_index(end))
     return Tour(costs.to_ids(order), length)
 
 

@@ -111,7 +111,7 @@ def test_bench_prune_counts_are_the_exact_prune_test(seed, counts):
     g = gen_grid_graph(GridGraphSpec(width=10, height=10, seed=seed))
     report = bench_prune(g)
     closure = metric_closure(g)
-    walk = expand_to_walk(closure, solve_open_tsp(TourCosts(closure), 8).order)
+    walk = expand_to_walk(closure, solve_open_tsp(TourCosts(closure)).order)
     apg = abstract_pose_graph(walk, g)
     cands = enumerate_candidates(apg, closure)
     cap, _, keep = exact_prune_test(apg.factor, walk.length, cands)

@@ -33,12 +33,13 @@ from conftest import random_connected_graph
 
 
 def test_load_from_dict_text_and_path(tmp_path, path3):
+    # a str is always a path, so JSON text is read as a file name
     doc = path3.to_dict()
-    from_text = load_prior_graph(json.dumps(doc))
+    with pytest.raises(InputError, match="^cannot read "):
+        load_prior_graph(json.dumps(doc))
     p = tmp_path / "g.json"
     p.write_text(json.dumps(doc))
-    from_path = load_prior_graph(str(p))
-    for g in (from_text, from_path):
+    for g in (load_prior_graph(doc), load_prior_graph(str(p)), load_prior_graph(p)):
         assert list(g.ids) == ["a", "b", "c"]
         assert g.start == "a"
         assert len(g.edges) == 2
@@ -96,11 +97,12 @@ def test_nan_vertex_position_rejected_with_given_length():
         load_prior_graph(doc)
 
 
-def test_infinite_edge_length_rejected():
-    text = ('{"vertices": [{"id": 0, "x": 0, "y": 0}, {"id": 1, "x": 1, "y": 0}],'
-            ' "edges": [{"u": 0, "v": 1, "length": Infinity}], "start": 0}')
+def test_infinite_edge_length_rejected(tmp_path):
+    path = tmp_path / "g.json"
+    path.write_text('{"vertices": [{"id": 0, "x": 0, "y": 0}, {"id": 1, "x": 1, "y": 0}],'
+                    ' "edges": [{"u": 0, "v": 1, "length": Infinity}], "start": 0}')
     with pytest.raises(InputError, match=r"edge \(0, 1\) length must be finite") as err:
-        load_prior_graph(text)
+        load_prior_graph(path)
     assert not isinstance(err.value, DisconnectedError)
 
 
@@ -161,37 +163,51 @@ def test_unhashable_ids_rejected_naming_offender(change, match):
         load_prior_graph(dict(doc, **change))
 
 
-@pytest.mark.parametrize("load, document, kind", [
-    (load_prior_graph, [], "list"),
-    (load_prior_graph, 5, "int"),
-    (load_world, ["graph"], "list"),
-    (load_world, {"graph": []}, "list"),
-    (load_prior_graph, "[]", "list"),
-    (load_world, " [1, 2]", "list"),
+@pytest.mark.parametrize("load, document, message", [
+    (load_prior_graph, [], "document must be a JSON object, got list"),
+    (load_prior_graph, 5, "document must be a JSON object, got int"),
+    (load_world, ["graph"], "document must be a JSON object, got list"),
+    (load_world, {"graph": []}, "world 'graph' must be an object, got list"),
+    (load_prior_graph, "[]", "document must be a JSON object, got list"),
+    (load_world, " [1, 2]", "document must be a JSON object, got list"),
+    (load_world, {"graph": "graph.json"}, "world 'graph' must be an object, got str"),
+    (load_world, {"graph": None}, "world 'graph' must be an object, got NoneType"),
 ], ids=["prior-list", "prior-number", "world-list", "world-graph-list", "prior-list-text",
-        "world-list-text"])
-def test_non_object_documents_rejected(load, document, kind):
-    with pytest.raises(InputError, match=f"^document must be a JSON object, got {kind}$"):
+        "world-list-text", "world-graph-path", "world-graph-null"])
+def test_non_object_documents_rejected(tmp_path, monkeypatch, path3, load, document,
+                                       message):
+    # a world's graph names no file for the loader to read, even one that exists
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "graph.json").write_text(json.dumps(path3.to_dict()))
+    if isinstance(document, str):  # JSON text, loaded from a file
+        path = tmp_path / "doc.json"
+        path.write_text(document)
+        document = path
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
         load(document)
 
 
 @pytest.mark.skipif(not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 5000,
                     reason="this Python parses integers of any length")
-def test_integer_beyond_json_digit_limit_rejected():
-    text = '{"vertices": [{"id": 0, "x": ' + "1" * 5000 + ', "y": 0}], "edges": [], "start": 0}'
-    with pytest.raises(InputError, match="^invalid JSON: Exceeds the limit"):
-        load_prior_graph(text)
+def test_integer_beyond_json_digit_limit_rejected(tmp_path):
+    path = tmp_path / "g.json"
+    path.write_text('{"vertices": [{"id": 0, "x": ' + "1" * 5000 + ', "y": 0}], '
+                    '"edges": [], "start": 0}')
+    with pytest.raises(InputError,
+                       match=f"^{re.escape(str(path))}: invalid JSON: Exceeds the limit"):
+        load_prior_graph(path)
 
 
 def test_non_utf8_file_rejected(tmp_path):
     path = tmp_path / "g.json"
     path.write_bytes(b'{"start": "\xff"}')
-    with pytest.raises(InputError, match=f"^cannot read {re.escape(str(path))}: 'utf-8' codec"):
+    with pytest.raises(InputError,
+                       match=f"^{re.escape(str(path))}: invalid JSON: 'utf-8' codec"):
         load_prior_graph(str(path))
 
 
 def test_number_text_is_read_as_a_path(tmp_path, monkeypatch):
-    # " 5" is a valid file name, so only text opening with "{" or "[" is JSON
+    # " 5" is a valid file name, and a str is always a path
     monkeypatch.chdir(tmp_path)
     with pytest.raises(InputError, match="^cannot read  5: "):
         load_prior_graph(" 5")
@@ -202,13 +218,14 @@ def test_number_text_is_read_as_a_path(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("name", ["[draft].json", "{x}.json"])
 def test_path_object_is_always_a_file(tmp_path, monkeypatch, path3, name):
-    # only a str is checked for JSON text; a path object is opened even when
-    # its name starts with "[" or "{"
+    # a str or path object is opened even when its name starts with "[" or "{"
     monkeypatch.chdir(tmp_path)
     (tmp_path / name).write_text(json.dumps(path3.to_dict()))
-    assert list(load_prior_graph(Path(name)).ids) == ["a", "b", "c"]
-    with pytest.raises(InputError, match=f"^cannot read {re.escape(name[0])}x: "):
-        load_prior_graph(Path(name[0] + "x"))
+    for path in (Path(name), name):
+        assert list(load_prior_graph(path).ids) == ["a", "b", "c"]
+    for path in (Path(name[0] + "x"), name[0] + "x"):
+        with pytest.raises(InputError, match=f"^cannot read {re.escape(name[0])}x: "):
+            load_prior_graph(path)
 
 
 def _path_doc(lengths):

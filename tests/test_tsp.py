@@ -383,10 +383,11 @@ def test_restarts_leave_the_shared_seeds_unchanged(monkeypatch):
         return seeds
 
     monkeypatch.setattr(tsp, "_nn_seeds", keep)
+    monkeypatch.setattr(tsp, "_RESTARTS", 4)
     g = gen_grid_graph(GridGraphSpec(width=15.0, height=15.0, seed=0))
     costs = costs_for(g)
-    solve_open_tsp(costs, 4)
-    solve_fixed_end_tsp(costs, costs.ids[-1], 4)
+    solve_open_tsp(costs)
+    solve_fixed_end_tsp(costs, costs.ids[-1])
     assert len(built) == 2
     for seeds, before in built:
         assert np.array_equal(seeds, before)
@@ -407,14 +408,14 @@ def test_first_failing_restart_error_reaches_caller(monkeypatch):
 
     g = gen_grid_graph(GridGraphSpec(width=15.0, height=15.0, seed=0))
     sym = metric_closure(g).dist_matrix
-    seconds = tsp._seed_seconds(sym, 8, skip=(0,))
+    seconds = tsp._seed_seconds(sym, tsp._RESTARTS, skip=(0,))
     monkeypatch.setattr(tsp, "_improve", fail_on_some_seeds)
     for failing in ({seconds[5]}, {seconds[2], seconds[6]}):
         # the first failing seed, in seed order, stops the solve
         first = min(failing, key=seconds.index)
         polished.clear()
         with pytest.raises(Failed) as err:
-            tsp._solve_indices(sym, None, 8)
+            tsp._solve_indices(sym, None)
         assert err.value.args == (first,)
         assert polished == seconds[: seconds.index(first) + 1]
 
@@ -433,10 +434,10 @@ def test_asymmetric_block_search_ends_within_a_second(rng):
             dist = metric_closure(random_connected_graph(
                 rng, 30, extra_edge_prob=0.1, unit_lengths=False)).dist_matrix
             skewed = dist + rng.uniform(0.0, 0.5, dist.shape)
-            order, length = tsp._solve_indices(skewed, None, 8)
+            order, length = tsp._solve_indices(skewed, None)
             assert sorted(order) == list(range(30)) and order[0] == 0
             assert length == tsp._route_length(skewed, order)
-            order, length = tsp._solve_indices(skewed, 29, 8)
+            order, length = tsp._solve_indices(skewed, 29)
             assert sorted(order) == list(range(30)) and order[0] == 0 and order[-1] == 29
             assert length == tsp._route_length(skewed, order)
     finally:
@@ -452,20 +453,11 @@ def test_large_unit_grid_plans_like_unit_grid(cell):
         return gen_grid_graph(GridGraphSpec(
             width=20 * c, height=20 * c, cell=c, position_noise_sigma=0.2 * c, seed=1))
 
-    base = solve_open_tsp(costs_for(grid(1.0)), 2)
+    base = solve_open_tsp(costs_for(grid(1.0)))
     closure = metric_closure(grid(cell))
-    tour = solve_open_tsp(TourCosts(closure), 2)
+    tour = solve_open_tsp(TourCosts(closure))
     assert sorted(tour.order) == sorted(closure.graph.ids)
     assert tour.length == pytest.approx(cell * base.length, rel=1e-9)
-
-
-@pytest.mark.parametrize("restarts", [0, -2, True, 2.0])
-def test_solvers_reject_restarts_that_are_not_positive_integers(triangle, restarts):
-    costs = costs_for(triangle)
-    with pytest.raises(InputError, match="restarts must be a positive integer"):
-        solve_open_tsp(costs, restarts)
-    with pytest.raises(InputError, match="restarts must be a positive integer"):
-        solve_fixed_end_tsp(costs, "c", restarts)
 
 
 def test_tour_inputs_name_unknown_and_misplaced_vertices(triangle):
