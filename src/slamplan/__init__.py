@@ -14,7 +14,6 @@ from .errors import (
     InputError,
     MismatchError,
     RankDeficientError,
-    SizeLimitError,
     SlamplanError,
 )
 from .graph import MetricClosure, PriorGraph, load_prior_graph, metric_closure
@@ -25,7 +24,6 @@ from .loops import (
     LoopEdgeCandidate,
     Plan,
     abstract_pose_graph,
-    brute_force_select,
     enumerate_candidates,
     greedy_select,
     insert_loop_edges,
@@ -47,7 +45,6 @@ from .tsp import (
     expand_to_walk,
     solve_fixed_end_tsp,
     solve_open_tsp,
-    solve_open_tsp_exact,
 )
 
 __version__ = "0.1.0"
@@ -70,14 +67,12 @@ __all__ = [
     "PriorGraph",
     "RankDeficientError",
     "SimPoseGraph",
-    "SizeLimitError",
     "SlamplanError",
     "TourCosts",
     "Walk",
     "WorldModel",
     "abstract_pose_graph",
     "ape_rmse",
-    "brute_force_select",
     "compute_plan",
     "enumerate_candidates",
     "expand_to_walk",
@@ -94,5 +89,4 @@ __all__ = [
     "run_mission",
     "solve_fixed_end_tsp",
     "solve_open_tsp",
-    "solve_open_tsp_exact",
 ]

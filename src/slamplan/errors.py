@@ -21,10 +21,6 @@ class RankDeficientError(SlamplanError):
     """Factorization hit a pivot below tolerance (disconnected pose graph)."""
 
 
-class SizeLimitError(SlamplanError):
-    """Instance exceeds the limit of an exact solver."""
-
-
 class DivergenceError(SlamplanError):
     """Optimizer could not decrease the objective even with damping."""
 

@@ -13,8 +13,10 @@ as rows, one per pose, next to the log-determinant: a pair's
 b^T L^{-1} b = ||W b||^2 is the squared distance between two rows, O(n),
 and a rank-1 update is O(n^2).  ``reduced_laplacian`` builds it from a
 pose graph's factors with no LAPACK call.  ``log_det_from_scratch`` is
-the dense, no-reuse log-det that oracles and the mission's plan
-comparison share.
+the no-reuse log-det that oracles and the mission's plan comparison
+share: it assembles L in compressed-column form and factors it with
+``_spd_factor``, SuperLU with diagonal pivots, the package's one SPD
+factorization, which the simulator's normal equations use too.
 """
 
 from __future__ import annotations
@@ -22,7 +24,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.sparse import csc_matrix
 from scipy.sparse.csgraph import breadth_first_order
+from scipy.sparse.linalg import splu
 
 from .errors import InputError, RankDeficientError
 from .graph import _adjacency
@@ -47,23 +51,6 @@ def _pose_factors(n: int, factors):
     if outside.any():
         raise InputError(f"pose index {ends.flat[np.argmax(outside)]} outside [0, {n}]")
     return ends, fac[:, 2]
-
-
-def build_reduced_laplacian(n: int, factors) -> np.ndarray:
-    """Dense reduced Laplacian from (i, j, weight) factors over poses
-    0..n, pose 0 the anchor.  Duplicate pairs accumulate.
-
-    Entries are added factor by factor, in input order, so each sum is the
-    one that adding w * outer(b, b) per factor would give.
-    """
-    lap = np.zeros((n + 1, n + 1))
-    ends, w = _pose_factors(n, factors)
-    i, j = ends.T
-    # per factor, in order: (i, i, w), (j, j, w), (i, j, -w), (j, i, -w)
-    rows = np.stack([i, j, i, j], axis=1)
-    cols = np.stack([i, j, j, i], axis=1)
-    np.add.at(lap, (rows, cols), np.stack([w, w, -w, -w], axis=1))
-    return lap[1:, 1:]
 
 
 def _pair_keys(i, j, poses: int) -> np.ndarray:
@@ -112,11 +99,38 @@ def reduced_laplacian(poses: int, edges) -> "LaplacianFactor":
 
 def log_det_from_scratch(n: int, factors) -> float:
     """log det of the reduced Laplacian of (i, j, weight) ``factors`` over
-    n non-anchor poses, assembled densely and taken by LU (slogdet)."""
-    sign, logdet = np.linalg.slogdet(build_reduced_laplacian(n, factors))
-    if sign <= 0:
-        raise RankDeficientError("reduced Laplacian is not positive-definite")
-    return float(logdet)
+    n non-anchor poses, pose 0 the anchor, with no factor reuse.
+
+    The matrix is assembled in compressed-column form, duplicate pairs
+    summed, and factored by ``_spd_factor``, so its bits do not depend on
+    the BLAS thread count.
+    """
+    ends, w = _pose_factors(n, factors)
+    i, j = ends.T
+    rows, cols = np.concatenate([i, j, i, j]), np.concatenate([i, j, j, i])
+    keep = (rows > 0) & (cols > 0)
+    lap = csc_matrix((np.concatenate([w, w, -w, -w])[keep], (rows[keep] - 1, cols[keep] - 1)),
+                     shape=(n, n))
+    return _spd_factor(lap, "reduced Laplacian is not positive-definite")[1]
+
+
+def _spd_factor(h, message):
+    """SuperLU factors of the SPD ``h`` and its log det.
+
+    Pivots stay on the diagonal of a symmetric fill-reducing order, so the
+    log det is the sum of the logs of U's diagonal.  An exactly singular
+    ``h``, a pivot that is not positive (NaN included) or one taken off
+    the diagonal raises a ``RankDeficientError`` with ``message``.
+    """
+    try:
+        lu = splu(h, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                  options=dict(SymmetricMode=True))
+    except RuntimeError:  # "Factor is exactly singular"
+        raise RankDeficientError(message) from None
+    pivots = lu.U.diagonal()
+    if not (np.all(pivots > 0) and np.array_equal(lu.perm_r, lu.perm_c)):
+        raise RankDeficientError(message)
+    return lu, float(np.sum(np.log(pivots)))
 
 
 class LaplacianFactor:

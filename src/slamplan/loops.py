@@ -37,7 +37,7 @@ Every factor weight, walk edge or candidate, is ``information_weights``
 of a covariance: a walk edge's prior covariance, or for a candidate the
 ``PriorGraph.pair_covs`` mean of its two regions' matrices.  All score
 bookkeeping is in the log domain; determinants come from the factor's
-log-det, updated via the matrix determinant lemma, with from-scratch dense
+log-det, updated via the matrix determinant lemma, with from-scratch
 recomputation (``log_dopt_from_scratch``) left to oracles, audits and replans.
 Factors, candidates and selections are all (i, j) pose pairs, pose 0 the
 anchor, and the factor takes pairs: a quadratic form b^T L^{-1} b costs
@@ -56,11 +56,10 @@ from functools import cached_property
 import numpy as np
 from scipy.sparse.csgraph import dijkstra
 
-from .errors import InputError, SizeLimitError
+from .errors import InputError
 from .graph import _adjacency
 from .laplacian import (
     LaplacianFactor,
-    build_reduced_laplacian,
     information_weights,
     log_det_from_scratch,
     reduced_laplacian,
@@ -86,9 +85,6 @@ _LAZY_BATCH = 64
 # candidate: that costs less than the shortest-path pass and its set-up (on
 # env1, 33 poses and 528 candidates, 0.10 against 0.37-0.40 ms).
 _BOUND_MIN_ELEMENTS = 50_000
-
-# Subsets scored per batch by ``brute_force_select``.
-_SUBSET_CHUNK = 16384
 
 
 class AbstractedPoseGraph:
@@ -374,15 +370,15 @@ def insert_loop_edges(apg: AbstractedPoseGraph, walk: Walk, selected,
 
 def log_dopt_from_scratch(apg: AbstractedPoseGraph, loops) -> float:
     """log D-opt, (1/n) log det, of the reduced Laplacian of the walk's
-    factors plus the (i, j, gamma) ``loops``, by dense reassembly; 0 for a
-    one-pose walk."""
+    factors plus the (i, j, gamma) ``loops``, reassembled from scratch; 0
+    for a one-pose walk."""
     if apg.n == 0:
         return 0.0
     return log_det_from_scratch(apg.n, apg.weighted_edges + list(loops)) / apg.n
 
 
 def score_from_scratch(apg: AbstractedPoseGraph, selected, d_tsp: float) -> float:
-    """log score via dense reassembly; the oracle path, no factor reuse.
+    """log score reassembled from scratch; the oracle path, no factor reuse.
     A one-pose walk has no factor and no length: 0, as in ``greedy_select``."""
     if apg.n == 0:
         return 0.0
@@ -496,34 +492,3 @@ def greedy_select(apg: AbstractedPoseGraph, cands: CandidateSet, walk: Walk,
     plan = insert_loop_edges(apg, walk, selected, closure, log_j)
     return GreedyResult(selected, plan, trace, log_j)
 
-
-def brute_force_select(apg: AbstractedPoseGraph, cands: CandidateSet, walk: Walk):
-    """Exhaustive subset search; every score rebuilt densely.
-
-    Only viable for small candidate sets; used as the optimality oracle.
-    Returns (best candidate list, best score, best log score).
-    """
-    m = len(cands)
-    if m > 20:
-        raise SizeLimitError(f"exhaustive search capped at 20 candidates, got {m}")
-    n = apg.n
-    d_tsp = walk.length
-    base = build_reduced_laplacian(n, apg.weighted_edges)
-    rank1 = np.empty((m, n * n))
-    for k in range(m):
-        c = cands.candidate(k)
-        rank1[k] = build_reduced_laplacian(n, [(c.i, c.j, c.gamma)]).ravel()
-    codes = np.arange(1 << m, dtype=np.int64)
-    best_log, best_code = -np.inf, 0
-    for lo in range(0, len(codes), _SUBSET_CHUNK):
-        part = codes[lo : lo + _SUBSET_CHUNK]
-        members = ((part[:, None] >> np.arange(m)) & 1).astype(float)
-        laps = base.ravel()[None, :] + members @ rank1
-        sign, logdet = np.linalg.slogdet(laps.reshape(-1, n, n))
-        dist = d_tsp + 2.0 * (members @ cands.omega)
-        score = np.where(sign > 0, logdet / n - np.log(dist), -np.inf)
-        k = int(np.argmax(score))
-        if score[k] > best_log:
-            best_log, best_code = float(score[k]), int(part[k])
-    chosen = [cands.candidate(k) for k in range(m) if best_code >> k & 1]
-    return chosen, float(np.exp(best_log)), best_log

@@ -9,9 +9,9 @@ regions' degeneracy matrices.  Revisiting a vertex closes a loop against
 the earliest pose recorded there.  Optimization is Gauss-Newton with
 step-halving damping on the anchored graph.  The anchored normal
 equations are sparse: their pattern is built once per pose graph, each
-iteration sums its entries in compressed-column form, and SuperLU factors
-them in a fill-reducing symmetric order, which also gives the information
-matrix's log det.
+iteration sums its entries in compressed-column form, and
+``laplacian._spd_factor`` factors them with SuperLU in a fill-reducing
+symmetric order, which also gives the information matrix's log det.
 """
 
 from __future__ import annotations
@@ -20,14 +20,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.sparse import csc_matrix
-from scipy.sparse.linalg import splu
 
-from .errors import (
-    DivergenceError,
-    InputError,
-    MismatchError,
-    RankDeficientError,
-)
+from .errors import DivergenceError, InputError, MismatchError
 from .graph import (
     PriorGraph,
     _as_dict,
@@ -36,6 +30,7 @@ from .graph import (
     load_prior_graph,
     sigma_matrix,
 )
+from .laplacian import _spd_factor
 from .se2 import (
     _t,
     between,
@@ -348,25 +343,6 @@ def _assemble(est, edges, pattern):
     return h, grad
 
 
-def _factor(h, message):
-    """SuperLU factors of the SPD ``h`` and its log det.
-
-    Pivots stay on the diagonal of a symmetric fill-reducing order, so the
-    log det is the sum of the logs of U's diagonal.  An exactly singular
-    ``h``, a pivot that is not positive (NaN included) or one taken off
-    the diagonal raises a ``RankDeficientError`` with ``message``.
-    """
-    try:
-        lu = splu(h, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                  options=dict(SymmetricMode=True))
-    except RuntimeError:  # "Factor is exactly singular"
-        raise RankDeficientError(message) from None
-    pivots = lu.U.diagonal()
-    if not (np.all(pivots > 0) and np.array_equal(lu.perm_r, lu.perm_c)):
-        raise RankDeficientError(message)
-    return lu, float(np.sum(np.log(pivots)))
-
-
 def optimize_pose_graph(pg: SimPoseGraph) -> dict:
     """Anchored Gauss-Newton; mutates pg.estimates, returns run info.
 
@@ -390,7 +366,7 @@ def optimize_pose_graph(pg: SimPoseGraph) -> dict:
     for it in range(1, _GN_MAX_ITERS + 1):
         h, grad = _assemble(est, edges, pattern)
         info["grad_norm"] = float(np.linalg.norm(grad))
-        lu, _ = _factor(h, "normal equations singular; graph likely disconnected")
+        lu, _ = _spd_factor(h, "normal equations singular; graph likely disconnected")
         step = -lu.solve(grad)
         alpha = 1.0
         for _ in range(11):
@@ -433,7 +409,7 @@ def log_dopt_fim(pg: SimPoseGraph) -> float:
         return 0.0
     edges = _stack_edges(pg)
     h, _ = _assemble(pg.estimates, edges, _normal_pattern(edges[0], dim))
-    _, logdet = _factor(0.5 * h, "information matrix is rank-deficient")
+    _, logdet = _spd_factor(0.5 * h, "information matrix is rank-deficient")
     return logdet / dim
 
 

@@ -17,8 +17,7 @@ and every forward segment relocation, which resumes the search whenever it
 finds a move, so every polished tour is a local optimum of both full
 neighbourhoods.  The restarts are polished one after another, and a later
 one replaces the best so far only if it is shorter by more than a
-tolerance.  An exact Held-Karp dynamic program covers small instances and
-serves as the reference oracle.
+tolerance.
 """
 
 from __future__ import annotations
@@ -29,9 +28,8 @@ from math import fsum
 
 import numpy as np
 
-from .errors import InputError, SizeLimitError
+from .errors import InputError
 
-_EXACT_LIMIT = 14
 _TOL = 1e-9
 _NEIGHBOURS = 12  # nearest vertices each vertex's moves try to join it to
 _RESTARTS = 8  # nearest-neighbor seeds polished per tour
@@ -387,45 +385,6 @@ def _solve_indices(sym: np.ndarray, end: int | None) -> tuple[list, float]:
     return _best_of_restarts(dist, _nn_seeds(dist, seconds, end), n)
 
 
-def _held_karp(dist: np.ndarray, end: int | None) -> tuple[list, float]:
-    n = dist.shape[0]
-    if n > _EXACT_LIMIT:
-        raise SizeLimitError(f"exact solver capped at {_EXACT_LIMIT} vertices, got {n}")
-    if n == 1:
-        return [0], 0.0
-    m = n - 1
-    sub = np.asarray(dist[1:, 1:], dtype=float)
-    full = (1 << m) - 1
-    dp = np.full((1 << m, m), np.inf)
-    parent = np.full((1 << m, m), -1, dtype=np.int64)
-    dp[[1 << k for k in range(m)], range(m)] = dist[0, 1:]
-    for mask in range(1, full + 1):
-        row = dp[mask]
-        if not np.any(np.isfinite(row)):
-            continue
-        cand = row[:, None] + sub  # cand[k, t]: extend best path ending at k to t
-        src = np.argmin(cand, axis=0)
-        val = cand[src, range(m)]
-        for t in range(m):
-            bit = 1 << t
-            if mask & bit:
-                continue
-            nm = mask | bit
-            if val[t] < dp[nm, t]:
-                dp[nm, t] = val[t]
-                parent[nm, t] = src[t]
-    last = int(np.argmin(dp[full])) if end is None else end - 1
-    length = float(dp[full, last])
-    chain = [last]
-    mask = full
-    while parent[mask, chain[-1]] >= 0:
-        k = chain[-1]
-        chain.append(int(parent[mask, k]))
-        mask ^= 1 << k
-    order = [0] + [k + 1 for k in reversed(chain)]
-    return order, length
-
-
 # -- public solvers ------------------------------------------------------
 
 
@@ -438,13 +397,6 @@ def solve_open_tsp(costs: TourCosts) -> Tour:
 def solve_fixed_end_tsp(costs: TourCosts, end) -> Tour:
     """Heuristic open tour forced to terminate at vertex ``end``."""
     order, length = _solve_indices(costs.sym, costs.end_index(end))
-    return Tour(costs.to_ids(order), length)
-
-
-def solve_open_tsp_exact(costs: TourCosts, end=None) -> Tour:
-    """Held-Karp reference solution; SizeLimitError above the hard cap."""
-    end_idx = None if end is None else costs.end_index(end)
-    order, length = _held_karp(costs.sym, end_idx)
     return Tour(costs.to_ids(order), length)
 
 

@@ -1,4 +1,6 @@
-"""Shared helpers: random connected instances and small exact oracles."""
+"""Shared helpers: random connected instances and small exact oracles,
+the dense reduced Laplacian, exhaustive loop selection and Held-Karp among
+them."""
 
 from __future__ import annotations
 
@@ -10,8 +12,15 @@ from scipy.linalg import solve_triangular
 
 from slamplan.errors import RankDeficientError
 from slamplan.graph import PriorGraph
-from slamplan.laplacian import LaplacianFactor
+from slamplan.laplacian import LaplacianFactor, _pose_factors
 from slamplan.se2 import edge_jacobians, edge_residual
+from slamplan.tsp import Tour
+
+# Largest instance ``_held_karp`` solves: 14 vertices, a 2^13 x 13 table.
+_EXACT_LIMIT = 14
+
+# Subsets scored per batch by ``brute_force_select``.
+_SUBSET_CHUNK = 16384
 
 
 def random_connected_graph(rng, n, extra_edge_prob=0.3, unit_lengths=True,
@@ -57,6 +66,103 @@ def dense_factor(matrix) -> LaplacianFactor:
     rows = np.zeros((n + 1, n))
     rows[1:] = solve_triangular(chol, np.eye(n), lower=True).T
     return LaplacianFactor(rows, 2.0 * float(np.sum(np.log(np.diagonal(chol)))))
+
+
+def build_reduced_laplacian(n: int, factors) -> np.ndarray:
+    """Dense reduced Laplacian from (i, j, weight) factors over poses
+    0..n, pose 0 the anchor.  Duplicate pairs accumulate.
+
+    Entries are added factor by factor, in input order, so each sum is the
+    one that adding w * outer(b, b) per factor would give.
+    """
+    lap = np.zeros((n + 1, n + 1))
+    ends, w = _pose_factors(n, factors)
+    i, j = ends.T
+    # per factor, in order: (i, i, w), (j, j, w), (i, j, -w), (j, i, -w)
+    rows = np.stack([i, j, i, j], axis=1)
+    cols = np.stack([i, j, j, i], axis=1)
+    np.add.at(lap, (rows, cols), np.stack([w, w, -w, -w], axis=1))
+    return lap[1:, 1:]
+
+
+def brute_force_select(apg, cands, walk):
+    """Exhaustive subset search; every score rebuilt densely.
+
+    Only viable for small candidate sets; the greedy's optimality oracle.
+    Returns (best candidate list, best score, best log score).
+    """
+    m = len(cands)
+    if m > 20:
+        raise ValueError(f"exhaustive search capped at 20 candidates, got {m}")
+    n = apg.n
+    d_tsp = walk.length
+    base = build_reduced_laplacian(n, apg.weighted_edges)
+    rank1 = np.empty((m, n * n))
+    for k in range(m):
+        c = cands.candidate(k)
+        rank1[k] = build_reduced_laplacian(n, [(c.i, c.j, c.gamma)]).ravel()
+    codes = np.arange(1 << m, dtype=np.int64)
+    best_log, best_code = -np.inf, 0
+    for lo in range(0, len(codes), _SUBSET_CHUNK):
+        part = codes[lo : lo + _SUBSET_CHUNK]
+        members = ((part[:, None] >> np.arange(m)) & 1).astype(float)
+        laps = base.ravel()[None, :] + members @ rank1
+        sign, logdet = np.linalg.slogdet(laps.reshape(-1, n, n))
+        dist = d_tsp + 2.0 * (members @ cands.omega)
+        score = np.where(sign > 0, logdet / n - np.log(dist), -np.inf)
+        k = int(np.argmax(score))
+        if score[k] > best_log:
+            best_log, best_code = float(score[k]), int(part[k])
+    chosen = [cands.candidate(k) for k in range(m) if best_code >> k & 1]
+    return chosen, float(np.exp(best_log)), best_log
+
+
+def _held_karp(dist: np.ndarray, end: int | None) -> tuple[list, float]:
+    """Shortest path over index matrix ``dist`` from index 0 through every
+    index, ending at ``end`` or, if None, anywhere: (order, length)."""
+    n = dist.shape[0]
+    if n > _EXACT_LIMIT:
+        raise ValueError(f"exact solver capped at {_EXACT_LIMIT} vertices, got {n}")
+    if n == 1:
+        return [0], 0.0
+    m = n - 1
+    sub = np.asarray(dist[1:, 1:], dtype=float)
+    full = (1 << m) - 1
+    dp = np.full((1 << m, m), np.inf)
+    parent = np.full((1 << m, m), -1, dtype=np.int64)
+    dp[[1 << k for k in range(m)], range(m)] = dist[0, 1:]
+    for mask in range(1, full + 1):
+        row = dp[mask]
+        if not np.any(np.isfinite(row)):
+            continue
+        cand = row[:, None] + sub  # cand[k, t]: extend best path ending at k to t
+        src = np.argmin(cand, axis=0)
+        val = cand[src, range(m)]
+        for t in range(m):
+            bit = 1 << t
+            if mask & bit:
+                continue
+            nm = mask | bit
+            if val[t] < dp[nm, t]:
+                dp[nm, t] = val[t]
+                parent[nm, t] = src[t]
+    last = int(np.argmin(dp[full])) if end is None else end - 1
+    length = float(dp[full, last])
+    chain = [last]
+    mask = full
+    while parent[mask, chain[-1]] >= 0:
+        k = chain[-1]
+        chain.append(int(parent[mask, k]))
+        mask ^= 1 << k
+    order = [0] + [k + 1 for k in reversed(chain)]
+    return order, length
+
+
+def solve_open_tsp_exact(costs, end=None) -> Tour:
+    """Held-Karp reference tour over ``costs``, open or ending at ``end``."""
+    end_idx = None if end is None else costs.end_index(end)
+    order, length = _held_karp(costs.sym, end_idx)
+    return Tour(costs.to_ids(order), length)
 
 
 def dense_information(pg, est=None):

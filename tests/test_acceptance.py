@@ -20,10 +20,8 @@ from slamplan.bench import (
 )
 from slamplan.cli import main as cli_main
 from slamplan.graph import load_prior_graph, metric_closure
-from slamplan.laplacian import build_reduced_laplacian
 from slamplan.loops import (
     abstract_pose_graph,
-    brute_force_select,
     enumerate_candidates,
     exact_prune_test,
     greedy_select,
@@ -42,14 +40,17 @@ from slamplan.sim import (
     optimize_pose_graph,
     simulate_walk,
 )
-from slamplan.tsp import (
-    TourCosts,
-    expand_to_walk,
-    solve_open_tsp,
-    solve_open_tsp_exact,
-)
+from slamplan.tsp import TourCosts, expand_to_walk, solve_open_tsp
 
-from conftest import dense_factor, incidence, random_connected_graph, spanning_tree_count
+from conftest import (
+    brute_force_select,
+    build_reduced_laplacian,
+    dense_factor,
+    incidence,
+    random_connected_graph,
+    solve_open_tsp_exact,
+    spanning_tree_count,
+)
 
 ENVS = resources.files("slamplan") / "envs"
 

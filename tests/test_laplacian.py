@@ -4,14 +4,15 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from slamplan.errors import InputError, RankDeficientError
-from slamplan.laplacian import (
-    build_reduced_laplacian,
-    information_weights,
-    log_det_from_scratch,
-    reduced_laplacian,
-)
+from slamplan.laplacian import information_weights, log_det_from_scratch, reduced_laplacian
 
-from conftest import dense_factor, incidence, random_connected_graph, spanning_tree_count
+from conftest import (
+    build_reduced_laplacian,
+    dense_factor,
+    incidence,
+    random_connected_graph,
+    spanning_tree_count,
+)
 
 
 def unit_factor(n, edges):
@@ -358,6 +359,49 @@ def test_tree_factor_calls_no_lapack(monkeypatch, rng):
         monkeypatch.setattr(np.linalg, name, refuse)
     monkeypatch.setattr(scipy.linalg, "solve_triangular", refuse)
     assert np.isfinite(reduced_laplacian(30, factors).log_det)
+
+
+@st.composite
+def _hub_pose_graphs(draw):
+    """``_pose_graphs`` plus factors from one hub pose, the anchor or
+    another, to a drawn share of the poses, some of them twice."""
+    poses, factors = draw(_pose_graphs())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    hub = draw(st.integers(0, poses - 1))
+    spokes = rng.choice(poses, size=draw(st.integers(0, 2 * poses)))
+    factors += [(hub, int(k), float(10.0 ** rng.uniform(-3, 3))) for k in spokes]
+    return poses, factors
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_hub_pose_graphs())
+def test_log_det_from_scratch_matches_dense_slogdet(case):
+    # The sparse assembly sums duplicate pairs and hub rows as the dense
+    # reduced Laplacian does, and SuperLU's log det is the dense LU's.
+    poses, factors = case
+    n = poses - 1
+    _, want = np.linalg.slogdet(build_reduced_laplacian(n, factors))
+    assert log_det_from_scratch(n, factors) == pytest.approx(want, rel=1e-10, abs=1e-10)
+
+
+def test_log_det_from_scratch_calls_no_lapack(monkeypatch, rng):
+    # Replan scores take no bit from the BLAS thread count: the from-scratch
+    # log det runs no dense LAPACK factorization, solve or determinant.
+    def refuse(*args, **kwargs):
+        raise AssertionError("LAPACK call in the from-scratch log det")
+
+    g = random_connected_graph(rng, 30, extra_edge_prob=0.3)
+    factors = [(g.index[u], g.index[v], float(rng.uniform(0.5, 2.0))) for u, v, _ in g.edges]
+    want = reduced_laplacian(30, factors).log_det
+    for name in ("slogdet", "det", "cholesky", "inv", "solve"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    assert log_det_from_scratch(29, factors) == pytest.approx(want, rel=1e-12)
+
+
+def test_log_det_from_scratch_rejects_a_nan_weight():
+    # A NaN pivot is not positive: no NaN score reaches a replan comparison.
+    with pytest.raises(RankDeficientError, match="not positive-definite"):
+        log_det_from_scratch(2, [(0, 1, 1.0), (1, 2, np.nan)])
 
 
 @pytest.mark.parametrize("weight", [0.0, -1.0, np.nan, np.inf])

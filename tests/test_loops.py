@@ -5,18 +5,13 @@ from scipy.linalg import solve_triangular
 
 from slamplan import loops
 from slamplan.bench import GridGraphSpec, gen_grid_graph
-from slamplan.errors import MismatchError, SizeLimitError
+from slamplan.errors import MismatchError
 from slamplan.graph import load_prior_graph, metric_closure
-from slamplan.laplacian import (
-    LaplacianFactor,
-    build_reduced_laplacian,
-    information_weights,
-)
+from slamplan.laplacian import LaplacianFactor, information_weights
 from slamplan.loops import (
     GreedyTrace,
     LoopEdgeCandidate,
     abstract_pose_graph,
-    brute_force_select,
     enumerate_candidates,
     exact_prune_test,
     greedy_select,
@@ -31,7 +26,7 @@ from slamplan.loops import (
 from slamplan.planner import STRATEGIES, compute_plan
 from slamplan.tsp import TourCosts, Walk, expand_to_walk, solve_open_tsp
 
-from conftest import incidence, random_connected_graph
+from conftest import brute_force_select, build_reduced_laplacian, incidence, random_connected_graph
 
 
 def unitize(g):
@@ -807,7 +802,7 @@ def test_brute_force_matches_independent_recompute(rng):
         if 4 <= len(cands) <= 10:
             break
     chosen, best, best_log = brute_force_select(apg, cands, walk)
-    # independent pass over every subset through the dense oracle
+    # independent pass over every subset through the from-scratch score
     m = len(cands)
     ref_log, ref_code = -np.inf, 0
     for code in range(1 << m):
@@ -820,15 +815,6 @@ def test_brute_force_matches_independent_recompute(rng):
         (cands.candidate(k).i, cands.candidate(k).j)
         for k in range(m) if ref_code >> k & 1
     )
-
-
-def test_brute_force_size_cap(rng):
-    while True:
-        g, mc, walk, apg, cands = random_instance(rng, 9, 12)
-        if len(cands) > 20:
-            break
-    with pytest.raises(SizeLimitError):
-        brute_force_select(apg, cands, walk)
 
 
 # -- plan assembly -------------------------------------------------------

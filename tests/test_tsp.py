@@ -8,18 +8,12 @@ from hypothesis import given, settings, strategies as st
 
 from slamplan import tsp
 from slamplan.bench import GridGraphSpec, gen_grid_graph
-from slamplan.errors import InputError, SizeLimitError
+from slamplan.errors import InputError
 from slamplan.graph import load_prior_graph, metric_closure
 from slamplan.planner import compute_plan
-from slamplan.tsp import (
-    TourCosts,
-    expand_to_walk,
-    solve_fixed_end_tsp,
-    solve_open_tsp,
-    solve_open_tsp_exact,
-)
+from slamplan.tsp import TourCosts, expand_to_walk, solve_fixed_end_tsp, solve_open_tsp
 
-from conftest import brute_force_open_tour, random_connected_graph
+from conftest import brute_force_open_tour, random_connected_graph, solve_open_tsp_exact
 
 
 def costs_for(graph, include=None, start=None):
@@ -73,13 +67,6 @@ def test_four_cycle_open_cost():
     for solver in (solve_open_tsp, solve_open_tsp_exact):
         tour = solver(costs_for(g))
         assert tour.length == pytest.approx(3.0)
-
-
-def test_exact_size_limit():
-    rng = np.random.default_rng(0)
-    g = random_connected_graph(rng, 15, extra_edge_prob=0.2)
-    with pytest.raises(SizeLimitError):
-        solve_open_tsp_exact(costs_for(g))
 
 
 def test_exact_beats_every_permutation(rng):
