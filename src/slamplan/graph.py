@@ -312,12 +312,19 @@ class PriorGraph:
                     "u": u,
                     "v": v,
                     "length": length,
-                    "sigma": np.diag(cov).tolist(),
+                    "sigma": _sigma_entry(cov),
                 }
                 for (u, v, length), cov in zip(self.edges, self.edge_covs)
             ],
             "start": self.start,
         }
+
+
+def _sigma_entry(cov: np.ndarray) -> list:
+    """A covariance as a document writes it: its diagonal when the matrix is
+    diagonal, else the full nested 3x3 list."""
+    diag = np.diagonal(cov)
+    return (diag if np.array_equal(cov, np.diag(diag)) else cov).tolist()
 
 
 def load_prior_graph(document) -> PriorGraph:

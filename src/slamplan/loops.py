@@ -81,11 +81,6 @@ _BOUND_SLACK = 1e-9
 # Columns in a lazy sweep's first batch; each next batch is twice as large.
 _LAZY_BATCH = 64
 
-# Below this many poses x candidates every sweep solves every live
-# candidate: that costs less than the shortest-path pass and its set-up (on
-# env1, 33 poses and 528 candidates, 0.10 against 0.37-0.40 ms).
-_BOUND_MIN_ELEMENTS = 50_000
-
 
 class AbstractedPoseGraph:
     """Deduplicated pose/edge topology induced by a walk."""
@@ -397,10 +392,9 @@ class GreedyTrace:
     ``per_iteration`` counts, per sweep, the candidates that pass the prune
     test on the numerators the sweep holds: exact ones where every live
     candidate is solved, and upper bounds in the lazy sweeps, so there it
-    can exceed the exact count.  Above ``_BOUND_MIN_ELEMENTS`` the first
-    sweep's bounds are path resistances.  ``after_prop1`` is the first
-    sweep's count, 0 when no sweep ran; ``bench_prune`` reports the exact
-    counts.
+    can exceed the exact count.  The first sweep's bounds are path
+    resistances.  ``after_prop1`` is the first sweep's count, 0 when no
+    sweep ran; ``bench_prune`` reports the exact counts.
     """
 
     initial_candidates: int
@@ -429,15 +423,15 @@ def greedy_select(apg: AbstractedPoseGraph, cands: CandidateSet, walk: Walk,
     sequence is identical either way because filtered candidates provably
     have delta <= 1.
 
-    Sweeps are lazy (Minoux 1978) above ``_BOUND_MIN_ELEMENTS``.  Each
-    candidate holds an upper bound on its gain numerator: the bound from
-    its path resistance until it is first solved, its last solved value
-    after that, since a selection only adds information.  The prune test runs
-    on these bounds, which keeps every candidate the exact test keeps, and
-    bound minus the current distance term bounds the log gain.  Only
-    candidates whose bound reaches the best exact log gain are solved.
-    Sweeps solve every live candidate below the gate, and once the plan is
-    longer than twice the tour: past that, a candidate that fails the
+    Pruned sweeps are lazy (Minoux 1978).  Each candidate holds an upper
+    bound on its gain numerator: the bound from its path resistance until
+    it is first solved, its last solved value after that, since a
+    selection only adds information.  The prune test runs on these bounds,
+    which keeps every candidate the exact test keeps, and bound minus the
+    current distance term bounds the log gain.  Only candidates whose
+    bound reaches the best exact log gain are solved.
+    Sweeps solve every live candidate without pruning, and once the plan
+    is longer than twice the tour: past that, a candidate that fails the
     prune test on its exact numerator can still gain, and a stale
     numerator would keep it where a solved one drops it.
     Ties in the gain break toward the smallest (i, j).
@@ -452,16 +446,15 @@ def greedy_select(apg: AbstractedPoseGraph, cands: CandidateSet, walk: Walk,
         plan = insert_loop_edges(apg, walk, selected, closure, 0.0)
         return GreedyResult(selected, plan, trace, 0.0)
     log_j = factor.log_dopt() - float(np.log(d_tsp))
-    bounded = pruning and factor.n * m >= _BOUND_MIN_ELEMENTS
     # each candidate's last solved gain numerator, or an upper bound on it
     lognum = np.empty(m)
-    if bounded:
+    if pruning:
         ub = path_resistance(apg, cands) * (1.0 + _BOUND_SLACK)
         lognum = log_gain_numerator(factor, cands.gamma, ub)
     alive = np.ones(m, dtype=bool)
     while alive.any():
         idx = np.flatnonzero(alive)
-        lazy = bounded and d_cur <= 2.0 * d_tsp
+        lazy = pruning and d_cur <= 2.0 * d_tsp
         if not lazy:
             _solve_columns(factor, cands, lognum, idx)
         if pruning:

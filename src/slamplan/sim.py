@@ -107,7 +107,8 @@ def load_world(document) -> WorldModel:
     default = document.get("default_degeneracy")
     degeneracy = {}
     if default is not None:
-        base = sigma_matrix(default, "default_degeneracy")
+        what = "default_degeneracy"
+        base = check_spd(sigma_matrix(default, what), what)
         degeneracy = {v: base for v in graph.ids}
     entries = document.get("region_degeneracy")
     if not isinstance(entries, (dict, type(None))):

@@ -216,20 +216,23 @@ def test_criterion_05_pruned_unpruned_equivalence(capsys):
 
 
 def test_criterion_06_pruning_benchmark(capsys):
+    # Each 15x15 instance is timed 3 times, and the speedup is the median
+    # over instances of each one's median: one timing each moved the figure
+    # by a quarter between runs of the same code.
     t0 = time.perf_counter()
     ratios = {10: [], 15: []}
     speedups = []
     for size in (10, 15):
         for seed in range(5):
-            spec = GridGraphSpec(width=size, height=size, seed=seed)
-            rep = bench_prune(gen_grid_graph(spec))
-            ratios[size].append(rep.ratio)
+            graph = gen_grid_graph(GridGraphSpec(width=size, height=size, seed=seed))
+            reps = [bench_prune(graph) for _ in range(3 if size == 15 else 1)]
+            ratios[size].append(reps[0].ratio)
             if size == 15:
-                speedups.append(rep.speedup)
+                speedups.append(np.median([r.speedup for r in reps]))
     elapsed = time.perf_counter() - t0
     mean10 = float(np.mean(ratios[10]))
     mean15 = float(np.mean(ratios[15]))
-    speedup = float(np.mean(speedups))
+    speedup = float(np.median(speedups))
     ok = (max(ratios[10]) <= 0.15 and max(ratios[15]) <= 0.12
           and mean15 < mean10 and speedup >= 3.0 and elapsed < 120.0)
     _report(capsys, 6, "survivor ratios shrink and pruning pays", ok,

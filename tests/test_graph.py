@@ -558,14 +558,22 @@ def test_revision_tracks_mutations(path3):
 
 
 def test_to_dict_round_trip(triangle):
-    triangle.set_edge_covs([triangle.edge_row("a", "b")], np.diag([0.2, 0.2, 0.002])[None])
-    doc = triangle.to_dict()
-    g2 = load_prior_graph(doc)
-    assert list(g2.ids) == list(triangle.ids)
-    assert len(g2.edges) == len(triangle.edges)
-    assert np.allclose(g2.edge_covs[g2.edge_row("a", "b")],
-                       triangle.edge_covs[triangle.edge_row("a", "b")])
-    assert np.allclose(g2.positions, triangle.positions)
+    # A diagonal covariance is written as its diagonal, a full one as its
+    # nested 3x3 list; both load back bit for bit, and so does the save of
+    # the loaded graph.
+    row = triangle.edge_row("a", "b")
+    full = np.array([[0.1, 0.05, 0.0], [0.05, 0.1, 0.0], [0.0, 0.0, 0.001]])
+    for cov, sigma in ((np.diag([0.2, 0.2, 0.002]), [0.2, 0.2, 0.002]),
+                       (full, full.tolist())):
+        triangle.set_edge_covs([row], cov[None])
+        doc = triangle.to_dict()
+        assert doc["edges"][row]["sigma"] == sigma
+        g2 = load_prior_graph(doc)
+        assert list(g2.ids) == list(triangle.ids)
+        assert len(g2.edges) == len(triangle.edges)
+        np.testing.assert_array_equal(g2.edge_covs, triangle.edge_covs)
+        assert np.allclose(g2.positions, triangle.positions)
+        assert g2.to_dict() == doc
 
 
 def test_symmetry_tolerance_is_relative():

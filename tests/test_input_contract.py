@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from slamplan.cli import main
-from slamplan.errors import SlamplanError
+from slamplan.errors import CovarianceError, SlamplanError
 from slamplan.graph import load_prior_graph
 from slamplan.planner import compute_plan
 from slamplan.sim import load_world
@@ -109,6 +109,16 @@ def test_world_documents_load_or_fail_as_slamplan_errors(doc):
         load_world(doc)
     except SlamplanError:
         pass
+
+
+def test_a_bad_default_degeneracy_is_named_as_such():
+    # Checked once under its own key, not as the first vertex's entry.
+    doc = {"graph": {"vertices": [{"id": "a", "x": 0.0, "y": 0.0}], "edges": [],
+                     "start": "a"},
+           "default_degeneracy": [0.1, -0.1, 0.001]}
+    with pytest.raises(CovarianceError,
+                       match="^default_degeneracy: covariance not positive-definite$"):
+        load_world(doc)
 
 
 # Grid sizes: small valid values, and extremes that give a cell count that is

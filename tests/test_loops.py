@@ -1,3 +1,5 @@
+from importlib import resources
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -358,15 +360,14 @@ def test_greedy_incremental_consistency(rng):
         done += 1
 
 
-@pytest.mark.parametrize("size,lazy", [(6, False), (10, True)])
-def test_greedy_log_deltas_are_the_shared_gain(size, lazy):
+@pytest.mark.parametrize("pruning", [True, False])
+def test_greedy_log_deltas_are_the_shared_gain(pruning):
     # Replayed on a copy of the walk's factor, each selection's log gain is
     # log_gain_numerator minus log_gain_denominator, bit for bit, in the
-    # lazy sweeps and in those that solve every live candidate.
-    g = gen_grid_graph(GridGraphSpec(width=size, height=size, seed=0))
+    # lazy sweeps and in the unpruned ones, which solve every live candidate.
+    g = gen_grid_graph(GridGraphSpec(width=10, height=10, seed=0))
     mc, walk, apg, cands = pipeline(g)
-    assert (apg.n * len(cands) >= loops._BOUND_MIN_ELEMENTS) == lazy
-    res = greedy_select(apg, cands, walk, mc)
+    res = greedy_select(apg, cands, walk, mc, pruning=pruning)
     assert len(res.selected) >= 2
     factor = apg.factor.copy()
     d_cur = walk.length
@@ -379,9 +380,8 @@ def test_greedy_log_deltas_are_the_shared_gain(size, lazy):
         d_cur += 2.0 * c.omega
 
 
-def test_greedy_pruning_equivalence(rng, monkeypatch):
-    # Bit for bit, with the lazy sweeps forced on: pruning only saves solves.
-    monkeypatch.setattr(loops, "_BOUND_MIN_ELEMENTS", 0)
+def test_greedy_pruning_equivalence(rng):
+    # Bit for bit: pruning and the lazy sweeps only save solves.
     for _ in range(50):
         g, mc, walk, apg, cands = random_instance(rng)
         with_p = greedy_select(apg, cands, walk, mc, pruning=True)
@@ -402,9 +402,9 @@ def test_greedy_trace_monotone_chain(rng):
 
 
 def test_greedy_first_prune_is_prune_mask_and_omega_max(rng):
-    # Below the bound's gate the greedy's first filtering pass is exact: it
-    # keeps what the exact prune test keeps, and nothing it selects lies past
-    # the cap omega_max.
+    # The greedy's first filtering pass runs on path-resistance bounds: it
+    # keeps at least what the exact prune test keeps, and nothing it selects
+    # lies past the cap omega_max.
     checked = 0
     while checked < 40:
         g, mc, walk, apg, cands = random_instance(rng, 5, 12)
@@ -412,7 +412,7 @@ def test_greedy_first_prune_is_prune_mask_and_omega_max(rng):
             continue
         res = greedy_select(apg, cands, walk, mc)
         cap, _, mask = exact_prune_test(apg.factor, walk.length, cands)
-        assert res.trace.after_prop1 == int(mask.sum())
+        assert res.trace.after_prop1 >= int(mask.sum())
         assert all(c.omega <= cap for c in res.selected)
         checked += 1
 
@@ -491,20 +491,11 @@ def _solve_everything(factor, cands):
     return log_gain_numerator(factor, cands.gamma, quad_forms(factor, cands))
 
 
-def _unbounded_greedy(monkeypatch, apg, cands, walk, mc):
-    """The pruned greedy with the bound and the lazy sweeps off, as it runs
-    below the gate: every live candidate solved on every sweep."""
-    with monkeypatch.context() as m:
-        m.setattr(loops, "_BOUND_MIN_ELEMENTS", np.inf)
-        return greedy_select(apg, cands, walk, mc)
-
-
 @pytest.mark.parametrize("size,seed", [(10, 0), (10, 1), (15, 0), (15, 1)])
 def test_first_sweep_bound_solves_less_and_changes_nothing(monkeypatch, size,
                                                            seed):
     g = gen_grid_graph(GridGraphSpec(width=size, height=size, seed=seed))
     mc, walk, apg, cands = pipeline(g)
-    assert apg.n * len(cands) >= loops._BOUND_MIN_ELEMENTS
     solved = _count_columns(monkeypatch)
     fast = greedy_select(apg, cands, walk, mc)
     assert 0 < sum(solved) < len(cands) / 10
@@ -513,25 +504,18 @@ def test_first_sweep_bound_solves_less_and_changes_nothing(monkeypatch, size,
     keep = exact_prune_test(apg.factor, walk.length, cands)[2]
     assert fast.trace.after_prop1 >= int(keep.sum())
     plain = greedy_select(apg, cands, walk, mc, pruning=False)
-    ref = _unbounded_greedy(monkeypatch, apg, cands, walk, mc)
-    assert fast.selected and fast.selected == plain.selected == ref.selected
-    assert fast.trace.selections == ref.trace.selections  # log-delta bits too
-    assert fast.log_objective == ref.log_objective
+    assert fast.selected and fast.selected == plain.selected
+    assert fast.trace.selections == plain.trace.selections  # log-delta bits too
+    assert fast.log_objective == plain.log_objective
 
 
-def test_first_sweep_bound_on_small_instances(rng, monkeypatch):
-    # Small sets are solved whole; with the bound forced on, the greedy's
-    # selections and objective stay those of solving every live candidate.
-    monkeypatch.setattr(loops, "_BOUND_MIN_ELEMENTS", 0)
+def test_first_sweep_bound_on_small_instances(rng):
+    # On small sets too, the bounded greedy's selections and objective stay
+    # those of solving every live candidate on every sweep.
     for _ in range(40):
         g, mc, walk, apg, cands = random_instance(rng, 5, 12)
-        fast = greedy_select(apg, cands, walk, mc)
-        ref = _unbounded_greedy(monkeypatch, apg, cands, walk, mc)
-        assert fast.selected == ref.selected
-        assert fast.trace.selections == ref.trace.selections
-        assert fast.log_objective == ref.log_objective
-        assert all(a >= b for a, b in zip(fast.trace.per_iteration,
-                                          ref.trace.per_iteration))
+        _assert_lockstep(greedy_select(apg, cands, walk, mc),
+                         _eager_greedy(apg, cands, walk))
 
 
 def _lone_candidate_triangle():
@@ -548,7 +532,6 @@ def test_first_sweep_solves_a_lone_column_alone(monkeypatch):
     # A quadratic form rounds the same alone as in a batch, so a lone bound
     # survivor is evaluated by itself.
     mc, walk, apg, cands = _lone_candidate_triangle()
-    monkeypatch.setattr(loops, "_BOUND_MIN_ELEMENTS", 0)
     solved = _count_columns(monkeypatch)
     result = greedy_select(apg, cands, walk, mc)
     assert solved == [1]
@@ -558,15 +541,12 @@ def test_first_sweep_solves_a_lone_column_alone(monkeypatch):
 
 
 def test_unbounded_sweeps_solve_a_lone_column_alone(monkeypatch):
-    # Below the bound's gate, and in the eager greedy, a lone live
-    # candidate is evaluated by itself, as in the lazy sweeps.
+    # In the unpruned greedy, which solves every live candidate, a lone
+    # live candidate is evaluated by itself, as in the lazy sweeps.
     mc, walk, apg, cands = _lone_candidate_triangle()
-    assert apg.factor.n * len(cands) < loops._BOUND_MIN_ELEMENTS
     solved = _count_columns(monkeypatch)
-    for pruning in (True, False):
-        solved.clear()
-        result = greedy_select(apg, cands, walk, mc, pruning=pruning)
-        assert result.selected and solved == [1]
+    result = greedy_select(apg, cands, walk, mc, pruning=False)
+    assert result.selected and solved == [1]
 
 
 def _eager_greedy(apg, cands, walk):
@@ -627,7 +607,6 @@ _LOCKSTEP_MIN_SELECTED = {(10, 0): 9, (10, 1): 7, (15, 0): 9, (15, 1): 9,
 def test_lazy_greedy_lockstep_on_grids(monkeypatch, size, seed):
     g = gen_grid_graph(GridGraphSpec(width=size, height=size, seed=seed))
     mc, walk, apg, cands = pipeline(g)
-    assert apg.n * len(cands) >= loops._BOUND_MIN_ELEMENTS
     solved = _count_columns(monkeypatch)
     lazy = greedy_select(apg, cands, walk, mc)
     lazy_columns = sum(solved)
@@ -637,6 +616,18 @@ def test_lazy_greedy_lockstep_on_grids(monkeypatch, size, seed):
     _assert_lockstep(lazy, eager)
     # The lazy greedy solves 2-5% of the eager loop's columns on these grids.
     assert lazy_columns <= sum(solved) / 10
+
+
+@pytest.mark.parametrize("env", ["env1", "env3"])
+def test_lazy_greedy_lockstep_on_bundled_maps(env):
+    # The bundled maps are small (33 poses x 528 candidates on env1, 19 x
+    # 171 on env3) and both plans select loops: the bounded greedy picks
+    # the eager loop's sequence there too, log-delta bits and all.
+    g = load_prior_graph(str(resources.files("slamplan") / "envs" / f"{env}.json"))
+    mc, walk, apg, cands = pipeline(g)
+    lazy = greedy_select(apg, cands, walk, mc)
+    assert lazy.selected
+    _assert_lockstep(lazy, _eager_greedy(apg, cands, walk))
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -656,7 +647,6 @@ def test_lazy_greedy_matches_eager(seed, n, extra, unit_lengths, scale, covs,
     (unitize if covs == "unit" else lambda h: randomize_covs(rng, h))(g)
     mc, walk, apg, cands = pipeline(g)
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(loops, "_BOUND_MIN_ELEMENTS", 0)
         m.setattr(loops, "_LAZY_BATCH", first_batch)
         lazy = greedy_select(apg, cands, walk, mc)
         _assert_lockstep(lazy, _eager_greedy(apg, cands, walk))
