@@ -18,7 +18,7 @@ from .bench import (
     gen_grid_graph,
     prune_report_csv,
 )
-from .errors import SlamplanError
+from .errors import InputError, SlamplanError
 from .graph import _read_json, load_prior_graph
 from .mission import MissionConfig, run_mission
 from .planner import STRATEGIES, plan_exploration
@@ -28,9 +28,12 @@ from .sim import load_world
 def _write(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {out}: {exc}") from None
 
 
 def _dump(obj) -> str:

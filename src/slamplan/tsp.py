@@ -12,12 +12,13 @@ second vertices, all seeds built in lockstep one tour position at a time,
 and polishes each seed with a first-improvement search over neighbour lists
 with don't-look bits (Bentley 1992; Johnson & McGeoch 1997): 2-opt
 reversals and moves of 1-3 vertex segments that join a vertex to one of its
-nearest neighbours.  Each search ends with one full scan of every reversal
-and every forward segment relocation, which resumes the search whenever it
-finds a move, so every polished tour is a local optimum of both full
-neighbourhoods.  The restarts are polished one after another, and a later
-one replaces the best so far only if it is shorter by more than a
-tolerance.
+nearest neighbours.  The restarts are polished one after another, and a
+later one replaces the best so far only if it is shorter by more than a
+tolerance.  Only that winner is closed, once per solve: its list search
+runs again from every vertex, and each time it ends, one full scan of every
+reversal and every forward segment relocation resumes it if it finds a
+move, so every returned tour is a local optimum of both full
+neighbourhoods.
 """
 
 from __future__ import annotations
@@ -184,8 +185,8 @@ class _SearchBlock:
                      for v, (ds, cs) in enumerate(zip(near, idx))]
 
 
-def _improve(block: _SearchBlock, order) -> np.ndarray:
-    """2-opt and or-opt over neighbour lists, closed by a full scan.
+def _improve(block: _SearchBlock, order, close: bool = False) -> np.ndarray:
+    """2-opt and or-opt over neighbour lists, closed by full scans if ``close``.
 
     ``order`` visits every vertex of ``block.dist`` once; its ends stay
     pinned.  A first-improvement search with don't-look bits (Bentley 1992)
@@ -195,11 +196,16 @@ def _improve(block: _SearchBlock, order) -> np.ndarray:
     or ends at it, either way round, to next to the neighbour.  A scan
     stops where the neighbour's distance reaches the removed leg of the
     reversal, or what removing the segment saves.
-    A vertex sleeps once it has no move; a move wakes the ends of the legs
-    it changed.  When every vertex sleeps, one full scan scores every
-    reversal and every forward relocation of a 1-3 vertex segment; if its
-    best move is taken, the search wakes that move's vertices and resumes,
-    so the tour it returns is a local optimum of both full neighbourhoods.
+    Every vertex starts awake; it sleeps once it has no move, and a move
+    wakes the ends of the legs it changed.  Without ``close`` the search
+    ends when every vertex sleeps.  With it, each time every vertex sleeps
+    one full scan scores every reversal and every forward relocation of a
+    1-3 vertex segment; if its best move is taken, the search wakes that
+    move's vertices and resumes, so the tour it returns is a local optimum
+    of both full neighbourhoods.  Closing a tour the list search already
+    polished thus first re-runs that search from every vertex, which finds
+    the list moves that opened after their vertices slept at O(m) cost,
+    before an O(m^2) scan has to.
 
     A move is taken only if the tour's summed length strictly falls, which
     ``math.fsum`` decides exactly from the legs the move removes and adds,
@@ -334,7 +340,7 @@ def _improve(block: _SearchBlock, order) -> np.ndarray:
             awake[a] = False
             woken = two_opt(a) or or_opt(a)
         else:
-            woken = full_scan()
+            woken = close and full_scan()
             if not woken:
                 return np.asarray(t, dtype=np.int64)
         for v in woken or ():
@@ -358,18 +364,20 @@ def _seed_seconds(sym: np.ndarray, restarts: int, skip) -> list:
 
 
 def _best_of_restarts(dist: np.ndarray, seeds: np.ndarray, n: int) -> tuple[list, float]:
-    """The shortest of the ``seeds`` after ``_improve``, over its first ``n``
-    vertices (an open tour's free terminal, pinned at index n, is dropped).
-    Seeds are polished in order, and a later one wins only if shorter by
-    more than the tolerance."""
+    """The shortest of the ``seeds`` after the neighbour-list search, closed
+    by full scans, over its first ``n`` vertices (an open tour's free
+    terminal, pinned at index n, is dropped).  Seeds are polished in order,
+    and a later one wins only if shorter by more than the tolerance; only
+    the winner is closed."""
     block = _SearchBlock(dist)
-    best_order, best_len = None, np.inf
+    best, best_len = None, np.inf
     for seed in seeds:
-        arr = _improve(block, seed)[:n]
-        length = _route_length(dist, arr)
+        arr = _improve(block, seed)
+        length = _route_length(dist, arr[:n])
         if length < best_len - _TOL:
-            best_order, best_len = [int(v) for v in arr], length
-    return best_order, best_len
+            best, best_len = arr, length
+    arr = _improve(block, best, close=True)[:n]
+    return [int(v) for v in arr], _route_length(dist, arr)
 
 
 def _solve_indices(sym: np.ndarray, end: int | None) -> tuple[list, float]:

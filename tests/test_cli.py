@@ -136,6 +136,22 @@ def test_missing_file_exit_and_message(capsys):
     assert "/nonexistent/graph.json" in err
 
 
+@pytest.mark.parametrize("command, flag", [
+    ("plan", "--out"), ("simulate", "--out"), ("simulate", "--events"), ("gen-graph", "--out"),
+])
+def test_unwritable_output_exits_with_error(graph_file, world_file, tmp_path, capsys,
+                                            command, flag):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"width": 4, "height": 4, "seed": 2}))
+    inputs = {"plan": [graph_file], "simulate": [graph_file, world_file],
+              "gen-graph": [str(spec)]}[command]
+    out = str(tmp_path / "missing" / "out.json")
+    assert main([command, *inputs, flag, out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out}: ")
+    assert "No such file or directory" in err
+
+
 def test_invalid_json_exit(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

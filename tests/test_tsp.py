@@ -323,13 +323,8 @@ def test_lockstep_seeds_match_reference(case):
 
 
 def _assert_full_scan_optimum(dist, order):
-    got = tsp._improve(tsp._SearchBlock(dist), order)
-    assert sorted(got.tolist()) == sorted(order)
-    assert (got[0], got[-1]) == (order[0], order[-1])
-    legs = lambda o: math.fsum(dist[o[:-1], o[1:]])  # noqa: E731
-    assert legs(got) <= legs(np.asarray(order))
-    assert not _ref_two_opt_pass(dist, got.copy())
-    assert not _ref_or_opt_pass(dist, got.copy())
+    assert not _ref_two_opt_pass(dist, order.copy())
+    assert not _ref_or_opt_pass(dist, order.copy())
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -337,17 +332,47 @@ def _assert_full_scan_optimum(dist, order):
 def test_search_ends_at_a_full_scan_local_optimum(case):
     # Whatever the neighbour lists miss, no reversal and no forward
     # relocation of a 1-3 vertex segment, scored afresh from the block,
-    # improves the returned tour by more than the tolerance: from random
-    # orders with a pinned last vertex, and from the nearest-neighbour seeds
-    # of open and fixed-end blocks.
+    # improves a closed tour by more than the tolerance: a random order with
+    # a pinned last vertex, searched and closed in one call, which must not
+    # get longer; and on open and fixed-end blocks
+    # the solver's own tour and the best of its first 1-8 seeds, which less
+    # often happens to be optimal already.  An open tour is scored with its
+    # free terminal appended.
     if len(case) == 2:
-        _assert_full_scan_optimum(*case)
+        dist, order = case
+        got = tsp._improve(tsp._SearchBlock(dist), order, close=True)
+        assert sorted(got.tolist()) == sorted(order)
+        assert (got[0], got[-1]) == (order[0], order[-1])
+        legs = lambda o: math.fsum(dist[o[:-1], o[1:]])  # noqa: E731
+        assert legs(got) <= legs(np.asarray(order))
+        _assert_full_scan_optimum(dist, got)
         return
     sym, end, restarts = case
     dist, pinned, _ = _pinned_block(sym, end)
-    seconds = tsp._seed_seconds(dist, restarts, skip=(0, pinned))
-    for seed in tsp._nn_seeds(dist, seconds, pinned):
-        _assert_full_scan_optimum(dist, seed.tolist())
+    seeds = tsp._nn_seeds(dist, tsp._seed_seconds(dist, restarts, skip=(0, pinned)), pinned)
+    for order, length in (tsp._solve_indices(sym, end),
+                          tsp._best_of_restarts(dist, seeds, len(sym))):
+        assert sorted(order) == list(range(len(sym))) and order[0] == 0
+        assert length == tsp._route_length(sym, order)
+        got = np.asarray(order if end is not None else order + [pinned])
+        assert got[-1] == pinned
+        _assert_full_scan_optimum(dist, got)
+
+
+def test_only_the_winning_restart_is_closed_by_full_scans(monkeypatch):
+    # The closing stage runs once per solve, on the shortest restart alone,
+    # so a 15x15 open solve scans every reversal fewer times than it has
+    # restarts; closing every restart would scan at least once per restart.
+    score = tsp._score_reversals
+    scans = []
+
+    def count(*args):
+        scans.append(1)
+        return score(*args)
+
+    monkeypatch.setattr(tsp, "_score_reversals", count)
+    solve_open_tsp(costs_for(gen_grid_graph(GridGraphSpec(width=15.0, height=15.0, seed=0))))
+    assert 1 <= len(scans) < tsp._RESTARTS
 
 
 @pytest.mark.parametrize("size, bound", [(12, 140.3845), (20, 387.2980)])
@@ -387,11 +412,11 @@ def test_first_failing_restart_error_reaches_caller(monkeypatch):
     improve = tsp._improve
     polished = []
 
-    def fail_on_some_seeds(dist, order):
+    def fail_on_some_seeds(dist, order, close=False):
         polished.append(order[1])
         if order[1] in failing:
             raise Failed(order[1])
-        return improve(dist, order)
+        return improve(dist, order, close)
 
     g = gen_grid_graph(GridGraphSpec(width=15.0, height=15.0, seed=0))
     sym = metric_closure(g).dist_matrix
