@@ -35,10 +35,14 @@ bound is the last solved value, since a selection only adds information.
 
 Every factor weight, walk edge or candidate, is ``information_weights``
 of a covariance: a walk edge's prior covariance, or for a candidate the
-``PriorGraph.pair_covs`` mean of its two regions' matrices.  All score
-bookkeeping is in the log domain; determinants come from the factor's
-log-det, updated via the matrix determinant lemma, with from-scratch
-recomputation (``log_dopt_from_scratch``) left to oracles, audits and replans.
+``PriorGraph.pair_covs`` mean of its two regions' matrices.  A candidate's
+weight thus depends on its two region matrices alone, so it is computed
+once per distinct ordered pair of them: a 20x20 grid plan, whose regions
+all keep the default matrix, computes 1 weight for its 71.6k candidates.
+All score bookkeeping is in the log domain; determinants come from the
+factor's log-det, updated via the matrix determinant lemma, with
+from-scratch recomputation (``log_dopt_from_scratch``) left to oracles,
+audits and replans.
 Factors, candidates and selections are all (i, j) pose pairs, pose 0 the
 anchor, and the factor takes pairs: a quadratic form b^T L^{-1} b costs
 O(n) per candidate, asked for one bounded chunk of pairs at a time so that
@@ -154,19 +158,36 @@ class CandidateSet:
 
 
 def enumerate_candidates(apg: AbstractedPoseGraph, closure) -> CandidateSet:
-    """All pose pairs i > j without a direct factor, sorted by (i, j)."""
+    """All pose pairs i > j without a direct factor, sorted by (i, j).
+
+    A candidate's weight depends only on its two poses' region matrices.
+    Poses are grouped by the exact bytes of theirs, so a -0.0 entry never
+    merges with a 0.0 one, and one weight is computed per ordered pair of
+    groups that occurs, then gathered per candidate.
+    """
     closure.check_serves(apg.graph)
     p = apg.pose_count
+    direct = np.zeros((p, p), dtype=bool)
+    ends = np.array(list(apg.edges), dtype=np.int64).reshape(-1, 2)
+    direct[ends[:, 0], ends[:, 1]] = True
     iu, ju = np.tril_indices(p, k=-1)  # iu > ju, sorted by (iu, ju)
-    ei = np.array([e[0] for e in apg.edges], dtype=np.int64)
-    ej = np.array([e[1] for e in apg.edges], dtype=np.int64)
-    keep = ~np.isin(iu * p + ju, ei * p + ej)
+    keep = ~direct[iu, ju]
     iu, ju = iu[keep], ju[keep]
     g = apg.graph
     vidx = np.array([g.index[v] for v in apg.pose_to_vertex], dtype=np.int64)
+    rows = g.region_covs[vidx].reshape(p, 9)
+    _, rep, group = np.unique(rows.view(np.dtype((np.void, rows.itemsize * 9))).ravel(),
+                              return_index=True, return_inverse=True)
+    r = len(rep)
+    key = group[iu] * r + group[ju]
+    seen = np.zeros(r * r, dtype=bool)
+    seen[key] = True
+    pairs = np.flatnonzero(seen)
+    table = np.empty(r * r)
+    table[pairs] = information_weights(
+        g.pair_covs(vidx[rep[pairs // r]], vidx[rep[pairs % r]]))
     a, b = vidx[iu], vidx[ju]
-    gamma = information_weights(g.pair_covs(a, b))
-    return CandidateSet(iu, ju, closure.dist_matrix[a, b], gamma)
+    return CandidateSet(iu, ju, closure.dist_matrix[a, b], table[key])
 
 
 # -- incremental gain and pruning ---------------------------------------
@@ -255,7 +276,10 @@ def _solve_while_bound_wins(factor: LaplacianFactor, cands: CandidateSet, lognum
     exact.  Returns the solved positions in ``idx``, ascending.
     """
     bound = lognum[idx] - den
-    order = np.argsort(-bound, kind="stable")
+    # the best only rises from _LOG_TOL, so no lower bound is ever solved:
+    # these are the first entries of the stable descending order of all
+    top = np.flatnonzero(bound >= _LOG_TOL)
+    order = top[np.argsort(-bound[top], kind="stable")]
     done, step, best = 0, _LAZY_BATCH, _LOG_TOL
     while done < len(order) and bound[order[done]] >= best:
         part = order[done : done + step]
@@ -451,19 +475,17 @@ def greedy_select(apg: AbstractedPoseGraph, cands: CandidateSet, walk: Walk,
     if pruning:
         ub = path_resistance(apg, cands) * (1.0 + _BOUND_SLACK)
         lognum = log_gain_numerator(factor, cands.gamma, ub)
-    alive = np.ones(m, dtype=bool)
-    while alive.any():
-        idx = np.flatnonzero(alive)
+    live = np.arange(m)  # ascending, so np.argmax breaks ties toward small (i, j)
+    while len(live):
         lazy = pruning and d_cur <= 2.0 * d_tsp
         if not lazy:
-            _solve_columns(factor, cands, lognum, idx)
+            _solve_columns(factor, cands, lognum, live)
         if pruning:
-            keep = prune_test(d_tsp, cands.omega[idx], lognum[idx])[2]
-            alive[idx[~keep]] = False
-            idx = idx[keep]
-            if len(idx) == 0:
+            live = live[prune_test(d_tsp, cands.omega[live], lognum[live])[2]]
+            if len(live) == 0:
                 break
-        trace.per_iteration.append(len(idx))
+        trace.per_iteration.append(len(live))
+        idx = live
         den = log_gain_denominator(cands.omega[idx], d_cur)
         if lazy:
             solved = _solve_while_bound_wins(factor, cands, lognum, idx, den)
@@ -481,7 +503,7 @@ def greedy_select(apg: AbstractedPoseGraph, cands: CandidateSet, walk: Walk,
         log_j += float(log_delta[best])
         selected.append(cand)
         trace.selections.append((cand.i, cand.j, float(log_delta[best])))
-        alive[k] = False
+        live = live[live != k]
     plan = insert_loop_edges(apg, walk, selected, closure, log_j)
     return GreedyResult(selected, plan, trace, log_j)
 

@@ -311,11 +311,12 @@ def _improve(block: _SearchBlock, order, close: bool = False) -> np.ndarray:
                             return woken
         return None
 
-    k = m - 2
-    lower = np.tri(k, dtype=bool)
-    P = np.empty((m, m))
-    scratch = np.empty(m * m)
-    scores = scratch[: k * k].reshape(k, k)
+    if close:  # the full scan's buffers; the list search alone reads none
+        k = m - 2
+        lower = np.tri(k, dtype=bool)
+        P = np.empty((m, m))
+        scratch = np.empty(m * m)
+        scores = scratch[: k * k].reshape(k, k)
 
     def full_scan():
         """Take the best reversal, else the best forward relocation, of all;

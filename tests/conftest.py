@@ -1,6 +1,6 @@
 """Shared helpers: random connected instances and small exact oracles,
-the dense reduced Laplacian, exhaustive loop selection and Held-Karp among
-them."""
+the dense reduced Laplacian, per-candidate weights, exhaustive loop
+selection and Held-Karp among them."""
 
 from __future__ import annotations
 
@@ -12,7 +12,8 @@ from scipy.linalg import solve_triangular
 
 from slamplan.errors import RankDeficientError
 from slamplan.graph import PriorGraph
-from slamplan.laplacian import LaplacianFactor, _pose_factors
+from slamplan.laplacian import LaplacianFactor, _pose_factors, information_weights
+from slamplan.loops import CandidateSet
 from slamplan.se2 import edge_jacobians, edge_residual
 from slamplan.tsp import Tour
 
@@ -83,6 +84,24 @@ def build_reduced_laplacian(n: int, factors) -> np.ndarray:
     cols = np.stack([i, j, j, i], axis=1)
     np.add.at(lap, (rows, cols), np.stack([w, w, -w, -w], axis=1))
     return lap[1:, 1:]
+
+
+def enumerate_candidates_per_pair(apg, closure) -> CandidateSet:
+    """Oracle for ``enumerate_candidates``: every pose pair i > j without a
+    direct factor, sorted by (i, j), each weighed by its own pair
+    covariance, one 3x3 log-det per candidate."""
+    closure.check_serves(apg.graph)
+    p = apg.pose_count
+    iu, ju = np.tril_indices(p, k=-1)
+    ei = np.array([e[0] for e in apg.edges], dtype=np.int64)
+    ej = np.array([e[1] for e in apg.edges], dtype=np.int64)
+    keep = ~np.isin(iu * p + ju, ei * p + ej)
+    iu, ju = iu[keep], ju[keep]
+    g = apg.graph
+    vidx = np.array([g.index[v] for v in apg.pose_to_vertex], dtype=np.int64)
+    a, b = vidx[iu], vidx[ju]
+    gamma = information_weights(g.pair_covs(a, b))
+    return CandidateSet(iu, ju, closure.dist_matrix[a, b], gamma)
 
 
 def brute_force_select(apg, cands, walk):

@@ -25,10 +25,18 @@ from slamplan.loops import (
     quad_forms,
     score_from_scratch,
 )
+from slamplan.mission import Mission, MissionConfig
 from slamplan.planner import STRATEGIES, compute_plan
+from slamplan.sim import WorldModel
 from slamplan.tsp import TourCosts, Walk, expand_to_walk, solve_open_tsp
 
-from conftest import brute_force_select, build_reduced_laplacian, incidence, random_connected_graph
+from conftest import (
+    brute_force_select,
+    build_reduced_laplacian,
+    enumerate_candidates_per_pair,
+    incidence,
+    random_connected_graph,
+)
 
 
 def unitize(g):
@@ -214,6 +222,112 @@ def test_candidate_gamma_values():
     assert gamma() == pytest.approx(46.4159, abs=1e-3)
     g.set_region_covs([g.index[2]], np.diag([1.0, 1.0, 0.01])[None])
     assert gamma() == pytest.approx(8.44, abs=0.01)
+
+
+def random_spd(rng, k):
+    """``k`` random symmetric positive-definite 3x3 matrices."""
+    m = rng.normal(size=(k, 3, 3))
+    s = m @ m.transpose(0, 2, 1)
+    return 0.5 * (s + s.transpose(0, 2, 1)) + 0.1 * np.eye(3)
+
+
+def signed_zero_twins(rng):
+    """A diagonal matrix and its copy with -0.0 off the diagonal: equal in
+    value, different in bytes."""
+    base = np.diag(rng.uniform(0.05, 1.5, size=3))
+    twin = base.copy()
+    twin[0, 1] = twin[1, 0] = -0.0
+    assert np.array_equal(base, twin) and base.tobytes() != twin.tobytes()
+    return np.stack([base, twin])
+
+
+def prior_after_visits(rng, g, visits):
+    """The prior of a mission on ``g`` after the robot has gone to
+    ``visits`` random vertices, each arrival a ``degeneracy_update``: the
+    visited regions hold their own matrices and the unvisited ones share
+    one fallback."""
+    world = WorldModel(g, dict(zip(g.ids, random_spd(rng, len(g.ids)))))
+    mission = Mission(g, world, MissionConfig(), seed=int(rng.integers(1 << 16)))
+    for v in rng.choice(len(g.ids), size=visits):
+        mission._goto(g.ids[v])
+    return mission.prior
+
+
+def assert_same_candidates(got, want):
+    for name in ("i", "j", "omega", "gamma"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 40),
+       extra=st.sampled_from([0.0, 0.1, 0.3, 0.6]),
+       regions=st.sampled_from(["one", "few", "distinct", "signed-zero", "mission"]),
+       prefix=st.one_of(st.none(), st.integers(1, 4)))
+def test_candidates_match_the_per_candidate_oracle(seed, n, extra, regions, prefix):
+    # Weights computed once per ordered pair of region-matrix groups and
+    # gathered per candidate carry the bits of each candidate's own pair
+    # covariance weight, whether the walk's regions share one matrix, a
+    # few, none, differ only in the sign of a zero, or were written by a
+    # mission.  A ``prefix`` of the walk cuts it short; one vertex leaves
+    # a one-pose walk and no candidate.
+    rng = np.random.default_rng(seed)
+    g = random_connected_graph(rng, n, extra_edge_prob=extra, unit_lengths=False)
+    if regions == "mission":
+        g = prior_after_visits(rng, g, visits=min(n, 4))
+    else:
+        pool = {"one": lambda: random_spd(rng, 1),
+                "few": lambda: random_spd(rng, 3),
+                "distinct": lambda: random_spd(rng, n),
+                "signed-zero": lambda: signed_zero_twins(rng)}[regions]()
+        pick = np.arange(n) if regions == "distinct" else rng.integers(len(pool), size=n)
+        g.set_region_covs(range(n), pool[pick])
+    mc, walk, apg, cands = pipeline(g)
+    if prefix is not None:
+        apg = abstract_pose_graph(Walk(walk.vertices[:prefix], 0.0), g)
+        cands = enumerate_candidates(apg, mc)
+    assert_same_candidates(cands, enumerate_candidates_per_pair(apg, mc))
+    if apg.pose_count == 1:
+        assert len(cands) == 0
+
+
+def _count_weights(monkeypatch) -> list:
+    """Record the stack size of every ``information_weights`` call made by
+    the loops module."""
+    sizes = []
+
+    def counted(covs):
+        sizes.append(len(covs))
+        return information_weights(covs)
+
+    monkeypatch.setattr(loops, "information_weights", counted)
+    return sizes
+
+
+def test_one_region_matrix_gives_one_weight(monkeypatch):
+    # A generated grid's regions all keep the default matrix, so its
+    # thousands of candidates share one weight, computed once.
+    g = gen_grid_graph(GridGraphSpec(width=10, height=10, seed=0))
+    mc, walk, apg, _ = pipeline(g)
+    sizes = _count_weights(monkeypatch)
+    cands = enumerate_candidates(apg, mc)
+    assert len(cands) > 4000 and sizes == [1]
+    assert_same_candidates(cands, enumerate_candidates_per_pair(apg, mc))
+
+
+def test_signed_zero_regions_are_not_merged(monkeypatch):
+    # Groups are told apart by bytes: a region with -0.0 off the diagonal
+    # is its own group, so a tree whose regions alternate between the twins
+    # has all four ordered pairs of groups among its candidates.
+    n = 6
+    g = random_connected_graph(np.random.default_rng(0), n, extra_edge_prob=0.0)
+    g.set_region_covs(range(n), signed_zero_twins(np.random.default_rng(1))[np.arange(n) % 2])
+    mc, walk, apg, _ = pipeline(g)
+    sizes = _count_weights(monkeypatch)
+    cands = enumerate_candidates(apg, mc)
+    assert sizes == [4]
+    assert_same_candidates(cands, enumerate_candidates_per_pair(apg, mc))
 
 
 # -- gain and pruning ----------------------------------------------------
@@ -675,6 +789,101 @@ def test_lazy_solve_reaches_a_tied_bound(monkeypatch):
                                            np.zeros(2))
     assert solved.tolist() == [0, 1]
     assert np.array_equal(lognum[idx], exact[idx])
+
+
+def _full_sort_solve(factor, cands, lognum, idx, den):
+    """Reference: ``_solve_while_bound_wins`` as it was before it sorted
+    only the bounds at or above ``_LOG_TOL``, with a stable descending sort
+    of every bound."""
+    bound = lognum[idx] - den
+    order = np.argsort(-bound, kind="stable")
+    done, step, best = 0, loops._LAZY_BATCH, loops._LOG_TOL
+    while done < len(order) and bound[order[done]] >= best:
+        part = order[done : done + step]
+        part = part[bound[part] >= best]
+        loops._solve_columns(factor, cands, lognum, idx[part])
+        best = max(best, float(np.max(lognum[idx[part]] - den[part])))
+        done, step = done + len(part), 2 * step
+    return np.sort(order[:done])
+
+
+def _record_pairs(monkeypatch) -> list:
+    """Record the pose pairs of every ``quad_form_batch`` call."""
+    calls = []
+    batch = LaplacianFactor.quad_form_batch
+
+    def recorded(self, pairs):
+        calls.append(np.array(pairs))
+        return batch(self, pairs)
+
+    monkeypatch.setattr(LaplacianFactor, "quad_form_batch", recorded)
+    return calls
+
+
+def _sweep_like_the_reference(monkeypatch, apg, cands, idx, start, den):
+    """Run both sweeps from numerators ``start`` at ``idx``; assert they
+    solve the same positions, send the same columns to ``quad_form_batch``
+    and leave the same numerators.  Returns the solved positions."""
+    calls = _record_pairs(monkeypatch)
+    out = []
+    for sweep in (loops._solve_while_bound_wins, _full_sort_solve):
+        lognum = np.full(len(cands), np.nan)
+        lognum[idx] = start
+        calls.clear()
+        solved = sweep(apg.factor, cands, lognum, idx, den)
+        out.append((solved.tolist(), [c.tolist() for c in calls], lognum[idx].tobytes()))
+    assert out[0] == out[1]
+    return out[0][0]
+
+
+@pytest.fixture(scope="module")
+def grid5():
+    g = gen_grid_graph(GridGraphSpec(width=5, height=5, seed=0))
+    mc, walk, apg, cands = pipeline(g)
+    return apg, cands
+
+
+# name: (numerators, distance term, first batch, positions solved).  A
+# distance term of 10 puts every solved gain below 0, so the best stays at
+# _LOG_TOL and every bound at it is solved, batch after batch.
+_SWEEP_CASES = {
+    "bounds at the tolerance": ([10.0, 9.0, 10.0, 10.0, 8.0, 10.0], 10.0, 1, [0, 2, 3, 5]),
+    "signed zero bounds": ([0.0, -0.0, -1.0, -0.0], 0.0, 64, [0, 1, 3]),
+    "tied bounds, one column first": ([0.5] * 7, 0.0, 1, list(range(7))),
+    "tied bounds below a winner": ([0.5, 3.0, 0.5, 0.5, -1.0], 0.0, 2, [0, 1, 2, 3]),
+    "all bounds negative": ([-1.0, -0.5, -3.0, -1e-300], 0.0, 64, []),
+    "a single bound": ([0.25], 0.0, 64, [0]),
+    "a single bound at the tolerance": ([10.0], 10.0, 64, [0]),
+    "a single negative bound": ([-0.25], 0.0, 64, []),
+}
+
+
+@pytest.mark.parametrize("case", list(_SWEEP_CASES))
+def test_lazy_sweep_matches_the_full_sort(monkeypatch, grid5, case):
+    apg, cands = grid5
+    start, den, first, expect = _SWEEP_CASES[case]
+    monkeypatch.setattr(loops, "_LAZY_BATCH", first)
+    idx = np.arange(0, 5 * len(start), 5)
+    assert _sweep_like_the_reference(monkeypatch, apg, cands, idx, np.asarray(start),
+                                     np.full(len(start), den)) == expect
+
+
+def test_lazy_sweep_matches_the_full_sort_on_random_bounds(monkeypatch, grid5, rng):
+    # Bounds drawn from few offsets around the solved gains of the grid's
+    # candidates, ties and signed zeros among them, against varied first
+    # batches and distance terms.
+    apg, cands = grid5
+    exact = _solve_everything(apg.factor, cands)
+    partial = 0
+    for _ in range(60):
+        monkeypatch.setattr(loops, "_LAZY_BATCH", int(rng.choice([1, 2, 64])))
+        k = int(rng.integers(1, 40))
+        idx = np.sort(rng.choice(len(cands), size=k, replace=False))
+        den = rng.choice([0.0, 0.01, 10.0], size=k)
+        start = exact[idx] + rng.choice([-0.0, 0.0, 1e-3, 0.05, -0.05], size=k)
+        solved = _sweep_like_the_reference(monkeypatch, apg, cands, idx, start, den)
+        partial += 0 < len(solved) < k
+    assert partial >= 10  # most draws solve some of their bounds, not all
 
 
 def test_quad_forms_chunked_match_one_batch(rng, monkeypatch):
