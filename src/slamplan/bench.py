@@ -5,7 +5,8 @@ vertices and edges (resampled until connected), then vertex positions get
 Gaussian jitter.  The pruning benchmark runs the greedy loop selection
 twice, with and without candidate filtering, checks the selections agree,
 and reports survivor counts and wall-clock times.  The strategy benchmark
-runs paired missions per seed and summarizes the error/distance tradeoff.
+scores both strategies on paired seeds and summarizes the error/distance
+tradeoff.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from scipy.sparse.csgraph import connected_components
 from .errors import InputError, MismatchError
 from .graph import PriorGraph, _adjacency
 from .loops import enumerate_candidates, exact_prune_test, greedy_select
-from .mission import MissionConfig, run_mission
+from .mission import MissionConfig, replay_mission, run_mission
 from .planner import STRATEGIES, compute_plan
 from .sim import WorldModel, _check_seed
 
@@ -275,40 +276,63 @@ def _fmt(x):
     return x
 
 
-def _compare_worker(args):
-    prior, world, cfg, seed = args
-    _, metrics = run_mission(prior, world, cfg, seed)
-    return seed, cfg.strategy, metrics
+def _mission_worker(args):
+    prior, world, strategy, seed = args
+    log, metrics = run_mission(prior, world, MissionConfig(strategy=strategy), seed)
+    return log.pose_graph.vertex_of_pose, metrics
+
+
+def _replay_worker(args):
+    return replay_mission(*args)
 
 
 def compare_strategies(prior: PriorGraph, world: WorldModel, seeds,
                        workers: int | None = None) -> ComparisonResult:
-    """Paired mission runs per seed for each strategy, with summary stats.
+    """Paired runs per seed for each strategy, with summary stats.
 
-    Instances are independent and run across a process pool by default, one
-    worker per usable core; results merge by (seed, strategy) so the report
-    never depends on completion order.  ``workers=1`` forces in-process execution.
-    Seeds are checked before any mission starts.
+    No mission decision reads a measurement, so a strategy executes the
+    same route under every seed (see ``mission``).  Each strategy's mission
+    therefore runs once, on the first sorted seed, and ``replay_mission``
+    scores its route under each other seed: the rows are those of a full
+    mission per (seed, strategy).  Both phases run on one process pool of
+    at most ``workers`` processes, one per usable core by default, and
+    results merge in (seed, strategy) job order, so neither the report nor
+    the first exception raised depends on completion order or on the
+    worker count.  A pool of one runs in-process.  Seeds and ``workers``
+    are checked before any mission starts.
     """
     seeds = sorted(_check_seed(s) for s in seeds)
     if len(seeds) < 2 or len(set(seeds)) < len(seeds):
         raise InputError(f"comparison needs at least 2 seeds, all distinct, got {seeds}")
-    jobs = [
-        (prior, world, MissionConfig(strategy=strategy), seed)
-        for seed in seeds
-        for strategy in STRATEGIES
-    ]
     if workers is None:
-        workers = min(len(jobs), _usable_cores())
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_compare_worker, jobs, chunksize=1))
+        workers = _usable_cores()
+    elif isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
+        raise InputError(f"workers must be a positive integer, got {workers!r}")
+    first, rest = seeds[0], seeds[1:]
+    missions = [(prior, world, strategy, first) for strategy in STRATEGIES]
+
+    def both_phases(run):
+        decided = list(run(_mission_worker, missions))
+        replays = [(route, world, seed, metrics)
+                   for seed in rest for route, metrics in decided]
+        return [m for _, m in decided] + list(run(_replay_worker, replays))
+
+    size = min(workers, len(STRATEGIES) * len(rest))  # jobs in the larger phase
+    if size > 1:
+        with ProcessPoolExecutor(max_workers=size) as pool:
+            scored = both_phases(pool.map)
     else:
-        results = [_compare_worker(job) for job in jobs]
-    results.sort(key=lambda r: (r[0], r[1]))
+        scored = both_phases(map)
+    jobs = [(seed, strategy) for seed in seeds for strategy in STRATEGIES]
+    return _comparison(seeds, zip(jobs, scored))
+
+
+def _comparison(seeds, scored) -> ComparisonResult:
+    """Rows in (seed, strategy) order and summary stats from the
+    ((seed, strategy), metrics) pairs of sorted, distinct ``seeds``."""
     rows = []
     by_strategy = {s: {} for s in STRATEGIES}
-    for seed, strategy, metrics in results:
+    for (seed, strategy), metrics in sorted(scored, key=lambda r: r[0]):
         rows.append({
             "seed": seed,
             "strategy": strategy,

@@ -28,6 +28,14 @@ covariance writes leave unchanged.
 
 Updates become visible at step boundaries: one goto follows one frozen
 shortest path even if coverage during it reveals new edges.
+
+No decision reads a measured value.  Plans, replans, online updates and
+fix-ups read covariances, the route and the closure, never a noisy
+measurement ``z``, so the seed moves only the noise draws and what is
+computed from them: the Gauss-Newton solve, APE and the FIM's D-opt.
+Every seed executes the same route, events and plans, and
+``replay_mission`` scores a mission's route under another seed without
+deciding it again.
 """
 
 from __future__ import annotations
@@ -49,6 +57,7 @@ from .sim import (
     ape_rmse,
     log_dopt_fim,
     optimize_pose_graph,
+    simulate_walk,
 )
 from .tsp import TourCosts, Walk, solve_fixed_end_tsp, solve_open_tsp
 
@@ -380,23 +389,52 @@ class Mission:
 
     def finish(self):
         pg = self.runner.pose_graph()
-        info = optimize_pose_graph(pg)
+        info, metrics = score_pose_graph(
+            pg,
+            self.runner.distance,
+            float(np.exp(self._combined_log_dopt([self.current], []))),
+            all(p.assumption_ok for p in self.log.plans),
+        )
         self.log.pose_graph = pg
         self.log.prior = self.prior
         self.log.optimizer_info = info
-        metrics = MissionMetrics(
-            ape_rmse=ape_rmse(pg.estimates, pg.poses_true),
-            total_distance=self.runner.distance,
-            pose_count=pg.pose_count,
-            mean_degree=pg.mean_degree(),
-            dopt_predicted=float(np.exp(self._combined_log_dopt([self.current], []))),
-            dopt_fim=float(np.exp(log_dopt_fim(pg))),
-            assumption_ok=all(p.assumption_ok for p in self.log.plans),
-        )
         return self.log, metrics
+
+
+def score_pose_graph(pg: SimPoseGraph, total_distance: float, dopt_predicted: float,
+                     assumption_ok: bool) -> tuple[dict, MissionMetrics]:
+    """Optimize an executed route's pose graph and score it: returns the
+    optimizer's run info and the mission's metrics.  APE and the FIM's
+    D-opt are measured on ``pg``; distance, predicted D-opt and the detour
+    audit are the mission's decisions, passed in."""
+    info = optimize_pose_graph(pg)
+    return info, MissionMetrics(
+        ape_rmse=ape_rmse(pg.estimates, pg.poses_true),
+        total_distance=total_distance,
+        pose_count=pg.pose_count,
+        mean_degree=pg.mean_degree(),
+        dopt_predicted=dopt_predicted,
+        dopt_fim=float(np.exp(log_dopt_fim(pg))),
+        assumption_ok=assumption_ok,
+    )
 
 
 def run_mission(prior: PriorGraph, world: WorldModel,
                 config: MissionConfig | None = None, seed: int = 0):
     """Plan, execute, update online, and score one exploration mission."""
     return Mission(prior, world, config, seed).run()
+
+
+def replay_mission(route, world: WorldModel, seed, decided: MissionMetrics) -> MissionMetrics:
+    """The metrics ``run_mission`` gives under ``seed`` for a mission that
+    executed ``route`` and scored ``decided`` under another seed.
+
+    No decision reads a measurement, so the mission would execute the same
+    route under ``seed``, and ``simulate_walk`` draws that route's noise
+    exactly as the mission's own runner does; only the measured fields
+    differ from ``decided``.
+    """
+    _, metrics = score_pose_graph(simulate_walk(route, world, seed),
+                                  decided.total_distance, decided.dopt_predicted,
+                                  decided.assumption_ok)
+    return metrics

@@ -1,6 +1,6 @@
 """Shared helpers: random connected instances and small exact oracles,
 the dense reduced Laplacian, per-candidate weights, exhaustive loop
-selection and Held-Karp among them."""
+selection, Held-Karp and one full mission per compared pair among them."""
 
 from __future__ import annotations
 
@@ -10,10 +10,13 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
 
+from slamplan.bench import _comparison
 from slamplan.errors import RankDeficientError
 from slamplan.graph import PriorGraph
 from slamplan.laplacian import LaplacianFactor, _pose_factors, information_weights
 from slamplan.loops import CandidateSet
+from slamplan.mission import MissionConfig, run_mission
+from slamplan.planner import STRATEGIES
 from slamplan.se2 import edge_jacobians, edge_residual
 from slamplan.tsp import Tour
 
@@ -182,6 +185,17 @@ def solve_open_tsp_exact(costs, end=None) -> Tour:
     end_idx = None if end is None else costs.end_index(end)
     order, length = _held_karp(costs.sym, end_idx)
     return Tour(costs.to_ids(order), length)
+
+
+def compare_per_pair(prior, world, seeds):
+    """Reference strategy comparison: a full mission for every (seed,
+    strategy) pair, in job order, in-process, with no route replayed."""
+    seeds = sorted(seeds)
+    jobs = [(seed, strategy) for seed in seeds for strategy in STRATEGIES]
+    return _comparison(seeds, [
+        (job, run_mission(prior, world, MissionConfig(strategy=job[1]), job[0])[1])
+        for job in jobs
+    ])
 
 
 def dense_information(pg, est=None):

@@ -1,11 +1,13 @@
 import csv
 import io
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from slamplan import bench
+from slamplan import bench, mission
 from slamplan.bench import (
     TIMING_COLUMNS,
     ComparisonResult,
@@ -16,15 +18,17 @@ from slamplan.bench import (
     gen_grid_graph,
     prune_report_csv,
 )
-from slamplan.errors import InputError
-from slamplan.graph import metric_closure
+from slamplan.errors import DivergenceError, InputError
+from slamplan.graph import load_prior_graph, metric_closure
 from slamplan.loops import (
     abstract_pose_graph,
     enumerate_candidates,
     exact_prune_test,
 )
-from slamplan.sim import WorldModel
+from slamplan.sim import WorldModel, load_world, simulate_walk
 from slamplan.tsp import TourCosts, expand_to_walk, solve_open_tsp
+
+from conftest import compare_per_pair
 
 
 def test_spec_from_dict_rejects_unknown_keys():
@@ -160,6 +164,115 @@ def test_compare_checks_seeds_before_any_mission(monkeypatch, path3, seeds, matc
     monkeypatch.setattr(bench, "ProcessPoolExecutor", no_mission)
     with pytest.raises(InputError, match=match):
         compare_strategies(path3, WorldModel(path3), seeds)
+
+
+@pytest.mark.parametrize("workers", [0, -2, True, False, 2.0, "2"])
+def test_compare_checks_workers_before_any_mission(monkeypatch, path3, workers):
+    def no_mission(*args, **kwargs):
+        raise AssertionError("a mission ran before the worker count was checked")
+
+    monkeypatch.setattr(bench, "run_mission", no_mission)
+    monkeypatch.setattr(bench, "ProcessPoolExecutor", no_mission)
+    with pytest.raises(InputError, match=re.escape(
+            f"workers must be a positive integer, got {workers!r}")):
+        compare_strategies(path3, WorldModel(path3), [0, 1], workers=workers)
+
+
+@pytest.fixture
+def recorded_pools(monkeypatch):
+    """Replace the process pool with one that runs its jobs in-process and
+    records its size and the job count of each ``map``."""
+    pools = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            self.record = [max_workers]
+            pools.append(self.record)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            jobs = list(jobs)
+            self.record.append(len(jobs))
+            return map(fn, jobs)
+
+    monkeypatch.setattr(bench, "ProcessPoolExecutor", Pool)
+    return pools
+
+
+@pytest.mark.parametrize("workers, cores, seeds, pools", [
+    (64, 2, range(10), [[18, 2, 18]]),
+    (64, 2, [0, 1], [[2, 2, 2]]),
+    (3, 2, range(10), [[3, 2, 18]]),
+    (None, 64, range(10), [[18, 2, 18]]),
+    (None, 2, range(10), [[2, 2, 18]]),
+    (1, 64, range(10), []),
+], ids=["capped", "capped-two-seeds", "below-jobs", "default-capped",
+        "default-cores", "one-in-process"])
+def test_compare_pool_never_outnumbers_its_jobs(monkeypatch, recorded_pools,
+                                                workers, cores, seeds, pools):
+    # one pool runs both phases: a mission per strategy, then a replay per
+    # other (seed, strategy); it is never larger than the replay phase
+    monkeypatch.setattr(bench, "_usable_cores", lambda: cores)
+    g = gen_grid_graph(GridGraphSpec(width=4, height=4, seed=6))
+    res = compare_strategies(g, WorldModel(g), seeds, workers=workers)
+    assert recorded_pools == pools
+    assert len(res.rows) == 2 * len(seeds)
+
+
+def _compare_instance(name):
+    if name == "grid4":
+        g = gen_grid_graph(GridGraphSpec(width=4, height=4, seed=6))
+        return g, WorldModel(g)
+    envs = Path(__file__).resolve().parents[1] / "src" / "slamplan" / "envs"
+    return (load_prior_graph(str(envs / f"{name}.json")),
+            load_world(str(envs / f"{name}_world.json")))
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(name=st.sampled_from(["env1", "grid4"]),
+       seeds=st.lists(st.integers(0, 2**32 - 1), min_size=2, max_size=4, unique=True))
+def test_compare_matches_one_mission_per_pair(name, seeds):
+    prior, world = _compare_instance(name)
+    want = compare_per_pair(prior, world, seeds).to_csv()
+    for workers in (1, 2):
+        assert compare_strategies(prior, world, seeds, workers=workers).to_csv() == want
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_compare_matches_one_mission_per_pair_on_env2(workers):
+    prior, world = _compare_instance("env2")
+    seeds = [31, 2, 9]
+    want = compare_per_pair(prior, world, seeds).to_csv()
+    assert compare_strategies(prior, world, seeds, workers=workers).to_csv() == want
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("bad", [0, 5], ids=["mission-seed", "replayed-seed"])
+def test_compare_raises_the_reference_exception(monkeypatch, workers, bad):
+    # scoring diverges under one seed, whether its pose graph comes from the
+    # mission or from a replay; the first error in job order is raised
+    prior, world = _compare_instance("env1")
+    score = mission.score_pose_graph
+
+    def diverge_under_bad(pg, *decided):
+        drawn = simulate_walk(pg.vertex_of_pose, world, bad).odometry
+        if all(np.array_equal(z, zb) for (_, _, z, _), (_, _, zb, _)
+               in zip(pg.odometry, drawn)):
+            raise DivergenceError(f"seed {bad}, {pg.pose_count} poses")
+        return score(pg, *decided)
+
+    monkeypatch.setattr(mission, "score_pose_graph", diverge_under_bad)
+    seeds = [7, bad, 2, 11]
+    with pytest.raises(DivergenceError) as want:
+        compare_per_pair(prior, world, seeds)
+    with pytest.raises(DivergenceError) as got:
+        compare_strategies(prior, world, seeds, workers=workers)
+    assert str(got.value) == str(want.value)
 
 
 def test_compare_rows_sorted_and_summary(path3):

@@ -660,3 +660,24 @@ def test_subpath_fixup_runs_once_per_revealed_topology(monkeypatch, name):
     fixups = trace.count("fixup")
     assert trace.count("write") > fixups
     assert fixups <= len(rebuilds) - 1
+
+
+@pytest.mark.parametrize("replanning", [True, False], ids=["replan", "no-replan"])
+@pytest.mark.parametrize("strategy", ["tsp_only", "slam_aware"])
+@pytest.mark.parametrize("name", ["env1", "env2", "grid8-3", "grid8-4"])
+def test_no_mission_decision_reads_a_measurement(name, strategy, replanning):
+    # compare_strategies runs each strategy's mission on one seed and
+    # replays its route for the others: sound only while the seed moves
+    # the noise draws and nothing that the mission decides
+    prior, world = _lockstep_instance(name)
+    cfg = MissionConfig(strategy=strategy, replanning=replanning)
+    decided, apes = [], set()
+    for seed in (0, 7, 123):
+        log, m = run_mission(prior, world, cfg, seed)
+        decided.append((log.events, [p.to_dict() for p in log.plans],
+                        log.pose_graph.vertex_of_pose, m.total_distance,
+                        m.dopt_predicted))
+        apes.add(m.ape_rmse)
+    assert len(apes) == 3  # the seeds do draw different noise
+    assert decided[1] == decided[0]
+    assert decided[2] == decided[0]
