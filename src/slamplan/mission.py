@@ -21,6 +21,9 @@ planner is re-run over the remaining vertices and the better of {existing
 remainder, fresh plan} is kept, scored by remaining quality per meter:
 both are scored as a vertex sequence, a length and loop factors, and the
 log D-opt is ``loops.log_dopt_from_scratch``, the planner's oracle path.
+The fresh plan's tour polishes the remainder's own order of unvisited
+vertices instead of eight fresh restarts, so it is never longer than the
+remainder; the mission's first plan keeps the eight restarts.
 Between loop closures, a cheaper fix-up re-solves the segment up to the
 next loop anchor as a small TSP whenever an edge has been revealed since
 the last fix-up or plan load: the TSP reads closure distances alone, which
@@ -272,9 +275,18 @@ class Mission:
             return log_dopt
         return log_dopt - float(np.log(total))
 
+    def _remaining_order(self):
+        """The current vertex, then the unvisited vertices in order of first
+        appearance in the steps, loop anchors and targets included."""
+        ahead = (v for kind, arg in self.steps
+                 for v in ((arg,) if kind == "visit" else (arg.anchor, arg.target)))
+        return list(dict.fromkeys(
+            [self.current, *(v for v in ahead if v not in self.visited)]))
+
     def replan(self):
-        """Re-run the planner over unvisited vertices; keep the better of
-        the fresh plan and the existing remainder (ties keep existing)."""
+        """Re-run the planner over unvisited vertices, its tour polished from
+        the remainder's order (``_remaining_order``); keep the better of the
+        fresh plan and the existing remainder (ties keep existing)."""
         closure = self.closure()
         unvisited = [v for v in self.prior.ids if v not in self.visited]
         if not unvisited:
@@ -286,6 +298,7 @@ class Mission:
             closure=closure,
             include=set(unvisited),
             start=self.current,
+            order=self._remaining_order(),
         )
         plan = outcome.plan
         existing = self._remaining_score(*self._project_remaining(self.steps, closure))

@@ -43,11 +43,15 @@ def compute_plan(
     closure=None,
     include=None,
     start=None,
+    order=None,
 ) -> PlanningOutcome:
     """Plan coverage of ``include`` (default: all vertices) from ``start``.
 
     ``closure`` may be supplied to reuse a cached all-pairs table; it must
-    be of ``graph`` and fresh, or MismatchError is raised.
+    be of ``graph`` and fresh, or MismatchError is raised.  The coverage
+    tour polishes ``order``, every tour vertex once with the start first,
+    if given (a replan passes the remainder it would replace); otherwise,
+    as in a first plan, it polishes eight nearest-neighbor restarts.
     """
     if strategy not in STRATEGIES:
         raise InputError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
@@ -55,7 +59,7 @@ def compute_plan(
         closure = metric_closure(graph)
     closure.check_serves(graph)
     costs = TourCosts(closure, include=include, start=start)
-    tour = solve_open_tsp(costs)
+    tour = solve_open_tsp(costs, order)
     walk = expand_to_walk(closure, tour.order)
     apg = abstract_pose_graph(walk, graph)
     if strategy == "tsp_only":

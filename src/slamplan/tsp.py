@@ -19,6 +19,11 @@ runs again from every vertex, and each time it ends, one full scan of every
 reversal and every forward segment relocation resumes it if it finds a
 move, so every returned tour is a local optimum of both full
 neighbourhoods.
+
+An open tour may instead be given a visiting order to start from, as a
+mission's replan gives the order of the remainder it would replace.  That
+order is the one seed: it is polished and closed the same way and no
+nearest-neighbor seed is built, so the tour is never longer than the order.
 """
 
 from __future__ import annotations
@@ -76,6 +81,26 @@ class TourCosts:
 
     def to_ids(self, order) -> list:
         return [self.ids[k] for k in order]
+
+    def order_indices(self, order) -> list:
+        """Indices in ``ids`` of ``order``, which must list every vertex of
+        the tour once, the start first; InputError names the first vertex
+        that breaks this."""
+        order = list(order)
+        if not order or order[0] != self.start:
+            raise InputError(f"tour order must begin at the start vertex {self.start!r}")
+        index = {v: k for k, v in enumerate(self.ids)}
+        seen = set()
+        for v in order:
+            if v not in index:
+                raise InputError(f"tour order vertex {v!r} is not a vertex of the tour")
+            if v in seen:
+                raise InputError(f"tour order repeats vertex {v!r}")
+            seen.add(v)
+        missing = [v for v in self.ids if v not in seen]
+        if missing:
+            raise InputError(f"tour order misses vertex {missing[0]!r}")
+        return [index[v] for v in order]
 
     def end_index(self, end) -> int:
         """Index of the tour's forced last vertex ``end`` in ``ids``."""
@@ -381,15 +406,20 @@ def _best_of_restarts(dist: np.ndarray, seeds: np.ndarray, n: int) -> tuple[list
     return [int(v) for v in arr], _route_length(dist, arr)
 
 
-def _solve_indices(sym: np.ndarray, end: int | None) -> tuple[list, float]:
+def _solve_indices(sym: np.ndarray, end: int | None, seed=None) -> tuple[list, float]:
     """Heuristic tour over ``sym`` from index 0 to ``end``, or, for an open
-    tour (``end`` None), to a free terminal that the result drops."""
+    tour (``end`` None), to a free terminal that the result drops.  A
+    ``seed``, an order of every index of ``sym`` from 0 (to ``end`` if
+    given), is polished alone instead of the nearest-neighbor seeds."""
     n = sym.shape[0]
     dist = sym
     if end is None:  # the terminal, index n, costs nothing to or from any vertex
         dist = np.zeros((n + 1, n + 1))
         dist[:n, :n] = sym
         end = n
+        seed = None if seed is None else [*seed, end]
+    if seed is not None:
+        return _best_of_restarts(dist, [seed], n)
     seconds = _seed_seconds(dist, _RESTARTS, skip=(0, end))
     return _best_of_restarts(dist, _nn_seeds(dist, seconds, end), n)
 
@@ -397,10 +427,13 @@ def _solve_indices(sym: np.ndarray, end: int | None) -> tuple[list, float]:
 # -- public solvers ------------------------------------------------------
 
 
-def solve_open_tsp(costs: TourCosts) -> Tour:
-    """Heuristic open tour from the start over all vertices of ``costs``."""
-    order, length = _solve_indices(costs.sym, None)
-    return Tour(costs.to_ids(order), length)
+def solve_open_tsp(costs: TourCosts, order=None) -> Tour:
+    """Heuristic open tour from the start over all vertices of ``costs``,
+    polished from ``order`` (every vertex once, the start first) if given,
+    else from eight nearest-neighbor seeds."""
+    seed = None if order is None else costs.order_indices(order)
+    best, length = _solve_indices(costs.sym, None, seed)
+    return Tour(costs.to_ids(best), length)
 
 
 def solve_fixed_end_tsp(costs: TourCosts, end) -> Tour:

@@ -274,6 +274,24 @@ def test_simulate_prior_edge_absent_from_world_exits_with_error(tmp_path, capsys
     assert capsys.readouterr().err == "error: prior edge ('a', 'c') absent from world\n"
 
 
+@pytest.mark.parametrize("spoil, message", [
+    (lambda order: order + order[1:2], "tour order repeats vertex "),
+    (lambda order: order[:-1], "tour order misses vertex "),
+    (lambda order: order[1:], "tour order must begin at the start vertex "),
+], ids=["repeated", "missing", "no-start"])
+def test_simulate_with_a_bad_replan_order_exits_with_error(monkeypatch, capsys, spoil, message):
+    # A replan whose remainder order is not the tour's vertex set with the
+    # start first fails as an InputError, which the CLI reports with code 2.
+    from slamplan.mission import Mission
+
+    remaining = Mission._remaining_order
+    monkeypatch.setattr(Mission, "_remaining_order", lambda self: spoil(remaining(self)))
+    envs = Path(slamplan.__file__).resolve().parent / "envs"
+    assert main(["simulate", str(envs / "env1.json"), str(envs / "env1_world.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: " + message) and err.count("\n") == 1
+
+
 def test_compare_too_few_seeds(graph_file, world_file, capsys):
     code = main(["compare", graph_file, world_file, "--seeds", "1"])
     assert code == 2

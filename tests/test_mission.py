@@ -1,9 +1,12 @@
 from collections import Counter, deque
+from math import fsum
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from slamplan import tsp
 from slamplan.errors import DisconnectedError, InputError, MismatchError
 from slamplan.graph import PriorGraph, load_prior_graph, metric_closure
 from slamplan.loops import LoopAction, Plan
@@ -370,6 +373,91 @@ def test_subpath_reorders_bad_segment():
     assert new_len < 5.0
 
 
+def test_remaining_order_lists_unvisited_vertices_by_first_appearance():
+    # The order a replan polishes: the current vertex, then each unvisited
+    # vertex where the steps first reach it, a loop's anchor and target
+    # included; visited vertices and repeats are dropped.
+    g = chain_graph(8)
+    mission = Mission(g, matched_world(g), MissionConfig(), seed=0)
+    mission.visited.add(3)
+    loop = lambda anchor, target: LoopAction(anchor, target, 1.0, 1.0, 0, 0, position=0)  # noqa: E731
+    mission.steps = deque([
+        ("visit", 4), ("visit", 2), ("visit", 3), ("visit", 4), ("loop", loop(5, 3)),
+        ("visit", 7), ("visit", 6), ("loop", loop(7, 1)), ("visit", 6),
+    ])
+    # 5 is reached only as an anchor and 1 only as a target
+    assert mission._remaining_order() == [0, 4, 2, 5, 7, 6, 1]
+    # the fix-up reorders the goals before the first anchor: 0 -> 2 -> 4 -> 5
+    assert mission.optimize_subpath()
+    assert list(mission.steps)[:3] == [("visit", 2), ("visit", 4), ("visit", 5)]
+    order = mission._remaining_order()
+    assert order == [0, 2, 4, 5, 7, 6, 1]
+    assert set(order[1:]) == set(g.ids) - mission.visited
+    mission.replan()  # the order is the tour's vertex set, the start first
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(st.integers(0, 2**31 - 1), st.sampled_from([5.0, 6.0, 7.0]))
+def test_replan_tours_are_no_longer_than_the_remainder_they_polish(seed, size):
+    # Every fresh replan tour, accepted or rejected, is polished from the
+    # remainder's own order, which covers every unvisited vertex with the
+    # current vertex first; so, summed exactly, it is no longer than it.
+    import slamplan.mission as mission_mod
+
+    solves = []  # per replan: closure, vertex set, remainder order, fresh tour order
+    plan = mission_mod.compute_plan
+
+    def recorded(graph, **kwargs):
+        outcome = plan(graph, **kwargs)
+        if kwargs.get("order") is not None:
+            solves.append((kwargs["closure"], kwargs["include"] | {kwargs["start"]},
+                           kwargs["order"], outcome.tour.order))
+        return outcome
+
+    prior, world = _lognormal_grid_world(seed, size)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mission_mod, "compute_plan", recorded)
+        run_mission(prior, world, MissionConfig(), seed=0)
+    assume(solves)  # a mission that closes no loop never replans
+    for closure, vertices, remainder, tour in solves:
+        assert set(remainder) == vertices and remainder[0] == tour[0]
+        assert sorted(tour) == sorted(remainder)
+        legs = lambda order: fsum(closure.dist(a, b) for a, b in zip(order, order[1:]))  # noqa: E731
+        assert legs(tour) <= legs(remainder)
+
+
+@pytest.mark.parametrize("name", ["env1", "grid8-3", "grid8-4"])  # env2 closes no loop
+def test_nearest_neighbor_seeds_are_built_by_first_plans_and_fixups_only(monkeypatch, name):
+    # A mission builds the eight nearest-neighbor seeds for its first plan
+    # and for each fix-up solve; a replan polishes the remainder instead.
+    import slamplan.mission as mission_mod
+
+    where = []
+    in_replan = []
+    build = tsp._nn_seeds
+    monkeypatch.setattr(tsp, "_nn_seeds", lambda *a: where.append(bool(in_replan)) or build(*a))
+    replan = Mission.replan
+
+    def flagged(self):
+        in_replan.append(True)
+        try:
+            return replan(self)
+        finally:
+            in_replan.pop()
+
+    monkeypatch.setattr(Mission, "replan", flagged)
+    fixups = []
+    for solver in ("solve_open_tsp", "solve_fixed_end_tsp"):
+        solve = getattr(mission_mod, solver)
+        monkeypatch.setattr(mission_mod, solver,
+                            lambda *a, solve=solve: fixups.append(1) or solve(*a))
+    prior, world = _lockstep_instance(name)
+    log, _ = run_mission(prior, world, MissionConfig(), seed=2)
+    assert any(e["event"].startswith("replan") for e in log.events)
+    assert not any(where)
+    assert len(where) == 1 + len(fixups)
+
+
 def test_subpath_single_goal_unchanged():
     g = chain_graph(3, ids=["a", "b", "c"])
     world = matched_world(g)
@@ -493,13 +581,13 @@ class _PerItemReference(_Recorded):
         return True
 
 
-def _lognormal_grid_world(seed):
-    """8x8 grid world with a log-normal degeneracy per region and axis, and
-    a prior that hides a few non-bridge edges of it."""
+def _lognormal_grid_world(seed, size=8.0):
+    """Grid world, 8x8 by default, with a log-normal degeneracy per region
+    and axis, and a prior that hides a few non-bridge edges of it."""
     from slamplan.bench import GridGraphSpec, gen_grid_graph
 
     rng = np.random.default_rng(seed)
-    true = gen_grid_graph(GridGraphSpec(width=8.0, height=8.0, seed=seed))
+    true = gen_grid_graph(GridGraphSpec(width=size, height=size, seed=seed))
     deg = {v: np.diag([0.1, 0.1, 0.001] * np.exp(rng.normal(0.0, 0.5, size=3)))
            for v in true.ids}
     vertices = [(v, *true.position(v)) for v in true.ids]

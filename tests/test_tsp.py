@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import signal
 
 import numpy as np
@@ -359,6 +360,45 @@ def test_search_ends_at_a_full_scan_local_optimum(case):
         _assert_full_scan_optimum(dist, got)
 
 
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_seed_blocks(), st.integers(0, 2**32 - 1))
+def test_seeded_solve_polishes_its_seed_to_a_full_scan_optimum(case, shuffle):
+    # A solve given one seed order polishes that order alone: on open and
+    # fixed-end blocks it returns every index once, the start first and the
+    # pin last, at a local optimum of both full neighbourhoods, and, summed
+    # exactly, no longer than the seed.
+    sym, end, _ = case
+    n = len(sym)
+    dist, pinned, _ = _pinned_block(sym, end)
+    middle = [v for v in range(1, n) if v != end]
+    seed = [0] + [middle[k] for k in np.random.default_rng(shuffle).permutation(len(middle))]
+    seed += [] if end is None else [end]
+    order, length = tsp._solve_indices(sym, end, seed)
+    assert sorted(order) == list(range(n)) and order[0] == 0
+    assert length == tsp._route_length(sym, order)
+    got = np.asarray(order if end is not None else order + [pinned])
+    assert got[-1] == pinned
+    _assert_full_scan_optimum(dist, got)
+    legs = lambda o: math.fsum(sym[o[:-1], o[1:]])  # noqa: E731
+    assert legs(np.asarray(order)) <= legs(np.asarray(seed))
+
+
+def test_seeded_open_solve_builds_no_nearest_neighbor_seed(monkeypatch):
+    # An open tour given an order polishes it and nothing else, so it builds
+    # no nearest-neighbor seed; without an order it builds its eight once.
+    build = tsp._nn_seeds
+    built = []
+    monkeypatch.setattr(tsp, "_nn_seeds", lambda *a: built.append(1) or build(*a))
+    costs = costs_for(gen_grid_graph(GridGraphSpec(width=8.0, height=8.0, seed=0)))
+    solve_open_tsp(costs)
+    assert len(built) == 1
+    backwards = [0, *range(len(costs.ids) - 1, 0, -1)]
+    tour = solve_open_tsp(costs, costs.to_ids(backwards))
+    assert len(built) == 1
+    assert sorted(tour.order) == sorted(costs.ids) and tour.order[0] == costs.start
+    assert tour.length < math.fsum(costs.sym[backwards[:-1], backwards[1:]])
+
+
 def test_only_the_winning_restart_is_closed_by_full_scans(monkeypatch):
     # The closing stage runs once per solve, on the shortest restart alone,
     # so a 15x15 open solve scans every reversal fewer times than it has
@@ -492,3 +532,27 @@ def test_tour_inputs_name_unknown_and_misplaced_vertices(triangle):
                   lambda: solve_open_tsp_exact(costs, end="a")):
         with pytest.raises(InputError, match="tour end 'a' is the start vertex"):
             solve()
+
+
+@pytest.mark.parametrize("order, message", [
+    ([], "tour order must begin at the start vertex 'a'"),
+    (["b", "a", "c"], "tour order must begin at the start vertex 'a'"),
+    (["a", "b", "nope", "c"], "tour order vertex 'nope' is not a vertex of the tour"),
+    (["a", "b", "b", "c"], "tour order repeats vertex 'b'"),
+    (["a", "a", "b", "c"], "tour order repeats vertex 'a'"),
+    (["a", "c"], "tour order misses vertex 'b'"),
+    (["a"], "tour order misses vertex 'b'"),
+], ids=["empty", "wrong-start", "unknown", "repeated", "repeated-start", "missing",
+        "start-only"])
+def test_tour_order_names_the_first_bad_vertex(triangle, order, message):
+    # An order to polish lists the tour's vertices once each, the start
+    # first; anything else is an InputError naming the first vertex amiss.
+    costs = costs_for(triangle)
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        solve_open_tsp(costs, order)
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        compute_plan(triangle, order=order)
+    # a vertex of the graph that the tour leaves out is unknown to the tour
+    with pytest.raises(InputError, match="tour order vertex 'c' is not a vertex of the tour"):
+        compute_plan(triangle, include=["b"], order=["a", "b", "c"])
+    assert solve_open_tsp(costs, ["a", "c", "b"]).length == pytest.approx(2.0)
