@@ -293,13 +293,14 @@ def compare_strategies(prior: PriorGraph, world: WorldModel, seeds,
     No mission decision reads a measurement, so a strategy executes the
     same route under every seed (see ``mission``).  Each strategy's mission
     therefore runs once, on the first sorted seed, and ``replay_mission``
-    scores its route under each other seed: the rows are those of a full
-    mission per (seed, strategy).  Both phases run on one process pool of
-    at most ``workers`` processes, one per usable core by default, and
-    results merge in (seed, strategy) job order, so neither the report nor
-    the first exception raised depends on completion order or on the
-    worker count.  A pool of one runs in-process.  Seeds and ``workers``
-    are checked before any mission starts.
+    scores its route under all other seeds as one batch: the rows are those
+    of a full mission per (seed, strategy).  Both phases, one job per
+    strategy each, run on one process pool of at most ``workers``
+    processes, one per usable core by default, so no batch depends on the
+    worker count.  Results merge in (seed, strategy) order, and the first
+    error in that order is raised, so neither the report nor the error
+    depends on completion order.  A pool of one runs in-process.  Seeds and
+    ``workers`` are checked before any mission starts.
     """
     seeds = sorted(_check_seed(s) for s in seeds)
     if len(seeds) < 2 or len(set(seeds)) < len(seeds):
@@ -313,16 +314,19 @@ def compare_strategies(prior: PriorGraph, world: WorldModel, seeds,
 
     def both_phases(run):
         decided = list(run(_mission_worker, missions))
-        replays = [(route, world, seed, metrics)
-                   for seed in rest for route, metrics in decided]
-        return [m for _, m in decided] + list(run(_replay_worker, replays))
+        replays = run(_replay_worker, [(route, world, rest, metrics)
+                                       for route, metrics in decided])
+        return [m for _, m in decided] + [m for by_seed in zip(*replays) for m in by_seed]
 
-    size = min(workers, len(STRATEGIES) * len(rest))  # jobs in the larger phase
+    size = min(workers, len(STRATEGIES))  # jobs per phase
     if size > 1:
         with ProcessPoolExecutor(max_workers=size) as pool:
             scored = both_phases(pool.map)
     else:
         scored = both_phases(map)
+    for outcome in scored:
+        if isinstance(outcome, Exception):
+            raise outcome
     jobs = [(seed, strategy) for seed in seeds for strategy in STRATEGIES]
     return _comparison(seeds, zip(jobs, scored))
 

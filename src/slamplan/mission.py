@@ -37,8 +37,8 @@ fix-ups read covariances, the route and the closure, never a noisy
 measurement ``z``, so the seed moves only the noise draws and what is
 computed from them: the Gauss-Newton solve, APE and the FIM's D-opt.
 Every seed executes the same route, events and plans, and
-``replay_mission`` scores a mission's route under another seed without
-deciding it again.
+``replay_mission`` scores a mission's route under other seeds without
+deciding it again, all seeds' pose graphs as one lockstep batch.
 """
 
 from __future__ import annotations
@@ -59,7 +59,9 @@ from .sim import (
     WorldModel,
     ape_rmse,
     log_dopt_fim,
+    log_dopt_fims,
     optimize_pose_graph,
+    optimize_pose_graphs,
     simulate_walk,
 )
 from .tsp import TourCosts, Walk, solve_fixed_end_tsp, solve_open_tsp
@@ -414,6 +416,21 @@ class Mission:
         return self.log, metrics
 
 
+def _metrics(pg: SimPoseGraph, log_dopt: float, total_distance: float,
+             dopt_predicted: float, assumption_ok: bool) -> MissionMetrics:
+    """A mission's metrics: APE measured on the optimized ``pg``, the FIM's
+    D-opt from its ``log_dopt``, and the mission's decisions passed in."""
+    return MissionMetrics(
+        ape_rmse=ape_rmse(pg.estimates, pg.poses_true),
+        total_distance=total_distance,
+        pose_count=pg.pose_count,
+        mean_degree=pg.mean_degree(),
+        dopt_predicted=dopt_predicted,
+        dopt_fim=float(np.exp(log_dopt)),
+        assumption_ok=assumption_ok,
+    )
+
+
 def score_pose_graph(pg: SimPoseGraph, total_distance: float, dopt_predicted: float,
                      assumption_ok: bool) -> tuple[dict, MissionMetrics]:
     """Optimize an executed route's pose graph and score it: returns the
@@ -421,15 +438,27 @@ def score_pose_graph(pg: SimPoseGraph, total_distance: float, dopt_predicted: fl
     D-opt are measured on ``pg``; distance, predicted D-opt and the detour
     audit are the mission's decisions, passed in."""
     info = optimize_pose_graph(pg)
-    return info, MissionMetrics(
-        ape_rmse=ape_rmse(pg.estimates, pg.poses_true),
-        total_distance=total_distance,
-        pose_count=pg.pose_count,
-        mean_degree=pg.mean_degree(),
-        dopt_predicted=dopt_predicted,
-        dopt_fim=float(np.exp(log_dopt_fim(pg))),
-        assumption_ok=assumption_ok,
-    )
+    return info, _metrics(pg, log_dopt_fim(pg), total_distance, dopt_predicted,
+                          assumption_ok)
+
+
+def score_pose_graphs(pgs, total_distance: float, dopt_predicted: float,
+                      assumption_ok: bool) -> list:
+    """``score_pose_graph``'s metrics of each pose graph of ``pgs``, all
+    optimized in one lockstep batch and measured in one more: per graph its
+    ``MissionMetrics``, or the error that stopped its optimization or its
+    measurement.  A graph that fails does not stop the others."""
+    runs = optimize_pose_graphs(pgs)
+    fims = log_dopt_fims(pgs)
+    scored = []
+    for pg, run, fim in zip(pgs, runs, fims):
+        if isinstance(run, Exception):
+            scored.append(run)
+        elif isinstance(fim, Exception):
+            scored.append(fim)
+        else:
+            scored.append(_metrics(pg, fim, total_distance, dopt_predicted, assumption_ok))
+    return scored
 
 
 def run_mission(prior: PriorGraph, world: WorldModel,
@@ -438,16 +467,18 @@ def run_mission(prior: PriorGraph, world: WorldModel,
     return Mission(prior, world, config, seed).run()
 
 
-def replay_mission(route, world: WorldModel, seed, decided: MissionMetrics) -> MissionMetrics:
-    """The metrics ``run_mission`` gives under ``seed`` for a mission that
-    executed ``route`` and scored ``decided`` under another seed.
+def replay_mission(route, world: WorldModel, seeds, decided: MissionMetrics) -> list:
+    """The metrics ``run_mission`` gives under each of ``seeds`` for a
+    mission that executed ``route`` and scored ``decided`` under another
+    seed: per seed its ``MissionMetrics``, or the error that stopped its
+    scoring.
 
     No decision reads a measurement, so the mission would execute the same
-    route under ``seed``, and ``simulate_walk`` draws that route's noise
+    route under every seed, and ``simulate_walk`` draws that route's noise
     exactly as the mission's own runner does; only the measured fields
-    differ from ``decided``.
+    differ from ``decided``.  The seeds' pose graphs share the route, so
+    ``score_pose_graphs`` scores them as one batch.
     """
-    _, metrics = score_pose_graph(simulate_walk(route, world, seed),
-                                  decided.total_distance, decided.dopt_predicted,
-                                  decided.assumption_ok)
-    return metrics
+    return score_pose_graphs([simulate_walk(route, world, seed) for seed in seeds],
+                             decided.total_distance, decided.dopt_predicted,
+                             decided.assumption_ok)

@@ -7,11 +7,16 @@ Odometry between consecutive poses is the true relative motion corrupted
 by zero-mean Gaussian noise whose covariance averages the two endpoint
 regions' degeneracy matrices.  Revisiting a vertex closes a loop against
 the earliest pose recorded there.  Optimization is Gauss-Newton with
-step-halving damping on the anchored graph.  The anchored normal
-equations are sparse: their pattern is built once per pose graph, each
-iteration sums its entries in compressed-column form, and
-``laplacian._spd_factor`` factors them with SuperLU in a fill-reducing
-symmetric order, which also gives the information matrix's log det.
+step-halving damping on the anchored graph, run in lockstep over a batch
+of pose graphs; a single graph is a batch of one.  The anchored normal
+equations are sparse: their pattern is built once per distinct route, and
+each iteration sums the entries of every graph still running in
+compressed-column form with one ``np.bincount`` and scores each round of
+their line searches in one objective call.  ``laplacian._spd_factor``
+factors each graph's own matrix with SuperLU in a fill-reducing symmetric
+order, which also gives the information matrix's log det, so a graph's
+results are those it gets alone, and a graph that fails leaves the batch
+without stopping the others.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 from scipy.sparse import csc_matrix
 
-from .errors import DivergenceError, InputError, MismatchError
+from .errors import DivergenceError, InputError, MismatchError, RankDeficientError
 from .graph import (
     PriorGraph,
     _as_dict,
@@ -283,19 +288,6 @@ def _stack_edges(pg: SimPoseGraph):
     return ends, z, cov
 
 
-def _objective(est, edges) -> float:
-    """Sum of e^T cov^-1 e over the stacked ``edges``, added in edge order
-    from 0.0 as a per-edge loop would (``np.sum`` pairs, and Python 3.12's
-    ``sum`` compensates; either changes the last bits)."""
-    ends, z, cov = edges
-    e = edge_residual(est[ends[:, 0]], est[ends[:, 1]], z)[..., None]
-    q = (_t(e) @ np.linalg.solve(cov, e)).ravel()
-    total = 0.0
-    for v in q.tolist():
-        total += v
-    return total
-
-
 def _normal_pattern(ends, dim):
     """Compressed-column pattern of the anchored normal equations of the
     edges ``ends``, which holds for every estimate.
@@ -304,7 +296,9 @@ def _normal_pattern(ends, dim):
     and j of the gradient, skipping those of the anchor.  Returns the
     (K,4) mask of kept blocks, the CSC slot of each kept block entry,
     ``indices`` and ``indptr``, then the (K,2) mask of free rows and the
-    gradient row of each free row entry.
+    gradient row of each free row entry.  ``indices`` and ``indptr`` are
+    C ints, SuperLU's index type, so a matrix built on them is not scanned
+    for a narrower one.
     """
     i, j = ends[:, 0], ends[:, 1]
     rows, cols = np.stack([i, j, i, j], 1), np.stack([i, j, j, i], 1)
@@ -316,102 +310,242 @@ def _normal_pattern(ends, dim):
     indptr = np.searchsorted(keys // dim, np.arange(dim + 1))
     free = ends > 0
     grad_rows = (3 * (ends[..., None] - 1) + offs)[free].ravel()
-    return keep, slot, keys % dim, indptr, free, grad_rows
+    return keep, slot, (keys % dim).astype(np.intc), indptr.astype(np.intc), free, grad_rows
 
 
-def _assemble(est, edges, pattern):
-    """Gauss-Newton ``H``, a CSC matrix on ``pattern``, and gradient with
-    the anchor pose removed.
+def _stack_batch(pgs):
+    """Joint (N,3) estimates of the pose graphs ``pgs``, each graph's rows
+    after the last graph's, and one part per graph: its measurements in
+    edge order (``_stack_edges``) with pose indices into the joint rows,
+    its normal-equation pattern, built once per distinct route, and the
+    slice of its rows."""
+    patterns = {}
+    parts = []
+    start = 0
+    for pg in pgs:
+        ends, z, cov = _stack_edges(pg)
+        dim = 3 * (pg.pose_count - 1)
+        key = (dim, ends.tobytes())
+        if key not in patterns:
+            patterns[key] = _normal_pattern(ends, dim)
+        parts.append((ends + start, z, cov, patterns[key],
+                      slice(start, start + pg.pose_count)))
+        start += pg.pose_count
+    return np.concatenate([pg.estimates for pg in pgs]), parts
+
+
+class _Batch:
+    """Pose graphs stacked for one lockstep pass, from ``_stack_batch``
+    parts.
+
+    Measurements are concatenated in graph order.  Each graph's CSC slots
+    and gradient rows are shifted past those of the graphs before it, so
+    one ``np.bincount`` sums every graph's entries and no slot mixes two
+    graphs: graph b owns ``nnz[b]:nnz[b + 1]`` of the summed entries and
+    ``span(b)`` of the gradient and step.  ``poses`` lists every free
+    (non-anchor) row of the joint estimates, in step order.
+    """
+
+    def __init__(self, parts):
+        ends, z, cov, patterns, rows = zip(*parts)
+        self.ends, self.z, self.cov = (np.concatenate(x) for x in (ends, z, cov))
+        self.w = np.linalg.inv(self.cov)
+        counts = [len(e) for e in ends]
+        self.row = np.repeat(np.arange(len(parts)), counts)
+        self.col = np.concatenate([np.arange(1, k + 1) for k in counts])
+        self.width = max(counts) + 1
+        keep, slot, indices, indptr, free, grad_rows = zip(*patterns)
+        self.csc = list(zip(indices, indptr))
+        self.nnz = np.cumsum([0] + [len(i) for i in indices])
+        self.dims = np.cumsum([0] + [len(p) - 1 for p in indptr])
+        self.keep, self.free = np.concatenate(keep), np.concatenate(free)
+        self.slot = np.concatenate([s + at for s, at in zip(slot, self.nnz)])
+        self.grad_rows = np.concatenate([g + at for g, at in zip(grad_rows, self.dims)])
+        self.poses = np.concatenate([np.arange(r.start + 1, r.stop) for r in rows])
+
+    def __len__(self) -> int:
+        return len(self.csc)
+
+    def span(self, b) -> slice:
+        return slice(self.dims[b], self.dims[b + 1])
+
+    def matrix(self, b, data):
+        """Graph b's matrix from the batch's summed slot ``data``, a CSC
+        matrix that shares its pattern's ``indices`` and ``indptr``."""
+        indices, indptr = self.csc[b]
+        dim = len(indptr) - 1
+        return csc_matrix((data[self.nnz[b]:self.nnz[b + 1]], indices, indptr),
+                          shape=(dim, dim))
+
+
+def _objective(est, batch) -> np.ndarray:
+    """Each graph's sum of e^T cov^-1 e at the joint estimates ``est``,
+    added in edge order from 0.0 as a per-edge loop would: a graph's terms
+    fill its row after a leading 0.0, and ``np.add.accumulate`` adds along
+    the row one term at a time (``np.sum`` adds pairwise, which changes the
+    last bits); the zeros that pad shorter rows leave their sums as they
+    are."""
+    e = edge_residual(est[batch.ends[:, 0]], est[batch.ends[:, 1]], batch.z)[..., None]
+    terms = np.zeros((len(batch), batch.width))
+    terms[batch.row, batch.col] = (_t(e) @ np.linalg.solve(batch.cov, e)).ravel()
+    return np.add.accumulate(terms, axis=1)[:, -1]
+
+
+def _assemble(est, batch):
+    """Gauss-Newton ``H`` entries and gradients, anchors removed, of every
+    graph of ``batch`` at the joint estimates ``est``: the summed slot data
+    (``_Batch.matrix`` makes a graph's ``H`` of them) and the gradients.
 
     ``np.bincount`` adds the entries of each slot in edge order from 0.0,
     so each entry is summed as a per-edge loop into a dense ``H`` would
     sum it.
     """
-    ends, z, cov = edges
-    keep, slot, indices, indptr, free, grad_rows = pattern
-    dim = len(indptr) - 1
-    xi, xj = est[ends[:, 0]], est[ends[:, 1]]
-    e = edge_residual(xi, xj, z)[..., None]
-    a, b = edge_jacobians(xi, xj, z)
-    w = np.linalg.inv(cov)
+    xi, xj = est[batch.ends[:, 0]], est[batch.ends[:, 1]]
+    e = edge_residual(xi, xj, batch.z)[..., None]
+    a, b = edge_jacobians(xi, xj, batch.z)
+    w = batch.w
     wa, wb, we = w @ a, w @ b, w @ e
     at, bt = _t(a), _t(b)
     blocks = np.stack([at @ wa, bt @ wb, at @ wb, bt @ wa], 1)  # (K,4,3,3)
-    data = np.bincount(slot, weights=blocks[keep].ravel(), minlength=len(indices))
-    h = csc_matrix((data, indices, indptr), shape=(dim, dim))
+    data = np.bincount(batch.slot, weights=blocks[batch.keep].ravel(),
+                       minlength=batch.nnz[-1])
     g = np.stack([at @ we, bt @ we], 1)[..., 0]  # (K,2,3), rows i then j
-    grad = np.bincount(grad_rows, weights=g[free].ravel(), minlength=dim)
-    return h, grad
+    grad = np.bincount(batch.grad_rows, weights=g[batch.free].ravel(),
+                       minlength=batch.dims[-1])
+    return data, grad
+
+
+def _one(outcome):
+    """The outcome of a batch of one: its value, or its error raised."""
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+def optimize_pose_graphs(pgs) -> list:
+    """Anchored Gauss-Newton on each pose graph of ``pgs``, in lockstep;
+    returns per graph its run info, or the error that stopped it.
+
+    Each iteration assembles every running graph in one pass, factors each
+    graph's own matrix, and scores each round of the line searches in one
+    objective call.  A graph leaves the batch when it converges or fails,
+    and the others go on: each graph takes the steps, and ends with the
+    estimates, info or error, that it would alone.  A graph's estimates
+    are replaced unless it fails.
+
+    Rejected full steps retry at half length up to 10 times; if even the
+    smallest step raises the objective the graph fails with a
+    ``DivergenceError``, and singular normal equations fail it with a
+    ``RankDeficientError``.  ``grad_norm`` is the gradient norm at the last
+    linearization, the one before the last step.
+    """
+    outcomes = []
+    for pg in pgs:
+        if pg.estimates is None:
+            pg.estimates = dead_reckon(pg)
+        outcomes.append({"iterations": 0, "converged": True, "objective": 0.0,
+                         "grad_norm": 0.0})
+    active = [k for k, pg in enumerate(pgs) if pg.pose_count > 1 and pg.edge_count]
+    if not active:
+        return outcomes
+    est, stacked = _stack_batch([pgs[k] for k in active])
+    parts = dict(zip(active, stacked))
+    batch = _Batch(stacked)
+    f_cur = _objective(est, batch)
+    for k, f in zip(active, f_cur):
+        outcomes[k] = {"iterations": 0, "converged": False, "objective": float(f)}
+    for it in range(1, _GN_MAX_ITERS + 1):
+        running = [isinstance(outcomes[k], dict) and not outcomes[k]["converged"]
+                   for k in active]
+        if not all(running):
+            active = [k for k, go in zip(active, running) if go]
+            if not active:
+                break
+            f_cur = f_cur[running]
+            batch = _Batch([parts[k] for k in active])
+        data, grad = _assemble(est, batch)
+        step = np.zeros(len(grad))  # a graph that fails here keeps still
+        for b, k in enumerate(active):
+            span = batch.span(b)
+            outcomes[k]["grad_norm"] = float(np.linalg.norm(grad[span]))
+            try:
+                lu, _ = _spd_factor(batch.matrix(b, data),
+                                    "normal equations singular; graph likely disconnected")
+            except RankDeficientError as err:
+                outcomes[k] = err
+                continue
+            step[span] = -lu.solve(grad[span])
+        alpha = np.ones(len(active))
+        searching = np.array([isinstance(outcomes[k], dict) for k in active])
+        for _ in range(11):
+            trial = est.copy()
+            upd = np.repeat(alpha, np.diff(batch.dims) // 3)[:, None] * step.reshape(-1, 3)
+            trial[batch.poses, :2] += upd[:, :2]
+            trial[batch.poses, 2] = wrap_angle(trial[batch.poses, 2] + upd[:, 2])
+            f_new = _objective(trial, batch)
+            searching &= ~(f_new <= f_cur + 1e-12)
+            if not searching.any():
+                break
+            alpha[searching] *= 0.5
+        est = trial
+        for b, k in enumerate(active):
+            if not isinstance(outcomes[k], dict):
+                continue
+            if searching[b]:
+                outcomes[k] = DivergenceError(
+                    f"objective rose from {f_cur[b]:.6g} with no damping recovery")
+                continue
+            step_norm = float(np.linalg.norm(alpha[b] * step[batch.span(b)]))
+            outcomes[k].update(iterations=it, objective=float(f_new[b]))
+            if step_norm < _GN_STEP_TOL:
+                outcomes[k]["converged"] = True
+        f_cur = f_new
+    for k, (*_, rows) in parts.items():
+        if isinstance(outcomes[k], dict):
+            pgs[k].estimates = est[rows].copy()
+    return outcomes
 
 
 def optimize_pose_graph(pg: SimPoseGraph) -> dict:
-    """Anchored Gauss-Newton; mutates pg.estimates, returns run info.
-
-    Rejected full steps retry at half length up to 10 times; if even the
-    smallest step raises the objective the run is reported as divergent.
-    ``grad_norm`` is the gradient norm at the last linearization, the one
-    before the last step.
-    """
-    if pg.estimates is None:
-        pg.estimates = dead_reckon(pg)
-    est = pg.estimates.copy()
-    dim = 3 * (pg.pose_count - 1)
-    if dim == 0 or not pg.edge_count:
-        pg.estimates = est
-        return {"iterations": 0, "converged": True, "objective": 0.0,
-                "grad_norm": 0.0}
-    edges = _stack_edges(pg)
-    pattern = _normal_pattern(edges[0], dim)
-    f_cur = _objective(est, edges)
-    info = {"iterations": 0, "converged": False, "objective": f_cur}
-    for it in range(1, _GN_MAX_ITERS + 1):
-        h, grad = _assemble(est, edges, pattern)
-        info["grad_norm"] = float(np.linalg.norm(grad))
-        lu, _ = _spd_factor(h, "normal equations singular; graph likely disconnected")
-        step = -lu.solve(grad)
-        alpha = 1.0
-        for _ in range(11):
-            trial = est.copy()
-            upd = alpha * step.reshape(-1, 3)
-            trial[1:, :2] += upd[:, :2]
-            trial[1:, 2] = wrap_angle(trial[1:, 2] + upd[:, 2])
-            f_new = _objective(trial, edges)
-            if f_new <= f_cur + 1e-12:
-                break
-            alpha *= 0.5
-        else:
-            raise DivergenceError(
-                f"objective rose from {f_cur:.6g} with no damping recovery"
-            )
-        est = trial
-        step_norm = float(np.linalg.norm(alpha * step))
-        f_cur = f_new
-        info.update(iterations=it, objective=f_cur)
-        if step_norm < _GN_STEP_TOL:
-            info["converged"] = True
-            break
-    pg.estimates = est
-    return info
+    """``optimize_pose_graphs`` on a batch of one: replaces pg.estimates
+    and returns the run info, or raises the error that stopped the run."""
+    return _one(optimize_pose_graphs([pg])[0])
 
 
 # -- information and error metrics --------------------------------------
 
 
-def log_dopt_fim(pg: SimPoseGraph) -> float:
-    """log D-opt of the Gauss-Newton information at the current estimates.
+def log_dopt_fims(pgs) -> list:
+    """log D-opt of the Gauss-Newton information at each pose graph's
+    current estimates, all assembled in one pass; per graph the value, or
+    the error that prevented it.
 
     The information is 1/2 of the summed J^T W J with the anchor removed;
-    returns (1/dim) log det of it, 0 for a single pose.
+    the value is (1/dim) log det of it, 0 for a single pose.
     """
-    if pg.estimates is None:
-        raise InputError("optimize or dead-reckon before evaluating the FIM")
-    dim = 3 * (pg.pose_count - 1)
-    if dim == 0:
-        return 0.0
-    edges = _stack_edges(pg)
-    h, _ = _assemble(pg.estimates, edges, _normal_pattern(edges[0], dim))
-    _, logdet = _spd_factor(0.5 * h, "information matrix is rank-deficient")
-    return logdet / dim
+    outcomes = [0.0 if pg.estimates is not None else
+                InputError("optimize or dead-reckon before evaluating the FIM")
+                for pg in pgs]
+    busy = [k for k, pg in enumerate(pgs) if pg.estimates is not None and pg.pose_count > 1]
+    if not busy:
+        return outcomes
+    est, parts = _stack_batch([pgs[k] for k in busy])
+    batch = _Batch(parts)
+    data, _ = _assemble(est, batch)
+    for b, k in enumerate(busy):
+        try:
+            _, logdet = _spd_factor(batch.matrix(b, 0.5 * data),
+                                    "information matrix is rank-deficient")
+        except RankDeficientError as err:
+            outcomes[k] = err
+            continue
+        outcomes[k] = logdet / (3 * (pgs[k].pose_count - 1))
+    return outcomes
+
+
+def log_dopt_fim(pg: SimPoseGraph) -> float:
+    """``log_dopt_fims`` on a batch of one: the value, or its error raised."""
+    return _one(log_dopt_fims([pg])[0])
 
 
 def ape_rmse(estimates: np.ndarray, ground_truth: np.ndarray) -> float:

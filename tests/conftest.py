@@ -1,6 +1,7 @@
 """Shared helpers: random connected instances and small exact oracles,
 the dense reduced Laplacian, per-candidate weights, exhaustive loop
-selection, Held-Karp and one full mission per compared pair among them."""
+selection, Held-Karp, one full mission per compared pair and one
+Gauss-Newton run per pose graph among them."""
 
 from __future__ import annotations
 
@@ -9,15 +10,18 @@ import itertools
 import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
+from scipy.sparse import csc_matrix
 
 from slamplan.bench import _comparison
-from slamplan.errors import RankDeficientError
+from slamplan.errors import DivergenceError, RankDeficientError
 from slamplan.graph import PriorGraph
 from slamplan.laplacian import LaplacianFactor, _pose_factors, information_weights
 from slamplan.loops import CandidateSet
 from slamplan.mission import MissionConfig, run_mission
 from slamplan.planner import STRATEGIES
-from slamplan.se2 import edge_jacobians, edge_residual
+from slamplan.laplacian import _spd_factor
+from slamplan.se2 import _t, edge_jacobians, edge_residual, wrap_angle
+from slamplan.sim import _GN_MAX_ITERS, _GN_STEP_TOL, _normal_pattern, _stack_edges, dead_reckon
 from slamplan.tsp import Tour
 
 # Largest instance ``_held_karp`` solves: 14 vertices, a 2^13 x 13 table.
@@ -223,6 +227,98 @@ def dense_information(pg, est=None):
             h[ii : ii + 3, jj : jj + 3] += a.T @ wb
             h[jj : jj + 3, ii : ii + 3] += b.T @ wa
     return h, grad
+
+
+def objective_per_graph(est, edges) -> float:
+    """Sum of e^T cov^-1 e over one graph's ``_stack_edges``, added in edge
+    order from 0.0."""
+    ends, z, cov = edges
+    e = edge_residual(est[ends[:, 0]], est[ends[:, 1]], z)[..., None]
+    q = (_t(e) @ np.linalg.solve(cov, e)).ravel()
+    total = 0.0
+    for v in q.tolist():
+        total += v
+    return total
+
+
+def assemble_per_graph(est, edges, pattern):
+    """One graph's Gauss-Newton ``H``, a CSC matrix on ``pattern``
+    (``sim._normal_pattern``), and gradient, anchor removed."""
+    ends, z, cov = edges
+    keep, slot, indices, indptr, free, grad_rows = pattern
+    dim = len(indptr) - 1
+    xi, xj = est[ends[:, 0]], est[ends[:, 1]]
+    e = edge_residual(xi, xj, z)[..., None]
+    a, b = edge_jacobians(xi, xj, z)
+    w = np.linalg.inv(cov)
+    wa, wb, we = w @ a, w @ b, w @ e
+    at, bt = _t(a), _t(b)
+    blocks = np.stack([at @ wa, bt @ wb, at @ wb, bt @ wa], 1)
+    data = np.bincount(slot, weights=blocks[keep].ravel(), minlength=len(indices))
+    h = csc_matrix((data, indices, indptr), shape=(dim, dim))
+    g = np.stack([at @ we, bt @ we], 1)[..., 0]
+    grad = np.bincount(grad_rows, weights=g[free].ravel(), minlength=dim)
+    return h, grad
+
+
+def optimize_pose_graph_per_graph(pg, objective=objective_per_graph,
+                                  assemble=assemble_per_graph) -> dict:
+    """Reference Gauss-Newton on one pose graph: its own loop, line search
+    and factorization, with no other graph in a batch.  ``objective`` and
+    ``assemble`` take (est, stacked edges) and (est, stacked edges,
+    pattern).  Mutates pg.estimates unless it raises."""
+    if pg.estimates is None:
+        pg.estimates = dead_reckon(pg)
+    est = pg.estimates.copy()
+    dim = 3 * (pg.pose_count - 1)
+    if dim == 0 or not pg.edge_count:
+        pg.estimates = est
+        return {"iterations": 0, "converged": True, "objective": 0.0,
+                "grad_norm": 0.0}
+    edges = _stack_edges(pg)
+    pattern = _normal_pattern(edges[0], dim)
+    f_cur = objective(est, edges)
+    info = {"iterations": 0, "converged": False, "objective": f_cur}
+    for it in range(1, _GN_MAX_ITERS + 1):
+        h, grad = assemble(est, edges, pattern)
+        info["grad_norm"] = float(np.linalg.norm(grad))
+        lu, _ = _spd_factor(h, "normal equations singular; graph likely disconnected")
+        step = -lu.solve(grad)
+        alpha = 1.0
+        for _ in range(11):
+            trial = est.copy()
+            upd = alpha * step.reshape(-1, 3)
+            trial[1:, :2] += upd[:, :2]
+            trial[1:, 2] = wrap_angle(trial[1:, 2] + upd[:, 2])
+            f_new = objective(trial, edges)
+            if f_new <= f_cur + 1e-12:
+                break
+            alpha *= 0.5
+        else:
+            raise DivergenceError(
+                f"objective rose from {f_cur:.6g} with no damping recovery"
+            )
+        est = trial
+        step_norm = float(np.linalg.norm(alpha * step))
+        f_cur = f_new
+        info.update(iterations=it, objective=f_cur)
+        if step_norm < _GN_STEP_TOL:
+            info["converged"] = True
+            break
+    pg.estimates = est
+    return info
+
+
+def log_dopt_fim_per_graph(pg, assemble=assemble_per_graph) -> float:
+    """Reference log D-opt of one pose graph's Gauss-Newton information at
+    its estimates: (1/dim) log det of half the anchored J^T W J."""
+    dim = 3 * (pg.pose_count - 1)
+    if dim == 0:
+        return 0.0
+    edges = _stack_edges(pg)
+    h, _ = assemble(pg.estimates, edges, _normal_pattern(edges[0], dim))
+    _, logdet = _spd_factor(0.5 * h, "information matrix is rank-deficient")
+    return logdet / dim
 
 
 def spanning_tree_count(n, edges) -> int:

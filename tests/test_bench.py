@@ -205,18 +205,19 @@ def recorded_pools(monkeypatch):
 
 
 @pytest.mark.parametrize("workers, cores, seeds, pools", [
-    (64, 2, range(10), [[18, 2, 18]]),
+    (64, 2, range(10), [[2, 2, 2]]),
     (64, 2, [0, 1], [[2, 2, 2]]),
-    (3, 2, range(10), [[3, 2, 18]]),
-    (None, 64, range(10), [[18, 2, 18]]),
-    (None, 2, range(10), [[2, 2, 18]]),
+    (3, 2, range(10), [[2, 2, 2]]),
+    (None, 64, range(10), [[2, 2, 2]]),
+    (None, 2, range(10), [[2, 2, 2]]),
     (1, 64, range(10), []),
 ], ids=["capped", "capped-two-seeds", "below-jobs", "default-capped",
         "default-cores", "one-in-process"])
 def test_compare_pool_never_outnumbers_its_jobs(monkeypatch, recorded_pools,
                                                 workers, cores, seeds, pools):
-    # one pool runs both phases: a mission per strategy, then a replay per
-    # other (seed, strategy); it is never larger than the replay phase
+    # one pool runs both phases: a mission per strategy, then one batch of
+    # replays per strategy, over all other seeds; it is never larger than a
+    # phase, whatever the seed count
     monkeypatch.setattr(bench, "_usable_cores", lambda: cores)
     g = gen_grid_graph(GridGraphSpec(width=4, height=4, seed=6))
     res = compare_strategies(g, WorldModel(g), seeds, workers=workers)
@@ -255,18 +256,28 @@ def test_compare_matches_one_mission_per_pair_on_env2(workers):
 @pytest.mark.parametrize("bad", [0, 5], ids=["mission-seed", "replayed-seed"])
 def test_compare_raises_the_reference_exception(monkeypatch, workers, bad):
     # scoring diverges under one seed, whether its pose graph comes from the
-    # mission or from a replay; the first error in job order is raised
+    # mission (scored alone) or from a replay (scored in its strategy's
+    # batch); the first error in job order is raised
     prior, world = _compare_instance("env1")
-    score = mission.score_pose_graph
+    score, score_batch = mission.score_pose_graph, mission.score_pose_graphs
+
+    def drawn_under_bad(pg):
+        drawn = simulate_walk(pg.vertex_of_pose, world, bad).odometry
+        return all(np.array_equal(z, zb) for (_, _, z, _), (_, _, zb, _)
+                   in zip(pg.odometry, drawn))
 
     def diverge_under_bad(pg, *decided):
-        drawn = simulate_walk(pg.vertex_of_pose, world, bad).odometry
-        if all(np.array_equal(z, zb) for (_, _, z, _), (_, _, zb, _)
-               in zip(pg.odometry, drawn)):
+        if drawn_under_bad(pg):
             raise DivergenceError(f"seed {bad}, {pg.pose_count} poses")
         return score(pg, *decided)
 
+    def diverge_under_bad_in_batch(pgs, *decided):
+        return [DivergenceError(f"seed {bad}, {pg.pose_count} poses")
+                if drawn_under_bad(pg) else scored
+                for pg, scored in zip(pgs, score_batch(pgs, *decided))]
+
     monkeypatch.setattr(mission, "score_pose_graph", diverge_under_bad)
+    monkeypatch.setattr(mission, "score_pose_graphs", diverge_under_bad_in_batch)
     seeds = [7, bad, 2, 11]
     with pytest.raises(DivergenceError) as want:
         compare_per_pair(prior, world, seeds)

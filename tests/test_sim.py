@@ -1,4 +1,5 @@
 import copy
+import functools
 import json
 from pathlib import Path
 
@@ -10,10 +11,10 @@ from scipy.sparse import csc_matrix
 
 import slamplan.sim as sim_mod
 from slamplan.bench import GridGraphSpec, gen_grid_graph
-from slamplan.errors import InputError, MismatchError, RankDeficientError
+from slamplan.errors import DivergenceError, InputError, MismatchError, RankDeficientError
 from slamplan.graph import DEFAULT_SIGMA_DIAG, load_prior_graph, metric_closure
 from slamplan.laplacian import _spd_factor
-from slamplan.mission import MissionConfig, run_mission
+from slamplan.mission import MissionConfig, run_mission, score_pose_graph, score_pose_graphs
 from slamplan.planner import plan_exploration
 from slamplan.se2 import compose, edge_residual
 from slamplan.sim import (
@@ -27,7 +28,13 @@ from slamplan.sim import (
     simulate_walk,
 )
 
-from conftest import dense_information, random_connected_graph
+from conftest import (
+    dense_information,
+    log_dopt_fim_per_graph,
+    objective_per_graph,
+    optimize_pose_graph_per_graph,
+    random_connected_graph,
+)
 
 
 def path3_graph():
@@ -216,9 +223,7 @@ def test_optimizer_descends_with_loop():
     g = path3_graph()
     w = WorldModel(g)
     pg = simulate_walk(["a", "b", "c", "b", "a"], w, seed=31)
-    from slamplan.sim import _objective, _stack_edges
-
-    before = _objective(dead_reckon(pg), _stack_edges(pg))
+    before = objective_per_graph(dead_reckon(pg), sim_mod._stack_edges(pg))
     info = optimize_pose_graph(pg)
     assert info["objective"] <= before + 1e-12
     assert info["converged"]
@@ -343,6 +348,24 @@ def _on_pattern(h, grad, pattern):
     return csc_matrix((h[indices, cols], indices, indptr), shape=h.shape), grad
 
 
+def _batch_of_one(pg, est=None):
+    """The joint estimates and ``_Batch`` of ``pg`` alone, at ``est`` (its
+    estimates by default)."""
+    run = copy.copy(pg)
+    if est is not None:
+        run.estimates = est
+    joint, parts = sim_mod._stack_batch([run])
+    return joint, sim_mod._Batch(parts)
+
+
+def _assembled(pg, est=None):
+    """The batched path's ``H``, as a CSC matrix, and gradient of ``pg``
+    alone at ``est`` (its estimates by default)."""
+    joint, batch = _batch_of_one(pg, est)
+    data, grad = sim_mod._assemble(joint, batch)
+    return batch.matrix(0, data), grad
+
+
 def _mission_pose_graph(name):
     """Optimized pose graph of one mission: ``env-strategy`` on a bundled
     environment, or ``grid-seed`` on a 6x6 grid world with log-normal
@@ -378,34 +401,32 @@ _ORACLE_GRAPHS = ["env1-tsp_only", "env1-slam_aware", "env2-tsp_only",
 
 
 @pytest.mark.parametrize("name", _ORACLE_GRAPHS)
-def test_batched_gauss_newton_matches_per_edge_loops(monkeypatch, name):
+def test_batched_gauss_newton_matches_per_edge_loops(name):
     pg = _mission_pose_graph(name)
     assert pg.loops
-    dim = 3 * (pg.pose_count - 1)
     edges = list(pg.all_edges())
-    stacked = sim_mod._stack_edges(pg)
-    pattern = sim_mod._normal_pattern(stacked[0], dim)
     for est in (dead_reckon(pg), pg.estimates):
-        assert (sim_mod._objective(est, stacked)
-                == _reference_objective(est, edges))
-        h, grad = sim_mod._assemble(est, stacked, pattern)
+        assert (sim_mod._objective(*_batch_of_one(pg, est)).tolist()
+                == [_reference_objective(est, edges)])
+        h, grad = _assembled(pg, est)
         ref_h, ref_grad = dense_information(pg, est)
         np.testing.assert_array_equal(h.toarray(), ref_h)
         np.testing.assert_array_equal(grad, ref_grad)
-    runs = []
-    for patched in (False, True):
-        run = copy.deepcopy(pg)
-        run.estimates = None
-        if patched:
-            # per-edge loops over the run's own edges; only the CSC pattern,
-            # which SuperLU's ordering reads, comes from the batched path
-            run_edges = list(run.all_edges())
-            monkeypatch.setattr(sim_mod, "_objective",
-                                lambda est, _: _reference_objective(est, run_edges))
-            monkeypatch.setattr(sim_mod, "_assemble", lambda est, _, pattern:
-                                _on_pattern(*dense_information(run, est), pattern))
-        runs.append((optimize_pose_graph(run), run.estimates, log_dopt_fim(run)))
-    (info, est, fim), (ref_info, ref_est, ref_fim) = runs
+    run, ref = copy.deepcopy(pg), copy.deepcopy(pg)
+    run.estimates = ref.estimates = None
+    got = (optimize_pose_graph(run), run.estimates, log_dopt_fim(run))
+    # per-edge loops over the run's own edges in the per-graph oracle; only
+    # the CSC pattern, which SuperLU's ordering reads, comes from the
+    # batched path
+    ref_edges = list(ref.all_edges())
+
+    def dense(est, _, pattern):
+        return _on_pattern(*dense_information(ref, est), pattern)
+
+    want = (optimize_pose_graph_per_graph(
+                ref, lambda est, _: _reference_objective(est, ref_edges), dense),
+            ref.estimates, log_dopt_fim_per_graph(ref, dense))
+    (info, est, fim), (ref_info, ref_est, ref_fim) = got, want
     assert info == ref_info and info["iterations"] > 0
     np.testing.assert_array_equal(est, ref_est)
     assert fim == ref_fim
@@ -470,11 +491,123 @@ def test_sparse_normal_equations_match_dense_oracle(seed, n, steps, turned):
     # that kept only one contribution moves both the step and the log det.
     pg = _random_walk_pose_graph(seed, n, steps, turned)
     dim = 3 * (pg.pose_count - 1)
-    edges = sim_mod._stack_edges(pg)
-    h, grad = sim_mod._assemble(pg.estimates, edges, sim_mod._normal_pattern(edges[0], dim))
+    h, grad = _assembled(pg)
     lu, _ = _spd_factor(h, "singular")
     ref_h, ref_grad = dense_information(pg)
     want = np.linalg.solve(ref_h, ref_grad)
     assert np.linalg.norm(lu.solve(grad) - want) <= 1e-10 * np.linalg.norm(want)
     _, logdet = np.linalg.slogdet(0.5 * ref_h)
     assert log_dopt_fim(pg) == pytest.approx(logdet / dim, rel=0.0, abs=1e-11)
+
+
+# -- lockstep batches against the per-graph oracle --------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def _executed_route(env, strategy):
+    """The route that a seed-0 mission executes on a bundled environment,
+    and the environment's world."""
+    envs = Path(__file__).resolve().parents[1] / "src" / "slamplan" / "envs"
+    prior = load_prior_graph(str(envs / f"{env}.json"))
+    world = load_world(str(envs / f"{env}_world.json"))
+    log, _ = run_mission(prior, world, MissionConfig(strategy=strategy), seed=0)
+    return log.pose_graph.vertex_of_pose, world
+
+
+def _replayed(name, seed):
+    return simulate_walk(*_executed_route(*name), seed=seed)
+
+
+def _per_graph(pg):
+    """The per-graph oracle on ``pg``: its run info or error, its estimates
+    after the run, and its log D-opt or error."""
+    try:
+        info = optimize_pose_graph_per_graph(pg)
+    except (DivergenceError, RankDeficientError) as err:
+        info = err
+    try:
+        fim = log_dopt_fim_per_graph(pg)
+    except RankDeficientError as err:
+        fim = err
+    return info, pg.estimates, fim
+
+
+def _same_outcome(got, want):
+    """Bit for bit: floats by ``repr``, which tells every double apart,
+    signed zeros included, and errors by type and message."""
+    if isinstance(want, Exception):
+        return type(got) is type(want) and str(got) == str(want)
+    return repr(got) == repr(want)
+
+
+def _check_against_oracle(pgs):
+    want = [_per_graph(copy.deepcopy(pg)) for pg in pgs]
+    infos = sim_mod.optimize_pose_graphs(pgs)
+    fims = sim_mod.log_dopt_fims(pgs)
+    for pg, info, fim, (ref_info, ref_est, ref_fim) in zip(pgs, infos, fims, want):
+        assert _same_outcome(info, ref_info)
+        assert pg.estimates.tobytes() == ref_est.tobytes()
+        assert _same_outcome(fim, ref_fim)
+    return want
+
+
+_ROUTES = [("env1", "slam_aware"), ("env1", "tsp_only"),
+           ("env2", "slam_aware"), ("env2", "tsp_only")]
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(["one-route", "mixed", "one"]), data=st.data())
+def test_lockstep_batches_match_the_per_graph_oracle(kind, data):
+    # one route under distinct seeds shares one pattern; env1 and env2
+    # routes differ in pose and edge counts, so their objective rows are
+    # padded; a batch of one is what a mission's finish runs
+    seed = st.integers(0, 2**32 - 1)
+    if kind == "one-route":
+        name = data.draw(st.sampled_from(_ROUTES))
+        drawn = [(name, s) for s in data.draw(
+            st.lists(seed, min_size=2, max_size=9, unique=True))]
+    elif kind == "mixed":
+        names = [data.draw(st.sampled_from(_ROUTES[:2])),
+                 data.draw(st.sampled_from(_ROUTES[2:])),
+                 *data.draw(st.lists(st.sampled_from(_ROUTES), max_size=7))]
+        drawn = [(name, data.draw(seed)) for name in data.draw(st.permutations(names))]
+    else:
+        drawn = [(data.draw(st.sampled_from(_ROUTES)), data.draw(seed))]
+    for info, _, fim in _check_against_oracle([_replayed(*d) for d in drawn]):
+        assert info["iterations"] > 0 and np.isfinite(fim)
+
+
+def test_failing_graphs_leave_the_rest_of_their_batch_alone():
+    pgs = [_replayed(("env1", "tsp_only"), seed) for seed in range(5)]
+    # A loop covariance with a skew-symmetric part: the objective reads only
+    # its symmetric part, the gradient and the normal matrix all of it, so
+    # near the optimum no step along the Gauss-Newton direction descends.
+    i, j, z, cov = pgs[1].loops[0]
+    skew = 10.0 * cov[0, 0] * np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    pgs[1].loops[0] = (i, j, z, cov + skew)
+    # no edge reaches the last pose
+    last = pgs[3].pose_count - 1
+    pgs[3].odometry = pgs[3].odometry[:-1]
+    pgs[3].loops = [e for e in pgs[3].loops if last not in e[:2]]
+    scored, alone = copy.deepcopy(pgs), copy.deepcopy(pgs)
+    want = _check_against_oracle(pgs)
+    assert [type(info) for info, _, _ in want] == [dict, DivergenceError, dict,
+                                                   RankDeficientError, dict]
+    # the mission's batched scoring seam: errors in their slots, the other
+    # graphs scored as one at a time
+    got = score_pose_graphs(scored, 1.0, 2.0, True)
+    for k, outcome in enumerate(got):
+        if k in (1, 3):
+            assert _same_outcome(outcome, want[k][0])
+        else:
+            assert repr(outcome) == repr(score_pose_graph(alone[k], 1.0, 2.0, True)[1])
+
+
+def test_fim_batch_records_each_graph_error():
+    ok, unset, edgeless = (_replayed(("env2", "tsp_only"), 3) for _ in range(3))
+    unset.estimates = None
+    edgeless.odometry, edgeless.loops = [], []
+    got = sim_mod.log_dopt_fims([ok, unset, edgeless])
+    assert got[0] == log_dopt_fim_per_graph(ok)
+    assert isinstance(got[1], InputError) and "optimize or dead-reckon" in str(got[1])
+    assert isinstance(got[2], RankDeficientError) and "rank-deficient" in str(got[2])
