@@ -276,14 +276,13 @@ def _fmt(x):
     return x
 
 
-def _mission_worker(args):
-    prior, world, strategy, seed = args
-    log, metrics = run_mission(prior, world, MissionConfig(strategy=strategy), seed)
-    return log.pose_graph.vertex_of_pose, metrics
-
-
-def _replay_worker(args):
-    return replay_mission(*args)
+def _strategy_worker(args):
+    """One strategy's metrics under each sorted seed: its mission's under the
+    first, then its route's replays (metrics or errors) under the rest."""
+    prior, world, strategy, seeds = args
+    log, metrics = run_mission(prior, world, MissionConfig(strategy=strategy), seeds[0])
+    return [metrics, *replay_mission(log.pose_graph.vertex_of_pose, world, seeds[1:],
+                                     metrics)]
 
 
 def compare_strategies(prior: PriorGraph, world: WorldModel, seeds,
@@ -291,15 +290,15 @@ def compare_strategies(prior: PriorGraph, world: WorldModel, seeds,
     """Paired runs per seed for each strategy, with summary stats.
 
     No mission decision reads a measurement, so a strategy executes the
-    same route under every seed (see ``mission``).  Each strategy's mission
-    therefore runs once, on the first sorted seed, and ``replay_mission``
-    scores its route under all other seeds as one batch: the rows are those
-    of a full mission per (seed, strategy).  Both phases, one job per
-    strategy each, run on one process pool of at most ``workers``
-    processes, one per usable core by default, so no batch depends on the
-    worker count.  Results merge in (seed, strategy) order, and the first
-    error in that order is raised, so neither the report nor the error
-    depends on completion order.  A pool of one runs in-process.  Seeds and
+    same route under every seed (see ``mission``).  Each strategy is
+    therefore one job: its mission runs once, on the first sorted seed, and
+    ``replay_mission`` scores its route under all other seeds as one batch,
+    so the rows are those of a full mission per (seed, strategy).  The jobs
+    run in one ``map`` on a process pool of at most ``workers`` processes,
+    one per usable core by default, so no batch depends on the worker
+    count.  Results merge in (seed, strategy) order, and the first error in
+    that order is raised, so neither the report nor the error depends on
+    completion order.  A pool of one runs in-process.  Seeds and
     ``workers`` are checked before any mission starts.
     """
     seeds = sorted(_check_seed(s) for s in seeds)
@@ -309,26 +308,19 @@ def compare_strategies(prior: PriorGraph, world: WorldModel, seeds,
         workers = _usable_cores()
     elif isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
         raise InputError(f"workers must be a positive integer, got {workers!r}")
-    first, rest = seeds[0], seeds[1:]
-    missions = [(prior, world, strategy, first) for strategy in STRATEGIES]
-
-    def both_phases(run):
-        decided = list(run(_mission_worker, missions))
-        replays = run(_replay_worker, [(route, world, rest, metrics)
-                                       for route, metrics in decided])
-        return [m for _, m in decided] + [m for by_seed in zip(*replays) for m in by_seed]
-
-    size = min(workers, len(STRATEGIES))  # jobs per phase
+    jobs = [(prior, world, strategy, seeds) for strategy in STRATEGIES]
+    size = min(workers, len(jobs))
     if size > 1:
         with ProcessPoolExecutor(max_workers=size) as pool:
-            scored = both_phases(pool.map)
+            by_strategy = list(pool.map(_strategy_worker, jobs))
     else:
-        scored = both_phases(map)
+        by_strategy = list(map(_strategy_worker, jobs))
+    scored = [m for by_seed in zip(*by_strategy) for m in by_seed]
     for outcome in scored:
         if isinstance(outcome, Exception):
             raise outcome
-    jobs = [(seed, strategy) for seed in seeds for strategy in STRATEGIES]
-    return _comparison(seeds, zip(jobs, scored))
+    pairs = [(seed, strategy) for seed in seeds for strategy in STRATEGIES]
+    return _comparison(seeds, zip(pairs, scored))
 
 
 def _comparison(seeds, scored) -> ComparisonResult:

@@ -32,13 +32,13 @@ covariance writes leave unchanged.
 Updates become visible at step boundaries: one goto follows one frozen
 shortest path even if coverage during it reveals new edges.
 
-No decision reads a measured value.  Plans, replans, online updates and
-fix-ups read covariances, the route and the closure, never a noisy
-measurement ``z``, so the seed moves only the noise draws and what is
-computed from them: the Gauss-Newton solve, APE and the FIM's D-opt.
-Every seed executes the same route, events and plans, and
-``replay_mission`` scores a mission's route under other seeds without
-deciding it again, all seeds' pose graphs as one lockstep batch.
+No decision reads a measured value.  The mission records only its route
+and distance; plans, replans, online updates and fix-ups read covariances
+(``sim.route_edges``), the route and the closure.  ``finish`` measures the
+route under the mission's seed, so the seed moves only the noise draws and
+the Gauss-Newton solve, APE and FIM D-opt computed from them.  Every seed
+executes the same route, events and plans, and ``replay_mission`` measures
+and scores a route under other seeds as one batch, without deciding it.
 """
 
 from __future__ import annotations
@@ -54,15 +54,17 @@ from .loops import abstract_pose_graph, log_dopt_from_scratch
 from .planner import STRATEGIES, compute_plan
 from .sim import (
     MissionMetrics,
-    RouteRunner,
     SimPoseGraph,
     WorldModel,
+    _check_seed,
     ape_rmse,
     log_dopt_fim,
     log_dopt_fims,
     optimize_pose_graph,
     optimize_pose_graphs,
+    route_edges,
     simulate_walk,
+    simulate_walks,
 )
 from .tsp import TourCosts, Walk, solve_fixed_end_tsp, solve_open_tsp
 
@@ -113,9 +115,10 @@ class Mission:
         world.check_prior(prior)
         self.world = world
         self.prior = prior.copy()
-        self.seed = seed
-        self.runner = RouteRunner(world, self.prior.start, seed)
+        self.seed = _check_seed(seed)
         self.current = self.prior.start
+        self.route = [self.current]  # executed vertex route, one entry per pose
+        self.distance = 0.0  # world distance travelled
         self.visited = {self.current}
         self.performed = []  # (anchor, target, gamma) of executed loop actions
         self.steps = deque()
@@ -160,14 +163,12 @@ class Mission:
         second; each writes only the rows whose value is not already
         current.  When none is, nothing is written and no event is emitted.
         """
-        edges = self.runner.odometry + self.runner.loops
-        if not edges:
+        ends, covs = route_edges(self.route, self.world)
+        if not len(ends):
             return
         prior = self.prior
-        at = prior.positions[[prior.index[v] for v in self.runner.route]]
-        ends = np.array([(i, j) for i, j, _, _ in edges])
+        at = prior.positions[[prior.index[v] for v in self.route]]
         mids = 0.5 * (at[ends[:, 0]] + at[ends[:, 1]])
-        covs = np.stack([c for _, _, _, c in edges])
         vi = prior.index[vertex]
         d2 = np.sum((mids - prior.positions[vi]) ** 2, axis=1)
         take = np.argsort(d2, kind="stable")[:_DEGENERACY_WINDOW]
@@ -216,7 +217,8 @@ class Mission:
             return
         path = self.closure().path(self.current, v)
         for nxt in path[1:]:
-            self.runner.move(nxt)
+            self.distance += self.world.true_graph.edge_length(self.current, nxt)
+            self.route.append(nxt)
             self.current = nxt
             self._arrive(nxt)
 
@@ -260,7 +262,7 @@ class Mission:
         walk is connected and its weights are positive, so the Laplacian is
         positive-definite.
         """
-        seq = self.runner.route + list(extra_seq[1:])
+        seq = self.route + list(extra_seq[1:])
         apg = abstract_pose_graph(Walk(seq, 0.0), self.prior)
         pose = apg.vertex_to_pose
         return log_dopt_from_scratch(apg, [
@@ -272,7 +274,7 @@ class Mission:
         ``seq`` and ``length`` are the remaining walk from the current
         vertex, ``factors`` its (anchor, target, gamma) loop factors."""
         log_dopt = self._combined_log_dopt(seq, factors)
-        total = self.runner.distance + length
+        total = self.distance + length
         if total <= 0.0:
             return log_dopt
         return log_dopt - float(np.log(total))
@@ -403,10 +405,10 @@ class Mission:
         return self.finish()
 
     def finish(self):
-        pg = self.runner.pose_graph()
+        pg = simulate_walk(self.route, self.world, self.seed)
         info, metrics = score_pose_graph(
             pg,
-            self.runner.distance,
+            self.distance,
             float(np.exp(self._combined_log_dopt([self.current], []))),
             all(p.assumption_ok for p in self.log.plans),
         )
@@ -474,11 +476,11 @@ def replay_mission(route, world: WorldModel, seeds, decided: MissionMetrics) -> 
     scoring.
 
     No decision reads a measurement, so the mission would execute the same
-    route under every seed, and ``simulate_walk`` draws that route's noise
-    exactly as the mission's own runner does; only the measured fields
-    differ from ``decided``.  The seeds' pose graphs share the route, so
+    route under every seed, and ``simulate_walks`` measures it as the
+    mission's own ``finish`` does; only the measured fields differ from
+    ``decided``.  The seeds' pose graphs share the route, so
     ``score_pose_graphs`` scores them as one batch.
     """
-    return score_pose_graphs([simulate_walk(route, world, seed) for seed in seeds],
+    return score_pose_graphs(simulate_walks(route, world, seeds),
                              decided.total_distance, decided.dopt_predicted,
                              decided.assumption_ok)

@@ -6,7 +6,10 @@ at the true vertex position with heading along the direction of motion.
 Odometry between consecutive poses is the true relative motion corrupted
 by zero-mean Gaussian noise whose covariance averages the two endpoint
 regions' degeneracy matrices.  Revisiting a vertex closes a loop against
-the earliest pose recorded there.  Optimization is Gauss-Newton with
+the earliest pose recorded there.  ``route_edges`` derives a route's
+edges and covariances without a seed; ``simulate_walks``, the one
+measurement generator, measures a route for a batch of seeds.
+Optimization is Gauss-Newton with
 step-halving damping on the anchored graph, run in lockstep over a batch
 of pose graphs; a single graph is a batch of one.  The anchored normal
 equations are sparse: their pattern is built once per distinct route, and
@@ -26,11 +29,18 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 from scipy.sparse import csc_matrix
 
-from .errors import DivergenceError, InputError, MismatchError, RankDeficientError
+from .errors import (
+    CovarianceError,
+    DivergenceError,
+    InputError,
+    MismatchError,
+    RankDeficientError,
+)
 from .graph import (
     PriorGraph,
     _as_dict,
     check_spd,
+    check_spd_batch,
     default_sigma,
     load_prior_graph,
     sigma_matrix,
@@ -62,13 +72,18 @@ class WorldModel:
     def __init__(self, true_graph: PriorGraph, region_degeneracy=None,
                  loop_closure_covariance=None):
         self.true_graph = true_graph
-        self.region_degeneracy = {v: default_sigma() for v in true_graph.ids}
+        regions = np.tile(default_sigma(), (len(true_graph.ids), 1, 1))
         for v, mat in (region_degeneracy or {}).items():
             if v not in true_graph.index:
                 raise InputError(f"degeneracy entry for unknown vertex {v!r}")
-            self.region_degeneracy[v] = check_spd(
-                np.asarray(mat, dtype=float), f"degeneracy of {v!r}"
-            )
+            mat = np.asarray(mat, dtype=float)
+            if mat.shape != (3, 3):
+                raise CovarianceError(
+                    f"degeneracy of {v!r}: covariance must be 3x3, got {mat.shape}")
+            regions[true_graph.index[v]] = mat
+        # (V,3,3) degeneracy by true_graph.index, as PriorGraph.region_covs
+        self.region_covs = check_spd_batch(
+            regions, lambda k: f"degeneracy of {true_graph.ids[k]!r}")
         if loop_closure_covariance is None:
             loop_closure_covariance = np.diag(DEFAULT_LOOP_SIGMA)
         self.loop_closure_covariance = check_spd(
@@ -76,7 +91,7 @@ class WorldModel:
         )
 
     def degeneracy(self, v) -> np.ndarray:
-        return self.region_degeneracy[v]
+        return self.region_covs[self.true_graph.index[v]]
 
     def check_prior(self, prior: PriorGraph) -> None:
         """Raise a MismatchError naming the first prior vertex, in id order,
@@ -188,71 +203,32 @@ def _check_seed(seed):
     return seed
 
 
-class RouteRunner:
-    """Edge-by-edge execution in the world with incremental measurements.
-
-    The one measurement generator: ``simulate_walk`` and the mission loop
-    both drive it with ``move``.  Each step samples its odometry, then its
-    loop closure if any, from one seeded stream.
-    """
-
-    def __init__(self, world: WorldModel, start, seed):
-        self.world = world
-        self.rng = np.random.default_rng(_check_seed(seed))
-        g = world.true_graph
-        if start not in g.index:
-            raise MismatchError(f"start vertex {start!r} absent from world")
-        p = g.position(start)
-        self.route = [start]
-        self.poses = [np.array([p[0], p[1], 0.0])]
-        self.odometry = []
-        self.loops = []
-        self.first_at = {start: 0}
-        self.distance = 0.0
-
-    def _sample(self, cov):
-        if np.trace(cov) <= NOISE_FLOOR_TRACE:
-            return np.zeros(3)
-        return np.linalg.cholesky(cov) @ self.rng.standard_normal(3)
-
-    def move(self, v):
-        u = self.route[-1]
-        g = self.world.true_graph
-        if not g.has_edge(u, v):
-            raise MismatchError(f"no world edge ({u!r}, {v!r}) to traverse")
-        pu, pv = g.position(u), g.position(v)
-        heading = float(np.arctan2(pv[1] - pu[1], pv[0] - pu[0]))
-        if len(self.poses) == 1:
-            self.poses[0][2] = heading  # anchor turns toward its first motion
-        pose = np.array([pv[0], pv[1], heading])
-        k = len(self.poses)
-        cov = 0.5 * (self.world.degeneracy(u) + self.world.degeneracy(v))
-        z = between(self.poses[-1], pose) + self._sample(cov)
-        z[2] = wrap_angle(z[2])
-        self.odometry.append((k - 1, k, z, cov))
-        self.poses.append(pose)
-        if v in self.first_at:
-            lcov = self.world.loop_closure_covariance
-            i = self.first_at[v]
-            zl = between(self.poses[i], pose) + self._sample(lcov)
-            zl[2] = wrap_angle(zl[2])
-            self.loops.append((i, k, zl, lcov))
-        else:
-            self.first_at[v] = k
-        self.route.append(v)
-        self.distance += g.edge_length(u, v)
-
-    def pose_graph(self) -> SimPoseGraph:
-        pg = SimPoseGraph(
-            np.array(self.poses), list(self.route), list(self.odometry),
-            list(self.loops)
-        )
-        pg.estimates = dead_reckon(pg)
-        return pg
+def route_edges(route, world: WorldModel):
+    """Seed-free edges of the pose graph of a vertex ``route``, one pose per
+    entry: (K,2) ends (i, j) and (K,3,3) covariances, odometry then loops.
+    Odometry takes 0.5 * (D_u + D_v) of its regions; a revisit closes a loop
+    against the earliest pose at its vertex, with the loop covariance."""
+    at = np.array([world.true_graph.index[v] for v in route], dtype=np.intp)
+    _, first, seen = np.unique(at, return_index=True, return_inverse=True)
+    earliest, poses = first[seen], np.arange(len(at))
+    closing = poses[earliest < poses]
+    ends = np.concatenate([np.stack([poses[:-1], poses[1:]], 1),
+                           np.stack([earliest[closing], closing], 1)])
+    covs = np.concatenate([
+        0.5 * (world.region_covs[at[:-1]] + world.region_covs[at[1:]]),
+        np.broadcast_to(world.loop_closure_covariance, (len(closing), 3, 3)),
+    ])
+    return ends, covs
 
 
-def simulate_walk(route, world: WorldModel, seed) -> SimPoseGraph:
-    """Execute a vertex route step by step with a fresh ``RouteRunner``."""
+def simulate_walks(route, world: WorldModel, seeds) -> list:
+    """One ``SimPoseGraph`` of a vertex ``route`` per seed of ``seeds``,
+    estimates dead-reckoned.  The steps are validated, and the true poses
+    (heading along the motion in), true motions and noise factors computed,
+    once per route.  A measurement is its true motion plus Cholesky-factored
+    noise, angle wrapped; a seed draws its noise in one ``standard_normal``
+    call, three values per measurement in stream order (per step its
+    odometry, then its loop closure), none at the noise floor."""
     route = list(route)
     if not route:
         raise InputError("route is empty")
@@ -260,10 +236,39 @@ def simulate_walk(route, world: WorldModel, seed) -> SimPoseGraph:
     for k, (u, v) in enumerate(zip(route[:-1], route[1:])):
         if not g.has_edge(u, v):
             raise MismatchError(f"route step {k}: world has no edge ({u!r}, {v!r})")
-    runner = RouteRunner(world, route[0], seed)
-    for v in route[1:]:
-        runner.move(v)
-    return runner.pose_graph()
+    seeds = [_check_seed(seed) for seed in seeds]
+    if route[0] not in g.index:
+        raise MismatchError(f"start vertex {route[0]!r} absent from world")
+    poses = np.zeros((len(route), 3))
+    poses[:, :2] = g.positions[[g.index[v] for v in route]]
+    step = np.diff(poses[:, :2], axis=0)
+    poses[1:, 2] = np.arctan2(step[:, 1], step[:, 0])
+    poses[0, 2] = poses[1, 2] if len(route) > 1 else 0.0
+    ends, covs = route_edges(route, world)
+    covs.setflags(write=False)  # every seed's graph shares these rows
+    motion = np.array([between(poses[i], poses[j]) for i, j in ends]).reshape(-1, 3)
+    stream = np.argsort(ends[:, 1], kind="stable")  # odometry before loop per step
+    noisy = stream[np.trace(covs, axis1=1, axis2=2)[stream] > NOISE_FLOOR_TRACE]
+    chol = np.linalg.cholesky(covs[noisy])
+    noise = np.zeros((len(seeds), len(ends), 3))
+    for s, seed in enumerate(seeds):
+        draws = np.random.default_rng(seed).standard_normal((len(noisy), 3))
+        noise[s, noisy] = (chol @ draws[..., None])[..., 0]
+    z = motion + noise
+    z[..., 2] = wrap_angle(z[..., 2])
+    odometry = len(route) - 1
+    pgs = []
+    for zs in z:
+        edges = [(i, j, zk, cov) for (i, j), zk, cov in zip(ends.tolist(), zs, covs)]
+        pgs.append(SimPoseGraph(poses.copy(), list(route), edges[:odometry],
+                                edges[odometry:]))
+        pgs[-1].estimates = dead_reckon(pgs[-1])
+    return pgs
+
+
+def simulate_walk(route, world: WorldModel, seed) -> SimPoseGraph:
+    """``simulate_walks`` on a batch of one seed."""
+    return simulate_walks(route, world, [seed])[0]
 
 
 def dead_reckon(pg: SimPoseGraph) -> np.ndarray:

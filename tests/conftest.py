@@ -1,7 +1,7 @@
 """Shared helpers: random connected instances and small exact oracles,
 the dense reduced Laplacian, per-candidate weights, exhaustive loop
-selection, Held-Karp, one full mission per compared pair and one
-Gauss-Newton run per pose graph among them."""
+selection, Held-Karp, one full mission per compared pair, one noise draw
+per measurement and one Gauss-Newton run per pose graph among them."""
 
 from __future__ import annotations
 
@@ -20,8 +20,16 @@ from slamplan.loops import CandidateSet
 from slamplan.mission import MissionConfig, run_mission
 from slamplan.planner import STRATEGIES
 from slamplan.laplacian import _spd_factor
-from slamplan.se2 import _t, edge_jacobians, edge_residual, wrap_angle
-from slamplan.sim import _GN_MAX_ITERS, _GN_STEP_TOL, _normal_pattern, _stack_edges, dead_reckon
+from slamplan.se2 import _t, between, compose, edge_jacobians, edge_residual, wrap_angle
+from slamplan.sim import (
+    _GN_MAX_ITERS,
+    _GN_STEP_TOL,
+    NOISE_FLOOR_TRACE,
+    SimPoseGraph,
+    _normal_pattern,
+    _stack_edges,
+    dead_reckon,
+)
 from slamplan.tsp import Tour
 
 # Largest instance ``_held_karp`` solves: 14 vertices, a 2^13 x 13 table.
@@ -200,6 +208,48 @@ def compare_per_pair(prior, world, seeds):
         (job, run_mission(prior, world, MissionConfig(strategy=job[1]), job[0])[1])
         for job in jobs
     ])
+
+
+def simulate_walk_per_step(route, world, seed) -> SimPoseGraph:
+    """Reference generator: a valid vertex route executed one step at a
+    time.  Each measurement is ``between`` of its true poses plus its own
+    noise, ``cholesky(cov) @ rng.standard_normal(3)`` from one seeded
+    stream (nothing drawn at the noise floor), angle wrapped; per step the
+    odometry, then the loop closure against the earliest pose at a
+    revisited vertex.  Estimates compose the odometry one step at a time."""
+    rng = np.random.default_rng(seed)
+    g = world.true_graph
+
+    def measure(a, b, cov):
+        noise = np.zeros(3)
+        if np.trace(cov) > NOISE_FLOOR_TRACE:
+            noise = np.linalg.cholesky(cov) @ rng.standard_normal(3)
+        z = between(a, b) + noise
+        z[2] = wrap_angle(z[2])
+        return z
+
+    p = g.position(route[0])
+    poses = [np.array([p[0], p[1], 0.0])]
+    odometry, loops, first_at = [], [], {route[0]: 0}
+    for u, v in zip(route[:-1], route[1:]):
+        pu, pv = g.position(u), g.position(v)
+        heading = float(np.arctan2(pv[1] - pu[1], pv[0] - pu[0]))
+        if len(poses) == 1:
+            poses[0][2] = heading  # the anchor turns toward its first motion
+        pose = np.array([pv[0], pv[1], heading])
+        k = len(poses)
+        cov = 0.5 * (world.degeneracy(u) + world.degeneracy(v))
+        odometry.append((k - 1, k, measure(poses[-1], pose, cov), cov))
+        poses.append(pose)
+        if v in first_at:
+            lcov = world.loop_closure_covariance
+            loops.append((first_at[v], k, measure(poses[first_at[v]], pose, lcov), lcov))
+        else:
+            first_at[v] = k
+    est = [poses[0]]
+    for _, _, z, _ in odometry:
+        est.append(compose(est[-1], z))
+    return SimPoseGraph(np.array(poses), list(route), odometry, loops, np.array(est))
 
 
 def dense_information(pg, est=None):

@@ -205,19 +205,19 @@ def recorded_pools(monkeypatch):
 
 
 @pytest.mark.parametrize("workers, cores, seeds, pools", [
-    (64, 2, range(10), [[2, 2, 2]]),
-    (64, 2, [0, 1], [[2, 2, 2]]),
-    (3, 2, range(10), [[2, 2, 2]]),
-    (None, 64, range(10), [[2, 2, 2]]),
-    (None, 2, range(10), [[2, 2, 2]]),
+    (64, 2, range(10), [[2, 2]]),
+    (64, 2, [0, 1], [[2, 2]]),
+    (3, 2, range(10), [[2, 2]]),
+    (None, 64, range(10), [[2, 2]]),
+    (None, 2, range(10), [[2, 2]]),
     (1, 64, range(10), []),
 ], ids=["capped", "capped-two-seeds", "below-jobs", "default-capped",
         "default-cores", "one-in-process"])
 def test_compare_pool_never_outnumbers_its_jobs(monkeypatch, recorded_pools,
                                                 workers, cores, seeds, pools):
-    # one pool runs both phases: a mission per strategy, then one batch of
-    # replays per strategy, over all other seeds; it is never larger than a
-    # phase, whatever the seed count
+    # one pool makes one map of one job per strategy: its mission, then
+    # one batch of replays over all other seeds; the pool is never larger
+    # than the job count, whatever the seed count
     monkeypatch.setattr(bench, "_usable_cores", lambda: cores)
     g = gen_grid_graph(GridGraphSpec(width=4, height=4, seed=6))
     res = compare_strategies(g, WorldModel(g), seeds, workers=workers)

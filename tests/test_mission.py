@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import slamplan.mission as mission_mod
 from slamplan import tsp
 from slamplan.errors import DisconnectedError, InputError, MismatchError
 from slamplan.graph import PriorGraph, load_prior_graph, metric_closure
@@ -13,6 +14,8 @@ from slamplan.loops import LoopAction, Plan
 from slamplan.mission import Mission, MissionConfig, run_mission
 from slamplan.sim import WorldModel, load_world, optimize_pose_graph, simulate_walk
 from slamplan.tsp import Walk
+
+from conftest import simulate_walk_per_step
 
 
 def diagm(x, theta_scale=0.01):
@@ -88,6 +91,22 @@ def test_run_mission_rejects_a_seed_that_is_not_a_non_negative_integer(seed):
         run_mission(g, matched_world(g), MissionConfig(), seed=seed)
     with pytest.raises(InputError, match="seed must be a non-negative integer"):
         simulate_walk([0, 1], matched_world(g), seed=seed)
+
+
+def test_mission_checks_its_seed_before_any_planning(monkeypatch):
+    # no runner checks the seed as the mission starts moving, so the
+    # mission checks it itself, before any plan is computed
+    def no_plan(*args, **kwargs):
+        raise AssertionError("a plan was computed before the seed was checked")
+
+    monkeypatch.setattr(mission_mod, "compute_plan", no_plan)
+    g = chain_graph(3)
+    with pytest.raises(InputError, match=r"^seed must be a non-negative integer, got -1$"):
+        Mission(g, matched_world(g), MissionConfig(), seed=-1)
+    with pytest.raises(InputError, match=r"^seed must be a non-negative integer, got -1$"):
+        run_mission(g, matched_world(g), MissionConfig(), seed=-1)
+    with pytest.raises(AssertionError, match="before the seed was checked"):
+        run_mission(g, matched_world(g), MissionConfig(), seed=0)
 
 
 def test_coverage_each_vertex_visited_once():
@@ -206,7 +225,7 @@ def test_degeneracy_fallback_for_unvisited():
     deg = {"a": diagm(0.2), "b": diagm(0.4), "c": diagm(0.6), "d": diagm(0.8)}
     world = WorldModel(g, deg)
     mission = Mission(g, world, MissionConfig(), seed=0)
-    mission.runner.move("b")
+    mission.route.append("b")
     mission.current = "b"
     mission.visited.add("b")
     mission.degeneracy_update("b")
@@ -547,10 +566,11 @@ class _PerItemReference(_Recorded):
     replaced: one ``np.allclose`` and one validated write per item."""
 
     def degeneracy_update(self, vertex):
-        edges = self.runner.odometry + self.runner.loops
+        pg = simulate_walk_per_step(self.route, self.world, self.seed)
+        edges = pg.odometry + pg.loops
         if not edges:
             return
-        route = self.runner.route
+        route = self.route
         mids = np.array([
             0.5 * (self.prior.position(route[i]) + self.prior.position(route[j]))
             for i, j, _, _ in edges

@@ -6,12 +6,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.sparse import csc_matrix
 
 import slamplan.sim as sim_mod
 from slamplan.bench import GridGraphSpec, gen_grid_graph
-from slamplan.errors import DivergenceError, InputError, MismatchError, RankDeficientError
+from slamplan.errors import (
+    CovarianceError,
+    DivergenceError,
+    InputError,
+    MismatchError,
+    RankDeficientError,
+)
 from slamplan.graph import DEFAULT_SIGMA_DIAG, load_prior_graph, metric_closure
 from slamplan.laplacian import _spd_factor
 from slamplan.mission import MissionConfig, run_mission, score_pose_graph, score_pose_graphs
@@ -26,6 +32,7 @@ from slamplan.sim import (
     log_dopt_fim,
     optimize_pose_graph,
     simulate_walk,
+    simulate_walks,
 )
 
 from conftest import (
@@ -34,6 +41,7 @@ from conftest import (
     objective_per_graph,
     optimize_pose_graph_per_graph,
     random_connected_graph,
+    simulate_walk_per_step,
 )
 
 
@@ -120,8 +128,11 @@ def test_world_defaults():
 def test_walk_needs_world_edges():
     g = path3_graph()
     w = WorldModel(g)
-    with pytest.raises(MismatchError):
-        simulate_walk(["a", "c"], w, seed=0)
+    # one message, indexed by the step, however far along the route it is
+    for route, k in ((["a", "c"], 0), (["a", "b", "a", "c"], 2)):
+        with pytest.raises(MismatchError,
+                           match=rf"^route step {k}: world has no edge \('a', 'c'\)$"):
+            simulate_walk(route, w, seed=0)
 
 
 def test_walk_rejects_empty_route_and_unknown_start():
@@ -130,6 +141,89 @@ def test_walk_rejects_empty_route_and_unknown_start():
         simulate_walk([], w, seed=0)
     with pytest.raises(MismatchError, match="start vertex 'zz'"):
         simulate_walk(["zz"], w, seed=0)
+
+
+def test_walks_name_the_first_bad_seed():
+    w = WorldModel(path3_graph())
+    for seeds, bad in (([0, -1, 2.0], "-1"), ([3, True], "True"), ([np.int64(4), "5"], "'5'")):
+        with pytest.raises(InputError,
+                           match=rf"^seed must be a non-negative integer, got {bad}$"):
+            simulate_walks(["a", "b"], w, seeds)
+    assert simulate_walks(["a", "b"], w, []) == []
+
+
+def test_world_degeneracy_error_names_first_bad_vertex_in_id_order():
+    g = path3_graph()
+    bad = {"c": -np.eye(3), "b": np.diag([0.1, 0.1, np.nan]), "a": np.eye(3)}
+    with pytest.raises(CovarianceError,
+                       match=r"^degeneracy of 'b': covariance has non-finite entries$"):
+        WorldModel(g, bad)
+    with pytest.raises(CovarianceError,
+                       match=r"^degeneracy of 'c': covariance must be 3x3, got \(2, 2\)$"):
+        WorldModel(g, {"c": np.eye(2)})
+    w = WorldModel(g, {"c": 2.0 * np.eye(3)})
+    assert w.region_covs.shape == (3, 3, 3)
+    assert np.array_equal(w.degeneracy("c"), 2.0 * np.eye(3))
+    assert np.array_equal(w.region_covs[g.index["a"]], np.diag(DEFAULT_SIGMA_DIAG))
+
+
+@functools.lru_cache(maxsize=None)
+def _walk_world(name):
+    """A world for random walks: a bundled environment, or a 4x4 grid whose
+    covariances are turned by random rotations, so that no noise factor is
+    diagonal, and whose regions 0, 1, 4 and 5 sit at the noise floor, so
+    the odometry among them draws no noise."""
+    if name != "grid4":
+        envs = Path(__file__).resolve().parents[1] / "src" / "slamplan" / "envs"
+        return load_world(str(envs / f"{name}_world.json"))
+    g = gen_grid_graph(GridGraphSpec(width=4, height=4, vertex_removal=0.0,
+                                     edge_removal=0.0, seed=2))
+    rng = np.random.default_rng(2)
+
+    def turned(diag):
+        q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        return q @ np.diag(diag) @ q.T
+
+    deg = {v: turned(DEFAULT_SIGMA_DIAG) for v in g.ids}
+    deg.update({v: np.eye(3) * 1e-12 for v in (0, 1, 4, 5)})
+    return WorldModel(g, deg, turned(DEFAULT_LOOP_SIGMA))
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=float).tobytes()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(name=st.sampled_from(["env1", "env2", "grid4"]), start=st.integers(0, 10**6),
+       turns=st.lists(st.integers(0, 7), max_size=60),
+       seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4))
+@example(name="grid4", start=0, turns=[], seeds=[7])  # a one-vertex route
+@example(name="grid4", start=0, turns=[0] * 12, seeds=[1, 2])  # back and forth
+@example(name="env1", start=3, turns=[0, 0, 1, 0, 0, 1] * 4, seeds=[0, 0, 5])
+def test_simulate_walks_match_per_step_reference(name, start, turns, seeds):
+    # a random walk, each turn picking a neighbor by index: one batched
+    # generator gives every seed the per-step sampler's edges and bits
+    world = _walk_world(name)
+    g = world.true_graph
+    nbrs = {v: [] for v in g.ids}
+    for u, v, _ in g.edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    route = [g.ids[start % len(g.ids)]]
+    for turn in turns:
+        route.append(nbrs[route[-1]][turn % len(nbrs[route[-1]])])
+    got = simulate_walks(route, world, seeds)
+    assert len(got) == len(seeds)
+    for seed, pg in zip(seeds, got):
+        want = simulate_walk_per_step(route, world, seed)
+        assert pg.vertex_of_pose == route
+        assert _bits(pg.poses_true) == _bits(want.poses_true)
+        assert _bits(pg.estimates) == _bits(want.estimates)
+        for edges, want_edges in ((pg.odometry, want.odometry), (pg.loops, want.loops)):
+            assert [(i, j) for i, j, _, _ in edges] == [(i, j) for i, j, _, _ in want_edges]
+            for (_, _, z, cov), (_, _, wz, wcov) in zip(edges, want_edges):
+                assert _bits(z) == _bits(wz)
+                assert _bits(cov) == _bits(wcov)
 
 
 def test_true_poses_arrival_heading():
