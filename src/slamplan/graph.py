@@ -36,15 +36,21 @@ DEFAULT_SIGMA_DIAG = (0.1, 0.1, 0.001)
 MAX_TOTAL_LENGTH = 1e300
 
 
+def _floats(value, what: str) -> np.ndarray:
+    """``value`` as a float array, or an InputError naming ``what`` if it
+    holds anything but numbers."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise InputError(f"{what} entries must be numbers, got {value!r}") from None
+
+
 def sigma_matrix(diag, what: str = "sigma") -> np.ndarray:
     """Build a diagonal 3x3 covariance from per-axis variances; ``what``
     names the entry in error messages."""
-    try:
-        d = np.asarray(diag, dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        raise InputError(f"{what} entries must be numbers, got {diag!r}") from None
+    d = _floats(diag, what)
     if d.shape != (3,):
-        raise InputError(f"{what} must have 3 entries, got {d.tolist()}")
+        raise InputError(f"{what} must have 3 entries, got {diag!r}")
     return np.diag(d)
 
 

@@ -14,9 +14,10 @@ b^T L^{-1} b = ||W b||^2 is the squared distance between two rows, O(n),
 and a rank-1 update is O(n^2).  ``reduced_laplacian`` builds it from a
 pose graph's factors with no LAPACK call.  ``log_det_from_scratch`` is
 the no-reuse log-det that oracles and the mission's plan comparison
-share: it assembles L in compressed-column form and factors it with
-``_spd_factor``, SuperLU with diagonal pivots, the package's one SPD
-factorization, which the simulator's normal equations use too.
+share: it sums L into ``_anchored_pattern``, and factors it with
+``_spd_factor``, SuperLU with diagonal pivots.  The simulator's normal
+equations use the same pattern builder, with 3x3 blocks, and the same
+factorization.
 """
 
 from __future__ import annotations
@@ -101,17 +102,42 @@ def log_det_from_scratch(n: int, factors) -> float:
     """log det of the reduced Laplacian of (i, j, weight) ``factors`` over
     n non-anchor poses, pose 0 the anchor, with no factor reuse.
 
-    The matrix is assembled in compressed-column form, duplicate pairs
-    summed, and factored by ``_spd_factor``, so its bits do not depend on
+    The matrix is summed into its ``_anchored_pattern`` with one
+    ``np.bincount``, ii entries first, then jj, ij and ji, each in factor
+    order, and factored by ``_spd_factor``, so its bits do not depend on
     the BLAS thread count.
     """
     ends, w = _pose_factors(n, factors)
-    i, j = ends.T
-    rows, cols = np.concatenate([i, j, i, j]), np.concatenate([i, j, j, i])
-    keep = (rows > 0) & (cols > 0)
-    lap = csc_matrix((np.concatenate([w, w, -w, -w])[keep], (rows[keep] - 1, cols[keep] - 1)),
-                     shape=(n, n))
+    keep, slot, indices, indptr = _anchored_pattern(ends, n, 1)
+    kind = np.argsort(np.nonzero(keep)[1], kind="stable")  # block kind, then factor
+    data = np.bincount(slot[kind], weights=np.stack([w, w, -w, -w], 1)[keep][kind],
+                       minlength=len(indices))
+    lap = csc_matrix((data, indices, indptr), shape=(n, n))
     return _spd_factor(lap, "reduced Laplacian is not positive-definite")[1]
+
+
+def _anchored_pattern(ends, n: int, block: int):
+    """Compressed-column pattern of a matrix over n non-anchor poses, pose
+    0 the anchor, that each pose pair of the (K,2) ``ends`` adds its ii, jj,
+    ij and ji blocks of ``block`` x ``block`` entries to: 1 for the reduced
+    Laplacian, 3 for the SE(2) normal equations.
+
+    Blocks in the anchor's row or column are dropped.  Returns the (K,4)
+    mask of kept blocks, the CSC slot of each entry of the kept blocks in
+    mask order, ``indices`` and ``indptr``.  The last two are C ints,
+    SuperLU's index type, so a matrix built on them is not scanned for a
+    narrower one.
+    """
+    i, j = ends[:, 0], ends[:, 1]
+    rows, cols = np.stack([i, j, i, j], 1), np.stack([i, j, j, i], 1)
+    keep = (rows > 0) & (cols > 0)
+    dim = block * n
+    offs = np.arange(block)
+    r = block * (rows[keep][:, None, None] - 1) + offs[:, None]
+    c = block * (cols[keep][:, None, None] - 1) + offs
+    keys, slot = np.unique((c * dim + r).ravel(), return_inverse=True)
+    indptr = np.searchsorted(keys // dim, np.arange(dim + 1))
+    return keep, slot, (keys % dim).astype(np.intc), indptr.astype(np.intc)
 
 
 def _spd_factor(h, message):

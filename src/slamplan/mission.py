@@ -446,10 +446,11 @@ def score_pose_graph(pg: SimPoseGraph, total_distance: float, dopt_predicted: fl
 
 def score_pose_graphs(pgs, total_distance: float, dopt_predicted: float,
                       assumption_ok: bool) -> list:
-    """``score_pose_graph``'s metrics of each pose graph of ``pgs``, all
-    optimized in one lockstep batch and measured in one more: per graph its
-    ``MissionMetrics``, or the error that stopped its optimization or its
-    measurement.  A graph that fails does not stop the others."""
+    """``score_pose_graph``'s metrics of each pose graph of ``pgs``, the
+    seeds of one route, all optimized in one lockstep batch and measured in
+    one more: per graph its ``MissionMetrics``, or the error that stopped
+    its optimization or its measurement.  A graph that fails does not stop
+    the others."""
     runs = optimize_pose_graphs(pgs)
     fims = log_dopt_fims(pgs)
     scored = []

@@ -31,25 +31,29 @@ def rot(theta) -> np.ndarray:
     return _mat2(c, -s, s, c)
 
 
-def compose(a, b) -> np.ndarray:
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    xy = a[:2] + rot(a[2]) @ b[:2]
-    return np.array([xy[0], xy[1], wrap_angle(a[2] + b[2])])
-
-
-def between(a, b) -> np.ndarray:
-    """Relative pose taking a to b (a's frame)."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    xy = rot(a[2]).T @ (b[:2] - a[:2])
-    return np.array([xy[0], xy[1], wrap_angle(b[2] - a[2])])
-
-
 def _stacked(*poses):
     """(K,3) float stacks of the given poses, and whether one pair was given."""
     single = np.ndim(poses[0]) == 1
     return [np.atleast_2d(np.asarray(p, dtype=float)) for p in poses], single
+
+
+def compose(a, b) -> np.ndarray:
+    """b applied in a's frame: (3,) for one pair, (K,3) for (K,3) stacks;
+    each rotation is a ``matmul`` of a 2x2 matrix, so a stack gives the
+    bits of its single-pair calls."""
+    (a, b), single = _stacked(a, b)
+    xy = a[:, :2] + (rot(a[:, 2]) @ b[:, :2, None])[..., 0]
+    out = np.concatenate([xy, wrap_angle(a[:, 2] + b[:, 2])[:, None]], axis=1)
+    return out[0] if single else out
+
+
+def between(a, b) -> np.ndarray:
+    """Relative pose taking a to b (a's frame): (3,) for one pair, (K,3)
+    for (K,3) stacks, with the bits of its single-pair calls."""
+    (a, b), single = _stacked(a, b)
+    xy = (_t(rot(a[:, 2])) @ (b[:, :2] - a[:, :2])[..., None])[..., 0]
+    out = np.concatenate([xy, wrap_angle(b[:, 2] - a[:, 2])[:, None]], axis=1)
+    return out[0] if single else out
 
 
 def _t(m: np.ndarray) -> np.ndarray:

@@ -8,18 +8,21 @@ by zero-mean Gaussian noise whose covariance averages the two endpoint
 regions' degeneracy matrices.  Revisiting a vertex closes a loop against
 the earliest pose recorded there.  ``route_edges`` derives a route's
 edges and covariances without a seed; ``simulate_walks``, the one
-measurement generator, measures a route for a batch of seeds.
-Optimization is Gauss-Newton with
-step-halving damping on the anchored graph, run in lockstep over a batch
-of pose graphs; a single graph is a batch of one.  The anchored normal
-equations are sparse: their pattern is built once per distinct route, and
-each iteration sums the entries of every graph still running in
-compressed-column form with one ``np.bincount`` and scores each round of
-their line searches in one objective call.  ``laplacian._spd_factor``
-factors each graph's own matrix with SuperLU in a fill-reducing symmetric
-order, which also gives the information matrix's log det, so a graph's
-results are those it gets alone, and a graph that fails leaves the batch
-without stopping the others.
+measurement generator, measures a route for a batch of seeds.  A pose
+graph is its route's stacked measurements: (K,2) edge ends, (K,3)
+measurements and (K,3,3) covariances, and the seeds of one route share
+its ends and covariances.
+Optimization is Gauss-Newton with step-halving damping on the anchored
+graph, run in lockstep over the pose graphs of one route; a single graph
+is a batch of one.  The anchored normal equations are sparse: their
+pattern is built once per batch, and each iteration sums the entries of
+every graph still running in compressed-column form with one
+``np.bincount`` and scores each round of their line searches in one
+objective call.  ``laplacian._spd_factor`` factors each graph's own matrix
+with SuperLU in a fill-reducing symmetric order, which also gives the
+information matrix's log det, so a graph's results are those it gets
+alone, and a graph that fails leaves the batch without stopping the
+others.
 """
 
 from __future__ import annotations
@@ -39,13 +42,14 @@ from .errors import (
 from .graph import (
     PriorGraph,
     _as_dict,
+    _floats,
     check_spd,
     check_spd_batch,
     default_sigma,
     load_prior_graph,
     sigma_matrix,
 )
-from .laplacian import _spd_factor
+from .laplacian import _anchored_pattern, _spd_factor
 from .se2 import (
     _t,
     between,
@@ -73,10 +77,14 @@ class WorldModel:
                  loop_closure_covariance=None):
         self.true_graph = true_graph
         regions = np.tile(default_sigma(), (len(true_graph.ids), 1, 1))
-        for v, mat in (region_degeneracy or {}).items():
+        region_degeneracy = {} if region_degeneracy is None else region_degeneracy
+        if not isinstance(region_degeneracy, dict):
+            raise InputError("region degeneracy must map vertices to covariances, "
+                             f"got {type(region_degeneracy).__name__}")
+        for v, mat in region_degeneracy.items():
             if v not in true_graph.index:
                 raise InputError(f"degeneracy entry for unknown vertex {v!r}")
-            mat = np.asarray(mat, dtype=float)
+            mat = _floats(mat, f"degeneracy of {v!r}")
             if mat.shape != (3, 3):
                 raise CovarianceError(
                     f"degeneracy of {v!r}: covariance must be 3x3, got {mat.shape}")
@@ -87,8 +95,7 @@ class WorldModel:
         if loop_closure_covariance is None:
             loop_closure_covariance = np.diag(DEFAULT_LOOP_SIGMA)
         self.loop_closure_covariance = check_spd(
-            np.asarray(loop_closure_covariance, dtype=float), "loop closure"
-        )
+            _floats(loop_closure_covariance, "loop closure covariance"), "loop closure")
 
     def degeneracy(self, v) -> np.ndarray:
         return self.region_covs[self.true_graph.index[v]]
@@ -155,25 +162,29 @@ def load_world(document) -> WorldModel:
 
 @dataclass
 class SimPoseGraph:
-    """Ground truth, measurements, and estimates for one executed route."""
+    """Ground truth, measurements and estimates of one executed route.
 
-    poses_true: np.ndarray  # (P, 3)
+    The measurements are stacked in ``route_edges`` order: the P-1
+    odometry rows (i, i+1) first, then the loop closures (i, j), i < j, i
+    the earliest pose at the vertex.  The graphs that ``simulate_walks``
+    gives for one route share its read-only ``poses_true``, ``ends`` and
+    ``covs``.
+    """
+
+    poses_true: np.ndarray  # (P,3)
     vertex_of_pose: list
-    odometry: list  # (i, i+1, z, cov)
-    loops: list  # (i, j, z, cov) with i < j; i is the earliest pose there
+    ends: np.ndarray  # (K,2) pose indices
+    z: np.ndarray  # (K,3)
+    covs: np.ndarray  # (K,3,3)
     estimates: np.ndarray = field(default=None)
 
     @property
     def pose_count(self) -> int:
         return len(self.poses_true)
 
-    def all_edges(self):
-        yield from self.odometry
-        yield from self.loops
-
     @property
     def edge_count(self) -> int:
-        return len(self.odometry) + len(self.loops)
+        return len(self.ends)
 
     def mean_degree(self) -> float:
         return 2.0 * self.edge_count / self.pose_count
@@ -245,8 +256,7 @@ def simulate_walks(route, world: WorldModel, seeds) -> list:
     poses[1:, 2] = np.arctan2(step[:, 1], step[:, 0])
     poses[0, 2] = poses[1, 2] if len(route) > 1 else 0.0
     ends, covs = route_edges(route, world)
-    covs.setflags(write=False)  # every seed's graph shares these rows
-    motion = np.array([between(poses[i], poses[j]) for i, j in ends]).reshape(-1, 3)
+    motion = between(poses[ends[:, 0]], poses[ends[:, 1]])
     stream = np.argsort(ends[:, 1], kind="stable")  # odometry before loop per step
     noisy = stream[np.trace(covs, axis1=1, axis2=2)[stream] > NOISE_FLOOR_TRACE]
     chol = np.linalg.cholesky(covs[noisy])
@@ -256,14 +266,10 @@ def simulate_walks(route, world: WorldModel, seeds) -> list:
         noise[s, noisy] = (chol @ draws[..., None])[..., 0]
     z = motion + noise
     z[..., 2] = wrap_angle(z[..., 2])
-    odometry = len(route) - 1
-    pgs = []
-    for zs in z:
-        edges = [(i, j, zk, cov) for (i, j), zk, cov in zip(ends.tolist(), zs, covs)]
-        pgs.append(SimPoseGraph(poses.copy(), list(route), edges[:odometry],
-                                edges[odometry:]))
-        pgs[-1].estimates = dead_reckon(pgs[-1])
-    return pgs
+    est = _dead_reckoned(poses[0], z[:, :len(route) - 1])
+    for shared in (poses, ends, covs):
+        shared.setflags(write=False)
+    return [SimPoseGraph(poses, list(route), ends, zs, covs, e) for zs, e in zip(z, est)]
 
 
 def simulate_walk(route, world: WorldModel, seed) -> SimPoseGraph:
@@ -271,153 +277,104 @@ def simulate_walk(route, world: WorldModel, seed) -> SimPoseGraph:
     return simulate_walks(route, world, [seed])[0]
 
 
+def _dead_reckoned(anchor, odometry) -> np.ndarray:
+    """(S,P,3) estimates of S graphs from their (S,P-1,3) ``odometry``
+    measurements, composed outward from the ``anchor`` pose, one
+    ``compose`` per step for all graphs at once."""
+    est = np.empty((len(odometry), odometry.shape[1] + 1, 3))
+    est[:, 0] = anchor
+    for k in range(odometry.shape[1]):
+        est[:, k + 1] = compose(est[:, k], odometry[:, k])
+    return est
+
+
 def dead_reckon(pg: SimPoseGraph) -> np.ndarray:
     """Initial estimates: compose odometry outward from the anchor."""
-    est = np.zeros_like(pg.poses_true)
-    est[0] = pg.poses_true[0]
-    for i, j, z, _ in pg.odometry:
-        est[j] = compose(est[i], z)
-    return est
+    return _dead_reckoned(pg.poses_true[0], pg.z[None, :pg.pose_count - 1])[0]
 
 
 # -- Gauss-Newton optimization ------------------------------------------
 
 
-def _stack_edges(pg: SimPoseGraph):
-    """The measurements of ``pg`` in edge order, odometry then loops:
-    (K,2) pose indices, (K,3) z and (K,3,3) covariances."""
-    edges = list(pg.all_edges())
-    ends = np.array([(i, j) for i, j, _, _ in edges], dtype=np.intp).reshape(-1, 2)
-    z = np.array([z for _, _, z, _ in edges], dtype=float).reshape(-1, 3)
-    cov = np.array([cov for _, _, _, cov in edges], dtype=float).reshape(-1, 3, 3)
-    return ends, z, cov
-
-
-def _normal_pattern(ends, dim):
-    """Compressed-column pattern of the anchored normal equations of the
-    edges ``ends``, which holds for every estimate.
-
-    Every edge adds the blocks ii, jj, ij and ji of ``H`` and the rows i
-    and j of the gradient, skipping those of the anchor.  Returns the
-    (K,4) mask of kept blocks, the CSC slot of each kept block entry,
-    ``indices`` and ``indptr``, then the (K,2) mask of free rows and the
-    gradient row of each free row entry.  ``indices`` and ``indptr`` are
-    C ints, SuperLU's index type, so a matrix built on them is not scanned
-    for a narrower one.
-    """
-    i, j = ends[:, 0], ends[:, 1]
-    rows, cols = np.stack([i, j, i, j], 1), np.stack([i, j, j, i], 1)
-    keep = (rows > 0) & (cols > 0)
-    offs = np.arange(3)
-    r = 3 * (rows[keep][:, None, None] - 1) + offs[:, None]
-    c = 3 * (cols[keep][:, None, None] - 1) + offs
-    keys, slot = np.unique((c * dim + r).ravel(), return_inverse=True)
-    indptr = np.searchsorted(keys // dim, np.arange(dim + 1))
+def _normal_pattern(ends, n: int):
+    """Pattern of the anchored normal equations of the edges ``ends`` over
+    n non-anchor poses, which holds for every estimate: the
+    ``_anchored_pattern`` of 3x3 blocks, then the (K,2) mask of free
+    (non-anchor) ends and the gradient row of each of their entries."""
     free = ends > 0
-    grad_rows = (3 * (ends[..., None] - 1) + offs)[free].ravel()
-    return keep, slot, (keys % dim).astype(np.intc), indptr.astype(np.intc), free, grad_rows
+    grad_rows = (3 * (ends[..., None] - 1) + np.arange(3))[free].ravel()
+    return (*_anchored_pattern(ends, n, 3), free, grad_rows)
 
 
-def _stack_batch(pgs):
-    """Joint (N,3) estimates of the pose graphs ``pgs``, each graph's rows
-    after the last graph's, and one part per graph: its measurements in
-    edge order (``_stack_edges``) with pose indices into the joint rows,
-    its normal-equation pattern, built once per distinct route, and the
-    slice of its rows."""
-    patterns = {}
-    parts = []
-    start = 0
-    for pg in pgs:
-        ends, z, cov = _stack_edges(pg)
-        dim = 3 * (pg.pose_count - 1)
-        key = (dim, ends.tobytes())
-        if key not in patterns:
-            patterns[key] = _normal_pattern(ends, dim)
-        parts.append((ends + start, z, cov, patterns[key],
-                      slice(start, start + pg.pose_count)))
-        start += pg.pose_count
-    return np.concatenate([pg.estimates for pg in pgs]), parts
+def _matrix(data, pattern):
+    """The CSC matrix of one graph's slot ``data`` on ``pattern``, sharing
+    its ``indices`` and ``indptr``."""
+    indices, indptr = pattern[2:4]
+    dim = len(indptr) - 1
+    return csc_matrix((data, indices, indptr), shape=(dim, dim))
 
 
-class _Batch:
-    """Pose graphs stacked for one lockstep pass, from ``_stack_batch``
-    parts.
-
-    Measurements are concatenated in graph order.  Each graph's CSC slots
-    and gradient rows are shifted past those of the graphs before it, so
-    one ``np.bincount`` sums every graph's entries and no slot mixes two
-    graphs: graph b owns ``nnz[b]:nnz[b + 1]`` of the summed entries and
-    ``span(b)`` of the gradient and step.  ``poses`` lists every free
-    (non-anchor) row of the joint estimates, in step order.
-    """
-
-    def __init__(self, parts):
-        ends, z, cov, patterns, rows = zip(*parts)
-        self.ends, self.z, self.cov = (np.concatenate(x) for x in (ends, z, cov))
-        self.w = np.linalg.inv(self.cov)
-        counts = [len(e) for e in ends]
-        self.row = np.repeat(np.arange(len(parts)), counts)
-        self.col = np.concatenate([np.arange(1, k + 1) for k in counts])
-        self.width = max(counts) + 1
-        keep, slot, indices, indptr, free, grad_rows = zip(*patterns)
-        self.csc = list(zip(indices, indptr))
-        self.nnz = np.cumsum([0] + [len(i) for i in indices])
-        self.dims = np.cumsum([0] + [len(p) - 1 for p in indptr])
-        self.keep, self.free = np.concatenate(keep), np.concatenate(free)
-        self.slot = np.concatenate([s + at for s, at in zip(slot, self.nnz)])
-        self.grad_rows = np.concatenate([g + at for g, at in zip(grad_rows, self.dims)])
-        self.poses = np.concatenate([np.arange(r.start + 1, r.stop) for r in rows])
-
-    def __len__(self) -> int:
-        return len(self.csc)
-
-    def span(self, b) -> slice:
-        return slice(self.dims[b], self.dims[b + 1])
-
-    def matrix(self, b, data):
-        """Graph b's matrix from the batch's summed slot ``data``, a CSC
-        matrix that shares its pattern's ``indices`` and ``indptr``."""
-        indices, indptr = self.csc[b]
-        dim = len(indptr) - 1
-        return csc_matrix((data[self.nnz[b]:self.nnz[b + 1]], indices, indptr),
-                          shape=(dim, dim))
+def _route_of(pgs):
+    """The (K,2) ``ends`` and pose count that the pose graphs ``pgs`` share,
+    none for no graph; an ``InputError`` if they measure more than one
+    route."""
+    ends, poses = (pgs[0].ends, pgs[0].pose_count) if pgs else (None, 0)
+    for pg in pgs[1:]:
+        if pg.pose_count != poses or not np.array_equal(pg.ends, ends):
+            raise InputError("a batch takes the pose graphs of one route")
+    return ends, poses
 
 
-def _objective(est, batch) -> np.ndarray:
-    """Each graph's sum of e^T cov^-1 e at the joint estimates ``est``,
-    added in edge order from 0.0 as a per-edge loop would: a graph's terms
-    fill its row after a leading 0.0, and ``np.add.accumulate`` adds along
-    the row one term at a time (``np.sum`` adds pairwise, which changes the
-    last bits); the zeros that pad shorter rows leave their sums as they
-    are."""
-    e = edge_residual(est[batch.ends[:, 0]], est[batch.ends[:, 1]], batch.z)[..., None]
-    terms = np.zeros((len(batch), batch.width))
-    terms[batch.row, batch.col] = (_t(e) @ np.linalg.solve(batch.cov, e)).ravel()
+def _stack_fields(pgs, *fields):
+    """Each named field of the pose graphs ``pgs``, stacked along a new
+    first axis."""
+    return [np.stack([getattr(pg, name) for pg in pgs]) for name in fields]
+
+
+def _objective(est, ends, z, covs) -> np.ndarray:
+    """Each graph's sum of e^T cov^-1 e at its estimates, for S graphs of
+    one route: (S,P,3) ``est``, (S,K,3) ``z`` and (S,K,3,3) ``covs``.  The
+    terms are added in edge order from 0.0, as a per-edge loop would: a
+    graph's terms fill its row after a leading 0.0, and
+    ``np.add.accumulate`` adds along the row one term at a time
+    (``np.sum`` adds pairwise, which changes the last bits)."""
+    e = edge_residual(est[:, ends[:, 0]].reshape(-1, 3), est[:, ends[:, 1]].reshape(-1, 3),
+                      z.reshape(-1, 3))[..., None]
+    terms = np.zeros((len(est), len(ends) + 1))
+    terms[:, 1:] = (_t(e) @ np.linalg.solve(covs.reshape(-1, 3, 3), e)).reshape(len(est), -1)
     return np.add.accumulate(terms, axis=1)[:, -1]
 
 
-def _assemble(est, batch):
-    """Gauss-Newton ``H`` entries and gradients, anchors removed, of every
-    graph of ``batch`` at the joint estimates ``est``: the summed slot data
-    (``_Batch.matrix`` makes a graph's ``H`` of them) and the gradients.
+def _assemble(est, ends, z, w, pattern):
+    """Gauss-Newton ``H`` entries and gradients, anchors removed, of S
+    graphs of one route at their (S,P,3) ``est``, with (S,K,3) ``z``,
+    (S,K,3,3) inverse covariances ``w`` and the route's ``_normal_pattern``:
+    the (S,nnz) slot data of each graph's ``H`` and its (S,dim) gradient.
 
-    ``np.bincount`` adds the entries of each slot in edge order from 0.0,
-    so each entry is summed as a per-edge loop into a dense ``H`` would
-    sum it.
+    Graph s owns the slots and rows offset by s times their count, so one
+    ``np.bincount`` sums every graph's entries, and adds those of each
+    slot in edge order from 0.0, as a per-edge loop into a dense ``H``
+    would.
     """
-    xi, xj = est[batch.ends[:, 0]], est[batch.ends[:, 1]]
-    e = edge_residual(xi, xj, batch.z)[..., None]
-    a, b = edge_jacobians(xi, xj, batch.z)
-    w = batch.w
+    keep, slot, indices, indptr, free, grad_rows = pattern
+    graphs, nnz, dim = len(est), len(indices), len(indptr) - 1
+    xi, xj = est[:, ends[:, 0]].reshape(-1, 3), est[:, ends[:, 1]].reshape(-1, 3)
+    z = z.reshape(-1, 3)
+    e = edge_residual(xi, xj, z)[..., None]
+    a, b = edge_jacobians(xi, xj, z)
+    w = w.reshape(-1, 3, 3)
     wa, wb, we = w @ a, w @ b, w @ e
     at, bt = _t(a), _t(b)
-    blocks = np.stack([at @ wa, bt @ wb, at @ wb, bt @ wa], 1)  # (K,4,3,3)
-    data = np.bincount(batch.slot, weights=blocks[batch.keep].ravel(),
-                       minlength=batch.nnz[-1])
-    g = np.stack([at @ we, bt @ we], 1)[..., 0]  # (K,2,3), rows i then j
-    grad = np.bincount(batch.grad_rows, weights=g[batch.free].ravel(),
-                       minlength=batch.dims[-1])
-    return data, grad
+    blocks = np.stack([at @ wa, bt @ wb, at @ wb, bt @ wa], 1)  # (S*K,4,3,3)
+    offset = np.arange(graphs)[:, None]
+    data = np.bincount((slot + offset * nnz).ravel(),
+                       weights=blocks.reshape(graphs, -1, 4, 3, 3)[:, keep].ravel(),
+                       minlength=graphs * nnz)
+    g = np.stack([at @ we, bt @ we], 1)[..., 0]  # (S*K,2,3), rows i then j
+    grad = np.bincount((grad_rows + offset * dim).ravel(),
+                       weights=g.reshape(graphs, -1, 2, 3)[:, free].ravel(),
+                       minlength=graphs * dim)
+    return data.reshape(graphs, nnz), grad.reshape(graphs, dim)
 
 
 def _one(outcome):
@@ -429,14 +386,16 @@ def _one(outcome):
 
 def optimize_pose_graphs(pgs) -> list:
     """Anchored Gauss-Newton on each pose graph of ``pgs``, in lockstep;
-    returns per graph its run info, or the error that stopped it.
+    returns per graph its run info, or the error that stopped it.  The
+    graphs measure one route (``simulate_walks``), or an ``InputError`` is
+    raised.
 
-    Each iteration assembles every running graph in one pass, factors each
-    graph's own matrix, and scores each round of the line searches in one
-    objective call.  A graph leaves the batch when it converges or fails,
-    and the others go on: each graph takes the steps, and ends with the
-    estimates, info or error, that it would alone.  A graph's estimates
-    are replaced unless it fails.
+    Each iteration assembles every running graph in one pass on the
+    route's pattern, factors each graph's own matrix, and scores each
+    round of the line searches in one objective call.  A graph leaves the
+    batch when it converges or fails, and the others go on: each graph
+    takes the steps, and ends with the estimates, info or error, that it
+    would alone.  A graph's estimates are replaced unless it fails.
 
     Rejected full steps retry at half length up to 10 times; if even the
     smallest step raises the objective the graph fails with a
@@ -444,55 +403,50 @@ def optimize_pose_graphs(pgs) -> list:
     ``RankDeficientError``.  ``grad_norm`` is the gradient norm at the last
     linearization, the one before the last step.
     """
-    outcomes = []
+    ends, poses = _route_of(pgs)
     for pg in pgs:
         if pg.estimates is None:
             pg.estimates = dead_reckon(pg)
-        outcomes.append({"iterations": 0, "converged": True, "objective": 0.0,
-                         "grad_norm": 0.0})
-    active = [k for k, pg in enumerate(pgs) if pg.pose_count > 1 and pg.edge_count]
-    if not active:
-        return outcomes
-    est, stacked = _stack_batch([pgs[k] for k in active])
-    parts = dict(zip(active, stacked))
-    batch = _Batch(stacked)
-    f_cur = _objective(est, batch)
-    for k, f in zip(active, f_cur):
-        outcomes[k] = {"iterations": 0, "converged": False, "objective": float(f)}
+    if poses < 2 or not len(ends):
+        return [{"iterations": 0, "converged": True, "objective": 0.0, "grad_norm": 0.0}
+                for _ in pgs]
+    pattern = _normal_pattern(ends, poses - 1)
+    est, z, covs = _stack_fields(pgs, "estimates", "z", "covs")
+    w = np.linalg.inv(covs)
+    f_cur = _objective(est, ends, z, covs)
+    outcomes = [{"iterations": 0, "converged": False, "objective": float(f)} for f in f_cur]
+    active = np.arange(len(pgs))
     for it in range(1, _GN_MAX_ITERS + 1):
-        running = [isinstance(outcomes[k], dict) and not outcomes[k]["converged"]
-                   for k in active]
-        if not all(running):
-            active = [k for k, go in zip(active, running) if go]
-            if not active:
-                break
-            f_cur = f_cur[running]
-            batch = _Batch([parts[k] for k in active])
-        data, grad = _assemble(est, batch)
-        step = np.zeros(len(grad))  # a graph that fails here keeps still
+        running = np.array([isinstance(outcomes[k], dict) and not outcomes[k]["converged"]
+                            for k in active])
+        active, f_cur = active[running], f_cur[running]
+        if not len(active):
+            break
+        z_run, covs_run = z[active], covs[active]
+        data, grad = _assemble(est[active], ends, z_run, w[active], pattern)
+        step = np.zeros_like(grad)  # a graph that fails here keeps still
         for b, k in enumerate(active):
-            span = batch.span(b)
-            outcomes[k]["grad_norm"] = float(np.linalg.norm(grad[span]))
+            outcomes[k]["grad_norm"] = float(np.linalg.norm(grad[b]))
             try:
-                lu, _ = _spd_factor(batch.matrix(b, data),
+                lu, _ = _spd_factor(_matrix(data[b], pattern),
                                     "normal equations singular; graph likely disconnected")
             except RankDeficientError as err:
                 outcomes[k] = err
                 continue
-            step[span] = -lu.solve(grad[span])
+            step[b] = -lu.solve(grad[b])
         alpha = np.ones(len(active))
         searching = np.array([isinstance(outcomes[k], dict) for k in active])
         for _ in range(11):
-            trial = est.copy()
-            upd = np.repeat(alpha, np.diff(batch.dims) // 3)[:, None] * step.reshape(-1, 3)
-            trial[batch.poses, :2] += upd[:, :2]
-            trial[batch.poses, 2] = wrap_angle(trial[batch.poses, 2] + upd[:, 2])
-            f_new = _objective(trial, batch)
+            trial = est[active]
+            upd = alpha[:, None, None] * step.reshape(len(active), -1, 3)
+            trial[:, 1:, :2] += upd[..., :2]
+            trial[:, 1:, 2] = wrap_angle(trial[:, 1:, 2] + upd[..., 2])
+            f_new = _objective(trial, ends, z_run, covs_run)
             searching &= ~(f_new <= f_cur + 1e-12)
             if not searching.any():
                 break
             alpha[searching] *= 0.5
-        est = trial
+        est[active] = trial
         for b, k in enumerate(active):
             if not isinstance(outcomes[k], dict):
                 continue
@@ -500,14 +454,14 @@ def optimize_pose_graphs(pgs) -> list:
                 outcomes[k] = DivergenceError(
                     f"objective rose from {f_cur[b]:.6g} with no damping recovery")
                 continue
-            step_norm = float(np.linalg.norm(alpha[b] * step[batch.span(b)]))
+            step_norm = float(np.linalg.norm(alpha[b] * step[b]))
             outcomes[k].update(iterations=it, objective=float(f_new[b]))
             if step_norm < _GN_STEP_TOL:
                 outcomes[k]["converged"] = True
         f_cur = f_new
-    for k, (*_, rows) in parts.items():
-        if isinstance(outcomes[k], dict):
-            pgs[k].estimates = est[rows].copy()
+    for pg, outcome, mine in zip(pgs, outcomes, est):
+        if isinstance(outcome, dict):
+            pg.estimates = mine
     return outcomes
 
 
@@ -523,7 +477,8 @@ def optimize_pose_graph(pg: SimPoseGraph) -> dict:
 def log_dopt_fims(pgs) -> list:
     """log D-opt of the Gauss-Newton information at each pose graph's
     current estimates, all assembled in one pass; per graph the value, or
-    the error that prevented it.
+    the error that prevented it.  The graphs measure one route, or an
+    ``InputError`` is raised.
 
     The information is 1/2 of the summed J^T W J with the anchor removed;
     the value is (1/dim) log det of it, 0 for a single pose.
@@ -531,20 +486,21 @@ def log_dopt_fims(pgs) -> list:
     outcomes = [0.0 if pg.estimates is not None else
                 InputError("optimize or dead-reckon before evaluating the FIM")
                 for pg in pgs]
-    busy = [k for k, pg in enumerate(pgs) if pg.estimates is not None and pg.pose_count > 1]
-    if not busy:
+    ends, poses = _route_of(pgs)
+    busy = [k for k, pg in enumerate(pgs) if pg.estimates is not None]
+    if not busy or poses < 2:
         return outcomes
-    est, parts = _stack_batch([pgs[k] for k in busy])
-    batch = _Batch(parts)
-    data, _ = _assemble(est, batch)
+    pattern = _normal_pattern(ends, poses - 1)
+    est, z, covs = _stack_fields([pgs[k] for k in busy], "estimates", "z", "covs")
+    data, _ = _assemble(est, ends, z, np.linalg.inv(covs), pattern)
     for b, k in enumerate(busy):
         try:
-            _, logdet = _spd_factor(batch.matrix(b, 0.5 * data),
+            _, logdet = _spd_factor(_matrix(0.5 * data[b], pattern),
                                     "information matrix is rank-deficient")
         except RankDeficientError as err:
             outcomes[k] = err
             continue
-        outcomes[k] = logdet / (3 * (pgs[k].pose_count - 1))
+        outcomes[k] = logdet / (3 * (poses - 1))
     return outcomes
 
 

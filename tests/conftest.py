@@ -27,7 +27,6 @@ from slamplan.sim import (
     NOISE_FLOOR_TRACE,
     SimPoseGraph,
     _normal_pattern,
-    _stack_edges,
     dead_reckon,
 )
 from slamplan.tsp import Tour
@@ -249,7 +248,18 @@ def simulate_walk_per_step(route, world, seed) -> SimPoseGraph:
     est = [poses[0]]
     for _, _, z, _ in odometry:
         est.append(compose(est[-1], z))
-    return SimPoseGraph(np.array(poses), list(route), odometry, loops, np.array(est))
+    edges = odometry + loops
+    return SimPoseGraph(np.array(poses), list(route),
+                        np.array([(i, j) for i, j, _, _ in edges], dtype=np.intp).reshape(-1, 2),
+                        np.array([z for _, _, z, _ in edges]).reshape(-1, 3),
+                        np.array([cov for _, _, _, cov in edges]).reshape(-1, 3, 3),
+                        np.array(est))
+
+
+def edge_list(pg) -> list:
+    """The measurements of ``pg`` one edge at a time, in edge order:
+    (i, j, z, cov) with Python int pose indices."""
+    return [(i, j, z, cov) for (i, j), z, cov in zip(pg.ends.tolist(), pg.z, pg.covs)]
 
 
 def dense_information(pg, est=None):
@@ -261,7 +271,7 @@ def dense_information(pg, est=None):
     dim = 3 * (pg.pose_count - 1)
     h = np.zeros((dim, dim))
     grad = np.zeros(dim)
-    for i, j, z, cov in pg.all_edges():
+    for i, j, z, cov in edge_list(pg):
         e = edge_residual(est[i], est[j], z)
         a, b = edge_jacobians(est[i], est[j], z)
         w = np.linalg.inv(cov)
@@ -280,8 +290,8 @@ def dense_information(pg, est=None):
 
 
 def objective_per_graph(est, edges) -> float:
-    """Sum of e^T cov^-1 e over one graph's ``_stack_edges``, added in edge
-    order from 0.0."""
+    """Sum of e^T cov^-1 e over one graph's (K,2) ends, (K,3) z and
+    (K,3,3) covariances ``edges``, added in edge order from 0.0."""
     ends, z, cov = edges
     e = edge_residual(est[ends[:, 0]], est[ends[:, 1]], z)[..., None]
     q = (_t(e) @ np.linalg.solve(cov, e)).ravel()
@@ -325,8 +335,8 @@ def optimize_pose_graph_per_graph(pg, objective=objective_per_graph,
         pg.estimates = est
         return {"iterations": 0, "converged": True, "objective": 0.0,
                 "grad_norm": 0.0}
-    edges = _stack_edges(pg)
-    pattern = _normal_pattern(edges[0], dim)
+    edges = pg.ends, pg.z, pg.covs
+    pattern = _normal_pattern(pg.ends, pg.pose_count - 1)
     f_cur = objective(est, edges)
     info = {"iterations": 0, "converged": False, "objective": f_cur}
     for it in range(1, _GN_MAX_ITERS + 1):
@@ -365,8 +375,8 @@ def log_dopt_fim_per_graph(pg, assemble=assemble_per_graph) -> float:
     dim = 3 * (pg.pose_count - 1)
     if dim == 0:
         return 0.0
-    edges = _stack_edges(pg)
-    h, _ = assemble(pg.estimates, edges, _normal_pattern(edges[0], dim))
+    h, _ = assemble(pg.estimates, (pg.ends, pg.z, pg.covs),
+                    _normal_pattern(pg.ends, pg.pose_count - 1))
     _, logdet = _spd_factor(0.5 * h, "information matrix is rank-deficient")
     return logdet / dim
 

@@ -2,9 +2,15 @@ import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
+from scipy.sparse import csc_matrix
 
 from slamplan.errors import InputError, RankDeficientError
-from slamplan.laplacian import information_weights, log_det_from_scratch, reduced_laplacian
+from slamplan.laplacian import (
+    _spd_factor,
+    information_weights,
+    log_det_from_scratch,
+    reduced_laplacian,
+)
 
 from conftest import (
     build_reduced_laplacian,
@@ -382,6 +388,36 @@ def test_log_det_from_scratch_matches_dense_slogdet(case):
     n = poses - 1
     _, want = np.linalg.slogdet(build_reduced_laplacian(n, factors))
     assert log_det_from_scratch(n, factors) == pytest.approx(want, rel=1e-10, abs=1e-10)
+
+
+def _coo_log_det(n, factors):
+    """log det of the reduced Laplacian built as a COO matrix and converted
+    by scipy, which sums each entry's ii, jj, ij and ji terms in that
+    order, each in factor order, while a column holds fewer than 16."""
+    fac = np.asarray(factors, dtype=float).reshape(-1, 3)
+    i, j, w = fac[:, 0].astype(np.intp), fac[:, 1].astype(np.intp), fac[:, 2]
+    rows, cols = np.concatenate([i, j, i, j]), np.concatenate([i, j, j, i])
+    keep = (rows > 0) & (cols > 0)
+    lap = csc_matrix((np.concatenate([w, w, -w, -w])[keep], (rows[keep] - 1, cols[keep] - 1)),
+                     shape=(n, n))
+    return _spd_factor(lap, "singular")[1]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(poses=st.integers(2, 30), data=st.data())
+def test_log_det_from_scratch_keeps_the_bits_of_the_coo_build(poses, data):
+    # A walk's factors, then up to five loop factors between distinct pose
+    # pairs: one bincount into the anchored pattern sums every entry as the
+    # COO conversion it replaced did
+    weight = st.floats(0.01, 100.0)
+    factors = [(k, k + 1, data.draw(weight)) for k in range(poses - 1)]
+    pairs = st.tuples(st.integers(0, poses - 1), st.integers(0, poses - 1)).filter(
+        lambda p: abs(p[0] - p[1]) > 1)
+    if poses > 3:
+        loops = data.draw(st.lists(pairs, max_size=5, unique_by=lambda p: (min(p), max(p))))
+        factors += [(i, j, data.draw(weight)) for i, j in loops]
+    n = poses - 1
+    assert log_det_from_scratch(n, factors) == _coo_log_det(n, factors)
 
 
 def test_log_det_from_scratch_calls_no_lapack(monkeypatch, rng):

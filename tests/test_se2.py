@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from slamplan.se2 import (
     between,
@@ -128,3 +129,35 @@ def test_stacked_edge_terms_match_per_edge_formulas(rng):
         for got, ref in zip((e[n], a[n], b[n]), want):
             np.testing.assert_array_equal(got, ref)
         np.testing.assert_array_equal(edge_residual(xi[n], xj[n], z[n]), want[0])
+
+
+def _reference_compose(a, b):
+    """``compose`` of one pair as written before stacks."""
+    xy = a[:2] + _reference_rot(a[2]) @ b[:2]
+    return np.array([xy[0], xy[1], wrap_angle(a[2] + b[2])])
+
+
+def _reference_between(a, b):
+    """``between`` of one pair as written before stacks."""
+    xy = _reference_rot(a[2]).T @ (b[:2] - a[:2])
+    return np.array([xy[0], xy[1], wrap_angle(b[2] - a[2])])
+
+
+_coordinate = st.floats(-1e3, 1e3, allow_nan=False)
+_pose = st.tuples(_coordinate, _coordinate, st.floats(-10.0, 10.0, allow_nan=False))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(pairs=st.lists(st.tuples(_pose, _pose), min_size=1, max_size=40))
+def test_stacked_compose_and_between_give_the_bits_of_single_pairs(pairs):
+    # the simulator measures a route's motions in one ``between`` call and
+    # dead-reckons all seeds with one ``compose`` per step
+    a, b = (np.array(p, dtype=float) for p in zip(*pairs))
+    for fn, reference in ((compose, _reference_compose), (between, _reference_between)):
+        stacked = fn(a, b)
+        assert stacked.shape == a.shape
+        for n in range(len(a)):
+            single = fn(a[n], b[n])
+            assert single.shape == (3,)
+            assert stacked[n].tobytes() == single.tobytes()
+            assert single.tobytes() == reference(a[n], b[n]).tobytes()

@@ -37,6 +37,7 @@ from slamplan.sim import (
 
 from conftest import (
     dense_information,
+    edge_list,
     log_dopt_fim_per_graph,
     objective_per_graph,
     optimize_pose_graph_per_graph,
@@ -107,14 +108,28 @@ def test_load_world_rejects_ambiguous_degeneracy_key():
     ("region_degeneracy", {"b": ["x", 0.1, 0.001]},
      r"vertex 'b' degeneracy entries must be numbers"),
     ("region_degeneracy", {"b": [0.1, 0.1]}, r"vertex 'b' degeneracy must have 3 entries"),
+    ("region_degeneracy", {"b": None}, r"vertex 'b' degeneracy must have 3 entries, got None$"),
     ("default_degeneracy", [0.1, "wide", 0.001], r"default_degeneracy entries must be numbers"),
     ("loop_closure_sigma", "tight", r"loop_closure_sigma entries must be numbers"),
 ], ids=["region-list", "region-text", "region-entry-text", "region-entry-short",
-        "default-text", "loop-text"])
+        "region-entry-null", "default-text", "loop-text"])
 def test_load_world_bad_entry_names_offender(key, value, match):
     doc = {"graph": path3_graph().to_dict(), key: value}
     with pytest.raises(InputError, match=match):
         load_world(doc)
+
+
+@pytest.mark.parametrize("degeneracy, loop, match", [
+    ({"b": "abc"}, None, r"^degeneracy of 'b' entries must be numbers, got 'abc'$"),
+    ({"b": [[1.0, 0.0], [0.0]]}, None,
+     r"^degeneracy of 'b' entries must be numbers, got \[\[1.0, 0.0\], \[0.0\]\]$"),
+    (None, "abc", r"^loop closure covariance entries must be numbers, got 'abc'$"),
+    ([("b", np.eye(3))], None,
+     r"^region degeneracy must map vertices to covariances, got list$"),
+], ids=["region-text", "region-ragged", "loop-text", "region-list"])
+def test_world_model_bad_input_names_the_entry(degeneracy, loop, match):
+    with pytest.raises(InputError, match=match):
+        WorldModel(path3_graph(), degeneracy, loop)
 
 
 def test_world_defaults():
@@ -193,6 +208,37 @@ def _bits(x) -> bytes:
     return np.asarray(x, dtype=float).tobytes()
 
 
+def _loops(pg) -> slice:
+    """The rows of ``pg``'s loop closures: those after its P-1 odometry rows."""
+    return slice(pg.pose_count - 1, None)
+
+
+def _with_edges(pg, ends, z, covs):
+    """``pg`` with the edges ``ends``, ``z`` and ``covs`` added after its
+    own, in new arrays: the ones it has may be shared with other seeds."""
+    pg.ends = np.concatenate([pg.ends, np.reshape(ends, (-1, 2))])
+    pg.z = np.concatenate([pg.z, np.reshape(z, (-1, 3))])
+    pg.covs = np.concatenate([pg.covs, np.reshape(covs, (-1, 3, 3))])
+    return pg
+
+
+def _first_edges(pg, count):
+    """``pg`` with only its first ``count`` edges."""
+    pg.ends, pg.z, pg.covs = pg.ends[:count], pg.z[:count], pg.covs[:count]
+    return pg
+
+
+def _turned_loops(pg, rng):
+    """``pg`` with each loop covariance turned by a random rotation, in a
+    new array, so that none is diagonal."""
+    covs = pg.covs.copy()
+    for k in range(pg.pose_count - 1, pg.edge_count):
+        q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        covs[k] = q @ covs[k] @ q.T
+    pg.covs = covs
+    return pg
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(name=st.sampled_from(["env1", "env2", "grid4"]), start=st.integers(0, 10**6),
        turns=st.lists(st.integers(0, 7), max_size=60),
@@ -219,11 +265,9 @@ def test_simulate_walks_match_per_step_reference(name, start, turns, seeds):
         assert pg.vertex_of_pose == route
         assert _bits(pg.poses_true) == _bits(want.poses_true)
         assert _bits(pg.estimates) == _bits(want.estimates)
-        for edges, want_edges in ((pg.odometry, want.odometry), (pg.loops, want.loops)):
-            assert [(i, j) for i, j, _, _ in edges] == [(i, j) for i, j, _, _ in want_edges]
-            for (_, _, z, cov), (_, _, wz, wcov) in zip(edges, want_edges):
-                assert _bits(z) == _bits(wz)
-                assert _bits(cov) == _bits(wcov)
+        assert pg.ends.tolist() == want.ends.tolist()
+        assert _bits(pg.z) == _bits(want.z)
+        assert _bits(pg.covs) == _bits(want.covs)
 
 
 def test_true_poses_arrival_heading():
@@ -241,9 +285,8 @@ def test_loop_closure_targets_earliest_pose():
     g = path3_graph()
     w = noiseless_world(g)
     pg = simulate_walk(["a", "b", "c", "b", "a", "b"], w, seed=0)
-    loop_pairs = [(i, j) for i, j, _, _ in pg.loops]
-    assert loop_pairs == [(1, 3), (0, 4), (1, 5)]
-    assert len(pg.odometry) == 5
+    assert pg.ends[_loops(pg)].tolist() == [[1, 3], [0, 4], [1, 5]]
+    assert pg.ends[:5].tolist() == [[0, 1], [1, 2], [2, 3], [3, 4], [4, 5]]
 
 
 def test_noiseless_measurements_exact():
@@ -263,14 +306,11 @@ def test_same_seed_bitwise_identical():
     w = WorldModel(g)
     pg1 = simulate_walk(["a", "b", "c", "b", "a"], w, seed=42)
     pg2 = simulate_walk(["a", "b", "c", "b", "a"], w, seed=42)
-    for (i1, j1, z1, c1), (i2, j2, z2, c2) in zip(
-        list(pg1.all_edges()), list(pg2.all_edges())
-    ):
-        assert (i1, j1) == (i2, j2)
-        assert np.array_equal(z1, z2)
-        assert np.array_equal(c1, c2)
+    assert np.array_equal(pg1.ends, pg2.ends)
+    assert _bits(pg1.z) == _bits(pg2.z)
+    assert _bits(pg1.covs) == _bits(pg2.covs)
     pg3 = simulate_walk(["a", "b", "c", "b", "a"], w, seed=43)
-    assert not np.array_equal(pg3.odometry[0][2], pg1.odometry[0][2])
+    assert not np.array_equal(pg3.z[0], pg1.z[0])
 
 
 def test_plan_detour_produces_one_loop_edge():
@@ -288,8 +328,8 @@ def test_plan_detour_produces_one_loop_edge():
     w = noiseless_world(g)
     pg = simulate_walk(plan2.walk.vertices, w, seed=0)
     # detour c -> b -> a -> b -> c revisits three vertices
-    assert len(pg.loops) == 4
     assert pg.pose_count == 7
+    assert len(pg.ends[_loops(pg)]) == 4
 
 
 def test_dead_reckon_is_chain_composition():
@@ -298,7 +338,7 @@ def test_dead_reckon_is_chain_composition():
     pg = simulate_walk(["a", "b", "c"], w, seed=5)
     est = dead_reckon(pg)
     cur = pg.poses_true[0]
-    for k, (_, _, z, _) in enumerate(pg.odometry, start=1):
+    for k, z in enumerate(pg.z[:pg.pose_count - 1], start=1):
         cur = compose(cur, z)
         assert np.allclose(est[k], cur, atol=1e-12)
 
@@ -317,7 +357,7 @@ def test_optimizer_descends_with_loop():
     g = path3_graph()
     w = WorldModel(g)
     pg = simulate_walk(["a", "b", "c", "b", "a"], w, seed=31)
-    before = objective_per_graph(dead_reckon(pg), sim_mod._stack_edges(pg))
+    before = objective_per_graph(dead_reckon(pg), (pg.ends, pg.z, pg.covs))
     info = optimize_pose_graph(pg)
     assert info["objective"] <= before + 1e-12
     assert info["converged"]
@@ -328,7 +368,7 @@ def test_fim_single_edge_half_jtj():
     g = path3_graph()
     w = noiseless_world(g)
     pg = simulate_walk(["a", "b"], w, seed=0)
-    pg.odometry = [(0, 1, np.array([0.0, 0.0, 0.0]), np.eye(3))]
+    pg.z, pg.covs = np.zeros((1, 3)), np.eye(3)[None]
     pg.estimates = np.zeros((2, 3))
     from slamplan.se2 import edge_jacobians
 
@@ -345,7 +385,7 @@ def test_edgeless_pose_graph_keeps_its_outcome():
     # a route whose steps carry no measurement: nothing to optimize, and an
     # information matrix of zeros
     pg = simulate_walk(["a", "b", "c"], WorldModel(path3_graph()), seed=0)
-    pg.odometry = []
+    _first_edges(pg, 0)
     info = optimize_pose_graph(pg)
     assert info == {"iterations": 0, "converged": True, "objective": 0.0,
                     "grad_norm": 0.0}
@@ -356,7 +396,7 @@ def test_edgeless_pose_graph_keeps_its_outcome():
 def test_unreached_pose_makes_normal_equations_singular():
     # the last step carries no measurement, so no edge reaches pose 2
     pg = simulate_walk(["a", "b", "c"], WorldModel(path3_graph()), seed=0)
-    pg.odometry = pg.odometry[:1]
+    _first_edges(pg, 1)
     with pytest.raises(RankDeficientError, match="normal equations singular"):
         optimize_pose_graph(copy.deepcopy(pg))
     with pytest.raises(RankDeficientError, match="rank-deficient"):
@@ -369,7 +409,8 @@ def test_fim_monotone_under_edge_duplication():
     pg = simulate_walk(["a", "b", "c", "b"], w, seed=3)
     optimize_pose_graph(pg)
     before = log_dopt_fim(pg)
-    pg.loops.append(pg.loops[0])
+    loop = pg.pose_count - 1
+    _with_edges(pg, pg.ends[loop], pg.z[loop], pg.covs[loop])
     after = log_dopt_fim(pg)
     assert after > before
 
@@ -396,7 +437,7 @@ def test_fim_and_laplacian_dopt_comonotone(rng):
     pose_pairs = [(i, j) for i in range(1, pg.pose_count) for j in range(i)]
     for i, j in pose_pairs[:6]:
         z = np.zeros(3)
-        pg.loops.append((j, i, z, np.diag([0.1, 0.1, 0.001])))
+        _with_edges(pg, (j, i), z, np.diag([0.1, 0.1, 0.001]))
         cur_fim = log_dopt_fim(pg)
         vi = apg.vertex_to_pose[pg.vertex_of_pose[i]]
         vj = apg.vertex_to_pose[pg.vertex_of_pose[j]]
@@ -442,22 +483,19 @@ def _on_pattern(h, grad, pattern):
     return csc_matrix((h[indices, cols], indices, indptr), shape=h.shape), grad
 
 
-def _batch_of_one(pg, est=None):
-    """The joint estimates and ``_Batch`` of ``pg`` alone, at ``est`` (its
-    estimates by default)."""
-    run = copy.copy(pg)
-    if est is not None:
-        run.estimates = est
-    joint, parts = sim_mod._stack_batch([run])
-    return joint, sim_mod._Batch(parts)
+def _objective_alone(pg, est):
+    """The batched path's objective of ``pg`` alone at ``est``."""
+    return sim_mod._objective(est[None], pg.ends, pg.z[None], pg.covs[None]).tolist()
 
 
 def _assembled(pg, est=None):
     """The batched path's ``H``, as a CSC matrix, and gradient of ``pg``
     alone at ``est`` (its estimates by default)."""
-    joint, batch = _batch_of_one(pg, est)
-    data, grad = sim_mod._assemble(joint, batch)
-    return batch.matrix(0, data), grad
+    est = pg.estimates if est is None else est
+    pattern = sim_mod._normal_pattern(pg.ends, pg.pose_count - 1)
+    data, grad = sim_mod._assemble(est[None], pg.ends, pg.z[None],
+                                   np.linalg.inv(pg.covs)[None], pattern)
+    return sim_mod._matrix(data[0], pattern), grad[0]
 
 
 def _mission_pose_graph(name):
@@ -481,12 +519,7 @@ def _mission_pose_graph(name):
         log, _ = run_mission(prior, world, MissionConfig(strategy=arg), seed=4)
     pg = log.pose_graph
     if name.endswith("-full"):
-        rng = np.random.default_rng(7)
-        turned = []
-        for i, j, z, cov in pg.loops:
-            q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
-            turned.append((i, j, z, q @ cov @ q.T))
-        pg.loops = turned
+        _turned_loops(pg, np.random.default_rng(7))
     return pg
 
 
@@ -497,11 +530,10 @@ _ORACLE_GRAPHS = ["env1-tsp_only", "env1-slam_aware", "env2-tsp_only",
 @pytest.mark.parametrize("name", _ORACLE_GRAPHS)
 def test_batched_gauss_newton_matches_per_edge_loops(name):
     pg = _mission_pose_graph(name)
-    assert pg.loops
-    edges = list(pg.all_edges())
+    assert pg.edge_count > pg.pose_count - 1  # a loop closure
+    edges = edge_list(pg)
     for est in (dead_reckon(pg), pg.estimates):
-        assert (sim_mod._objective(*_batch_of_one(pg, est)).tolist()
-                == [_reference_objective(est, edges)])
+        assert _objective_alone(pg, est) == [_reference_objective(est, edges)]
         h, grad = _assembled(pg, est)
         ref_h, ref_grad = dense_information(pg, est)
         np.testing.assert_array_equal(h.toarray(), ref_h)
@@ -512,7 +544,7 @@ def test_batched_gauss_newton_matches_per_edge_loops(name):
     # per-edge loops over the run's own edges in the per-graph oracle; only
     # the CSC pattern, which SuperLU's ordering reads, comes from the
     # batched path
-    ref_edges = list(ref.all_edges())
+    ref_edges = edge_list(ref)
 
     def dense(est, _, pattern):
         return _on_pattern(*dense_information(ref, est), pattern)
@@ -542,7 +574,7 @@ def test_simulator_calls_no_lapack(monkeypatch):
     g = gen_grid_graph(GridGraphSpec(width=6.0, height=6.0, seed=1))
     plan = plan_exploration(g)
     pg = simulate_walk(plan.walk.vertices, WorldModel(g), seed=1)
-    assert pg.loops and 3 * (pg.pose_count - 1) > 3
+    assert pg.edge_count > pg.pose_count - 1 and 3 * (pg.pose_count - 1) > 3
     for name in ("cholesky", "slogdet", "det", "inv", "solve"):
         monkeypatch.setattr(np.linalg, name, refuse_above_3x3(getattr(np.linalg, name)))
     for name in ("cho_factor", "cho_solve"):
@@ -568,13 +600,7 @@ def _random_walk_pose_graph(seed, n, steps, turned):
     for _ in range(steps):
         walk.append(nbrs[walk[-1]][int(rng.integers(len(nbrs[walk[-1]])))])
     pg = simulate_walk(walk, world, seed=seed)
-    if turned:
-        turned_loops = []
-        for i, j, z, cov in pg.loops:
-            q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
-            turned_loops.append((i, j, z, q @ cov @ q.T))
-        pg.loops = turned_loops
-    return pg
+    return _turned_loops(pg, rng) if turned else pg
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -650,25 +676,33 @@ _ROUTES = [("env1", "slam_aware"), ("env1", "tsp_only"),
 
 
 @settings(max_examples=15, deadline=None, derandomize=True)
-@given(kind=st.sampled_from(["one-route", "mixed", "one"]), data=st.data())
+@given(kind=st.sampled_from(["one-route", "one"]), data=st.data())
 def test_lockstep_batches_match_the_per_graph_oracle(kind, data):
-    # one route under distinct seeds shares one pattern; env1 and env2
-    # routes differ in pose and edge counts, so their objective rows are
-    # padded; a batch of one is what a mission's finish runs
+    # one route under distinct seeds shares one pattern; a batch of one is
+    # what a mission's finish runs
     seed = st.integers(0, 2**32 - 1)
     if kind == "one-route":
         name = data.draw(st.sampled_from(_ROUTES))
         drawn = [(name, s) for s in data.draw(
             st.lists(seed, min_size=2, max_size=9, unique=True))]
-    elif kind == "mixed":
-        names = [data.draw(st.sampled_from(_ROUTES[:2])),
-                 data.draw(st.sampled_from(_ROUTES[2:])),
-                 *data.draw(st.lists(st.sampled_from(_ROUTES), max_size=7))]
-        drawn = [(name, data.draw(seed)) for name in data.draw(st.permutations(names))]
     else:
         drawn = [(data.draw(st.sampled_from(_ROUTES)), data.draw(seed))]
     for info, _, fim in _check_against_oracle([_replayed(*d) for d in drawn]):
         assert info["iterations"] > 0 and np.isfinite(fim)
+
+
+@pytest.mark.parametrize("batch", [sim_mod.optimize_pose_graphs, sim_mod.log_dopt_fims])
+def test_a_batch_that_mixes_routes_raises(batch):
+    # env1 and env2 routes differ in pose and edge counts; a graph of the
+    # same route with an extra edge differs in its ends alone
+    one = [_replayed(("env1", "tsp_only"), seed) for seed in range(2)]
+    extra = _replayed(("env1", "tsp_only"), 2)
+    _with_edges(extra, (0, 2), np.zeros(3), np.eye(3))
+    for pgs in ([*one, _replayed(("env2", "tsp_only"), 2)], [*one, extra]):
+        before = [pg.estimates for pg in pgs]
+        with pytest.raises(InputError, match="one route"):
+            batch(pgs)
+        assert all(pg.estimates is est for pg, est in zip(pgs, before))
 
 
 def test_failing_graphs_leave_the_rest_of_their_batch_alone():
@@ -676,13 +710,15 @@ def test_failing_graphs_leave_the_rest_of_their_batch_alone():
     # A loop covariance with a skew-symmetric part: the objective reads only
     # its symmetric part, the gradient and the normal matrix all of it, so
     # near the optimum no step along the Gauss-Newton direction descends.
-    i, j, z, cov = pgs[1].loops[0]
-    skew = 10.0 * cov[0, 0] * np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-    pgs[1].loops[0] = (i, j, z, cov + skew)
-    # no edge reaches the last pose
-    last = pgs[3].pose_count - 1
-    pgs[3].odometry = pgs[3].odometry[:-1]
-    pgs[3].loops = [e for e in pgs[3].loops if last not in e[:2]]
+    covs = pgs[1].covs.copy()
+    loop = pgs[1].pose_count - 1
+    covs[loop] += 10.0 * covs[loop, 0, 0] * np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0],
+                                                      [0.0, 0.0, 0.0]])
+    pgs[1].covs = covs
+    # NaN estimates at one pose: its entries of the normal equations too
+    est = pgs[3].estimates.copy()
+    est[7] = np.nan
+    pgs[3].estimates = est
     scored, alone = copy.deepcopy(pgs), copy.deepcopy(pgs)
     want = _check_against_oracle(pgs)
     assert [type(info) for info, _, _ in want] == [dict, DivergenceError, dict,
@@ -698,10 +734,11 @@ def test_failing_graphs_leave_the_rest_of_their_batch_alone():
 
 
 def test_fim_batch_records_each_graph_error():
-    ok, unset, edgeless = (_replayed(("env2", "tsp_only"), 3) for _ in range(3))
+    ok, unset, lost = (_replayed(("env2", "tsp_only"), 3) for _ in range(3))
     unset.estimates = None
-    edgeless.odometry, edgeless.loops = [], []
-    got = sim_mod.log_dopt_fims([ok, unset, edgeless])
+    lost.estimates = lost.estimates.copy()
+    lost.estimates[5] = np.nan
+    got = sim_mod.log_dopt_fims([ok, unset, lost])
     assert got[0] == log_dopt_fim_per_graph(ok)
     assert isinstance(got[1], InputError) and "optimize or dead-reckon" in str(got[1])
     assert isinstance(got[2], RankDeficientError) and "rank-deficient" in str(got[2])
